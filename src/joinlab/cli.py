@@ -5,7 +5,8 @@ Every command prints one canonical JSON report to stdout (sorted keys,
 "p/q" rationals, trailing newline) so identical invocations produce
 byte-identical output; wall-clock time goes to stderr only.
 
-Exit codes: 0 success, 1 a verification failed, 2 invalid input.
+Exit codes: 0 success, 1 a verification failed, 2 invalid input,
+3 internal error (a failed internal cross-check).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import time
 from fractions import Fraction
 
 from .config import parse_config
-from .errors import InvalidInputError, JoinlabError, PreconditionError, ResourceLimitError
+from .errors import InvalidInputError, JoinlabError, JoinlabInternalError
 from .joinings import (
     diagonal_invariance_defect,
     face_independence_defect,
@@ -30,7 +31,7 @@ from .mixing import (
     correlation,
     mixing_deviation_sweep_detail,
 )
-from .polytope import SIZE_CAP, PolytopeSpec, certify_triviality, optimize
+from .polytope import PolytopeSpec, certify_triviality, optimize
 from .rationals import parse_rational
 from .report import input_digest, render_report
 from .serialize import data_to_raw, joining_to_data, skew_to_data
@@ -310,8 +311,6 @@ def _cmd_joining_verify(args):
 
     shape = shape_of(raw.factors)
     size = len(raw.entries)
-    if size > SIZE_CAP:
-        raise ResourceLimitError(f"{size} entries exceed the cap of {SIZE_CAP}")
     mass = sum(raw.entries, Fraction(0))
     min_entry = min(raw.entries)
     marginal_defect = Fraction(0)
@@ -460,9 +459,9 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         payload, passed, digest_bytes = args.handler(args)
-    except (InvalidInputError, PreconditionError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except JoinlabInternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except JoinlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

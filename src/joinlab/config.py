@@ -22,7 +22,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
+from .polytope import SIZE_CAP
 from .serialize import _check_keys, _parse_weights, load_json_file
 from .skew import RigiditySequence, SkewProduct
 from .spaces import (
@@ -116,6 +117,10 @@ def parse_config(data, origin: str = "config") -> Config:
             if not isinstance(n, int) or isinstance(n, bool) or n < 1:
                 raise InvalidInputError(
                     f"{path}.uniform: expected a positive int, got {n!r}"
+                )
+            if n > SIZE_CAP:
+                raise ResourceLimitError(
+                    f"{path}.uniform: {n} atoms exceed the cap of {SIZE_CAP}"
                 )
             spaces[name] = FiniteSpace.uniform(n)
         else:

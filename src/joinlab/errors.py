@@ -1,8 +1,10 @@
 """Error taxonomy shared by every module.
 
-Three failure kinds are distinguished so callers (and the CLI exit-code
-mapping) can react uniformly: malformed data, violated mathematical
-preconditions, and configured size caps.
+Three input failure kinds are distinguished so callers (and the CLI
+exit-code mapping) can react uniformly: malformed data, violated
+mathematical preconditions, and configured size caps.  A fourth kind marks
+a failed internal cross-check, a fault of the package rather than of its
+input.
 """
 
 
@@ -20,3 +22,7 @@ class PreconditionError(JoinlabError):
 
 class ResourceLimitError(JoinlabError):
     """A configured size cap would be exceeded."""
+
+
+class JoinlabInternalError(JoinlabError):
+    """An internal cross-check failed; indicates a solver bug."""

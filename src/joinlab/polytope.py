@@ -2,11 +2,15 @@
 
 For an action on one space, the polytope of order-n tensors with
 nonnegative entries, diagonal invariance under every generator and fully
-independent m-faces always contains the product measure; whether it
-contains anything else is decided exactly by scanning every coordinate
-with a max and a min LP.  Vertices come back as tensors and are
-re-verified through the joining defect checks, an independent code path
-from the LP itself.
+independent m-faces always contains the product measure.  An invariant
+tensor is constant on each orbit of the diagonal action on index tuples,
+so the LP has one variable per orbit and one row per m-face cell, with no
+invariance rows (the standard orbit reduction of a symmetric LP).  The
+product measure is strictly positive, so the polytope is that single
+point exactly when the reduced system has full column rank; otherwise a
+max and a min LP per orbit (2 * orbits LPs) find the farthest vertex.
+Vertices come back as full tensors and are re-verified through the
+joining defect checks, an independent code path from the LP itself.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, JoinlabInternalError, ResourceLimitError
 from .joinings import (
     JoiningTensor,
     diagonal_invariance_defect,
@@ -25,7 +29,7 @@ from .joinings import (
 )
 from .rationals import as_fraction
 from .simplex import RationalSimplex
-from .spaces import ActionGenerators, index_to_tuple, iter_tuples, tuple_to_index
+from .spaces import ActionGenerators, iter_tuples
 
 SIZE_CAP = 65536
 ORDER_CAP = 4
@@ -85,63 +89,73 @@ class TrivialityCertificate:
     witness: JoiningTensor | None
 
 
-def _constraints(spec: PolytopeSpec):
-    """Equality rows over the tensor coordinates, deterministic order:
-    one chain of equalities per generator orbit on tuples, then every
-    m-face marginal pinned to the product of weights."""
-    shape = spec.shape
+def _image_map(perm: Sequence[int], order: int) -> list[int]:
+    """Flat index of the diagonal image g(t) for every flat index of t,
+    built axis by axis in lexicographic order."""
+    moved = [0]
+    for _ in range(order):
+        moved = [m * len(perm) + p for m in moved for p in perm]
+    return moved
+
+
+@dataclass(frozen=True)
+class _Reduction:
+    """The polytope with one variable per orbit of the diagonal action on
+    index tuples: ``orbit[idx]`` labels each coordinate, orbits numbered by
+    first appearance in index order; ``rows``/``rhs`` pin every m-face cell
+    to the product of its weights, each row counting how many of an
+    orbit's tuples fall in the cell."""
+
+    orbit: tuple[int, ...]
+    count: int
+    rows: list[list[int]]
+    rhs: list[Fraction]
+
+    def expand(self, values: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        """Full tensor entries from one value per orbit."""
+        return tuple(values[o] for o in self.orbit)
+
+
+def _reduce(spec: PolytopeSpec) -> _Reduction:
     n = spec.size
-    weights = spec.action.space.weights
-    tuples = [index_to_tuple(shape, idx) for idx in range(n)]
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    zero, one = Fraction(0), Fraction(1)
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     for g in spec.action.generators:
-        perm = g.perm
-        moved = [
-            tuple_to_index(shape, tuple(perm[t] for t in tup)) for tup in tuples
-        ]
-        seen = [False] * n
-        for start in range(n):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = True
-            cur = moved[start]
-            while cur != start:
-                cycle.append(cur)
-                seen[cur] = True
-                cur = moved[cur]
-            for a, b in zip(cycle, cycle[1:]):
-                row = [zero] * n
-                row[a] = one
-                row[b] = -one
-                rows.append(row)
-                rhs.append(zero)
+        for idx, image in enumerate(_image_map(g.perm, spec.order)):
+            a, b = find(idx), find(image)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    labels: dict[int, int] = {}
+    orbit = tuple(labels.setdefault(find(idx), len(labels)) for idx in range(n))
+    count = len(labels)
+
+    atoms = spec.action.space.atom_count
+    weights = spec.action.space.weights
     m = spec.independence
-    sub_shape = (spec.action.space.atom_count,) * m
-    sub_count = spec.action.space.atom_count ** m
+    sub_shape = (atoms,) * m
+    tuples = list(iter_tuples(spec.shape))
+    rows: list[list[int]] = []
+    rhs: list[Fraction] = []
     for coords in combinations(range(spec.order), m):
-        face_rows = [[zero] * n for _ in range(sub_count)]
-        for idx, tup in enumerate(tuples):
-            sub = tuple(tup[c] for c in coords)
-            face_rows[tuple_to_index(sub_shape, sub)][idx] = one
-        for sub_idx, row in enumerate(face_rows):
-            rows.append(row)
+        face_rows = [[0] * count for _ in range(atoms**m)]
+        for tup, o in zip(tuples, orbit):
+            cell = 0
+            for c in coords:
+                cell = cell * atoms + tup[c]
+            face_rows[cell][o] += 1
+        rows.extend(face_rows)
+        for cell in iter_tuples(sub_shape):
             target = Fraction(1)
-            for s in index_to_tuple(sub_shape, sub_idx):
+            for s in cell:
                 target *= weights[s]
             rhs.append(target)
-    return rows, rhs
-
-
-class JoinlabInternalError(AssertionError):
-    """An internal cross-check failed; indicates a solver bug."""
-
-
-def _solver(spec: PolytopeSpec, kernel=None) -> RationalSimplex:
-    rows, rhs = _constraints(spec)
-    return RationalSimplex(rows, rhs, spec.size, kernel=kernel)
+    return _Reduction(orbit, count, rows, rhs)
 
 
 def _as_tensor(spec: PolytopeSpec, solution: Sequence[Fraction]) -> JoiningTensor:
@@ -158,49 +172,61 @@ def _as_tensor(spec: PolytopeSpec, solution: Sequence[Fraction]) -> JoiningTenso
 def optimize(spec: PolytopeSpec, objective: Sequence, sense: str = "max") -> LpOutcome:
     """Optimise a linear functional of the tensor entries over the polytope.
 
-    Deterministic: identical inputs produce identical vertices."""
+    The functional is summed over each orbit and optimised over the orbit
+    variables.  Deterministic: identical inputs produce identical vertices."""
     objective = [as_fraction(x) for x in objective]
     if len(objective) != spec.size:
         raise InvalidInputError(
             f"objective length {len(objective)} != tensor size {spec.size}"
         )
-    solver = _solver(spec)
-    sol = solver.solve_for(objective, sense)
+    red = _reduce(spec)
+    folded = [Fraction(0)] * red.count
+    for o, c in zip(red.orbit, objective):
+        folded[o] += c
+    solver = RationalSimplex(red.rows, red.rhs, red.count)
+    sol = solver.solve_for(folded, sense)
     if sol.status != "optimal":
         return LpOutcome(sol.status, None, None)
-    return LpOutcome("optimal", sol.value, _as_tensor(spec, sol.solution))
+    return LpOutcome("optimal", sol.value, _as_tensor(spec, red.expand(sol.solution)))
 
 
 def certify_triviality(spec: PolytopeSpec, kernel=None) -> TrivialityCertificate:
     """Decide whether the polytope is exactly {product measure}.
 
-    Scans max and min of every coordinate (2 * size LPs on one warm-started
-    solver); trivial iff every optimum equals the product-measure entry.
-    Sound and complete: the box of coordinate ranges collapses to a point
-    iff the polytope does, since the product measure is always feasible."""
-    target = product_joining((spec.action.space,) * spec.order)
-    solver = _solver(spec, kernel=kernel)
+    The product measure is feasible and strictly positive, so the polytope
+    is that single point iff the orbit-reduced equality system has full
+    column rank (``rank == orbits``); then no LP runs.  Otherwise it scans
+    max and min of every orbit variable (2 * orbits LPs on one
+    warm-started solver) and returns the optimum farthest from the product
+    measure: the largest sup-distance over the polytope is reached at one
+    of these optima."""
+    red = _reduce(spec)
+    solver = RationalSimplex(red.rows, red.rhs, red.count, kernel=kernel)
     zero = Fraction(0)
-    trivial = True
+    if solver.rank == red.count:
+        return TrivialityCertificate(True, zero, None)
+    product = product_joining((spec.action.space,) * spec.order).entries
+    target = [zero] * red.count
+    for idx, o in enumerate(red.orbit):
+        target[o] = product[idx]
     best_dev = zero
     best_solution = None
-    objective = [zero] * spec.size
-    for coord in range(spec.size):
-        objective[coord] = Fraction(1)
+    objective = [zero] * red.count
+    for o in range(red.count):
+        objective[o] = Fraction(1)
         for sense in ("max", "min"):
             sol = solver.solve_for(objective, sense)
             if sol.status != "optimal":
                 # the product measure is always feasible
                 raise JoinlabInternalError("joining polytope reported infeasible")
-            if sol.value != target.entries[coord]:
-                trivial = False
-                dev = max(
-                    abs(a - b) for a, b in zip(sol.solution, target.entries)
-                )
+            if sol.value != target[o]:
+                dev = max(abs(a - b) for a, b in zip(sol.solution, target))
                 if dev > best_dev:
                     best_dev = dev
                     best_solution = sol.solution
-        objective[coord] = zero
-    if trivial:
-        return TrivialityCertificate(True, zero, None)
-    return TrivialityCertificate(False, best_dev, _as_tensor(spec, best_solution))
+        objective[o] = zero
+    if best_solution is None:
+        raise JoinlabInternalError(
+            f"rank {solver.rank} < {red.count} orbits, yet every orbit range is a point"
+        )
+    return TrivialityCertificate(False, best_dev, _as_tensor(spec, red.expand(best_solution)))

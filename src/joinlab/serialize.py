@@ -19,8 +19,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 from .joinings import JoiningTensor, ProductMeasure
+from .polytope import SIZE_CAP
 from .rationals import format_rational, parse_rational
 from .skew import SkewProduct
 from .spaces import FiniteSpace, shape_of, tuple_to_index
@@ -97,6 +98,12 @@ def data_to_raw(data, path: str = "tensor") -> RawTensor:
     size = 1
     for n in shape:
         size *= n
+        if size > SIZE_CAP:
+            # checked before the dense entry list is allocated
+            raise ResourceLimitError(
+                f"{path}.factors: {len(shape)} factors declare more than "
+                f"{SIZE_CAP} entries, the cap"
+            )
     entries = [Fraction(0)] * size
     raw_nonzero = data["nonzero"]
     if not isinstance(raw_nonzero, list):

@@ -37,6 +37,10 @@ class RationalSimplex:
     Rows are pre-reduced to full row rank (detecting inconsistency), then
     phase 1 builds a feasible basis with artificial variables.  Each
     solve_for(objective) warm-starts phase 2 from the current basis.
+    ``rank`` is the number of independent rows left after presolve and
+    phase 1 (0 when the region is empty); on a feasible region with a
+    strictly positive point, ``rank == num_vars`` means the region is that
+    single point.
     """
 
     def __init__(self, rows: Sequence[Sequence], rhs: Sequence, num_vars: int, kernel=None):
@@ -160,6 +164,10 @@ class RationalSimplex:
             self._pivot(best[1], q)
 
     # -- public API --------------------------------------------------------
+
+    @property
+    def rank(self) -> int:
+        return 0 if self._infeasible else len(self._rows)
 
     def solve_for(self, objective: Sequence, sense: str = "max") -> LpSolution:
         """Optimise a new objective over the same region, warm-starting from

@@ -5,6 +5,8 @@ import json
 import re
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -433,3 +435,31 @@ def test_threads_validation():
 
 def test_unknown_command_exits_2():
     run_cli("frobnicate", expect=2)
+
+
+def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
+    from joinlab import cli, polytope
+
+    # a re-check that always fails stands in for a solver bug
+    monkeypatch.setattr(
+        polytope, "diagonal_invariance_defect", lambda tensor, action: Fraction(1)
+    )
+    code = cli.main(
+        ["polytope", "--config", str(CONFIGS / "polytope_k1.json"), "--action",
+         "trivial", "--order", "3", "--independence", "2", "--certify"]
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("internal error: ")
+    assert "Traceback" not in err
+
+
+def test_joining_verify_oversized_shape_exits_2_fast(tmp_path):
+    # 40 two-atom factors declare 2**40 entries in a file of under 1 kB
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"factors": [["1/2", "1/2"]] * 40, "nonzero": []}))
+    started = time.perf_counter()
+    proc = run_cli("joining", "verify", "--file", str(huge), expect=2)
+    assert time.perf_counter() - started < 10
+    assert f"{huge}.factors" in proc.stderr
+    assert "Traceback" not in proc.stderr

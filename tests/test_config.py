@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from joinlab.config import Config, load_config, parse_config
-from joinlab.errors import InvalidInputError
+from joinlab.errors import InvalidInputError, ResourceLimitError
+from joinlab.polytope import SIZE_CAP
 
 
 def full_config_data():
@@ -151,3 +152,11 @@ def test_load_config_from_file(tmp_path):
     assert cfg.spaces["pair"].atom_count == 2
     with pytest.raises(InvalidInputError):
         load_config(str(tmp_path / "absent.json"))
+
+
+def test_uniform_space_over_cap_rejected_before_building():
+    # 10**12 Fractions would exhaust memory; the cap must fire first
+    with pytest.raises(ResourceLimitError, match=r"spaces\.huge\.uniform"):
+        parse_config({"spaces": {"huge": {"uniform": 10**12}}})
+    cfg = parse_config({"spaces": {"edge": {"uniform": SIZE_CAP}}})
+    assert cfg.spaces["edge"].atom_count == SIZE_CAP

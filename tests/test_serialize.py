@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from joinlab import Automorphism, FiniteSpace, SkewProduct
-from joinlab.errors import InvalidInputError
+from joinlab.errors import InvalidInputError, ResourceLimitError
 from joinlab.joinings import JoiningTensor, product_joining
+from joinlab.polytope import SIZE_CAP
 from joinlab.serialize import (
     RawTensor,
     data_to_joining,
@@ -124,3 +125,12 @@ def test_load_json_file(tmp_path):
         load_json_file(str(bad))
     with pytest.raises(InvalidInputError):
         load_json_file(str(tmp_path / "missing.json"))
+
+
+def test_raw_decode_caps_declared_shape_before_allocating():
+    data = {"factors": [["1/2", "1/2"]] * 40, "nonzero": []}
+    with pytest.raises(ResourceLimitError, match=r"big\.factors"):
+        data_to_raw(data, path="big")
+    # exactly at the cap still decodes
+    at_cap = {"factors": [["1/2", "1/2"]] * 16, "nonzero": []}
+    assert len(data_to_raw(at_cap).entries) == SIZE_CAP == 2**16

@@ -154,6 +154,15 @@ def test_against_vertex_oracle_random():
             ) == want
 
 
+def test_rank_counts_independent_rows():
+    # 3 + 3 marginal rows of a 3x3 coupling: one is redundant
+    third = [Fraction(1, 3)] * 3
+    rows, rhs, n = transportation_lp(third, third)
+    assert RationalSimplex(rows, rhs, n).rank == 5
+    one = Fraction(1)
+    assert RationalSimplex([[one, one]], [Fraction(-1)], 2).rank == 0
+
+
 def test_infeasible_detected():
     one = Fraction(1)
     res = solve_lp([[one, one]], [Fraction(-1)], [one, one], "max")
