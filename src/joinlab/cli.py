@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 a verification failed, 2 invalid input,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from fractions import Fraction
@@ -20,6 +19,8 @@ from fractions import Fraction
 from .config import parse_config
 from .errors import InvalidInputError, JoinlabError, JoinlabInternalError
 from .joinings import (
+    _axis_sums,
+    _invariance_defect,
     diagonal_invariance_defect,
     face_independence_defect,
     marginal,
@@ -34,7 +35,13 @@ from .mixing import (
 from .polytope import PolytopeSpec, certify_triviality, optimize
 from .rationals import parse_rational
 from .report import input_digest, render_report
-from .serialize import data_to_raw, joining_to_data, skew_to_data
+from .serialize import (
+    data_to_raw,
+    joining_to_data,
+    parse_json,
+    read_bytes,
+    skew_to_data,
+)
 from .skew import (
     as_automorphism,
     is_ergodic,
@@ -44,28 +51,13 @@ from .skew import (
     rigidity_statistic,
     sample_random_extension,
 )
-from .spaces import iter_tuples, orbit_count, shape_of, tuple_to_index
+from .spaces import orbit_count, shape_of, tuple_to_index
 from .torus import Z2kContext, full_action, triple_sum_joining
 
 
-def _read_bytes(path: str) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-
-
-def _json_from_bytes(blob: bytes, path: str):
-    try:
-        return json.loads(blob)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
-
-
 def _load_config(path: str):
-    blob = _read_bytes(path)
-    return parse_config(_json_from_bytes(blob, path), origin=path), blob
+    blob = read_bytes(path)
+    return parse_config(parse_json(blob, path), origin=path), blob
 
 
 def _int_list(text: str, flag: str) -> tuple[int, ...]:
@@ -291,8 +283,8 @@ def _cmd_sample(args):
 
 
 def _cmd_joining_verify(args):
-    file_blob = _read_bytes(args.file)
-    raw = data_to_raw(_json_from_bytes(file_blob, args.file), path=args.file)
+    file_blob = read_bytes(args.file)
+    raw = data_to_raw(parse_json(file_blob, args.file), path=args.file)
     digest_bytes = file_blob
     action = None
     if args.action is not None:
@@ -307,29 +299,19 @@ def _cmd_joining_verify(args):
                     "invariance check needs every factor equal to the action's space"
                 )
     elif args.config is not None:
-        digest_bytes = file_blob + _read_bytes(args.config)
+        digest_bytes = file_blob + read_bytes(args.config)
 
     shape = shape_of(raw.factors)
-    size = len(raw.entries)
     mass = sum(raw.entries, Fraction(0))
     min_entry = min(raw.entries)
     marginal_defect = Fraction(0)
     for coord, sp in enumerate(raw.factors):
-        sums = [Fraction(0)] * sp.atom_count
-        for tup, idx in zip(iter_tuples(shape), range(size)):
-            sums[tup[coord]] += raw.entries[idx]
+        sums = _axis_sums(raw.entries, shape, coord)
         for a in sp.atoms():
             marginal_defect = max(marginal_defect, abs(sums[a] - sp.weights[a]))
     invariance_defect = None
     if action is not None:
-        invariance_defect = Fraction(0)
-        for g in action.generators:
-            inv = g.inverse().perm
-            for tup, idx in zip(iter_tuples(shape), range(size)):
-                pre = tuple_to_index(shape, tuple(inv[z] for z in tup))
-                invariance_defect = max(
-                    invariance_defect, abs(raw.entries[idx] - raw.entries[pre])
-                )
+        invariance_defect = _invariance_defect(raw.entries, shape, action.generators)
     passed = (
         mass == 1
         and min_entry >= 0
@@ -352,14 +334,6 @@ def _cmd_joining_verify(args):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="PATH", help="also write the report here")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="N",
-        help="upper bound on worker threads (the exact kernels are "
-        "single-threaded, so this only caps what gets used)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="joinlab",
@@ -453,9 +427,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else 2
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
     start = time.perf_counter()
     try:
         payload, passed, digest_bytes = args.handler(args)

@@ -23,10 +23,10 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import InvalidInputError, ResourceLimitError
-from .polytope import SIZE_CAP
 from .serialize import _check_keys, _parse_weights, load_json_file
 from .skew import RigiditySequence, SkewProduct
 from .spaces import (
+    SIZE_CAP,
     ActionGenerators,
     Automorphism,
     FiniteSpace,

@@ -196,14 +196,18 @@ def diagonal_invariance_defect(v: ProductMeasure, action: ActionGenerators) -> F
     for sp in v.factors:
         if sp != action.space:
             raise InvalidInputError("every factor must equal the action's space")
-    shape = v.shape
+    return _invariance_defect(v.entries, v.shape, action.generators)
+
+
+def _invariance_defect(entries, shape, generators) -> Fraction:
+    """max over generators g and tuples t of |entries(g t) - entries(t)|;
+    the entries need not form a measure."""
     best = Fraction(0)
-    for g in action.generators:
+    for g in generators:
         perm = g.perm
-        for idx, x in enumerate(v.entries):
-            tup = index_to_tuple(shape, idx)
+        for tup, x in zip(iter_tuples(shape), entries):
             moved = tuple(perm[t] for t in tup)
-            d = abs(v.entries[tuple_to_index(shape, moved)] - x)
+            d = abs(entries[tuple_to_index(shape, moved)] - x)
             if d > best:
                 best = d
     return best

@@ -16,13 +16,12 @@ from .errors import InvalidInputError, ResourceLimitError
 from .joinings import JoiningTensor
 from .skew import SkewProduct, as_automorphism
 from .spaces import (
+    SIZE_CAP,
     Automorphism,
     MeasurableSet,
     compose,
     iter_tuples,
 )
-
-SIZE_CAP = 65536
 
 
 @dataclass(frozen=True)

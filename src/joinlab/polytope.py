@@ -29,9 +29,8 @@ from .joinings import (
 )
 from .rationals import as_fraction
 from .simplex import RationalSimplex
-from .spaces import ActionGenerators, iter_tuples
+from .spaces import SIZE_CAP, ActionGenerators, iter_tuples
 
-SIZE_CAP = 65536
 ORDER_CAP = 4
 
 
@@ -190,7 +189,7 @@ def optimize(spec: PolytopeSpec, objective: Sequence, sense: str = "max") -> LpO
     return LpOutcome("optimal", sol.value, _as_tensor(spec, red.expand(sol.solution)))
 
 
-def certify_triviality(spec: PolytopeSpec, kernel=None) -> TrivialityCertificate:
+def certify_triviality(spec: PolytopeSpec) -> TrivialityCertificate:
     """Decide whether the polytope is exactly {product measure}.
 
     The product measure is feasible and strictly positive, so the polytope
@@ -201,7 +200,7 @@ def certify_triviality(spec: PolytopeSpec, kernel=None) -> TrivialityCertificate
     measure: the largest sup-distance over the polytope is reached at one
     of these optima."""
     red = _reduce(spec)
-    solver = RationalSimplex(red.rows, red.rhs, red.count, kernel=kernel)
+    solver = RationalSimplex(red.rows, red.rhs, red.count)
     zero = Fraction(0)
     if solver.rank == red.count:
         return TrivialityCertificate(True, zero, None)

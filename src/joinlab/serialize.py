@@ -21,22 +21,28 @@ from fractions import Fraction
 
 from .errors import InvalidInputError, ResourceLimitError
 from .joinings import JoiningTensor, ProductMeasure
-from .polytope import SIZE_CAP
 from .rationals import format_rational, parse_rational
 from .skew import SkewProduct
-from .spaces import FiniteSpace, shape_of, tuple_to_index
+from .spaces import SIZE_CAP, FiniteSpace, shape_of, tuple_to_index
+
+
+def read_bytes(path: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
+
+
+def parse_json(blob: bytes, path: str):
+    try:
+        return json.loads(blob)
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def load_json_file(path: str):
-    try:
-        with open(path, "rb") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
+    return parse_json(read_bytes(path), path)
 
 
 def _check_keys(obj, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):

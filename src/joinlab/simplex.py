@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import kernels
 from .errors import InvalidInputError, JoinlabError
 from .rationals import fast_rational_type
 
@@ -31,6 +30,41 @@ class LpSolution:
     solution: tuple[Fraction, ...] | None
 
 
+# Tableau row operations.  They work in place on lists of exact rationals
+# (Fraction or gmpy2.mpq) and skip zero entries.
+
+
+def _scale(row, factor, zero):
+    """row *= factor, skipping zeros."""
+    for j, x in enumerate(row):
+        if x != zero:
+            row[j] = x * factor
+
+
+def _axpy(target, source, factor, zero):
+    """target -= factor * source, skipping zero source entries."""
+    for j, s in enumerate(source):
+        if s != zero:
+            target[j] = target[j] - factor * s
+
+
+def _pivot_all(rows, piv, col, zero, one):
+    """Normalise rows[piv] at column col and eliminate that column from
+    every other row."""
+    prow = rows[piv]
+    x = prow[col]
+    if x != one:
+        _scale(prow, one / x, zero)
+        prow[col] = one
+    for i, row in enumerate(rows):
+        if i == piv:
+            continue
+        f = row[col]
+        if f != zero:
+            _axpy(row, prow, f, zero)
+            row[col] = zero
+
+
 class RationalSimplex:
     """Reusable solver over one feasible region {A x = b, x >= 0}.
 
@@ -43,10 +77,9 @@ class RationalSimplex:
     single point.
     """
 
-    def __init__(self, rows: Sequence[Sequence], rhs: Sequence, num_vars: int, kernel=None):
+    def __init__(self, rows: Sequence[Sequence], rhs: Sequence, num_vars: int):
         if num_vars < 1:
             raise InvalidInputError("LP needs at least one variable")
-        self._k = kernel if kernel is not None else kernels
         self._rat, _ = fast_rational_type()
         self._zero = self._rat(0)
         self._one = self._rat(1)
@@ -73,7 +106,7 @@ class RationalSimplex:
             for prow, pcol in zip(reduced, pivot_cols):
                 f = r[pcol]
                 if f != zero:
-                    self._k.axpy(r, prow, f, zero)
+                    _axpy(r, prow, f, zero)
                     r[pcol] = zero
             col = next((j for j in range(n) if r[j] != zero), None)
             if col is None:
@@ -82,13 +115,13 @@ class RationalSimplex:
                     return []
                 continue  # redundant row
             if r[col] != one:
-                self._k.scale(r, one / r[col], zero)
+                _scale(r, one / r[col], zero)
                 r[col] = one
             reduced.append(r)
             pivot_cols.append(col)
         for r in reduced:
             if r[n] < zero:
-                self._k.scale(r, -one, zero)
+                _scale(r, -one, zero)
         return reduced
 
     def _phase1(self, reduced):
@@ -139,7 +172,7 @@ class RationalSimplex:
 
     def _pivot(self, piv_row: int, col: int):
         rows = self._rows + ([self._obj] if self._obj is not None else [])
-        self._k.pivot_all(rows, piv_row, col, self._zero, self._one)
+        _pivot_all(rows, piv_row, col, self._zero, self._one)
         self._basis[piv_row] = col
 
     def _bland(self):
@@ -187,7 +220,7 @@ class RationalSimplex:
         for i, row in enumerate(self._rows):
             cb = c[self._basis[i]]
             if cb != zero:
-                self._k.axpy(obj, row, cb, zero)
+                _axpy(obj, row, cb, zero)
         self._obj = obj
         self._bland()
         value = -self._obj[-1]
@@ -207,9 +240,8 @@ def solve_lp(
     rhs: Sequence,
     objective: Sequence,
     sense: str = "max",
-    kernel=None,
 ) -> LpSolution:
     """One-shot convenience wrapper."""
     n = len(objective)
-    solver = RationalSimplex(rows, rhs, n, kernel=kernel)
+    solver = RationalSimplex(rows, rhs, n)
     return solver.solve_for(objective, sense)

@@ -15,6 +15,9 @@ from typing import Iterable, Iterator, Sequence
 from .errors import InvalidInputError
 from .rationals import as_fraction
 
+# Largest dense tensor (product of atom counts) any layer builds.
+SIZE_CAP = 65536
+
 
 @dataclass(frozen=True)
 class FiniteSpace:

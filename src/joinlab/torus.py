@@ -17,6 +17,7 @@ from .errors import InvalidInputError, ResourceLimitError
 from .joinings import JoiningTensor, ProductMeasure
 from .rationals import as_fraction
 from .spaces import (
+    SIZE_CAP,
     ActionGenerators,
     Automorphism,
     FiniteSpace,
@@ -25,7 +26,6 @@ from .spaces import (
 )
 
 K_CAP = 4
-SIZE_CAP = 65536
 
 
 @dataclass(frozen=True)

@@ -422,15 +422,41 @@ def test_joining_verify_pass_tamper_and_malformed(tmp_path):
     run_cli("joining", "verify", "--file", str(tmp_path / "ghost.json"), expect=2)
 
 
+def test_joining_verify_reports_exact_defects(tmp_path):
+    # v(0,0)=1/3, v(0,1)=1/4, v(1,0)=-1/6, v(1,1)=1/2 on two uniform pairs:
+    # mass 11/12; marginal sums 7/12, 1/3 on coordinate 0 and 1/6, 3/4 on
+    # coordinate 1, against 1/2 each; flip swaps (0,0)<->(1,1) and
+    # (0,1)<->(1,0)
+    data = {
+        "factors": [["1/2", "1/2"], ["1/2", "1/2"]],
+        "nonzero": [
+            [[0, 0], "1/3"], [[0, 1], "1/4"], [[1, 0], "-1/6"], [[1, 1], "1/2"]
+        ],
+    }
+    path = tmp_path / "defective.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli(
+        "joining", "verify", "--file", str(path),
+        "--config", "configs/polytope_k1.json", "--action", "flip", expect=1,
+    )
+    report = json.loads(proc.stdout)
+    assert report["pass"] is False
+    assert report["mass"] == "11/12"
+    assert report["min_entry"] == "-1/6"
+    assert report["mass_defect"] == "1/12"
+    assert report["marginal_defect"] == "1/3"
+    assert report["invariance_defect"] == "5/12"
+
+
 def test_out_file_matches_stdout(tmp_path):
     out = tmp_path / "report.json"
     proc = run_cli("eta", "--k", "1", "--out", str(out))
     assert out.read_text() == proc.stdout
 
 
-def test_threads_validation():
+def test_threads_flag_removed():
     proc = run_cli("eta", "--k", "1", "--threads", "0", expect=2)
-    assert "--threads" in proc.stderr
+    assert "unrecognized arguments" in proc.stderr
 
 
 def test_unknown_command_exits_2():
