@@ -90,7 +90,7 @@ def _cmd_eta(args):
     ctx = Z2kContext(args.k)
     v = triple_sum_joining(ctx)
     action = full_action(ctx)
-    mass = sum(v.entries, Fraction(0))
+    mass = Fraction(sum(v.numerators), v.denominator)
     edge = Fraction(0)
     for i, sp in enumerate(v.factors):
         edge_marg = marginal(v, (i,))
@@ -302,16 +302,19 @@ def _cmd_joining_verify(args):
         digest_bytes = file_blob + read_bytes(args.config)
 
     shape = shape_of(raw.factors)
-    mass = sum(raw.entries, Fraction(0))
-    min_entry = min(raw.entries)
+    nums, den = raw.numerators, raw.denominator
+    mass = Fraction(sum(nums), den)
+    min_entry = Fraction(min(nums), den)
     marginal_defect = Fraction(0)
     for coord, sp in enumerate(raw.factors):
-        sums = _axis_sums(raw.entries, shape, coord)
-        for a in sp.atoms():
-            marginal_defect = max(marginal_defect, abs(sums[a] - sp.weights[a]))
+        sums = _axis_sums(nums, shape, (coord,))
+        for s, w in zip(sums, sp.weights):
+            marginal_defect = max(marginal_defect, abs(Fraction(s, den) - w))
     invariance_defect = None
     if action is not None:
-        invariance_defect = _invariance_defect(raw.entries, shape, action.generators)
+        invariance_defect = Fraction(
+            _invariance_defect(nums, shape, action.generators), den
+        )
     passed = (
         mass == 1
         and min_entry >= 0

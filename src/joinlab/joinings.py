@@ -6,38 +6,88 @@ Entries are stored flat in lexicographic tuple order.  The module also
 carries the two-way correspondence between joinings with an independent
 complement face and Markov operators, the predual push of a joining
 through a tuple of operators, and exact disintegration over a base.
+
+Every measure also keeps an integer form, computed once at construction:
+Python-int numerators over one common denominator, the lcm of the
+entries' reduced denominators, so the form is canonical.  The sign, mass
+and marginal checks and the defect kernels run on it, and loops over
+entries walk precomputed flat index maps (``spaces.flat_index_map``)
+instead of converting between tuples and indices; ``Fraction`` is built
+only for results.  The form costs entries times the bit length of the
+denominator; past ``FORM_BITS_CAP`` bits construction raises
+``ResourceLimitError`` before any numerator is scaled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
+from math import lcm
 from typing import Callable, Mapping, Sequence
 
-from .errors import InvalidInputError, PreconditionError
+from .errors import InvalidInputError, PreconditionError, ResourceLimitError
 from .operators import MarkovOperator
 from .rationals import as_fraction
 from .spaces import (
+    FORM_BITS_CAP,
     ActionGenerators,
     Automorphism,
     FiniteSpace,
+    embedding_map,
     index_to_tuple,
     iter_tuples,
+    moved_index_map,
     product_space,
+    projection_map,
     space_size,
     tuple_to_index,
 )
+
+
+def _check_form_bits(size: int, den: int) -> None:
+    bits = den.bit_length()
+    if size * bits > FORM_BITS_CAP:
+        raise ResourceLimitError(
+            f"{size} entries over a common denominator of {bits} bits exceed "
+            f"the cap of {FORM_BITS_CAP} bits"
+        )
+
+
+def integer_form(entries: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """(numerators, denominator) with entries[i] == numerators[i] / denominator
+    and the denominator the lcm of the entries' reduced denominators.
+
+    The lcm is accumulated one distinct denominator at a time and checked
+    against ``FORM_BITS_CAP`` at each step, so an oversized form raises
+    ``ResourceLimitError`` before any numerator is scaled."""
+    size = len(entries)
+    dens = {x.denominator for x in entries}
+    den = 1
+    for d in dens:
+        den = lcm(den, d)
+        _check_form_bits(size, den)
+    scale = {d: den // d for d in dens}
+    return tuple(x.numerator * scale[x.denominator] for x in entries), den
+
+
+def _fractions(numerators: Sequence[int], den: int) -> tuple[Fraction, ...]:
+    """numerators / den as Fractions, one object per distinct value."""
+    memo = {n: Fraction(n, den) for n in set(numerators)}
+    return tuple(map(memo.__getitem__, numerators))
 
 
 @dataclass(frozen=True, eq=False)
 class ProductMeasure:
     """Probability measure on a product of finite spaces (mass one, entries
     nonnegative).  Marginals are unconstrained; conditional measures produced
-    by disintegration live here."""
+    by disintegration live here.  ``numerators`` and ``denominator`` are the
+    integer form of ``entries``, derived at construction."""
 
     factors: tuple[FiniteSpace, ...]
     entries: tuple[Fraction, ...]
+    numerators: tuple[int, ...] = _field(init=False, repr=False)
+    denominator: int = _field(init=False, repr=False)
 
     def __post_init__(self):
         factors = tuple(self.factors)
@@ -50,15 +100,19 @@ class ProductMeasure:
             raise InvalidInputError(
                 f"expected {self.size} entries, got {len(entries)}"
             )
-        mass = Fraction(0)
-        for i, x in enumerate(entries):
-            if x < 0:
-                raise InvalidInputError(
-                    f"negative entry at {index_to_tuple(self.shape, i)}"
-                )
-            mass += x
-        if mass != 1:
-            raise InvalidInputError(f"total mass is {mass}, expected 1")
+        nums, den = integer_form(entries)
+        object.__setattr__(self, "numerators", nums)
+        object.__setattr__(self, "denominator", den)
+        if min(nums) < 0:
+            first = next(i for i, x in enumerate(nums) if x < 0)
+            raise InvalidInputError(
+                f"negative entry at {index_to_tuple(self.shape, first)}"
+            )
+        mass = sum(nums)
+        if mass != den:
+            raise InvalidInputError(
+                f"total mass is {Fraction(mass, den)}, expected 1"
+            )
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -84,13 +138,18 @@ class ProductMeasure:
             if x
         ]
 
+    # The integer form is canonical, so comparing it compares the entries.
     def __eq__(self, other):
         if not isinstance(other, ProductMeasure):
             return NotImplemented
-        return self.factors == other.factors and self.entries == other.entries
+        return (
+            self.factors == other.factors
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
+        )
 
     def __hash__(self):
-        return hash((self.factors, self.entries))
+        return hash((self.factors, self.numerators, self.denominator))
 
 
 class JoiningTensor(ProductMeasure):
@@ -99,12 +158,16 @@ class JoiningTensor(ProductMeasure):
 
     def __post_init__(self):
         super().__post_init__()
-        shape = self.shape
+        shape, den = self.shape, self.denominator
         for coord, sp in enumerate(self.factors):
-            sums = _axis_sums(self.entries, shape, coord)
-            if tuple(sums) != sp.weights:
+            sums = _axis_sums(self.numerators, shape, (coord,))
+            if any(
+                s * w.denominator != w.numerator * den
+                for s, w in zip(sums, sp.weights)
+            ):
+                got = tuple(Fraction(s, den) for s in sums)
                 raise InvalidInputError(
-                    f"marginal onto coordinate {coord} is {tuple(sums)}, "
+                    f"marginal onto coordinate {coord} is {got}, "
                     f"expected the factor weights {sp.weights}"
                 )
 
@@ -122,35 +185,24 @@ class JoiningTensor(ProductMeasure):
         return cls(factors, tuple(entries))
 
 
-def _axis_sums(entries, shape, coord) -> list[Fraction]:
-    """Sum over all coordinates except ``coord``."""
-    block = 1
-    for n in shape[coord + 1:]:
-        block *= n
-    m = shape[coord]
-    sums = [Fraction(0)] * m
-    idx = 0
-    outer = space_size(shape) // (m * block)
-    for _ in range(outer):
-        for s in range(m):
-            for _ in range(block):
-                x = entries[idx]
-                if x:
-                    sums[s] += x
-                idx += 1
-    return sums
+def _axis_sums(numerators, shape, coords) -> list[int]:
+    """Integer sums over every coordinate outside ``coords``: the marginal's
+    numerators over the same denominator, in the sub-shape's index order."""
+    out = [0] * space_size(shape[c] for c in coords)
+    cells = compress(projection_map(shape, coords), numerators)
+    for j, x in zip(cells, compress(numerators, numerators)):  # nonzero only
+        out[j] += x
+    return out
 
 
 def sup_distance(v: ProductMeasure, w: ProductMeasure) -> Fraction:
     """Largest absolute entrywise difference."""
     if v.factors != w.factors:
         raise InvalidInputError("measures live on different products")
-    best = Fraction(0)
-    for a, b in zip(v.entries, w.entries):
-        d = abs(a - b)
-        if d > best:
-            best = d
-    return best
+    den = lcm(v.denominator, w.denominator)
+    a, b = den // v.denominator, den // w.denominator
+    best = max(abs(x * a - y * b) for x, y in zip(v.numerators, w.numerators))
+    return Fraction(best, den)
 
 
 def product_joining(factors: Sequence[FiniteSpace]) -> JoiningTensor:
@@ -158,10 +210,14 @@ def product_joining(factors: Sequence[FiniteSpace]) -> JoiningTensor:
     factors = tuple(factors)
     if not factors:
         raise InvalidInputError("a joining needs at least one factor")
-    entries = [Fraction(1)]
+    size = space_size(sp.atom_count for sp in factors)
+    nums, den = [1], 1
     for sp in factors:
-        entries = [w * x for w in entries for x in sp.weights]
-    return JoiningTensor(factors, tuple(entries))
+        weight_nums, weight_den = integer_form(sp.weights)
+        den *= weight_den
+        _check_form_bits(size, den)
+        nums = [x * y for x in nums for y in weight_nums]
+    return JoiningTensor(factors, _fractions(nums, den))
 
 
 def marginal(v: ProductMeasure, coords: Sequence[int]) -> ProductMeasure:
@@ -175,19 +231,10 @@ def marginal(v: ProductMeasure, coords: Sequence[int]) -> ProductMeasure:
         raise InvalidInputError(f"coords must be nonempty strictly increasing, got {coords}")
     if coords[0] < 0 or coords[-1] >= v.order:
         raise InvalidInputError(f"coords {coords} outside 0..{v.order - 1}")
-    shape = v.shape
-    kept = set(coords)
-    out_shape = tuple(shape[c] for c in coords)
-    out = [Fraction(0)] * space_size(out_shape)
-    for idx, x in enumerate(v.entries):
-        if not x:
-            continue
-        tup = index_to_tuple(shape, idx)
-        sub = tuple(tup[c] for c in coords)
-        out[tuple_to_index(out_shape, sub)] += x
+    sums = _axis_sums(v.numerators, v.shape, coords)
     factors = tuple(v.factors[c] for c in coords)
     cls = JoiningTensor if isinstance(v, JoiningTensor) else ProductMeasure
-    return cls(factors, tuple(out))
+    return cls(factors, _fractions(sums, v.denominator))
 
 
 def diagonal_invariance_defect(v: ProductMeasure, action: ActionGenerators) -> Fraction:
@@ -196,20 +243,20 @@ def diagonal_invariance_defect(v: ProductMeasure, action: ActionGenerators) -> F
     for sp in v.factors:
         if sp != action.space:
             raise InvalidInputError("every factor must equal the action's space")
-    return _invariance_defect(v.entries, v.shape, action.generators)
+    return Fraction(
+        _invariance_defect(v.numerators, v.shape, action.generators), v.denominator
+    )
 
 
-def _invariance_defect(entries, shape, generators) -> Fraction:
-    """max over generators g and tuples t of |entries(g t) - entries(t)|;
-    the entries need not form a measure."""
-    best = Fraction(0)
+def _invariance_defect(numerators, shape, generators) -> int:
+    """max over generators g and tuples t of |n(g t) - n(t)| on integer
+    numerators; the entries need not form a measure."""
+    best = 0
     for g in generators:
-        perm = g.perm
-        for tup, x in zip(iter_tuples(shape), entries):
-            moved = tuple(perm[t] for t in tup)
-            d = abs(entries[tuple_to_index(shape, moved)] - x)
-            if d > best:
-                best = d
+        moved = moved_index_map(shape, (g.perm,) * len(shape))
+        best = max(
+            best, max(abs(numerators[j] - x) for j, x in zip(moved, numerators))
+        )
     return best
 
 
@@ -264,21 +311,15 @@ def operator_from_joining(v: ProductMeasure, distinguished: int) -> MarkovOperat
     if not 0 <= distinguished < v.order:
         raise InvalidInputError(f"distinguished coordinate {distinguished} out of range")
     rest = tuple(c for c in range(v.order) if c != distinguished)
-    rest_factors = [v.factors[c] for c in rest]
-    target = product_space(rest_factors)
+    target = product_space([v.factors[c] for c in rest])
     source = v.factors[distinguished]
-    shape = v.shape
-    rest_shape = tuple(shape[c] for c in rest)
-    kernel = []
-    for t_idx in range(target.atom_count):
-        t_tup = index_to_tuple(rest_shape, t_idx)
-        w_t = target.weights[t_idx]
-        row = []
-        for y in range(source.atom_count):
-            full = _merge(t_tup, rest, y, distinguished, v.order)
-            row.append(v.entries[tuple_to_index(shape, full)] / w_t)
-        kernel.append(tuple(row))
-    return MarkovOperator(source, target, tuple(kernel))
+    shape, entries = v.shape, v.entries
+    sources = embedding_map(shape, (distinguished,))
+    kernel = tuple(
+        tuple(entries[r + s] / w_t for s in sources)
+        for r, w_t in zip(embedding_map(shape, rest), target.weights)
+    )
+    return MarkovOperator(source, target, kernel)
 
 
 def joining_from_operator(
@@ -306,23 +347,12 @@ def joining_from_operator(
         factors[c] = sp
     factors = tuple(factors)
     shape = tuple(sp.atom_count for sp in factors)
-    rest_shape = tuple(shape[c] for c in rest)
+    sources = embedding_map(shape, (distinguished,))
     entries = [Fraction(0)] * space_size(shape)
-    for t_idx in range(p.target.atom_count):
-        t_tup = index_to_tuple(rest_shape, t_idx)
-        w_t = p.target.weights[t_idx]
-        for y in range(p.source.atom_count):
-            full = _merge(t_tup, rest, y, distinguished, order)
-            entries[tuple_to_index(shape, full)] = w_t * p.kernel[t_idx][y]
+    for r, w_t, row in zip(embedding_map(shape, rest), p.target.weights, p.kernel):
+        for s, k in zip(sources, row):
+            entries[r + s] = w_t * k
     return JoiningTensor(factors, tuple(entries))
-
-
-def _merge(rest_tup, rest_coords, y, distinguished, order):
-    full = [0] * order
-    full[distinguished] = y
-    for c, t in zip(rest_coords, rest_tup):
-        full[c] = t
-    return tuple(full)
 
 
 def push_joining(v: ProductMeasure, ops: Sequence[MarkovOperator]) -> JoiningTensor:
@@ -397,17 +427,8 @@ def push_by_automorphisms(
     for i, a in enumerate(autos):
         if a.space != v.factors[i]:
             raise InvalidInputError(f"automorphism {i} lives on the wrong space")
-    shape = v.shape
-    inv = [a.inverse().perm for a in autos]
-    entries = [
-        v.entries[
-            tuple_to_index(
-                shape, tuple(p[z] for p, z in zip(inv, index_to_tuple(shape, i)))
-            )
-        ]
-        for i in range(v.size)
-    ]
-    return type(v)(v.factors, tuple(entries))
+    moved = moved_index_map(v.shape, [a.inverse().perm for a in autos])
+    return type(v)(v.factors, tuple(map(v.entries.__getitem__, moved)))
 
 
 def product_convergence_trace(
@@ -504,21 +525,18 @@ def disintegrate(v: ProductMeasure, base_coords: Sequence[int]) -> EquivariantFi
             "marginal onto the base is not the independent product measure"
         )
     fiber_factors = tuple(v.factors[c] for c in fiber_coords)
-    shape = v.shape
-    base_shape = tuple(shape[c] for c in base_coords)
-    fiber_shape = tuple(shape[c] for c in fiber_coords)
+    nums, den = v.numerators, v.denominator
+    fibers = embedding_map(v.shape, fiber_coords)
     conditionals = []
-    for base_tup in iter_tuples(base_shape):
-        w = base_marg.value(base_tup)
-        fiber_entries = []
-        for fiber_tup in iter_tuples(fiber_shape):
-            full = [0] * v.order
-            for c, x in zip(base_coords, base_tup):
-                full[c] = x
-            for c, y in zip(fiber_coords, fiber_tup):
-                full[c] = y
-            fiber_entries.append(v.entries[tuple_to_index(shape, tuple(full))] / w)
-        conditionals.append(ProductMeasure(fiber_factors, tuple(fiber_entries)))
+    for b, w in zip(embedding_map(v.shape, base_coords), base_marg.entries):
+        # v(b, f) / w == nums[b + f] * q / (den * p) for w == p / q
+        scale, cond_den = w.denominator, den * w.numerator
+        conditionals.append(
+            ProductMeasure(
+                fiber_factors,
+                tuple(Fraction(nums[b + f] * scale, cond_den) for f in fibers),
+            )
+        )
     return EquivariantField(base_factors, fiber_factors, tuple(conditionals))
 
 
@@ -540,21 +558,15 @@ def reassemble(field: EquivariantField, base_coords: Sequence[int]) -> JoiningTe
         factors[c] = sp
     factors = tuple(factors)
     shape = tuple(sp.atom_count for sp in factors)
-    base_shape = field.base_shape
-    fiber_shape = tuple(sp.atom_count for sp in field.fiber_spaces)
+    fibers = embedding_map(shape, fiber_coords)
     entries = [Fraction(0)] * space_size(shape)
-    for base_tup in iter_tuples(base_shape):
-        w = Fraction(1)
-        for sp, x in zip(field.base_spaces, base_tup):
-            w *= sp.weights[x]
-        cond = field.at(base_tup)
-        for fiber_tup in iter_tuples(fiber_shape):
-            full = [0] * order
-            for c, x in zip(base_coords, base_tup):
-                full[c] = x
-            for c, y in zip(fiber_coords, fiber_tup):
-                full[c] = y
-            entries[tuple_to_index(shape, tuple(full))] = w * cond.value(fiber_tup)
+    for b, w, cond in zip(
+        embedding_map(shape, base_coords),
+        product_space(field.base_spaces).weights,
+        field.assignment,
+    ):
+        for f, x in zip(fibers, cond.entries):
+            entries[b + f] = w * x
     return JoiningTensor(factors, tuple(entries))
 
 

@@ -29,7 +29,13 @@ from .joinings import (
 )
 from .rationals import as_fraction
 from .simplex import RationalSimplex
-from .spaces import SIZE_CAP, ActionGenerators, iter_tuples
+from .spaces import (
+    SIZE_CAP,
+    ActionGenerators,
+    iter_tuples,
+    moved_index_map,
+    projection_map,
+)
 
 ORDER_CAP = 4
 
@@ -88,15 +94,6 @@ class TrivialityCertificate:
     witness: JoiningTensor | None
 
 
-def _image_map(perm: Sequence[int], order: int) -> list[int]:
-    """Flat index of the diagonal image g(t) for every flat index of t,
-    built axis by axis in lexicographic order."""
-    moved = [0]
-    for _ in range(order):
-        moved = [m * len(perm) + p for m in moved for p in perm]
-    return moved
-
-
 @dataclass(frozen=True)
 class _Reduction:
     """The polytope with one variable per orbit of the diagonal action on
@@ -126,7 +123,8 @@ def _reduce(spec: PolytopeSpec) -> _Reduction:
         return x
 
     for g in spec.action.generators:
-        for idx, image in enumerate(_image_map(g.perm, spec.order)):
+        image_map = moved_index_map(spec.shape, (g.perm,) * spec.order)
+        for idx, image in enumerate(image_map):
             a, b = find(idx), find(image)
             if a != b:
                 parent[max(a, b)] = min(a, b)
@@ -138,15 +136,11 @@ def _reduce(spec: PolytopeSpec) -> _Reduction:
     weights = spec.action.space.weights
     m = spec.independence
     sub_shape = (atoms,) * m
-    tuples = list(iter_tuples(spec.shape))
     rows: list[list[int]] = []
     rhs: list[Fraction] = []
     for coords in combinations(range(spec.order), m):
         face_rows = [[0] * count for _ in range(atoms**m)]
-        for tup, o in zip(tuples, orbit):
-            cell = 0
-            for c in coords:
-                cell = cell * atoms + tup[c]
+        for cell, o in zip(projection_map(spec.shape, coords), orbit):
             face_rows[cell][o] += 1
         rows.extend(face_rows)
         for cell in iter_tuples(sub_shape):

@@ -8,6 +8,7 @@ Everything user-facing is a ``fractions.Fraction``.  The LP core may swap in
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import InvalidInputError
@@ -17,8 +18,8 @@ try:
 except ImportError:  # pragma: no cover - environment without gmpy2
     _mpq = None
 
-# Strict "p/q" or integer literal; no floats, no whitespace.
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+# Strict "p/q" or integer literal; ASCII digits only, no floats, no whitespace.
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 
 def fast_rational_type():
@@ -52,9 +53,16 @@ def as_fraction(value) -> Fraction:
 
 def parse_rational(text: str) -> Fraction:
     """Parse a canonical rational literal: '3', '-2/7', '0/1'."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise InvalidInputError(f"malformed rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:
+        # Python refuses to convert an integer literal past its digit limit
+        raise InvalidInputError(
+            f"rational literal has a part of more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def format_rational(value) -> str:

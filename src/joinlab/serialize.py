@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError, ResourceLimitError
-from .joinings import JoiningTensor, ProductMeasure
+from .joinings import JoiningTensor, ProductMeasure, integer_form
 from .rationals import format_rational, parse_rational
 from .skew import SkewProduct
 from .spaces import SIZE_CAP, FiniteSpace, shape_of, tuple_to_index
@@ -86,10 +86,13 @@ def joining_to_data(v: ProductMeasure) -> dict:
 
 @dataclass(frozen=True)
 class RawTensor:
-    """Decoded tensor before any joining axiom is imposed."""
+    """Decoded tensor before any joining axiom is imposed, with its integer
+    form: entries[i] == numerators[i] / denominator."""
 
     factors: tuple[FiniteSpace, ...]
     entries: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
 
 def data_to_raw(data, path: str = "tensor") -> RawTensor:
@@ -141,7 +144,11 @@ def data_to_raw(data, path: str = "tensor") -> RawTensor:
             entries[tuple_to_index(shape, key)] = parse_rational(value)
         except InvalidInputError as exc:
             raise InvalidInputError(f"{where}: {exc}") from exc
-    return RawTensor(factors, tuple(entries))
+    try:
+        nums, den = integer_form(entries)
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(f"{path}.nonzero: {exc}") from exc
+    return RawTensor(factors, tuple(entries), nums, den)
 
 
 def data_to_joining(data, path: str = "tensor") -> JoiningTensor:

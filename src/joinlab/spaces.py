@@ -18,6 +18,10 @@ from .rationals import as_fraction
 # Largest dense tensor (product of atom counts) any layer builds.
 SIZE_CAP = 65536
 
+# Largest integer form of a tensor (entry count times the bit length of the
+# common denominator) any layer builds; eta at k = 4 needs 65536 * 17 bits.
+FORM_BITS_CAP = 2**26
+
 
 @dataclass(frozen=True)
 class FiniteSpace:
@@ -267,6 +271,57 @@ def iter_tuples(shape: Sequence[int]) -> Iterator[tuple[int, ...]]:
             k -= 1
         if k < 0:
             return
+
+
+def flat_index_map(
+    shape: Sequence[int], per_axis: Sequence[Sequence[int]]
+) -> list[int]:
+    """For every flat index of a tuple t, in lexicographic order, the sum
+    over axes a of ``per_axis[a][t_a]``; built axis by axis."""
+    if len(per_axis) != len(shape) or any(
+        len(col) != n for col, n in zip(per_axis, shape)
+    ):
+        raise InvalidInputError(f"per-axis tables do not match shape {tuple(shape)}")
+    out = [0]
+    for col in per_axis:
+        out = [m + c for m in out for c in col]
+    return out
+
+
+def _offsets(shape: Sequence[int]) -> list[list[int]]:
+    """offsets[a][t] = t * stride_a, the share of coordinate a in a flat index."""
+    out = []
+    stride = 1
+    for n in reversed(shape):
+        out.append([t * stride for t in range(n)])
+        stride *= n
+    return out[::-1]
+
+
+def moved_index_map(
+    shape: Sequence[int], perms: Sequence[Sequence[int]]
+) -> list[int]:
+    """Flat index of (perms[0][t_0], ..., perms[-1][t_-1]) for every flat
+    index of t."""
+    return flat_index_map(
+        shape, [[col[p] for p in perm] for col, perm in zip(_offsets(shape), perms)]
+    )
+
+
+def projection_map(shape: Sequence[int], coords: Sequence[int]) -> list[int]:
+    """Flat index of (t_c for c in coords) in the sub-shape on ``coords`` for
+    every flat index of t."""
+    per_axis = [[0] * n for n in shape]
+    for c, col in zip(coords, _offsets([shape[c] for c in coords])):
+        per_axis[c] = col
+    return flat_index_map(shape, per_axis)
+
+
+def embedding_map(shape: Sequence[int], coords: Sequence[int]) -> list[int]:
+    """Flat index in ``shape`` of the tuple carrying s on ``coords`` and 0
+    elsewhere, for every flat index of s in the sub-shape on ``coords``."""
+    offsets = _offsets(shape)
+    return flat_index_map([shape[c] for c in coords], [offsets[c] for c in coords])
 
 
 def space_size(shape: Iterable[int]) -> int:

@@ -21,6 +21,7 @@ from .spaces import (
     ActionGenerators,
     Automorphism,
     FiniteSpace,
+    flat_index_map,
     iter_tuples,
     space_size,
 )
@@ -133,16 +134,14 @@ def character_coefficient(
                 "factor is not the uniform group matching the character length"
             )
         idxs.append(ctx.atom(c))
-    shape = v.shape
-    total = Fraction(0)
-    for tup, x in zip(iter_tuples(shape), v.entries):
-        if not x:
-            continue
-        parity = 0
-        for a_idx, t in zip(idxs, tup):
-            parity ^= _dot_parity(a_idx, t)
-        total += -x if parity else x
-    return total
+    per_axis = [
+        [_dot_parity(a_idx, t) for t in range(sp.atom_count)]
+        for a_idx, sp in zip(idxs, v.factors)
+    ]
+    # sum_i a_i . t_i at every flat index t; its parity is the sign
+    parities = flat_index_map(v.shape, per_axis)
+    total = sum(-x if p & 1 else x for p, x in zip(parities, v.numerators) if x)
+    return Fraction(total, v.denominator)
 
 
 def fourier_joining(

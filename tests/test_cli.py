@@ -489,3 +489,55 @@ def test_joining_verify_oversized_shape_exits_2_fast(tmp_path):
     assert time.perf_counter() - started < 10
     assert f"{huge}.factors" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_joining_verify_oversized_literal_exits_2(tmp_path):
+    # a 5,000-digit numerator is past Python's int-conversion limit
+    data = {"factors": [["1/2", "1/2"]], "nonzero": [[[0], "1" * 5000 + "/2"]]}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli("joining", "verify", "--file", str(path), expect=2)
+    assert f"{path}.nonzero[0]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_config_oversized_weight_exits_2(tmp_path):
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps({"spaces": {"s": {"weights": ["1" * 5000 + "/3", "1/3"]}}}))
+    proc = run_cli(
+        "polytope", "--config", str(cfg), "--action", "a", "--order", "2",
+        "--independence", "1", "--certify", expect=2,
+    )
+    assert "spaces.s.weights[0]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_joining_verify_denominator_budget_exits_2_fast(tmp_path):
+    # 512 entries with distinct 100-digit denominators (a file of about
+    # 100 kB) would need an integer form of about 87 M bits
+    from joinlab.spaces import FORM_BITS_CAP
+
+    base = 10**99
+    nonzero = [
+        [[(i >> (8 - b)) & 1 for b in range(9)], f"1/{base + 2 * i + 1}"]
+        for i in range(512)
+    ]
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"factors": [["1/2", "1/2"]] * 9, "nonzero": nonzero}))
+    assert path.stat().st_size < 120_000
+    started = time.perf_counter()
+    proc = run_cli("joining", "verify", "--file", str(path), expect=2)
+    assert time.perf_counter() - started < 10
+    assert f"{path}.nonzero" in proc.stderr
+    assert f"cap of {FORM_BITS_CAP} bits" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_eta_k4_verifies_within_the_form_cap():
+    from joinlab.spaces import FORM_BITS_CAP
+
+    # the largest tensor the program builds: 65,536 entries over 2**16
+    assert 65536 * (2**16).bit_length() <= FORM_BITS_CAP
+    report = json.loads(run_cli("eta", "--k", "4", "--verify").stdout)
+    assert report["pass"] is True
+    assert report["sup_distance_to_product"] == "15/65536"

@@ -14,7 +14,11 @@ def test_parse_plain_and_slash():
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "1/0", "1/-2", "1.5", "a", "1 / 2", "1/2/3", "0x3", "1/", "/2", None, 7]
+    "bad",
+    [
+        "", "1/0", "1/-2", "1.5", "a", "1 / 2", "1/2/3", "0x3", "1/", "/2", None, 7,
+        "1/2\n", "\u0663/4",
+    ],
 )
 def test_parse_rejects(bad):
     with pytest.raises(InvalidInputError):
@@ -45,3 +49,10 @@ def test_as_fraction_accepts_exact_types():
 def test_as_fraction_rejects_inexact_and_bool(bad):
     with pytest.raises(InvalidInputError):
         as_fraction(bad)
+
+
+def test_parse_rejects_literal_past_the_int_digit_limit():
+    # Python refuses int conversion past 4300 digits; that is invalid input,
+    # not an internal fault
+    with pytest.raises(InvalidInputError, match="digits"):
+        parse_rational("1" * 5000 + "/3")

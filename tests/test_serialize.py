@@ -134,3 +134,29 @@ def test_raw_decode_caps_declared_shape_before_allocating():
     # exactly at the cap still decodes
     at_cap = {"factors": [["1/2", "1/2"]] * 16, "nonzero": []}
     assert len(data_to_raw(at_cap).entries) == SIZE_CAP == 2**16
+
+
+def test_raw_decode_refuses_an_oversized_integer_form_before_scaling():
+    import tracemalloc
+
+    from joinlab.spaces import FORM_BITS_CAP
+
+    base = 10**99
+    data = {
+        "factors": [["1/2", "1/2"]] * 9,
+        "nonzero": [
+            [[(i >> (8 - b)) & 1 for b in range(9)], f"1/{base + 2 * i + 1}"]
+            for i in range(512)
+        ],
+    }
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=r"big\.nonzero: 512 entries"):
+            data_to_raw(data, path="big")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the scaled numerators alone would take FORM_BITS_CAP bits (8 MiB)
+    assert peak < FORM_BITS_CAP // 8 // 4
+    with pytest.raises(ResourceLimitError, match=r"big\.nonzero"):
+        data_to_joining(data, path="big")

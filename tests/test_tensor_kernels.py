@@ -1,0 +1,311 @@
+"""The flat-index integer tensor kernels against the slow oracle in
+``tensor_oracle.py``.
+
+Shapes have 1-4 axes of unequal atom counts and at most 64 entries;
+entries carry mixed denominators, and raw entries (for the helpers that
+accept them) may be negative.  Every kernel result must equal the
+oracle's exactly, and construction must raise the oracle's message.
+"""
+
+from fractions import Fraction
+from math import lcm
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from joinlab import (
+    ActionGenerators,
+    Automorphism,
+    FiniteSpace,
+    InvalidInputError,
+    JoiningTensor,
+    ProductMeasure,
+    diagonal_invariance_defect,
+    disintegrate,
+    joining_from_operator,
+    marginal,
+    operator_from_joining,
+    product_joining,
+    push_by_automorphisms,
+    reassemble,
+    sup_distance,
+)
+from joinlab.joinings import _axis_sums, _invariance_defect, integer_form
+from joinlab.spaces import (
+    flat_index_map,
+    moved_index_map,
+    projection_map,
+    space_size,
+)
+
+import tensor_oracle as oracle
+
+# derandomized, so that a failure replays exactly and the run time is fixed
+PROPERTY = settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9, 12)
+
+
+@st.composite
+def shapes(draw, min_axes=1, max_axes=4, min_atoms=2):
+    axes = draw(st.integers(min_axes, max_axes))
+    shape = []
+    for _ in range(axes):
+        room = 64 // space_size(shape)
+        shape.append(draw(st.integers(min(min_atoms, room), min(5, room))))
+    return tuple(shape)
+
+
+def rationals(low, high):
+    return st.builds(Fraction, st.integers(low, high), st.sampled_from(DENOMINATORS))
+
+
+SIGNED, NONNEGATIVE, POSITIVE = rationals(-6, 6), rationals(0, 6), rationals(1, 6)
+
+
+def raw_entries(size):
+    return st.lists(SIGNED, min_size=size, max_size=size)
+
+
+@st.composite
+def measure_entries(draw, size):
+    """Nonnegative entries of mass one with mixed denominators."""
+    parts = draw(st.lists(NONNEGATIVE, min_size=size, max_size=size))
+    total = sum(parts)
+    assume(total > 0)
+    return [p / total for p in parts]
+
+
+@st.composite
+def weight_lists(draw, shape):
+    """Positive weights summing to one, one list per axis."""
+    out = []
+    for n in shape:
+        parts = draw(st.lists(POSITIVE, min_size=n, max_size=n))
+        out.append([p / sum(parts) for p in parts])
+    return out
+
+
+def spaces(weights):
+    return tuple(FiniteSpace(tuple(ws)) for ws in weights)
+
+
+def coords_of(draw, order, min_size=1, max_size=None):
+    return tuple(sorted(draw(st.sets(
+        st.integers(0, order - 1), min_size=min_size, max_size=max_size or order
+    ))))
+
+
+@st.composite
+def joinings(draw):
+    """A joining whose factors are the single-axis marginals of random
+    entries (each must be positive)."""
+    shape = draw(shapes())
+    entries = draw(measure_entries(space_size(shape)))
+    weights = [oracle.axis_sums(entries, shape, [c]) for c in range(len(shape))]
+    assume(all(w > 0 for ws in weights for w in ws))
+    return JoiningTensor(spaces(weights), tuple(entries))
+
+
+@st.composite
+def independent_over(draw, one_fiber=False):
+    """(joining, base coords): the base marginal is the independent product
+    of random base factors, each base tuple carrying a random conditional;
+    with ``one_fiber`` the base is every coordinate but one."""
+    shape = draw(shapes(min_axes=2))
+    if one_fiber:
+        skip = draw(st.integers(0, len(shape) - 1))
+        base = tuple(c for c in range(len(shape)) if c != skip)
+    else:
+        base = coords_of(draw, len(shape), max_size=len(shape) - 1)
+    fiber = [c for c in range(len(shape)) if c not in base]
+    base_weights = draw(weight_lists([shape[c] for c in base]))
+    fiber_size = space_size(shape[c] for c in fiber)
+    conds = [
+        draw(measure_entries(fiber_size))
+        for _ in range(space_size(shape[c] for c in base))
+    ]
+    base_index = {b: i for i, b in enumerate(oracle.tuples([shape[c] for c in base]))}
+    fiber_index = {f: i for i, f in enumerate(oracle.tuples([shape[c] for c in fiber]))}
+    base_mass = oracle.product(base_weights)
+    entries = []
+    for tup in oracle.tuples(shape):
+        b = base_index[tuple(tup[c] for c in base)]
+        f = fiber_index[tuple(tup[c] for c in fiber)]
+        entries.append(base_mass[b] * conds[b][f])
+    weights = [oracle.axis_sums(entries, shape, [c]) for c in range(len(shape))]
+    assume(all(w > 0 for ws in weights for w in ws))
+    return JoiningTensor(spaces(weights), tuple(entries)), base
+
+
+@PROPERTY
+@given(st.data())
+def test_flat_index_map_matches_oracle(data):
+    shape = data.draw(shapes())
+    per_axis = [
+        data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+        for n in shape
+    ]
+    assert flat_index_map(shape, per_axis) == oracle.flat_index_map(shape, per_axis)
+    perms = [data.draw(st.permutations(range(n))) for n in shape]
+    moved = [
+        oracle.tuples(shape).index(tuple(p[t] for p, t in zip(perms, tup)))
+        for tup in oracle.tuples(shape)
+    ]
+    assert moved_index_map(shape, perms) == moved
+    coords = coords_of(data.draw, len(shape))
+    sub = [shape[c] for c in coords]
+    projected = [
+        oracle.tuples(sub).index(tuple(tup[c] for c in coords))
+        for tup in oracle.tuples(shape)
+    ]
+    assert projection_map(shape, coords) == projected
+
+
+def test_flat_index_map_rejects_mismatched_tables():
+    with pytest.raises(InvalidInputError):
+        flat_index_map((2, 3), [[0, 1], [0, 1]])
+
+
+@PROPERTY
+@given(st.data())
+def test_integer_form_is_canonical(data):
+    entries = data.draw(raw_entries(data.draw(st.integers(1, 64))))
+    nums, den = integer_form(entries)
+    assert den == lcm(*(x.denominator for x in entries))
+    assert [Fraction(n, den) for n in nums] == entries
+
+
+@PROPERTY
+@given(st.data())
+def test_axis_sums_on_raw_entries(data):
+    shape = data.draw(shapes())
+    entries = data.draw(raw_entries(space_size(shape)))
+    coords = coords_of(data.draw, len(shape))
+    nums, den = integer_form(entries)
+    got = [Fraction(s, den) for s in _axis_sums(nums, shape, coords)]
+    assert got == oracle.axis_sums(entries, shape, coords)
+
+
+@PROPERTY
+@given(st.data())
+def test_marginal_matches_oracle(data):
+    v = data.draw(joinings())
+    coords = coords_of(data.draw, v.order)
+    face = marginal(v, coords)
+    assert isinstance(face, JoiningTensor)
+    assert list(face.entries) == oracle.axis_sums(v.entries, v.shape, coords)
+    plain = marginal(ProductMeasure(v.factors, v.entries), coords)
+    assert type(plain) is ProductMeasure
+    assert plain.entries == face.entries
+
+
+@PROPERTY
+@given(st.data())
+def test_invariance_defect_on_raw_entries(data):
+    atoms = data.draw(st.integers(1, 4))
+    order = data.draw(st.integers(1, 3))
+    shape = (atoms,) * order
+    entries = data.draw(raw_entries(space_size(shape)))
+    perms = data.draw(st.lists(st.permutations(range(atoms)), min_size=1, max_size=3))
+    space = FiniteSpace.uniform(atoms)
+    gens = [Automorphism(space, tuple(p)) for p in perms]
+    nums, den = integer_form(entries)
+    want = oracle.invariance_defect(entries, shape, perms)
+    assert Fraction(_invariance_defect(nums, shape, gens), den) == want
+    positive = [abs(x) + 1 for x in entries]
+    v = ProductMeasure((space,) * order, tuple(x / sum(positive) for x in positive))
+    assert diagonal_invariance_defect(v, ActionGenerators(space, gens)) == (
+        oracle.invariance_defect(v.entries, shape, perms)
+    )
+
+
+@PROPERTY
+@given(st.data())
+def test_sup_distance_matches_oracle(data):
+    shape = data.draw(shapes())
+    factors = spaces(data.draw(weight_lists(shape)))
+    a = ProductMeasure(factors, tuple(data.draw(measure_entries(space_size(shape)))))
+    b = ProductMeasure(factors, tuple(data.draw(measure_entries(space_size(shape)))))
+    assert sup_distance(a, b) == oracle.sup_distance(a.entries, b.entries)
+    assert sup_distance(a, a) == 0
+
+
+@PROPERTY
+@given(st.data())
+def test_product_joining_matches_oracle(data):
+    weights = data.draw(weight_lists(data.draw(shapes())))
+    v = product_joining(spaces(weights))
+    assert list(v.entries) == oracle.product(weights)
+
+
+@PROPERTY
+@given(st.data())
+def test_push_by_automorphisms_matches_oracle(data):
+    shape = data.draw(shapes())
+    factors, perms = [], []
+    for n in shape:
+        # two weight classes, each permuted within itself
+        split = data.draw(st.integers(0, n))
+        parts = [Fraction(1)] * split + [Fraction(2)] * (n - split)
+        factors.append(FiniteSpace(tuple(p / sum(parts) for p in parts)))
+        low = data.draw(st.permutations(range(split)))
+        high = data.draw(st.permutations(range(split, n)))
+        perms.append(tuple(low) + tuple(high))
+    v = ProductMeasure(tuple(factors), tuple(data.draw(measure_entries(space_size(shape)))))
+    autos = [Automorphism(sp, p) for sp, p in zip(factors, perms)]
+    pushed = push_by_automorphisms(v, autos)
+    assert type(pushed) is ProductMeasure
+    assert list(pushed.entries) == oracle.push(v.entries, v.shape, perms)
+
+
+@PROPERTY
+@given(independent_over())
+def test_disintegrate_and_reassemble_match_oracle(case):
+    v, base = case
+    field = disintegrate(v, base)
+    want = oracle.conditionals(v.entries, v.shape, base)
+    assert [cond.entries for cond in field.assignment] == want
+    assert reassemble(field, base) == v
+
+
+@PROPERTY
+@given(independent_over(one_fiber=True))
+def test_operator_from_joining_matches_oracle(case):
+    v, rest = case
+    distinguished = next(c for c in range(v.order) if c not in rest)
+    op = operator_from_joining(v, distinguished)
+    weights = [sp.weights for sp in v.factors]
+    assert list(op.kernel) == oracle.operator_kernel(v.entries, weights, distinguished)
+    rest_factors = [v.factors[c] for c in rest]
+    assert joining_from_operator(op, rest_factors, distinguished) == v
+
+
+@PROPERTY
+@given(st.data())
+def test_validation_messages_match_oracle(data):
+    shape = data.draw(shapes())
+    weights = data.draw(weight_lists(shape))
+    size = space_size(shape)
+    kind = data.draw(st.sampled_from(("raw", "measure", "own marginals")))
+    if kind == "raw":
+        entries = data.draw(raw_entries(size))
+    else:
+        entries = data.draw(measure_entries(size))
+        if kind == "own marginals":
+            weights = [oracle.axis_sums(entries, shape, [c]) for c in range(len(shape))]
+            assume(all(w > 0 for ws in weights for w in ws))
+    for cls, joining in ((ProductMeasure, False), (JoiningTensor, True)):
+        want = oracle.validation_error(weights, entries, joining)
+        if want is None:
+            assert cls(spaces(weights), tuple(entries)).entries == tuple(entries)
+        else:
+            with pytest.raises(InvalidInputError) as info:
+                cls(spaces(weights), tuple(entries))
+            assert str(info.value) == want
