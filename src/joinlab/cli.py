@@ -433,14 +433,14 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         payload, passed, digest_bytes = args.handler(args)
+        payload["digest"] = input_digest(argv, digest_bytes)
+        text = render_report(payload)
     except JoinlabInternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except JoinlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    payload["digest"] = input_digest(argv, digest_bytes)
-    text = render_report(payload)
     sys.stdout.write(text)
     if args.out:
         try:

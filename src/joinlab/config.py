@@ -26,7 +26,6 @@ from .errors import InvalidInputError, ResourceLimitError
 from .serialize import _check_keys, _parse_weights, load_json_file
 from .skew import RigiditySequence, SkewProduct
 from .spaces import (
-    SIZE_CAP,
     ActionGenerators,
     Automorphism,
     FiniteSpace,
@@ -118,11 +117,10 @@ def parse_config(data, origin: str = "config") -> Config:
                 raise InvalidInputError(
                     f"{path}.uniform: expected a positive int, got {n!r}"
                 )
-            if n > SIZE_CAP:
-                raise ResourceLimitError(
-                    f"{path}.uniform: {n} atoms exceed the cap of {SIZE_CAP}"
-                )
-            spaces[name] = FiniteSpace.uniform(n)
+            try:
+                spaces[name] = FiniteSpace.uniform(n)
+            except ResourceLimitError as exc:
+                raise ResourceLimitError(f"{path}.uniform: {exc}") from exc
         else:
             spaces[name] = _parse_weights(raw["weights"], f"{path}.weights")
 

@@ -26,14 +26,14 @@ from itertools import combinations, compress
 from math import lcm
 from typing import Callable, Mapping, Sequence
 
-from .errors import InvalidInputError, PreconditionError, ResourceLimitError
+from .errors import InvalidInputError, PreconditionError
 from .operators import MarkovOperator
-from .rationals import as_fraction
+from .rationals import as_fraction, show
 from .spaces import (
-    FORM_BITS_CAP,
     ActionGenerators,
     Automorphism,
     FiniteSpace,
+    check_form_bits,
     embedding_map,
     index_to_tuple,
     iter_tuples,
@@ -43,15 +43,6 @@ from .spaces import (
     space_size,
     tuple_to_index,
 )
-
-
-def _check_form_bits(size: int, den: int) -> None:
-    bits = den.bit_length()
-    if size * bits > FORM_BITS_CAP:
-        raise ResourceLimitError(
-            f"{size} entries over a common denominator of {bits} bits exceed "
-            f"the cap of {FORM_BITS_CAP} bits"
-        )
 
 
 def integer_form(entries: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
@@ -66,7 +57,7 @@ def integer_form(entries: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     den = 1
     for d in dens:
         den = lcm(den, d)
-        _check_form_bits(size, den)
+        check_form_bits(size, den)
     scale = {d: den // d for d in dens}
     return tuple(x.numerator * scale[x.denominator] for x in entries), den
 
@@ -111,7 +102,7 @@ class ProductMeasure:
         mass = sum(nums)
         if mass != den:
             raise InvalidInputError(
-                f"total mass is {Fraction(mass, den)}, expected 1"
+                f"total mass is {show(Fraction(mass, den))}, expected 1"
             )
 
     @property
@@ -167,8 +158,8 @@ class JoiningTensor(ProductMeasure):
             ):
                 got = tuple(Fraction(s, den) for s in sums)
                 raise InvalidInputError(
-                    f"marginal onto coordinate {coord} is {got}, "
-                    f"expected the factor weights {sp.weights}"
+                    f"marginal onto coordinate {coord} is {show(got)}, "
+                    f"expected the factor weights {show(sp.weights)}"
                 )
 
     @classmethod
@@ -215,7 +206,7 @@ def product_joining(factors: Sequence[FiniteSpace]) -> JoiningTensor:
     for sp in factors:
         weight_nums, weight_den = integer_form(sp.weights)
         den *= weight_den
-        _check_form_bits(size, den)
+        check_form_bits(size, den)
         nums = [x * y for x in nums for y in weight_nums]
     return JoiningTensor(factors, _fractions(nums, den))
 
@@ -362,7 +353,8 @@ def push_joining(v: ProductMeasure, ops: Sequence[MarkovOperator]) -> JoiningTen
     trans(s -> t) = weight_target(t) * kernel[t][s] / weight_source(s),
     which is stochastic and carries mu_source to mu_target; in particular
     marginals stay correct and the result is again a joining.  The
-    contraction runs one coordinate at a time.
+    contraction runs one coordinate at a time, joining the offsets of the
+    moved axis to those of the others through ``embedding_map``.
     """
     ops = tuple(ops)
     if len(ops) != v.order:
@@ -370,12 +362,22 @@ def push_joining(v: ProductMeasure, ops: Sequence[MarkovOperator]) -> JoiningTen
     for i, op in enumerate(ops):
         if op.source != v.factors[i]:
             raise InvalidInputError(f"operator {i} source does not match factor {i}")
-    entries = list(v.entries)
-    shape = list(v.shape)
+    entries, shape = v.entries, v.shape
     for axis, op in enumerate(ops):
         trans = _transition_matrix(op)
-        entries, new_n = _push_axis(entries, shape, axis, trans, op.target.atom_count)
-        shape[axis] = new_n
+        rest = tuple(c for c in range(len(shape)) if c != axis)
+        pushed = shape[:axis] + (op.target.atom_count,) + shape[axis + 1:]
+        out = [Fraction(0)] * space_size(pushed)
+        sources = embedding_map(shape, (axis,))
+        targets = embedding_map(pushed, (axis,))
+        for r, r_out in zip(embedding_map(shape, rest), embedding_map(pushed, rest)):
+            for s, row in zip(sources, trans):
+                x = entries[r + s]
+                if x:
+                    for t, c in zip(targets, row):
+                        if c:
+                            out[r_out + t] += c * x
+        entries, shape = out, pushed
     return JoiningTensor(tuple(op.target for op in ops), tuple(entries))
 
 
@@ -387,33 +389,6 @@ def _transition_matrix(op: MarkovOperator) -> list[list[Fraction]]:
         [wt[t] * op.kernel[t][s] / ws[s] for t in range(nt)]
         for s in range(ns)
     ]
-
-
-def _push_axis(entries, shape, axis, trans, new_n):
-    block = 1
-    for n in shape[axis + 1:]:
-        block *= n
-    m = shape[axis]
-    outer = 1
-    for n in shape[:axis]:
-        outer *= n
-    out = [Fraction(0)] * (outer * new_n * block)
-    for p in range(outer):
-        src_base = p * m * block
-        dst_base = p * new_n * block
-        for s in range(m):
-            row = trans[s]
-            src0 = src_base + s * block
-            for t in range(new_n):
-                c = row[t]
-                if not c:
-                    continue
-                dst0 = dst_base + t * block
-                for o in range(block):
-                    x = entries[src0 + o]
-                    if x:
-                        out[dst0 + o] += c * x
-    return out, new_n
 
 
 def push_by_automorphisms(
@@ -586,14 +561,12 @@ def equivariance_defect(field: EquivariantField, skew, m: int | None = None) -> 
     for sp in field.fiber_spaces:
         if sp != skew.fiber:
             raise InvalidInputError("field fiber spaces must equal the skew fiber")
-    s_perm = skew.base_map.perm
+    shape = field.base_shape
+    moved = moved_index_map(shape, (skew.base_map.perm,) * len(shape))
     best = Fraction(0)
-    for base_tup in iter_tuples(field.base_shape):
-        moved = tuple(s_perm[x] for x in base_tup)
-        pushed = push_by_automorphisms(
-            field.at(base_tup), [skew.cocycle[x] for x in base_tup]
-        )
-        d = sup_distance(field.at(moved), pushed)
+    for base_tup, cond, image in zip(iter_tuples(shape), field.assignment, moved):
+        pushed = push_by_automorphisms(cond, [skew.cocycle[x] for x in base_tup])
+        d = sup_distance(field.assignment[image], pushed)
         if d > best:
             best = d
     return best

@@ -12,11 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError
 from .joinings import JoiningTensor
+from .rationals import as_fraction
 from .skew import SkewProduct, as_automorphism
 from .spaces import (
-    SIZE_CAP,
+    SIZE_CAP,  # also read as mixing.SIZE_CAP
     Automorphism,
     MeasurableSet,
     compose,
@@ -125,11 +126,6 @@ def offset_joining(r: Automorphism, k) -> JoiningTensor:
     exactly."""
     k = _as_offsets(k)
     n = len(k)
-    size = r.space.atom_count ** (n + 1)
-    if size > SIZE_CAP:
-        raise ResourceLimitError(
-            f"{r.space.atom_count}^{n + 1} entries exceed the cap of {SIZE_CAP}"
-        )
     inv_perms = []
     power = Automorphism.identity(r.space)
     r_inv = r.inverse()
@@ -150,8 +146,6 @@ def fiber_projection(r: SkewProduct, f: Sequence) -> tuple[Fraction, ...]:
     nb, nf = r.base.atom_count, r.fiber.atom_count
     if len(f) != nb * nf:
         raise InvalidInputError(f"need {nb * nf} values, got {len(f)}")
-    from .rationals import as_fraction
-
     vals = [as_fraction(x) for x in f]
     out = []
     for x in range(nb):

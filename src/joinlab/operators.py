@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidInputError
-from .rationals import as_fraction
-from .spaces import Automorphism, FiniteSpace, compose
+from .rationals import as_fraction, show
+from .spaces import Automorphism, FiniteSpace, compose, space_size
 
 
 @dataclass(frozen=True)
@@ -41,13 +41,13 @@ class MarkovOperator:
                 if x < 0:
                     raise InvalidInputError(f"negative kernel entry at [{t}][{s}]")
             if sum(row) != 1:
-                raise InvalidInputError(f"row {t} sums to {sum(row)}, expected 1")
+                raise InvalidInputError(f"row {t} sums to {show(sum(row))}, expected 1")
         wt, ws = self.target.weights, self.source.weights
         for s in range(ns):
             col = sum((wt[t] * rows[t][s] for t in range(nt)), Fraction(0))
             if col != ws[s]:
                 raise InvalidInputError(
-                    f"weighted column {s} is {col}, expected {ws[s]}; "
+                    f"weighted column {s} is {show(col)}, expected {show(ws[s])}; "
                     "operator does not intertwine the measures"
                 )
 
@@ -65,6 +65,7 @@ class MarkovOperator:
 def koopman(t: Automorphism) -> MarkovOperator:
     """Composition operator of an automorphism: (Pf)(x) = f(t(x))."""
     n = t.space.atom_count
+    space_size((n, n))
     zero, one = Fraction(0), Fraction(1)
     kernel = tuple(
         tuple(one if y == t.perm[x] else zero for y in range(n)) for x in range(n)
@@ -78,6 +79,7 @@ def identity_operator(space: FiniteSpace) -> MarkovOperator:
 
 def averaging_operator(space: FiniteSpace) -> MarkovOperator:
     """Projection onto constants: every row equals the weight vector."""
+    space_size((space.atom_count,) * 2)
     row = tuple(space.weights)
     return MarkovOperator(space, space, tuple(row for _ in space.atoms()))
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .errors import InvalidInputError, JoinlabInternalError, ResourceLimitError
+from .errors import InvalidInputError, JoinlabInternalError
 from .joinings import (
     JoiningTensor,
     diagonal_invariance_defect,
@@ -30,11 +30,13 @@ from .joinings import (
 from .rationals import as_fraction
 from .simplex import RationalSimplex
 from .spaces import (
-    SIZE_CAP,
+    SIZE_CAP,  # also read as polytope.SIZE_CAP
     ActionGenerators,
-    iter_tuples,
     moved_index_map,
+    orbit_labels,
+    product_space,
     projection_map,
+    space_size,
 )
 
 ORDER_CAP = 4
@@ -61,15 +63,11 @@ class PolytopeSpec:
                 f"independence must satisfy 1 <= m < {self.order}, "
                 f"got {self.independence!r}"
             )
-        if self.action.space.atom_count ** self.order > SIZE_CAP:
-            raise ResourceLimitError(
-                f"{self.action.space.atom_count}^{self.order} tensor entries "
-                f"exceed the cap of {SIZE_CAP}"
-            )
+        space_size(self.shape)
 
     @property
     def size(self) -> int:
-        return self.action.space.atom_count ** self.order
+        return space_size(self.shape)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -113,41 +111,21 @@ class _Reduction:
 
 
 def _reduce(spec: PolytopeSpec) -> _Reduction:
-    n = spec.size
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in spec.action.generators:
-        image_map = moved_index_map(spec.shape, (g.perm,) * spec.order)
-        for idx, image in enumerate(image_map):
-            a, b = find(idx), find(image)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    labels: dict[int, int] = {}
-    orbit = tuple(labels.setdefault(find(idx), len(labels)) for idx in range(n))
-    count = len(labels)
-
-    atoms = spec.action.space.atom_count
-    weights = spec.action.space.weights
+    shape, gens = spec.shape, spec.action.generators
+    orbit = tuple(orbit_labels(
+        spec.size, (moved_index_map(shape, (g.perm,) * spec.order) for g in gens)
+    ))
+    count = max(orbit) + 1
     m = spec.independence
-    sub_shape = (atoms,) * m
+    cell_weights = product_space((spec.action.space,) * m).weights
     rows: list[list[int]] = []
     rhs: list[Fraction] = []
     for coords in combinations(range(spec.order), m):
-        face_rows = [[0] * count for _ in range(atoms**m)]
-        for cell, o in zip(projection_map(spec.shape, coords), orbit):
+        face_rows = [[0] * count for _ in cell_weights]
+        for cell, o in zip(projection_map(shape, coords), orbit):
             face_rows[cell][o] += 1
         rows.extend(face_rows)
-        for cell in iter_tuples(sub_shape):
-            target = Fraction(1)
-            for s in cell:
-                target *= weights[s]
-            rhs.append(target)
+        rhs.extend(cell_weights)
     return _Reduction(orbit, count, rows, rhs)
 
 

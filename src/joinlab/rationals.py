@@ -10,8 +10,9 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import log10
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 
 try:
     from gmpy2 import mpq as _mpq
@@ -66,6 +67,34 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value) -> str:
-    """Canonical 'p/q' form, lowest terms, explicit positive denominator."""
+    """Canonical 'p/q' form, lowest terms, explicit positive denominator.
+
+    A part past Python's int-to-str limit raises ``ResourceLimitError``."""
     f = as_fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:
+        raise ResourceLimitError(
+            f"cannot print {show(f)}: a part has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
+def _digits(n: int) -> int:
+    """Decimal digits of |n|, without converting it to a string."""
+    n = abs(n)
+    d = int(n.bit_length() * log10(2))  # digits - 1 or digits
+    return d + (n >= 10**d)
+
+
+def show(value) -> str:
+    """``str(value)`` for an error message.  A rational with a part past
+    Python's int-to-str limit is described by its digit counts instead (a
+    tuple element by element), so the message never fails to format."""
+    try:
+        return str(value)
+    except ValueError:
+        if isinstance(value, tuple):
+            return "(" + ", ".join(map(show, value)) + ")"
+        p, q = _digits(value.numerator), _digits(value.denominator)
+        return f"a rational of {p}/{q} digits"

@@ -23,7 +23,7 @@ from .errors import InvalidInputError, ResourceLimitError
 from .joinings import JoiningTensor, ProductMeasure, integer_form
 from .rationals import format_rational, parse_rational
 from .skew import SkewProduct
-from .spaces import SIZE_CAP, FiniteSpace, shape_of, tuple_to_index
+from .spaces import FiniteSpace, shape_of, space_size, tuple_to_index
 
 
 def read_bytes(path: str) -> bytes:
@@ -104,15 +104,10 @@ def data_to_raw(data, path: str = "tensor") -> RawTensor:
         _parse_weights(f, f"{path}.factors[{i}]") for i, f in enumerate(raw_factors)
     )
     shape = shape_of(factors)
-    size = 1
-    for n in shape:
-        size *= n
-        if size > SIZE_CAP:
-            # checked before the dense entry list is allocated
-            raise ResourceLimitError(
-                f"{path}.factors: {len(shape)} factors declare more than "
-                f"{SIZE_CAP} entries, the cap"
-            )
+    try:
+        size = space_size(shape)
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(f"{path}.factors: {exc}") from exc
     entries = [Fraction(0)] * size
     raw_nonzero = data["nonzero"]
     if not isinstance(raw_nonzero, list):

@@ -24,7 +24,6 @@ from .spaces import (
     halmos_distance,
     orbit_count,
     product_space,
-    tuple_to_index,
 )
 
 
@@ -74,12 +73,10 @@ def as_automorphism(r: SkewProduct) -> Automorphism:
     """The skew product as an automorphism of base x fiber."""
     total = product_space([r.base, r.fiber])
     nf = r.fiber.atom_count
-    perm = [0] * total.atom_count
-    for x in r.base.atoms():
-        sx = r.base_map.perm[x]
-        rx = r.cocycle[x].perm
-        for y in range(nf):
-            perm[x * nf + y] = sx * nf + rx[y]
+    # (x, y) sits at x nf + y; its image at S x nf + R_x y, in the same order
+    perm = (
+        sx * nf + ry for sx, rx in zip(r.base_map.perm, r.cocycle) for ry in rx.perm
+    )
     return Automorphism(total, tuple(perm))
 
 
@@ -161,8 +158,12 @@ def rigidity_statistic(
 def relative_mixing_fraction(r: SkewProduct, p: int, eps: Fraction) -> Fraction:
     """mu-mass of {x : dist_w(koopman(C(x, p)), averaging) < eps}.
 
-    For automorphism Koopman kernels the distance to the averaging operator
-    never exceeds 1, so eps > 1 returns full mass."""
+    On a fiber of at least two atoms, the Koopman kernel of any permutation
+    is at distance exactly 1 - min w from the averaging operator (its rows
+    are unit vectors; the largest entrywise gap is 1 - w at the lightest
+    atom), so the statistic is the full base mass when eps > 1 - min w and
+    0 otherwise, whatever the cocycle or p.  On a one-atom fiber both
+    operators are the identity and every eps gives full mass."""
     if not isinstance(p, int) or p < 0:
         raise InvalidInputError(f"p must be a nonnegative int, got {p!r}")
     eps = as_fraction(eps)
@@ -210,15 +211,14 @@ def relative_product(r: SkewProduct) -> Automorphism:
     base x fiber x fiber; its ergodicity is relative weak mixing."""
     total = product_space([r.base, r.fiber, r.fiber])
     nf = r.fiber.atom_count
-    shape = (r.base.atom_count, nf, nf)
-    perm = [0] * total.atom_count
-    for x in r.base.atoms():
-        sx = r.base_map.perm[x]
-        rx = r.cocycle[x].perm
-        for y in range(nf):
-            for y2 in range(nf):
-                src = tuple_to_index(shape, (x, y, y2))
-                perm[src] = tuple_to_index(shape, (sx, rx[y], rx[y2]))
+    # (x, y, y') sits at (x nf + y) nf + y'; its image at
+    # (S x nf + R_x y) nf + R_x y', in the same order
+    perm = (
+        (sx * nf + ry) * nf + ry2
+        for sx, rx in zip(r.base_map.perm, r.cocycle)
+        for ry in rx.perm
+        for ry2 in rx.perm
+    )
     return Automorphism(total, tuple(perm))
 
 

@@ -1,19 +1,29 @@
-"""Finite measure spaces and their measure-preserving automorphisms.
+"""Finite measure spaces, their measure-preserving automorphisms, and
+their finite products.
 
 A space is a finite set of atoms {0, ..., n-1} carrying strictly positive
 rational weights summing to one.  Automorphisms are weight-preserving
 permutations; the Halmos metric makes the automorphism group a finite
 metric space suitable for exact rigidity statistics.
+
+Products are laid out here and only here: atom tuples are ranked
+lexicographically, last coordinate fastest; ``iter_tuples`` enumerates
+them, ``flat_index_map`` and its derived maps turn them into flat
+indices, and ``orbit_labels`` partitions them into orbits.  ``space_size``
+is the one check against ``SIZE_CAP``; everything that builds a product
+calls it first, so an oversized product raises ``ResourceLimitError``
+before it is allocated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InvalidInputError
-from .rationals import as_fraction
+from .errors import InvalidInputError, ResourceLimitError
+from .rationals import as_fraction, show
 
 # Largest dense tensor (product of atom counts) any layer builds.
 SIZE_CAP = 65536
@@ -21,6 +31,34 @@ SIZE_CAP = 65536
 # Largest integer form of a tensor (entry count times the bit length of the
 # common denominator) any layer builds; eta at k = 4 needs 65536 * 17 bits.
 FORM_BITS_CAP = 2**26
+
+
+def space_size(shape: Iterable[int]) -> int:
+    """Number of atoms of a product of the given shape; raises
+    ``ResourceLimitError`` naming the shape as soon as the running product
+    passes ``SIZE_CAP``, before a caller allocates anything of that size."""
+    shape = tuple(shape)
+    size = 1
+    for axis, n in enumerate(shape):
+        size *= n
+        if size > SIZE_CAP:
+            shown = " x ".join(map(str, shape[: axis + 1]))
+            more = " x ..." if axis + 1 < len(shape) else ""
+            raise ResourceLimitError(
+                f"shape {shown}{more} exceeds the cap of {SIZE_CAP} atoms"
+            )
+    return size
+
+
+def check_form_bits(size: int, den: int) -> None:
+    """Refuse an integer form of ``size`` numerators over ``den`` past
+    ``FORM_BITS_CAP`` bits."""
+    bits = den.bit_length()
+    if size * bits > FORM_BITS_CAP:
+        raise ResourceLimitError(
+            f"{size} entries over a common denominator of {bits} bits exceed "
+            f"the cap of {FORM_BITS_CAP} bits"
+        )
 
 
 @dataclass(frozen=True)
@@ -36,9 +74,11 @@ class FiniteSpace:
             raise InvalidInputError("a space needs at least one atom")
         for i, w in enumerate(ws):
             if w <= 0:
-                raise InvalidInputError(f"weight of atom {i} must be positive, got {w}")
+                raise InvalidInputError(
+                    f"weight of atom {i} must be positive, got {show(w)}"
+                )
         if sum(ws) != 1:
-            raise InvalidInputError(f"weights must sum to 1, got {sum(ws)}")
+            raise InvalidInputError(f"weights must sum to 1, got {show(sum(ws))}")
 
     @property
     def atom_count(self) -> int:
@@ -48,7 +88,8 @@ class FiniteSpace:
     def uniform(cls, n: int) -> "FiniteSpace":
         if not isinstance(n, int) or n < 1:
             raise InvalidInputError(f"atom count must be a positive int, got {n!r}")
-        return cls(tuple(Fraction(1, n) for _ in range(n)))
+        w = Fraction(1, space_size((n,)))
+        return cls((w,) * n)
 
     def atoms(self) -> range:
         return range(len(self.weights))
@@ -101,8 +142,8 @@ class Automorphism:
         for i, j in enumerate(self.perm):
             if self.space.weights[i] != self.space.weights[j]:
                 raise InvalidInputError(
-                    f"atom {i} (weight {self.space.weights[i]}) maps to atom {j} "
-                    f"of different weight {self.space.weights[j]}"
+                    f"atom {i} (weight {show(self.space.weights[i])}) maps to "
+                    f"atom {j} of different weight {show(self.space.weights[j])}"
                 )
 
     def __call__(self, atom: int) -> int:
@@ -197,8 +238,15 @@ def halmos_distance(p: Automorphism, r: Automorphism) -> Fraction:
 
 
 def orbit_count(a: Automorphism) -> int:
-    """Number of orbits of the cyclic group generated by ``a`` (union-find)."""
-    parent = list(range(a.space.atom_count))
+    """Number of orbits of the cyclic group generated by ``a``."""
+    return max(orbit_labels(a.space.atom_count, [a.perm])) + 1
+
+
+def orbit_labels(size: int, maps: Iterable[Sequence[int]]) -> list[int]:
+    """Orbit of every point 0..size-1 under the group generated by the
+    permutations ``maps`` (each a list of images), orbits numbered 0, 1, ...
+    by first appearance; union-find with path halving."""
+    parent = list(range(size))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -206,11 +254,13 @@ def orbit_count(a: Automorphism) -> int:
             x = parent[x]
         return x
 
-    for i, j in enumerate(a.perm):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    return sum(1 for i, p in enumerate(parent) if find(i) == i)
+    for images in maps:
+        for i, j in enumerate(images):
+            a, b = find(i), find(j)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    labels: dict[int, int] = {}
+    return [labels.setdefault(find(i), len(labels)) for i in range(size)]
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +271,7 @@ def product_space(spaces: Sequence[FiniteSpace]) -> FiniteSpace:
     """Product space; atoms are tuples in lexicographic order, weights multiply."""
     if not spaces:
         raise InvalidInputError("product of zero spaces is undefined here")
+    space_size(shape_of(spaces))
     weights = [Fraction(1)]
     for sp in spaces:
         weights = [w * v for w in weights for v in sp.weights]
@@ -255,22 +306,7 @@ def index_to_tuple(shape: Sequence[int], index: int) -> tuple[int, ...]:
 
 def iter_tuples(shape: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All atom tuples in lexicographic order."""
-    n = len(shape)
-    if n == 0:
-        yield ()
-        return
-    tup = [0] * n
-    while True:
-        yield tuple(tup)
-        k = n - 1
-        while k >= 0:
-            tup[k] += 1
-            if tup[k] < shape[k]:
-                break
-            tup[k] = 0
-            k -= 1
-        if k < 0:
-            return
+    return product(*(range(n) for n in shape))
 
 
 def flat_index_map(
@@ -282,6 +318,7 @@ def flat_index_map(
         len(col) != n for col, n in zip(per_axis, shape)
     ):
         raise InvalidInputError(f"per-axis tables do not match shape {tuple(shape)}")
+    space_size(shape)
     out = [0]
     for col in per_axis:
         out = [m + c for m in out for c in col]
@@ -323,9 +360,3 @@ def embedding_map(shape: Sequence[int], coords: Sequence[int]) -> list[int]:
     offsets = _offsets(shape)
     return flat_index_map([shape[c] for c in coords], [offsets[c] for c in coords])
 
-
-def space_size(shape: Iterable[int]) -> int:
-    size = 1
-    for n in shape:
-        size *= n
-    return size

@@ -13,16 +13,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError
 from .joinings import JoiningTensor, ProductMeasure
 from .rationals import as_fraction
 from .spaces import (
-    SIZE_CAP,
+    SIZE_CAP,  # also read as torus.SIZE_CAP
     ActionGenerators,
     Automorphism,
     FiniteSpace,
     flat_index_map,
-    iter_tuples,
+    index_to_tuple,
     space_size,
 )
 
@@ -134,14 +134,17 @@ def character_coefficient(
                 "factor is not the uniform group matching the character length"
             )
         idxs.append(ctx.atom(c))
-    per_axis = [
-        [_dot_parity(a_idx, t) for t in range(sp.atom_count)]
-        for a_idx, sp in zip(idxs, v.factors)
-    ]
-    # sum_i a_i . t_i at every flat index t; its parity is the sign
-    parities = flat_index_map(v.shape, per_axis)
+    parities = _parity_table(v.shape, idxs)
     total = sum(-x if p & 1 else x for p, x in zip(parities, v.numerators) if x)
     return Fraction(total, v.denominator)
+
+
+def _parity_table(shape: Sequence[int], idx_key: Sequence[int]) -> list[int]:
+    """sum_i a_i . t_i at every flat index t, for one character index a_i
+    per axis; its parity is the sign of prod_i chi_{a_i}(t_i)."""
+    return flat_index_map(
+        shape, [[_dot_parity(a, t) for t in range(n)] for a, n in zip(idx_key, shape)]
+    )
 
 
 def fourier_joining(
@@ -159,9 +162,8 @@ def fourier_joining(
     if not isinstance(order, int) or order < 1:
         raise InvalidInputError(f"order must be a positive int, got {order!r}")
     g = ctx.group_order
-    if g**order > SIZE_CAP:
-        raise ResourceLimitError(f"{g}^{order} entries exceed the cap of {SIZE_CAP}")
-    zero_key = ((0,) * ctx.k,) * order
+    shape = (g,) * order
+    acc = [Fraction(0)] * space_size(shape)
     table: dict[tuple[int, ...], Fraction] = {}
     for key, c in coefficients.items():
         key = tuple(tuple(part) for part in key)
@@ -174,20 +176,14 @@ def fourier_joining(
     zero_idx = (0,) * order
     if table.get(zero_idx) != 1:
         raise InvalidInputError("the all-zero character tuple must have coefficient 1")
-    norm = Fraction(1, g**order)
-    shape = (g,) * order
-    entries = []
-    for tup in iter_tuples(shape):
-        acc = Fraction(0)
-        for idx_key, c in table.items():
-            parity = 0
-            for a_idx, t in zip(idx_key, tup):
-                parity ^= _dot_parity(a_idx, t)
-            acc += -c if parity else c
-        val = norm * acc
-        if val < 0:
-            raise InvalidInputError(
-                f"coefficients produce a negative entry at {tup}"
-            )
-        entries.append(val)
-    return JoiningTensor((ctx.space,) * order, tuple(entries))
+    for idx_key, c in table.items():
+        acc = [
+            x - c if p & 1 else x + c
+            for x, p in zip(acc, _parity_table(shape, idx_key))
+        ]
+    norm = Fraction(1, len(acc))
+    for idx, x in enumerate(acc):
+        if x < 0:
+            tup = index_to_tuple(shape, idx)
+            raise InvalidInputError(f"coefficients produce a negative entry at {tup}")
+    return JoiningTensor((ctx.space,) * order, tuple(norm * x for x in acc))

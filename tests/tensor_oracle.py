@@ -4,7 +4,9 @@ kernels.
 
 Every function here walks index tuples through ``index_to_tuple`` and
 ``tuple_to_index`` and does plain ``Fraction`` arithmetic per entry; none
-uses a flat index map or the integer form.
+uses a flat index map or the integer form.  The Markov push sums over
+every pair of source and target tuples, and the Fourier tensor recomputes
+each character's sign per tuple.
 """
 
 from fractions import Fraction
@@ -119,3 +121,44 @@ def validation_error(weight_lists, entries, joining):
                     f"expected the factor weights {tuple(ws)}"
                 )
     return None
+
+
+def transitions(kernel, source_weights, target_weights):
+    """trans[s][t] = w_target(t) * kernel[t][s] / w_source(s)."""
+    return [
+        [wt * row[s] / ws for wt, row in zip(target_weights, kernel)]
+        for s, ws in enumerate(source_weights)
+    ]
+
+
+def markov_push(entries, shape, trans_per_axis):
+    """(P v)(z) = sum over t of v(t) * prod_i trans_i[t_i][z_i], summed over
+    every pair of source and target tuples."""
+    target_shape = [len(trans[0]) for trans in trans_per_axis]
+    out = []
+    for z in tuples(target_shape):
+        acc = Fraction(0)
+        for t, x in zip(tuples(shape), entries):
+            for trans, a, b in zip(trans_per_axis, t, z):
+                x *= trans[a][b]
+            acc += x
+        out.append(acc)
+    return out
+
+
+def fourier_entries(k, order, table):
+    """v(t) = 2^(-order k) * sum over keys a of c(a) * prod_i chi_{a_i}(t_i),
+    keys given as one atom index per factor; the parity of every key is
+    recomputed at every tuple."""
+    g = 2**k
+    norm = Fraction(1, g**order)
+    out = []
+    for tup in tuples([g] * order):
+        acc = Fraction(0)
+        for key, c in table.items():
+            parity = 0
+            for a, t in zip(key, tup):
+                parity ^= bin(a & t).count("1") & 1
+            acc += -c if parity else c
+        out.append(norm * acc)
+    return out

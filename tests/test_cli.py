@@ -541,3 +541,58 @@ def test_eta_k4_verifies_within_the_form_cap():
     report = json.loads(run_cli("eta", "--k", "4", "--verify").stdout)
     assert report["pass"] is True
     assert report["sup_distance_to_product"] == "15/65536"
+
+
+def _fiber_257_config(tmp_path):
+    ident = list(range(257))
+    cfg = tmp_path / "fiber257.json"
+    cfg.write_text(json.dumps({
+        "spaces": {"base": {"uniform": 2}, "fiber": {"uniform": 257}},
+        "automorphisms": {"s": {"space": "base", "perm": [1, 0]}},
+        "cocycles": {"r": {"base_map": "s", "fiber": "fiber", "maps": [ident, ident]}},
+        "sequences": {"times": [1]},
+    }))
+    return str(cfg)
+
+
+def test_fiber_square_and_fiber_kernels_are_capped(tmp_path):
+    # 2 x 257 x 257 fiber-square atoms and 257 x 257 kernels: over the cap
+    cfg = _fiber_257_config(tmp_path)
+    sample = ["sample", "--config", cfg, "--base", "s", "--fiber", "fiber",
+              "--seed", "1", "--mode", "iid-cocycle"]
+    run_cli(*sample)
+    for argv, shape in (
+        (sample + ["--analyze"], "2 x 257 x 257"),
+        (["cocycle", "--config", cfg, "--cocycle", "r", "--stat", "fraction",
+          "--sequence", "times", "--eps", "1/2"], "257 x 257"),
+    ):
+        proc = run_cli(*argv, expect=2)
+        assert f"shape {shape} exceeds the cap of 65536" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+# each literal is under the 4,300-digit limit; their sum is not
+UNPRINTABLE_PAIR = ["1/" + str(3**8000), "1/" + str(7**5000)]
+
+
+def test_joining_verify_unprintable_result_exits_2(tmp_path):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({
+        "factors": [["1/2", "1/2"]],
+        "nonzero": [[[0], UNPRINTABLE_PAIR[0]], [[1], UNPRINTABLE_PAIR[1]]],
+    }))
+    proc = run_cli("joining", "verify", "--file", str(path), expect=2)
+    assert proc.stderr.startswith("error: cannot print a rational of 4226/8043 digits")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_config_weights_with_an_unprintable_sum_exit_2(tmp_path):
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps({"spaces": {"s": {"weights": UNPRINTABLE_PAIR}}}))
+    proc = run_cli(
+        "polytope", "--config", str(cfg), "--action", "a", "--order", "2",
+        "--independence", "1", "--certify", expect=2,
+    )
+    assert "spaces.s.weights: weights must sum to 1, got a rational of" in proc.stderr
+    assert "Traceback" not in proc.stderr

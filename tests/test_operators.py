@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from joinlab import (
     FiniteSpace,
     InvalidInputError,
     MarkovOperator,
+    ResourceLimitError,
     affine_combination,
     averaging_operator,
     compose,
@@ -130,3 +132,20 @@ def test_weak_closure_probe_validates_grid():
         weak_closure_probe(swap, [Fraction(1)], 2)
     with pytest.raises(InvalidInputError):
         weak_closure_probe(swap, [Fraction(1, 2)], 0)
+
+
+def test_operator_kernels_are_capped_before_building():
+    # a 257 x 257 kernel would hold 66,049 entries in 257 row tuples
+    big = FiniteSpace.uniform(257)
+    swap = Automorphism(big, (1, 0) + tuple(range(2, 257)))
+    for build, arg in ((koopman, swap), (averaging_operator, big)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=r"257 x 257"):
+                build(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+    edge = FiniteSpace.uniform(256)
+    assert len(averaging_operator(edge).kernel) == 256

@@ -160,3 +160,15 @@ def test_raw_decode_refuses_an_oversized_integer_form_before_scaling():
     assert peak < FORM_BITS_CAP // 8 // 4
     with pytest.raises(ResourceLimitError, match=r"big\.nonzero"):
         data_to_joining(data, path="big")
+
+
+def test_decode_describes_an_unprintable_mass():
+    # each literal is under the 4,300-digit limit; the total mass is not
+    data = {
+        "factors": [["1/2", "1/2"]],
+        "nonzero": [[[0], "1/" + str(3**8000)], [[1], "1/" + str(7**5000)]],
+    }
+    with pytest.raises(
+        InvalidInputError, match=r"tiny: total mass is a rational of 4226/8043 digits"
+    ):
+        data_to_joining(data, path="tiny")

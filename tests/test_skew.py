@@ -14,10 +14,13 @@ from joinlab import (
     PreconditionError,
     SkewProduct,
     as_automorphism,
+    averaging_operator,
     coboundary_extension,
     cocycle_product,
     compose,
+    dist_w,
     is_ergodic,
+    koopman,
     power_skew,
     relative_mixing_fraction,
     relative_product,
@@ -28,6 +31,13 @@ from joinlab import (
 from joinlab.skew import RigiditySequence
 
 from conftest import random_automorphism, random_space
+
+
+def random_skew(rng, max_base=5, max_fiber=5):
+    base = random_space(rng, max_base)
+    fiber = random_space(rng, max_fiber)
+    maps = tuple(random_automorphism(rng, fiber) for _ in base.atoms())
+    return SkewProduct(base, fiber, random_automorphism(rng, base), maps)
 
 
 def cycle(space):
@@ -159,6 +169,28 @@ def test_relative_mixing_fraction_frozen():
         relative_mixing_fraction(r, 1, Fraction(0))
     with pytest.raises(InvalidInputError):
         relative_mixing_fraction(r, -1, Fraction(1))
+
+
+def test_relative_mixing_fraction_is_a_threshold_on_the_smallest_fiber_weight():
+    # every permutation's Koopman kernel is 1 - min w from the averaging
+    # operator, so the statistic is all or nothing in eps
+    rng = random.Random(11)
+    for _ in range(150):
+        r = random_skew(rng)
+        threshold = 1 - min(r.fiber.weights)
+        assert dist_w(koopman(random_automorphism(rng, r.fiber)),
+                      averaging_operator(r.fiber)) == threshold
+        p = rng.randint(0, 6)
+        for eps in (threshold, threshold + Fraction(1, 97),
+                    Fraction(rng.randint(1, 30), rng.randint(1, 20))):
+            expected = 1 if eps > threshold else 0
+            assert relative_mixing_fraction(r, p, eps) == expected
+
+
+def test_relative_mixing_fraction_on_a_one_atom_fiber_is_full_mass():
+    base, fiber = FiniteSpace.uniform(3), FiniteSpace.uniform(1)
+    r = product_skew(base, fiber)
+    assert relative_mixing_fraction(r, 2, Fraction(1, 10**9)) == 1
 
 
 def test_relative_weak_mixing_average_frozen():

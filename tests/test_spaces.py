@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from joinlab import (
     Automorphism,
     FiniteSpace,
     InvalidInputError,
+    ResourceLimitError,
     MeasurableSet,
     compose,
     halmos_distance,
@@ -17,9 +18,16 @@ from joinlab import (
     product_space,
 )
 from joinlab.spaces import (
+    SIZE_CAP,
+    embedding_map,
+    flat_index_map,
     index_to_tuple,
     iter_tuples,
+    moved_index_map,
+    orbit_labels,
+    projection_map,
     shape_of,
+    space_size,
     tuple_to_index,
 )
 
@@ -172,3 +180,83 @@ def test_shape_of():
     a = FiniteSpace.uniform(2)
     b = FiniteSpace.uniform(3)
     assert shape_of([a, b, a]) == (2, 3, 2)
+
+
+def test_iter_tuples_of_the_empty_shape_is_one_empty_tuple():
+    assert list(iter_tuples(())) == [()]
+    first = [(0, 0, 0), (0, 0, 1), (0, 0, 2), (1, 0, 0)]
+    assert list(iter_tuples((2, 1, 3)))[:4] == first
+
+
+def test_space_size_names_the_shape_past_the_cap():
+    assert space_size(()) == 1
+    assert space_size((256, 256)) == SIZE_CAP
+    with pytest.raises(ResourceLimitError, match=r"shape 1 x 257 x 257 exceeds the cap"):
+        space_size((1, 257, 257))
+    # stops at the first axis past the cap, whatever follows
+    with pytest.raises(ResourceLimitError, match=r"shape (2 x ){16}2 x \.\.\. exceeds"):
+        space_size([2] * 1000)
+
+
+def test_product_space_is_capped():
+    big = FiniteSpace.uniform(257)
+    with pytest.raises(ResourceLimitError, match=r"257 x 257"):
+        product_space([big, big])
+    edge = FiniteSpace.uniform(256)
+    assert product_space([edge, edge]).atom_count == SIZE_CAP
+    with pytest.raises(ResourceLimitError, match=r"shape 65537 exceeds"):
+        FiniteSpace.uniform(SIZE_CAP + 1)
+    assert FiniteSpace.uniform(SIZE_CAP).atom_count == SIZE_CAP
+
+
+def test_flat_index_maps_are_capped():
+    with pytest.raises(ResourceLimitError, match=r"257 x 257"):
+        flat_index_map((257, 257), [[0] * 257] * 2)
+    shape = (2,) * 17
+    with pytest.raises(ResourceLimitError):
+        moved_index_map(shape, [[1, 0]] * 17)
+    with pytest.raises(ResourceLimitError):
+        projection_map(shape, (0,))
+    with pytest.raises(ResourceLimitError):
+        embedding_map(shape, tuple(range(17)))
+    assert len(flat_index_map((256, 256), [[0] * 256] * 2)) == SIZE_CAP
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.data())
+def test_orbit_labels_match_a_brute_force_closure(data):
+    size = data.draw(st.integers(1, 30))
+    # a few transpositions leave many orbits; a random permutation, few
+    atom = st.integers(0, size - 1)
+    swaps = st.lists(st.tuples(atom, atom), max_size=4)
+    maps = []
+    for pairs in data.draw(st.lists(swaps, max_size=3)):
+        images = list(range(size))
+        for a, b in pairs:
+            images[a], images[b] = images[b], images[a]
+        maps.append(images)
+    maps += data.draw(st.lists(st.permutations(range(size)), max_size=1))
+    # close each not yet seen point, in increasing order, under the maps
+    orbit_of = {}
+    count = 0
+    for start in range(size):
+        if start in orbit_of:
+            continue
+        orbit_of[start] = count
+        frontier = [start]
+        while frontier:
+            x = frontier.pop()
+            for images in maps:
+                if images[x] not in orbit_of:
+                    orbit_of[images[x]] = count
+                    frontier.append(images[x])
+        count += 1
+    assert orbit_labels(size, maps) == [orbit_of[i] for i in range(size)]
+    if len(maps) == 1:
+        auto = Automorphism(FiniteSpace.uniform(size), tuple(maps[0]))
+        assert orbit_count(auto) == count

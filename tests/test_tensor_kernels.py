@@ -7,6 +7,7 @@ accept them) may be negative.  Every kernel result must equal the
 oracle's exactly, and construction must raise the oracle's message.
 """
 
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -21,6 +22,7 @@ from joinlab import (
     InvalidInputError,
     JoiningTensor,
     ProductMeasure,
+    affine_combination,
     diagonal_invariance_defect,
     disintegrate,
     joining_from_operator,
@@ -28,9 +30,11 @@ from joinlab import (
     operator_from_joining,
     product_joining,
     push_by_automorphisms,
+    push_joining,
     reassemble,
     sup_distance,
 )
+from joinlab.torus import Z2kContext, fourier_joining
 from joinlab.joinings import _axis_sums, _invariance_defect, integer_form
 from joinlab.spaces import (
     flat_index_map,
@@ -40,6 +44,7 @@ from joinlab.spaces import (
 )
 
 import tensor_oracle as oracle
+from conftest import random_operator
 
 # derandomized, so that a failure replays exactly and the run time is fixed
 PROPERTY = settings(
@@ -309,3 +314,62 @@ def test_validation_messages_match_oracle(data):
             with pytest.raises(InvalidInputError) as info:
                 cls(spaces(weights), tuple(entries))
             assert str(info.value) == want
+
+
+@PROPERTY
+@given(st.data())
+def test_push_joining_matches_oracle(data):
+    v = data.draw(joinings())
+    # target spaces whose atom counts differ from the source's
+    target_shape = []
+    for _ in v.shape:
+        room = 64 // space_size(target_shape)
+        target_shape.append(data.draw(st.integers(1, min(5, room))))
+    targets = spaces(data.draw(weight_lists(target_shape)))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    ops = [
+        affine_combination(
+            data.draw(NONNEGATIVE.filter(lambda c: c <= 1)),
+            random_operator(rng, source, target),
+            random_operator(rng, source, target),
+        )
+        for source, target in zip(v.factors, targets)
+    ]
+    trans = [
+        oracle.transitions(op.kernel, op.source.weights, op.target.weights)
+        for op in ops
+    ]
+    pushed = push_joining(v, ops)
+    assert pushed.factors == targets
+    assert list(pushed.entries) == oracle.markov_push(v.entries, v.shape, trans)
+
+
+def _outcome(build):
+    try:
+        return "ok", tuple(build().entries)
+    except InvalidInputError as exc:
+        return "error", str(exc)
+
+
+@PROPERTY
+@given(st.data())
+def test_fourier_joining_matches_oracle(data):
+    k = data.draw(st.integers(1, 2))
+    order = data.draw(st.integers(1, 6 // k))
+    ctx = Z2kContext(k)
+    keys = data.draw(st.sets(
+        st.tuples(*[st.integers(0, 2**k - 1)] * order), max_size=6
+    ))
+    table = {key: data.draw(rationals(-3, 3)) / 3 for key in keys}
+    table[(0,) * order] = Fraction(1)
+    coefficients = {
+        tuple(ctx.bits(a) for a in key): c for key, c in table.items()
+    }
+    entries = oracle.fourier_entries(k, order, table)
+    negative = [i for i, x in enumerate(entries) if x < 0]
+    if negative:
+        tup = oracle.tuples([2**k] * order)[negative[0]]
+        expected = "error", f"coefficients produce a negative entry at {tup}"
+    else:
+        expected = _outcome(lambda: JoiningTensor((ctx.space,) * order, entries))
+    assert _outcome(lambda: fourier_joining(ctx, order, coefficients)) == expected
