@@ -17,7 +17,12 @@ import time
 from fractions import Fraction
 
 from .config import parse_config
-from .errors import InvalidInputError, JoinlabError, JoinlabInternalError
+from .errors import (
+    InvalidInputError,
+    JoinlabError,
+    JoinlabInternalError,
+    ResourceLimitError,
+)
 from .joinings import (
     _axis_sums,
     _invariance_defect,
@@ -246,7 +251,10 @@ def _cmd_mixing(args):
             }
         )
     else:
-        detail = mixing_deviation_sweep_detail(t, sets, args.sweep)
+        try:
+            detail = mixing_deviation_sweep_detail(t, sets, args.sweep)
+        except ResourceLimitError as exc:
+            raise ResourceLimitError(f"--sweep: offset grid {exc}") from exc
         payload.update(
             {
                 "mode": "sweep",

@@ -36,6 +36,7 @@ from .spaces import (
     check_form_bits,
     embedding_map,
     index_to_tuple,
+    integer_form,
     iter_tuples,
     moved_index_map,
     product_space,
@@ -43,23 +44,6 @@ from .spaces import (
     space_size,
     tuple_to_index,
 )
-
-
-def integer_form(entries: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    """(numerators, denominator) with entries[i] == numerators[i] / denominator
-    and the denominator the lcm of the entries' reduced denominators.
-
-    The lcm is accumulated one distinct denominator at a time and checked
-    against ``FORM_BITS_CAP`` at each step, so an oversized form raises
-    ``ResourceLimitError`` before any numerator is scaled."""
-    size = len(entries)
-    dens = {x.denominator for x in entries}
-    den = 1
-    for d in dens:
-        den = lcm(den, d)
-        check_form_bits(size, den)
-    scale = {d: den // d for d in dens}
-    return tuple(x.numerator * scale[x.denominator] for x in entries), den
 
 
 def _fractions(numerators: Sequence[int], den: int) -> tuple[Fraction, ...]:

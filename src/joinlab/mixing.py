@@ -22,6 +22,7 @@ from .spaces import (
     MeasurableSet,
     compose,
     iter_tuples,
+    space_size,
 )
 
 
@@ -96,6 +97,14 @@ def mixing_deviation_sweep(t: Automorphism, sets: Sequence[MeasurableSet], k_ran
 def mixing_deviation_sweep_detail(
     t: Automorphism, sets: Sequence[MeasurableSet], k_range: int
 ) -> SweepResult:
+    """The sweep of ``mixing_deviation_sweep`` with its first argmax.
+
+    A correlation depends on each offset only modulo the order of t, and
+    reducing an offset that way never makes a grid point lexicographically
+    larger, so only {1..min(k_range, order)}^n is scanned: the result,
+    argmax included, is the one of the full grid.  That grid is sized by
+    ``space_size`` before any correlation is computed, so a grid past
+    ``SIZE_CAP`` raises ``ResourceLimitError``."""
     if not isinstance(k_range, int) or k_range < 1:
         raise InvalidInputError(f"k_range must be a positive int, got {k_range!r}")
     if len(sets) < 2:
@@ -104,9 +113,11 @@ def mixing_deviation_sweep_detail(
     for a in sets:
         target *= a.measure
     n = len(sets) - 1
+    shape = (min(k_range, t.order()),) * n
+    space_size(shape)
     best = Fraction(-1)
     best_k: tuple[int, ...] = ()
-    for grid in iter_tuples((k_range,) * n):
+    for grid in iter_tuples(shape):
         offs = tuple(g + 1 for g in grid)
         dev = abs(correlation(t, sets, offs) - target)
         if dev > best:

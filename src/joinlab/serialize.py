@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError, ResourceLimitError
-from .joinings import JoiningTensor, ProductMeasure, integer_form
+from .joinings import JoiningTensor, ProductMeasure
 from .rationals import format_rational, parse_rational
 from .skew import SkewProduct
-from .spaces import FiniteSpace, shape_of, space_size, tuple_to_index
+from .spaces import FiniteSpace, integer_form, shape_of, space_size, tuple_to_index
 
 
 def read_bytes(path: str) -> bytes:

@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidInputError, PreconditionError
-from .operators import averaging_operator, dist_w, koopman
 from .rationals import as_fraction
 from .spaces import (
     Automorphism,
@@ -22,8 +21,10 @@ from .spaces import (
     MeasurableSet,
     compose,
     halmos_distance,
+    integer_form,
     orbit_count,
     product_space,
+    space_size,
 )
 
 
@@ -77,23 +78,32 @@ def as_automorphism(r: SkewProduct) -> Automorphism:
     perm = (
         sx * nf + ry for sx, rx in zip(r.base_map.perm, r.cocycle) for ry in rx.perm
     )
-    return Automorphism(total, tuple(perm))
+    return Automorphism._trusted(total, tuple(perm))
 
 
 def cocycle_product(r: SkewProduct, x: int, p: int) -> Automorphism:
     """C(x, p) = R_{S^{p-1} x} o ... o R_{S x} o R_x, with C(x, 0) = Id.
 
-    Satisfies C(x, p + q) = C(S^p x, q) o C(x, p)."""
+    Satisfies C(x, p + q) = C(S^p x, q) o C(x, p).  The walk composes raw
+    permutation tuples and stops when the base orbit of x closes after L
+    steps; for p >= L it returns C(x, r) o C(x, L)^q with p = qL + r, the
+    power by repeated squaring, so the cost is O(L + log q) compositions
+    whatever the size of p."""
     if not 0 <= x < r.base.atom_count:
         raise InvalidInputError(f"base atom {x} out of range")
     if not isinstance(p, int) or p < 0:
         raise InvalidInputError(f"p must be a nonnegative int, got {p!r}")
-    acc = Automorphism.identity(r.fiber)
+    base = r.base_map.perm
+    acc = tuple(r.fiber.atoms())
     cur = x
-    for _ in range(p):
-        acc = compose(r.cocycle[cur], acc)
-        cur = r.base_map.perm[cur]
-    return acc
+    for step in range(1, p + 1):
+        acc = tuple(map(r.cocycle[cur].perm.__getitem__, acc))
+        cur = base[cur]
+        if cur == x:
+            q, rest = divmod(p, step)
+            period = Automorphism._trusted(r.fiber, acc)
+            return compose(cocycle_product(r, x, rest), period.power(q))
+    return Automorphism._trusted(r.fiber, acc)
 
 
 def coboundary_extension(
@@ -163,18 +173,19 @@ def relative_mixing_fraction(r: SkewProduct, p: int, eps: Fraction) -> Fraction:
     are unit vectors; the largest entrywise gap is 1 - w at the lightest
     atom), so the statistic is the full base mass when eps > 1 - min w and
     0 otherwise, whatever the cocycle or p.  On a one-atom fiber both
-    operators are the identity and every eps gives full mass."""
+    operators are the identity and every eps gives full mass.  That closed
+    form is what is computed, after the fiber x fiber size check the kernels
+    would need."""
     if not isinstance(p, int) or p < 0:
         raise InvalidInputError(f"p must be a nonnegative int, got {p!r}")
     eps = as_fraction(eps)
     if eps <= 0:
         raise InvalidInputError(f"eps must be positive, got {eps}")
-    avg = averaging_operator(r.fiber)
-    mass = Fraction(0)
-    for x in r.base.atoms():
-        if dist_w(koopman(cocycle_product(r, x, p)), avg) < eps:
-            mass += r.base.weights[x]
-    return mass
+    nf = r.fiber.atom_count
+    space_size((nf, nf))
+    if nf == 1 or eps > 1 - min(r.fiber.weights):
+        return sum(r.base.weights, Fraction(0))
+    return Fraction(0)
 
 
 def relative_weak_mixing_average(
@@ -186,23 +197,42 @@ def relative_weak_mixing_average(
             (mu(C(x, p) A  intersect  B) - mu(A) mu(B))^2  d mu(x),
 
     the finite Cesaro average whose smallness witnesses relative weak mixing
-    of the extension over its base."""
+    of the extension over its base.
+
+    The walk from x tracks only S^p x and the image set C(x, p) A, summing
+    measures as integers over the fiber's common denominator.  That pair
+    evolves by a bijection, so it returns to (x, A) after some period P and
+    the summands repeat; the walk adds the whole periods left at once, so
+    it costs fewer than min(N + 1, 2P) steps per base atom, with P at most
+    L ord C(x, L) for a base orbit of length L."""
     if a.space != r.fiber or b.space != r.fiber:
         raise InvalidInputError("sets must live on the fiber")
     if not isinstance(n_horizon, int) or n_horizon < 1:
         raise InvalidInputError(f"horizon must be a positive int, got {n_horizon!r}")
-    target = a.measure * b.measure
+    num, den = integer_form(r.fiber.weights)
+    in_b = [False] * r.fiber.atom_count
+    for y in b.atoms:
+        in_b[y] = True
+    # (mu(C A ^ B) - mu(A) mu(B))^2 = (hits * den - target)^2 / den^4
+    target = sum(num[y] for y in a.atoms) * sum(num[y] for y in b.atoms)
+    scale = den**4 * n_horizon
     total = Fraction(0)
     for x in r.base.atoms():
-        acc = Automorphism.identity(r.fiber)
+        images = sorted(a.atoms)
         cur = x
-        inner = Fraction(0)
-        for _ in range(n_horizon):
-            acc = compose(r.cocycle[cur], acc)
+        inner = step = 0
+        while step < n_horizon:
+            images = list(map(r.cocycle[cur].perm.__getitem__, images))
             cur = r.base_map.perm[cur]
-            image = acc.image(a)
-            inner += (image.intersect(b).measure - target) ** 2
-        total += r.base.weights[x] * inner / n_horizon
+            hits = sum(num[y] for y in images if in_b[y])
+            inner += (hits * den - target) ** 2
+            step += 1
+            if cur == x and a.atoms.issuperset(images):
+                # back at (x, A) after one period: add the whole periods left
+                periods = (n_horizon - step) // step
+                inner += periods * inner
+                step += periods * step
+        total += r.base.weights[x] * Fraction(inner, scale)
     return total
 
 
@@ -219,7 +249,7 @@ def relative_product(r: SkewProduct) -> Automorphism:
         for ry in rx.perm
         for ry2 in rx.perm
     )
-    return Automorphism(total, tuple(perm))
+    return Automorphism._trusted(total, tuple(perm))
 
 
 def is_ergodic(a: Automorphism) -> bool:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInputError, ResourceLimitError
@@ -59,6 +60,23 @@ def check_form_bits(size: int, den: int) -> None:
             f"{size} entries over a common denominator of {bits} bits exceed "
             f"the cap of {FORM_BITS_CAP} bits"
         )
+
+
+def integer_form(entries: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """(numerators, denominator) with entries[i] == numerators[i] / denominator
+    and the denominator the lcm of the entries' reduced denominators.
+
+    The lcm is accumulated one distinct denominator at a time and checked
+    against ``FORM_BITS_CAP`` at each step, so an oversized form raises
+    ``ResourceLimitError`` before any numerator is scaled."""
+    size = len(entries)
+    dens = {x.denominator for x in entries}
+    den = 1
+    for d in dens:
+        den = lcm(den, d)
+        check_form_bits(size, den)
+    scale = {d: den // d for d in dens}
+    return tuple(x.numerator * scale[x.denominator] for x in entries), den
 
 
 @dataclass(frozen=True)
@@ -146,30 +164,43 @@ class Automorphism:
                     f"atom {j} of different weight {show(self.space.weights[j])}"
                 )
 
+    @classmethod
+    def _trusted(cls, space: FiniteSpace, perm: tuple[int, ...]) -> "Automorphism":
+        """Automorphism built without validation, for a ``perm`` tuple already
+        known to be a weight-preserving permutation of ``space``'s atoms
+        because it is derived from valid ones (a composition, an inverse, a
+        power, or a product map built from them).  Every other caller goes
+        through the validating constructor."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "space", space)
+        object.__setattr__(obj, "perm", perm)
+        return obj
+
     def __call__(self, atom: int) -> int:
         return self.perm[atom]
 
     @classmethod
     def identity(cls, space: FiniteSpace) -> "Automorphism":
-        return cls(space, tuple(range(space.atom_count)))
+        return cls._trusted(space, tuple(range(space.atom_count)))
 
     def inverse(self) -> "Automorphism":
         inv = [0] * len(self.perm)
         for i, j in enumerate(self.perm):
             inv[j] = i
-        return Automorphism(self.space, tuple(inv))
+        return Automorphism._trusted(self.space, tuple(inv))
 
     def power(self, k: int) -> "Automorphism":
-        """k-th iterate; negative k iterates the inverse."""
-        base = self if k >= 0 else self.inverse()
+        """k-th iterate by repeated squaring; negative k iterates the inverse."""
+        base = self.perm if k >= 0 else self.inverse().perm
         k = abs(k)
-        result = Automorphism.identity(self.space)
+        result = tuple(range(len(base)))
         while k:
             if k & 1:
-                result = compose(base, result)
-            base = compose(base, base)
+                result = tuple(map(base.__getitem__, result))
             k >>= 1
-        return result
+            if k:
+                base = tuple(map(base.__getitem__, base))
+        return Automorphism._trusted(self.space, result)
 
     def image(self, subset: MeasurableSet) -> MeasurableSet:
         if subset.space != self.space:
@@ -179,12 +210,27 @@ class Automorphism:
     def is_identity(self) -> bool:
         return all(p == i for i, p in enumerate(self.perm))
 
+    def order(self) -> int:
+        """Least k >= 1 with self^k the identity: the lcm of the cycle lengths."""
+        seen = [False] * len(self.perm)
+        out = 1
+        for start in range(len(self.perm)):
+            length = 0
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                x = self.perm[x]
+                length += 1
+            if length:
+                out = lcm(out, length)
+        return out
+
 
 def compose(a: Automorphism, b: Automorphism) -> Automorphism:
     """Composition a after b: atom x maps to a(b(x))."""
     if a.space != b.space:
         raise InvalidInputError("automorphisms live on different spaces")
-    return Automorphism(a.space, tuple(a.perm[j] for j in b.perm))
+    return Automorphism._trusted(a.space, tuple(map(a.perm.__getitem__, b.perm)))
 
 
 def is_measure_preserving(perm: Sequence[int], space: FiniteSpace) -> bool:
@@ -220,21 +266,22 @@ def halmos_distance(p: Automorphism, r: Automorphism) -> Fraction:
                                      + mu(P^{-1} A_i symdiff R^{-1} A_i))
     with A_i the singleton {i-1}.  Zero exactly when P == R; the singleton
     family separates points, so this is a genuine metric.
-    """
+
+    Computed in integers: with D the lcm of the weight denominators, each
+    bracket is an integer t_i over D, and rho is sum_i 2^(n-i) t_i over
+    2^n D, reduced once by the one ``Fraction`` built at the end."""
     if p.space != r.space:
         raise InvalidInputError("automorphisms live on different spaces")
-    w = p.space.weights
-    p_inv, r_inv = p.inverse().perm, r.inverse().perm
-    total = Fraction(0)
-    for i, a in enumerate(p.space.atoms(), start=1):
-        term = Fraction(0)
-        if p.perm[a] != r.perm[a]:
-            term += w[p.perm[a]] + w[r.perm[a]]
-        if p_inv[a] != r_inv[a]:
-            term += w[p_inv[a]] + w[r_inv[a]]
-        if term:
-            total += Fraction(1, 2**i) * term
-    return total
+    num, den = integer_form(p.space.weights)
+    total = 0
+    for pa, ra, pia, ria in zip(p.perm, r.perm, p.inverse().perm, r.inverse().perm):
+        term = 0
+        if pa != ra:
+            term += num[pa] + num[ra]
+        if pia != ria:
+            term += num[pia] + num[ria]
+        total = 2 * total + term
+    return Fraction(total, den << len(num))
 
 
 def orbit_count(a: Automorphism) -> int:

@@ -1,7 +1,9 @@
 """End-to-end command line tests run through subprocess, including report
-determinism and exit-code behaviour."""
+determinism and exit-code behaviour.  Tests that bound the time of the
+work itself call ``main`` in-process instead."""
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -10,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from joinlab.rationals import format_rational
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -596,3 +600,102 @@ def test_config_weights_with_an_unprintable_sum_exit_2(tmp_path):
     )
     assert "spaces.s.weights: weights must sum to 1, got a rational of" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def timed_main(capsys, *argv):
+    """Exit code, stdout, stderr and seconds of one in-process CLI run."""
+    from joinlab.cli import main
+
+    started = time.perf_counter()
+    code = main(list(argv))
+    elapsed = time.perf_counter() - started
+    out = capsys.readouterr()
+    return code, out.out, out.err, elapsed
+
+
+FAR = [10**12, 10**12 + 1, 10**12 + 2, 10**12 + 3]
+
+
+def _far_config(tmp_path):
+    """The skew demo with sequence times far past every period, and a
+    cocycle whose period product C(x, 4) has order 3."""
+    data = json.loads((CONFIGS / "skew_demo.json").read_text())
+    data["spaces"]["three"] = {"uniform": 3}
+    data["cocycles"]["cyclic"] = {
+        "base_map": "rot4", "fiber": "three",
+        "maps": [[1, 2, 0], [0, 1, 2], [2, 0, 1], [2, 0, 1]],
+    }
+    data["sets"]["first"] = {"space": "three", "atoms": [0]}
+    data["sequences"]["far"] = FAR
+    cfg = tmp_path / "far.json"
+    cfg.write_text(json.dumps(data))
+    return str(cfg)
+
+
+def test_cocycle_huge_times_and_horizons_finish_with_the_reduced_values(tmp_path, capsys):
+    import skew_oracle as oracle
+    from joinlab.config import load_config
+
+    cfg = _far_config(tmp_path)
+    config = load_config(cfg)
+    low = config.lookup("sets", "low")
+    for name in ("product", "alternating", "cyclic"):
+        r = config.lookup("cocycles", name)
+        period = 1
+        for x in r.base.atoms():
+            period = math.lcm(period, oracle.cocycle_period(r, x))
+        for stat, flags, value in (
+            ("rigidity", ["--set", "low", "--n-param", "2"],
+             lambda p: oracle.rigidity_statistic(r, low, 2, p)),
+            ("fraction", ["--eps", "1/2"],
+             lambda p: oracle.relative_mixing_fraction(r, p, Fraction(1, 2))),
+        ):
+            code, out, err, elapsed = timed_main(
+                capsys, "cocycle", "--config", cfg, "--cocycle", name,
+                "--stat", stat, "--sequence", "far", *flags)
+            assert code == 0, err
+            assert elapsed < 1
+            want = [[p, format_rational(value(p % period))] for p in FAR]
+            assert json.loads(out)["values"] == want
+        # a horizon of whole periods averages what one period does
+        fiber_set = "first" if name == "cyclic" else "top"
+        code, out, err, elapsed = timed_main(
+            capsys, "cocycle", "--config", cfg, "--cocycle", name, "--stat", "average",
+            "--fiber-set-a", fiber_set, "--fiber-set-b", fiber_set,
+            "--horizon", str(10**12 * period))
+        assert code == 0, err
+        assert elapsed < 1
+        a = config.lookup("sets", fiber_set)
+        want = oracle.relative_weak_mixing_average(r, a, a, period)
+        assert json.loads(out)["value"] == format_rational(want)
+
+
+def test_mixing_sweep_past_the_order_equals_the_sweep_at_the_order(capsys):
+    reports = []
+    for k in ("100000", "4"):
+        code, out, err, elapsed = timed_main(
+            capsys, "mixing", "--config", str(CONFIGS / "mixing_demo.json"),
+            "--automorphism", "rot4", "--sets", "low,low,low", "--sweep", k)
+        assert code == 0, err
+        assert elapsed < 1
+        reports.append(json.loads(out))
+    huge, at_order = reports
+    assert huge.pop("k_range") == 100000 and at_order.pop("k_range") == 4
+    assert huge.pop("digest") != at_order.pop("digest")
+    assert huge == at_order
+
+
+def test_mixing_sweep_grid_past_the_cap_exits_2_fast(tmp_path, capsys):
+    cfg = tmp_path / "cycle64.json"
+    cfg.write_text(json.dumps({
+        "spaces": {"s": {"uniform": 64}},
+        "automorphisms": {"t": {"space": "s", "perm": [(i + 1) % 64 for i in range(64)]}},
+        "sets": {"a": {"space": "s", "atoms": list(range(32))}},
+    }))
+    code, out, err, elapsed = timed_main(
+        capsys, "mixing", "--config", str(cfg), "--automorphism", "t",
+        "--sets", "a,a,a,a", "--sweep", "64")
+    assert code == 2
+    assert elapsed < 1
+    assert out == ""
+    assert err.startswith("error: --sweep: offset grid shape 64 x 64 x 64 exceeds")

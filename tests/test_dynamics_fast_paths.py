@@ -1,0 +1,219 @@
+"""Every dynamics fast path against its slow oracle in ``skew_oracle``, and
+the unvalidated results of ``spaces`` against the validating constructor.
+
+Bases have mixed cycle types, fibers two weight classes (or one atom),
+times run past the base orbit length so the periodic branch of
+``cocycle_product`` runs, eps sits on and around the threshold
+1 - min w, and sweep bounds run from 1 to three times the order."""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import skew_oracle as oracle
+from joinlab import (
+    Automorphism,
+    FiniteSpace,
+    InvalidInputError,
+    MeasurableSet,
+    SkewProduct,
+    as_automorphism,
+    cocycle_product,
+    compose,
+    halmos_distance,
+    mixing_deviation_sweep_detail,
+    relative_mixing_fraction,
+    relative_product,
+    relative_weak_mixing_average,
+    rigidity_statistic,
+)
+
+PROPERTY = settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def two_class_space(draw) -> FiniteSpace:
+    """n1 atoms of weight 1/(n1 + 2 n2) and n2 of twice that, interleaved."""
+    n1 = draw(st.integers(1, 4))
+    n2 = draw(st.integers(0, 3))
+    heavy = set(draw(st.permutations(range(n1 + n2)))[:n2])
+    unit = Fraction(1, n1 + 2 * n2)
+    return FiniteSpace(tuple(2 * unit if i in heavy else unit for i in range(n1 + n2)))
+
+
+def preserving_perm(draw, space: FiniteSpace) -> Automorphism:
+    """A weight-preserving permutation: a drawn shuffle within each class."""
+    perm = [0] * space.atom_count
+    classes: dict[Fraction, list[int]] = {}
+    for i, w in enumerate(space.weights):
+        classes.setdefault(w, []).append(i)
+    for atoms in classes.values():
+        for src, dst in zip(atoms, draw(st.permutations(atoms))):
+            perm[src] = dst
+    return Automorphism(space, tuple(perm))
+
+
+def subset(draw, space: FiniteSpace) -> MeasurableSet:
+    return MeasurableSet(space, frozenset(draw(st.sets(st.sampled_from(range(space.atom_count))))))
+
+
+@st.composite
+def skews(draw) -> SkewProduct:
+    base = two_class_space(draw)
+    fiber = FiniteSpace.uniform(1) if draw(st.booleans()) and draw(st.booleans()) \
+        else two_class_space(draw)
+    maps = tuple(preserving_perm(draw, fiber) for _ in base.atoms())
+    return SkewProduct(base, fiber, preserving_perm(draw, base), maps)
+
+
+@PROPERTY
+@given(skews(), st.data())
+def test_cocycle_product_matches_step_by_step_composition(r, data):
+    x = data.draw(st.integers(0, r.base.atom_count - 1))
+    length = oracle.orbit_length(r.base_map, x)
+    for p in {0, length - 1, length, data.draw(st.integers(0, 5 * length + 3))}:
+        fast = cocycle_product(r, x, p)
+        assert fast == oracle.cocycle_product(r, x, p)
+        assert type(fast.perm) is tuple
+
+
+@PROPERTY
+@given(skews(), st.data())
+def test_cocycle_product_at_a_huge_time_matches_the_reduced_time(r, data):
+    x = data.draw(st.integers(0, r.base.atom_count - 1))
+    p = data.draw(st.integers(10**6, 10**18))
+    period = oracle.cocycle_period(r, x)
+    assert cocycle_product(r, x, p) == oracle.cocycle_product(r, x, p % period)
+
+
+@PROPERTY
+@given(skews(), st.data())
+def test_rigidity_statistic_matches_the_oracle(r, data):
+    a = subset(data.draw, r.base)
+    n_param = data.draw(st.integers(1, 9))
+    p = data.draw(st.integers(0, 3 * r.base.atom_count + 2))
+    assert rigidity_statistic(r, a, n_param, p) == oracle.rigidity_statistic(r, a, n_param, p)
+
+
+@PROPERTY
+@given(st.data())
+def test_halmos_distance_matches_the_fraction_sum(data):
+    space = two_class_space(data.draw)
+    p, q = preserving_perm(data.draw, space), preserving_perm(data.draw, space)
+    assert halmos_distance(p, q) == oracle.halmos_distance(p, q)
+    assert halmos_distance(p, p) == 0
+
+
+@PROPERTY
+@given(skews(), st.data())
+def test_relative_mixing_fraction_matches_the_koopman_distance(r, data):
+    p = data.draw(st.integers(0, 3 * r.base.atom_count))
+    threshold = 1 - min(r.fiber.weights)
+    drawn = Fraction(data.draw(st.integers(1, 40)), data.draw(st.integers(1, 20)))
+    for eps in (threshold, threshold - Fraction(1, 97), threshold + Fraction(1, 97), drawn):
+        if eps > 0:
+            assert relative_mixing_fraction(r, p, eps) == oracle.relative_mixing_fraction(r, p, eps)
+
+
+@PROPERTY
+@given(skews(), st.data())
+def test_relative_weak_mixing_average_matches_the_per_step_oracle(r, data):
+    a, b = subset(data.draw, r.fiber), subset(data.draw, r.fiber)
+    horizon = data.draw(st.integers(1, 60))
+    assert relative_weak_mixing_average(r, a, b, horizon) == \
+        oracle.relative_weak_mixing_average(r, a, b, horizon)
+    # a horizon of whole common periods averages what one period does
+    period = 1
+    for x in r.base.atoms():
+        period = math.lcm(period, oracle.cocycle_period(r, x))
+    assert relative_weak_mixing_average(r, a, b, 10**12 * period) == \
+        oracle.relative_weak_mixing_average(r, a, b, period)
+
+
+def assert_sweep_matches(t, sets, k_range):
+    detail = mixing_deviation_sweep_detail(t, sets, k_range)
+    assert (detail.max_deviation, detail.argmax_offsets, detail.product_value) == \
+        oracle.sweep(t, sets, k_range)
+
+
+@PROPERTY
+@given(st.data())
+def test_sweep_matches_the_full_grid(data):
+    # uniform spaces let any permutation in, so orders like lcm(2, 3) = 6
+    # exceed the longest cycle
+    space = FiniteSpace.uniform(data.draw(st.integers(1, 8)))
+    t = Automorphism(space, tuple(data.draw(st.permutations(range(space.atom_count)))))
+    sets = [subset(data.draw, space) for _ in range(3)]
+    bound = 3 * oracle.order(t)
+    for k_range in range(1, bound + 1):
+        assert_sweep_matches(t, sets[:2], k_range)
+    assert_sweep_matches(t, sets, data.draw(st.integers(1, bound)))
+
+
+def test_sweep_past_the_order_keeps_the_argmax_at_the_order():
+    # t has order lcm(2, 3) = 6 and the sets meet fully only under t^6 = Id,
+    # so the largest deviation, 6/25, sits at offset 6 alone
+    space = FiniteSpace.uniform(5)
+    t = Automorphism(space, (1, 0, 3, 4, 2))
+    sets = [MeasurableSet(space, frozenset({0, 2}))] * 2
+    for k_range in (5, 6, 7, 18):
+        assert_sweep_matches(t, sets, k_range)
+    huge = mixing_deviation_sweep_detail(t, sets, 10**12)
+    assert (huge.max_deviation, huge.argmax_offsets) == (Fraction(6, 25), (6,))
+
+
+# -- unvalidated construction -------------------------------------------------
+
+
+def assert_valid(result: Automorphism):
+    assert type(result.perm) is tuple
+    assert result == Automorphism(result.space, result.perm)
+    assert hash(result) == hash(Automorphism(result.space, result.perm))
+
+
+@PROPERTY
+@given(st.data())
+def test_derived_automorphisms_equal_validated_ones(data):
+    space = two_class_space(data.draw)
+    a, b = preserving_perm(data.draw, space), preserving_perm(data.draw, space)
+    assert_valid(Automorphism.identity(space))
+    assert_valid(compose(a, b))
+    assert compose(a, b) == oracle.compose(a, b)
+    assert_valid(a.inverse())
+    assert a.inverse() == oracle.inverse(a)
+    expected = Automorphism.identity(space)
+    for k in range(6):
+        assert_valid(a.power(k))
+        assert_valid(a.power(-k))
+        assert a.power(k) == expected
+        assert a.power(-k) == oracle.inverse(expected)
+        expected = oracle.compose(a, expected)
+
+
+@PROPERTY
+@given(skews())
+def test_skew_automorphisms_equal_validated_ones(r):
+    assert_valid(as_automorphism(r))
+    assert_valid(relative_product(r))
+
+
+def test_compose_across_spaces_still_raises():
+    a = Automorphism.identity(FiniteSpace.uniform(2))
+    b = Automorphism.identity(FiniteSpace.uniform(3))
+    with pytest.raises(InvalidInputError):
+        compose(a, b)
+
+
+def test_public_construction_still_validates():
+    space = FiniteSpace((Fraction(1, 4), Fraction(3, 4)))
+    with pytest.raises(InvalidInputError):
+        Automorphism(space, (1, 0))
+    with pytest.raises(InvalidInputError):
+        Automorphism(space, (0, 0))
