@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 from .joinings import JoiningTensor
 from .rationals import as_fraction
 from .skew import SkewProduct, as_automorphism
@@ -102,9 +102,10 @@ def mixing_deviation_sweep_detail(
     A correlation depends on each offset only modulo the order of t, and
     reducing an offset that way never makes a grid point lexicographically
     larger, so only {1..min(k_range, order)}^n is scanned: the result,
-    argmax included, is the one of the full grid.  That grid is sized by
-    ``space_size`` before any correlation is computed, so a grid past
-    ``SIZE_CAP`` raises ``ResourceLimitError``."""
+    argmax included, is the one of the full grid.  That grid, and then the
+    work of composing powers on every atom at every grid point, are sized
+    by ``space_size`` before any correlation is computed, so either one
+    past ``SIZE_CAP`` raises ``ResourceLimitError``."""
     if not isinstance(k_range, int) or k_range < 1:
         raise InvalidInputError(f"k_range must be a positive int, got {k_range!r}")
     if len(sets) < 2:
@@ -114,7 +115,15 @@ def mixing_deviation_sweep_detail(
         target *= a.measure
     n = len(sets) - 1
     shape = (min(k_range, t.order()),) * n
-    space_size(shape)
+    points = space_size(shape)
+    atoms = t.space.atom_count
+    try:
+        space_size((points, atoms))
+    except ResourceLimitError:
+        raise ResourceLimitError(
+            f"work of {points} points on {atoms} atoms exceeds the cap of "
+            f"{SIZE_CAP} point-atom steps"
+        ) from None
     best = Fraction(-1)
     best_k: tuple[int, ...] = ()
     for grid in iter_tuples(shape):

@@ -1,8 +1,7 @@
 """Exact rational helpers.
 
-Everything user-facing is a ``fractions.Fraction``.  The LP core may swap in
-``gmpy2.mpq`` for speed; both types are exact and interchangeable through
-``numerator``/``denominator``, so results never depend on the backend.
+Everything user-facing is a ``fractions.Fraction``; any other exact rational
+with int ``numerator``/``denominator`` is accepted on input.
 """
 
 from __future__ import annotations
@@ -14,24 +13,19 @@ from math import log10
 
 from .errors import InvalidInputError, ResourceLimitError
 
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover - environment without gmpy2
-    _mpq = None
-
 # Strict "p/q" or integer literal; ASCII digits only, no floats, no whitespace.
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 
 def fast_rational_type():
-    """Return (constructor, name) for the fastest exact rational available."""
-    if _mpq is not None:
-        return _mpq, "gmpy2.mpq"
+    """Return (constructor, name) of the rational type: always ``Fraction``."""
+    # the benchmark's environment block reads this name
     return Fraction, "fractions.Fraction"
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce int / str / Fraction / mpq to Fraction.  Floats are rejected:
+    """Coerce int / str / Fraction, or any object with int ``numerator`` and
+    ``denominator``, to Fraction.  Floats are rejected:
     a binary float silently misrepresents most decimal inputs."""
     if isinstance(value, Fraction):
         return value

@@ -699,3 +699,21 @@ def test_mixing_sweep_grid_past_the_cap_exits_2_fast(tmp_path, capsys):
     assert elapsed < 1
     assert out == ""
     assert err.startswith("error: --sweep: offset grid shape 64 x 64 x 64 exceeds")
+
+
+def test_mixing_sweep_work_past_the_cap_exits_2_fast(tmp_path, capsys):
+    # 256 x 256 grid points fit the cap, but each composes powers on 256 atoms
+    cfg = tmp_path / "cycle256.json"
+    cfg.write_text(json.dumps({
+        "spaces": {"s": {"uniform": 256}},
+        "automorphisms": {"t": {"space": "s", "perm": [(i + 1) % 256 for i in range(256)]}},
+        "sets": {"a": {"space": "s", "atoms": list(range(128))}},
+    }))
+    code, out, err, elapsed = timed_main(
+        capsys, "mixing", "--config", str(cfg), "--automorphism", "t",
+        "--sets", "a,a,a", "--sweep", "256")
+    assert code == 2
+    assert elapsed < 1
+    assert out == ""
+    assert err.startswith("error: --sweep: ")
+    assert "65536 points on 256 atoms" in err

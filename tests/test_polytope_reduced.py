@@ -152,3 +152,27 @@ def test_larger_z2k_certificates():
         assert not cert.trivial
         assert cert.max_deviation == deviation
         _check_witness(spec, cert)
+
+
+def _z2k_closed_form(k, order, m):
+    """The Baseline fit of the largest deviation on the full Z_2^k action:
+    (2^((n - m) k) - 1) / 2^(n k), and for order 4 with 3-independence the
+    sum joining's 2^(-3k) - 2^(-4k) (the two agree there)."""
+    if (order, m) == (4, 3):
+        return Fraction(1, 2 ** (3 * k)) - Fraction(1, 2 ** (4 * k))
+    return Fraction(2 ** ((order - m) * k) - 1, 2 ** (order * k))
+
+
+def test_z2k_certificates_fit_the_closed_forms():
+    for (k, order, m), deviation in (
+        ((3, 3, 2), Fraction(7, 512)),
+        ((4, 3, 2), Fraction(15, 4096)),
+        ((2, 4, 2), Fraction(15, 256)),
+        ((2, 4, 3), Fraction(3, 256)),
+    ):
+        assert _z2k_closed_form(k, order, m) == deviation
+        spec = PolytopeSpec(full_action(Z2kContext(k)), order, m)
+        cert = certify_triviality(spec)
+        assert not cert.trivial
+        assert cert.max_deviation == deviation
+        _check_witness(spec, cert)
