@@ -85,7 +85,7 @@ def _name_list(text: str, flag: str) -> list[str]:
     return names
 
 
-def _require(args, flag_values: dict, context: str):
+def _require(flag_values: dict, context: str):
     missing = [flag for flag, value in flag_values.items() if value is None]
     if missing:
         raise InvalidInputError(f"{context} requires {', '.join(missing)}")
@@ -144,19 +144,10 @@ def _cmd_polytope(args):
         pairs = cfg.lookup("objectives", args.objective)
         dense = [Fraction(0)] * spec.size
         for tup, coeff in pairs:
-            if len(tup) != spec.order:
-                raise InvalidInputError(
-                    f"objective '{args.objective}': index {tup} has "
-                    f"{len(tup)} coordinates, expected {spec.order}"
-                )
-            n = spec.action.space.atom_count
-            for t in tup:
-                if t >= n:
-                    raise InvalidInputError(
-                        f"objective '{args.objective}': index {tup} out of "
-                        f"range for {n} atoms"
-                    )
-            dense[tuple_to_index(spec.shape, tup)] = coeff
+            try:
+                dense[tuple_to_index(spec.shape, tup)] = coeff
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"objective '{args.objective}': {exc}") from exc
         sense = "min" if args.minimize else "max"
         outcome = optimize(spec, dense, sense=sense)
         payload.update(
@@ -178,7 +169,6 @@ def _cmd_cocycle(args):
     payload = {"command": "cocycle", "cocycle": args.cocycle, "stat": args.stat}
     if args.stat == "rigidity":
         _require(
-            args,
             {"--set": args.set, "--sequence": args.sequence, "--n-param": args.n_param},
             "stat 'rigidity'",
         )
@@ -192,16 +182,13 @@ def _cmd_cocycle(args):
              "values": values}
         )
     elif args.stat == "fraction":
-        _require(
-            args, {"--sequence": args.sequence, "--eps": args.eps}, "stat 'fraction'"
-        )
+        _require({"--sequence": args.sequence, "--eps": args.eps}, "stat 'fraction'")
         eps = parse_rational(args.eps)
         seq = cfg.lookup("sequences", args.sequence)
         values = [[p, relative_mixing_fraction(r, p, eps)] for p in seq.times]
         payload.update({"sequence": args.sequence, "eps": eps, "values": values})
     else:
         _require(
-            args,
             {
                 "--fiber-set-a": args.fiber_set_a,
                 "--fiber-set-b": args.fiber_set_b,
@@ -281,10 +268,10 @@ def _cmd_sample(args):
         "skew": skew_to_data(r),
     }
     if args.analyze:
-        big = as_automorphism(r)
+        count = orbit_count(as_automorphism(r))
         payload["analysis"] = {
-            "orbit_count": orbit_count(big),
-            "ergodic": is_ergodic(big),
+            "orbit_count": count,
+            "ergodic": count == 1,
             "fiber_square_ergodic": is_ergodic(relative_product(r)),
         }
     return payload, True, blob

@@ -33,23 +33,18 @@ from .spaces import (
     ActionGenerators,
     Automorphism,
     FiniteSpace,
-    check_form_bits,
+    _fractions,
     embedding_map,
     index_to_tuple,
     integer_form,
     iter_tuples,
     moved_index_map,
+    product_form,
     product_space,
     projection_map,
     space_size,
     tuple_to_index,
 )
-
-
-def _fractions(numerators: Sequence[int], den: int) -> tuple[Fraction, ...]:
-    """numerators / den as Fractions, one object per distinct value."""
-    memo = {n: Fraction(n, den) for n in set(numerators)}
-    return tuple(map(memo.__getitem__, numerators))
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,8 +132,7 @@ class JoiningTensor(ProductMeasure):
         for coord, sp in enumerate(self.factors):
             sums = _axis_sums(self.numerators, shape, (coord,))
             if any(
-                s * w.denominator != w.numerator * den
-                for s, w in zip(sums, sp.weights)
+                s * sp.denominator != w * den for s, w in zip(sums, sp.numerators)
             ):
                 got = tuple(Fraction(s, den) for s in sums)
                 raise InvalidInputError(
@@ -185,13 +179,7 @@ def product_joining(factors: Sequence[FiniteSpace]) -> JoiningTensor:
     factors = tuple(factors)
     if not factors:
         raise InvalidInputError("a joining needs at least one factor")
-    size = space_size(sp.atom_count for sp in factors)
-    nums, den = [1], 1
-    for sp in factors:
-        weight_nums, weight_den = integer_form(sp.weights)
-        den *= weight_den
-        check_form_bits(size, den)
-        nums = [x * y for x in nums for y in weight_nums]
+    nums, den = product_form(factors)
     return JoiningTensor(factors, _fractions(nums, den))
 
 

@@ -75,7 +75,7 @@ def correlation(t: Automorphism, sets: Sequence[MeasurableSet], k) -> Fraction:
         running &= {power.perm[x] for x in a.atoms}
         if not running:
             return Fraction(0)
-    return sum((t.space.weights[x] for x in running), Fraction(0))
+    return t.space.mass(running)
 
 
 @dataclass(frozen=True)
@@ -215,10 +215,7 @@ def relative_mixing_deviation(
     nf = r.fiber.atom_count
     total = Fraction(0)
     for x in r.base.atoms():
-        proj = sum(
-            (r.fiber.weights[y] for y in range(nf) if x * nf + y in running),
-            Fraction(0),
-        )
+        proj = r.fiber.mass(y for y in range(nf) if x * nf + y in running)
         total += r.base.weights[x] * (proj - target) ** 2
     return total
 
@@ -251,5 +248,4 @@ def mixed_set_correlation(
         power = compose(big.power(gap), power)
         cell = _lift_vertical(r, a) & _lift_horizontal(r, b)
         running &= {power.perm[z] for z in cell}
-    product_weights = big.space.weights
-    return sum((product_weights[z] for z in running), Fraction(0))
+    return big.space.mass(running)

@@ -174,13 +174,14 @@ def weak_closure_probe(
             raise InvalidInputError(f"eps must lie strictly between 0 and 1, got {e}")
     ident = identity_operator(s.space)
     avg = averaging_operator(s.space)
+    targets = [(eps, affine_combination(eps, ident, avg)) for eps in grid]
     best: ClosureProbe | None = None
     power = Automorphism.identity(s.space)
     for k in range(1, k_max + 1):
         power = compose(s, power)
         op_k = koopman(power)
-        for eps in grid:
-            d = dist_w(op_k, affine_combination(eps, ident, avg))
+        for eps, target in targets:
+            d = dist_w(op_k, target)
             if best is None or d < best.best_distance:
                 best = ClosureProbe(k, eps, d)
     assert best is not None

@@ -67,8 +67,8 @@ def _parse_weights(raw, path: str) -> FiniteSpace:
             raise InvalidInputError(f"{path}[{i}]: {exc}") from exc
     try:
         return FiniteSpace(tuple(weights))
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from exc
+    except (InvalidInputError, ResourceLimitError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def joining_to_data(v: ProductMeasure) -> dict:

@@ -21,7 +21,6 @@ from .spaces import (
     MeasurableSet,
     compose,
     halmos_distance,
-    integer_form,
     orbit_count,
     product_space,
     space_size,
@@ -134,9 +133,8 @@ def power_skew(s: Automorphism, t: Automorphism, n_fun: Sequence[int]) -> SkewPr
     for n in n_fun:
         if not isinstance(n, int):
             raise InvalidInputError(f"exponents must be ints, got {n!r}")
-    mean = sum(
-        (w * n for w, n in zip(s.space.weights, n_fun)), Fraction(0)
-    )
+    total = sum(w * n for w, n in zip(s.space.numerators, n_fun))
+    mean = Fraction(total, s.space.denominator)
     if mean != 0:
         raise PreconditionError(f"exponent has nonzero mean {mean}")
     cocycle = tuple(t.power(n) for n in n_fun)
@@ -156,13 +154,12 @@ def rigidity_statistic(
     ident = Automorphism.identity(r.fiber)
     s_pow = r.base_map.power(p)
     threshold = Fraction(1, n_param)
-    mass = Fraction(0)
-    for x in a.atoms:
-        if s_pow.perm[x] not in a.atoms:
-            continue
-        if halmos_distance(cocycle_product(r, x, p), ident) < threshold:
-            mass += r.base.weights[x]
-    return mass
+    return r.base.mass(
+        x
+        for x in a.atoms
+        if s_pow.perm[x] in a.atoms
+        and halmos_distance(cocycle_product(r, x, p), ident) < threshold
+    )
 
 
 def relative_mixing_fraction(r: SkewProduct, p: int, eps: Fraction) -> Fraction:
@@ -184,7 +181,7 @@ def relative_mixing_fraction(r: SkewProduct, p: int, eps: Fraction) -> Fraction:
     nf = r.fiber.atom_count
     space_size((nf, nf))
     if nf == 1 or eps > 1 - min(r.fiber.weights):
-        return sum(r.base.weights, Fraction(0))
+        return Fraction(1)
     return Fraction(0)
 
 
@@ -200,24 +197,23 @@ def relative_weak_mixing_average(
     of the extension over its base.
 
     The walk from x tracks only S^p x and the image set C(x, p) A, summing
-    measures as integers over the fiber's common denominator.  That pair
-    evolves by a bijection, so it returns to (x, A) after some period P and
-    the summands repeat; the walk adds the whole periods left at once, so
-    it costs fewer than min(N + 1, 2P) steps per base atom, with P at most
-    L ord C(x, L) for a base orbit of length L."""
+    measures as integers over the fiber's and base's common denominators.
+    That pair evolves by a bijection, so it returns to (x, A) after some
+    period P and the summands repeat; the walk adds the whole periods left
+    at once, so it costs fewer than min(N + 1, 2P) steps per base atom,
+    with P at most L ord C(x, L) for a base orbit of length L."""
     if a.space != r.fiber or b.space != r.fiber:
         raise InvalidInputError("sets must live on the fiber")
     if not isinstance(n_horizon, int) or n_horizon < 1:
         raise InvalidInputError(f"horizon must be a positive int, got {n_horizon!r}")
-    num, den = integer_form(r.fiber.weights)
+    num, den = r.fiber.numerators, r.fiber.denominator
     in_b = [False] * r.fiber.atom_count
     for y in b.atoms:
         in_b[y] = True
     # (mu(C A ^ B) - mu(A) mu(B))^2 = (hits * den - target)^2 / den^4
     target = sum(num[y] for y in a.atoms) * sum(num[y] for y in b.atoms)
-    scale = den**4 * n_horizon
-    total = Fraction(0)
-    for x in r.base.atoms():
+    total = 0
+    for x, weight in enumerate(r.base.numerators):
         images = sorted(a.atoms)
         cur = x
         inner = step = 0
@@ -232,8 +228,8 @@ def relative_weak_mixing_average(
                 periods = (n_horizon - step) // step
                 inner += periods * inner
                 step += periods * step
-        total += r.base.weights[x] * Fraction(inner, scale)
-    return total
+        total += weight * inner
+    return Fraction(total, r.base.denominator * den**4 * n_horizon)
 
 
 def relative_product(r: SkewProduct) -> Automorphism:

@@ -4,7 +4,8 @@ their finite products.
 A space is a finite set of atoms {0, ..., n-1} carrying strictly positive
 rational weights summing to one.  Automorphisms are weight-preserving
 permutations; the Halmos metric makes the automorphism group a finite
-metric space suitable for exact rigidity statistics.
+metric space suitable for exact rigidity statistics.  Weight sums and
+products run on each space's integer form, computed once at construction.
 
 Products are laid out here and only here: atom tuples are ranked
 lexicographically, last coordinate fastest; ``iter_tuples`` enumerates
@@ -17,7 +18,7 @@ before it is allocated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -79,24 +80,39 @@ def integer_form(entries: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     return tuple(x.numerator * scale[x.denominator] for x in entries), den
 
 
+def _fractions(numerators: Sequence[int], den: int) -> tuple[Fraction, ...]:
+    """numerators / den as Fractions, one object per distinct value."""
+    memo = {n: Fraction(n, den) for n in set(numerators)}
+    return tuple(map(memo.__getitem__, numerators))
+
+
 @dataclass(frozen=True)
 class FiniteSpace:
-    """Finite probability space: atom i has weight ``weights[i]`` > 0."""
+    """Finite probability space: atom i has weight ``weights[i]`` > 0.
+    ``numerators`` and ``denominator`` are the integer form of ``weights``,
+    derived at construction."""
 
     weights: tuple[Fraction, ...]
+    numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ws = tuple(as_fraction(w) for w in self.weights)
         object.__setattr__(self, "weights", ws)
         if not ws:
             raise InvalidInputError("a space needs at least one atom")
-        for i, w in enumerate(ws):
-            if w <= 0:
+        nums, den = integer_form(ws)
+        object.__setattr__(self, "numerators", nums)
+        object.__setattr__(self, "denominator", den)
+        for i, x in enumerate(nums):
+            if x <= 0:
                 raise InvalidInputError(
-                    f"weight of atom {i} must be positive, got {show(w)}"
+                    f"weight of atom {i} must be positive, got {show(ws[i])}"
                 )
-        if sum(ws) != 1:
-            raise InvalidInputError(f"weights must sum to 1, got {show(sum(ws))}")
+        if sum(nums) != den:
+            raise InvalidInputError(
+                f"weights must sum to 1, got {show(Fraction(sum(nums), den))}"
+            )
 
     @property
     def atom_count(self) -> int:
@@ -111,6 +127,11 @@ class FiniteSpace:
 
     def atoms(self) -> range:
         return range(len(self.weights))
+
+    def mass(self, atoms: Iterable[int]) -> Fraction:
+        """Total weight of the given atoms."""
+        nums = self.numerators
+        return Fraction(sum(nums[a] for a in atoms), self.denominator)
 
 
 @dataclass(frozen=True)
@@ -128,7 +149,7 @@ class MeasurableSet:
 
     @property
     def measure(self) -> Fraction:
-        return sum((self.space.weights[a] for a in self.atoms), Fraction(0))
+        return self.space.mass(self.atoms)
 
     def complement(self) -> "MeasurableSet":
         return MeasurableSet(
@@ -267,12 +288,12 @@ def halmos_distance(p: Automorphism, r: Automorphism) -> Fraction:
     with A_i the singleton {i-1}.  Zero exactly when P == R; the singleton
     family separates points, so this is a genuine metric.
 
-    Computed in integers: with D the lcm of the weight denominators, each
+    Computed in integers: over the space's common denominator D, each
     bracket is an integer t_i over D, and rho is sum_i 2^(n-i) t_i over
     2^n D, reduced once by the one ``Fraction`` built at the end."""
     if p.space != r.space:
         raise InvalidInputError("automorphisms live on different spaces")
-    num, den = integer_form(p.space.weights)
+    num, den = p.space.numerators, p.space.denominator
     total = 0
     for pa, ra, pia, ria in zip(p.perm, r.perm, p.inverse().perm, r.inverse().perm):
         term = 0
@@ -314,15 +335,24 @@ def orbit_labels(size: int, maps: Iterable[Sequence[int]]) -> list[int]:
 # product structure
 # ---------------------------------------------------------------------------
 
-def product_space(spaces: Sequence[FiniteSpace]) -> FiniteSpace:
-    """Product space; atoms are tuples in lexicographic order, weights multiply."""
+def product_form(spaces: Sequence[FiniteSpace]) -> tuple[list[int], int]:
+    """Integer form of the product weights, atoms in lexicographic order: the
+    factors' numerators multiply, and their denominators multiply to the lcm.
+    The size, then every partial denominator, is checked before multiplying."""
     if not spaces:
         raise InvalidInputError("product of zero spaces is undefined here")
-    space_size(shape_of(spaces))
-    weights = [Fraction(1)]
+    size = space_size(shape_of(spaces))
+    nums, den = [1], 1
     for sp in spaces:
-        weights = [w * v for w in weights for v in sp.weights]
-    return FiniteSpace(tuple(weights))
+        den *= sp.denominator
+        check_form_bits(size, den)
+        nums = [x * y for x in nums for y in sp.numerators]
+    return nums, den
+
+
+def product_space(spaces: Sequence[FiniteSpace]) -> FiniteSpace:
+    """Product space; atoms are tuples in lexicographic order, weights multiply."""
+    return FiniteSpace(_fractions(*product_form(spaces)))
 
 
 def shape_of(spaces: Sequence[FiniteSpace]) -> tuple[int, ...]:

@@ -516,6 +516,40 @@ def test_config_oversized_weight_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_config_weights_past_the_form_cap_exit_2(tmp_path):
+    # 512 weights with distinct 100-digit denominators would need an
+    # integer form of about 85 M bits
+    from joinlab.spaces import FORM_BITS_CAP
+
+    weights = [f"1/{10**99 + 2 * i + 1}" for i in range(512)]
+    cfg = tmp_path / "dense.json"
+    cfg.write_text(json.dumps({"spaces": {"s": {"weights": weights}}}))
+    proc = run_cli(
+        "polytope", "--config", str(cfg), "--action", "a", "--order", "2",
+        "--independence", "1", "--certify", expect=2,
+    )
+    assert "spaces.s.weights: 512 entries" in proc.stderr
+    assert f"cap of {FORM_BITS_CAP} bits" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "index, problem",
+    [([0, 0], "tuple (0, 0) does not match shape (2, 2, 2)"),
+     ([0, 2, 0], "coordinate 2 outside 0..1")],
+)
+def test_polytope_objective_index_errors_name_the_objective(tmp_path, index, problem):
+    data = json.loads((CONFIGS / "polytope_k1.json").read_text())
+    data["objectives"]["bad"] = {"entries": [[index, "1/1"]]}
+    cfg = tmp_path / "objective.json"
+    cfg.write_text(json.dumps(data))
+    proc = run_cli(
+        "polytope", "--config", str(cfg), "--action", "flip", "--order", "3",
+        "--independence", "2", "--objective", "bad", expect=2,
+    )
+    assert f"objective 'bad': {problem}" in proc.stderr
+
+
 def test_joining_verify_denominator_budget_exits_2_fast(tmp_path):
     # 512 entries with distinct 100-digit denominators (a file of about
     # 100 kB) would need an integer form of about 87 M bits

@@ -1,9 +1,11 @@
-"""Byte-for-byte pins of the dynamics reports on the demo configs.
+"""Byte-for-byte pins of the reports on the demo configs.
 
 Every ``cocycle``, ``mixing`` and ``sample --analyze`` invocation of the
 README's examples, plus the other statistics on the same configs, has its
-full report (digest included) stored under ``tests/golden/``.  A faster
-path that changes any byte of any of them fails here.
+full report (digest included) stored under ``tests/golden/``, as have the
+small ``polytope`` certificates and objectives and ``eta --k 2 --verify``,
+whose witnesses and defects are built on product weights.  A faster path
+that changes any byte of any of them fails here.
 
 To re-record after an intended report change, run from the repository root
 
@@ -23,6 +25,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 SKEW = ("--config", "configs/skew_demo.json")
 MIXING = ("--config", "configs/mixing_demo.json")
+K1 = ("--config", "configs/polytope_k1.json")
+K2 = ("--config", "configs/polytope_k2.json")
 
 INVOCATIONS = {
     "cocycle_rigidity_alternating": (
@@ -64,6 +68,22 @@ INVOCATIONS = {
     "sample_coboundary_analyze": (
         "sample", *SKEW, "--base", "rot4", "--fiber", "pair", "--seed", "7",
         "--mode", "random-coboundary", "--analyze"),
+    "polytope_certify_k1_flip": (
+        "polytope", *K1, "--action", "flip", "--order", "3",
+        "--independence", "2", "--certify"),
+    "polytope_certify_k1_trivial": (
+        "polytope", *K1, "--action", "trivial", "--order", "4",
+        "--independence", "2", "--certify"),
+    "polytope_certify_k2_full": (
+        "polytope", *K2, "--action", "full", "--order", "3",
+        "--independence", "2", "--certify"),
+    "polytope_objective_k2_corner_max": (
+        "polytope", *K2, "--action", "full", "--order", "3",
+        "--independence", "2", "--objective", "corner"),
+    "polytope_objective_k2_corner_min": (
+        "polytope", *K2, "--action", "full", "--order", "3",
+        "--independence", "2", "--objective", "corner", "--minimize"),
+    "eta_k2_verify": ("eta", "--k", "2", "--verify"),
 }
 
 
