@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 a verification failed, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from fractions import Fraction
@@ -22,13 +23,13 @@ from .errors import (
     JoinlabError,
     JoinlabInternalError,
     ResourceLimitError,
+    naming,
 )
 from .joinings import (
-    _axis_sums,
     _invariance_defect,
     diagonal_invariance_defect,
     face_independence_defect,
-    marginal,
+    marginal_defect,
     product_joining,
     sup_distance,
 )
@@ -65,23 +66,23 @@ def _load_config(path: str):
     return parse_config(parse_json(blob, path), origin=path), blob
 
 
-def _int_list(text: str, flag: str) -> tuple[int, ...]:
+def _int_list(text: str) -> tuple[int, ...]:
     parts = [p for p in text.split(",") if p != ""]
     if not parts:
-        raise InvalidInputError(f"{flag}: expected a comma-separated list")
+        raise InvalidInputError("expected a comma-separated list")
     out = []
     for p in parts:
         try:
             out.append(int(p))
         except ValueError:
-            raise InvalidInputError(f"{flag}: {p!r} is not an int") from None
+            raise InvalidInputError(f"{p!r} is not an int") from None
     return tuple(out)
 
 
-def _name_list(text: str, flag: str) -> list[str]:
+def _name_list(text: str) -> list[str]:
     names = [p for p in text.split(",") if p != ""]
     if not names:
-        raise InvalidInputError(f"{flag}: expected a comma-separated list of names")
+        raise InvalidInputError("expected a comma-separated list of names")
     return names
 
 
@@ -92,15 +93,12 @@ def _require(flag_values: dict, context: str):
 
 
 def _cmd_eta(args):
-    ctx = Z2kContext(args.k)
+    with naming("--k"):
+        ctx = Z2kContext(args.k)
     v = triple_sum_joining(ctx)
     action = full_action(ctx)
     mass = Fraction(sum(v.numerators), v.denominator)
-    edge = Fraction(0)
-    for i, sp in enumerate(v.factors):
-        edge_marg = marginal(v, (i,))
-        for a in sp.atoms():
-            edge = max(edge, abs(edge_marg.entries[a] - sp.weights[a]))
+    edge = marginal_defect(v.factors, v.numerators, v.denominator)
     three = face_independence_defect(v, 3)
     invariance = diagonal_invariance_defect(v, action)
     sup_product = sup_distance(v, product_joining(v.factors))
@@ -143,11 +141,9 @@ def _cmd_polytope(args):
     else:
         pairs = cfg.lookup("objectives", args.objective)
         dense = [Fraction(0)] * spec.size
-        for tup, coeff in pairs:
-            try:
+        with naming(f"objective '{args.objective}'"):
+            for tup, coeff in pairs:
                 dense[tuple_to_index(spec.shape, tup)] = coeff
-            except InvalidInputError as exc:
-                raise InvalidInputError(f"objective '{args.objective}': {exc}") from exc
         sense = "min" if args.minimize else "max"
         outcome = optimize(spec, dense, sense=sense)
         payload.update(
@@ -183,7 +179,10 @@ def _cmd_cocycle(args):
         )
     elif args.stat == "fraction":
         _require({"--sequence": args.sequence, "--eps": args.eps}, "stat 'fraction'")
-        eps = parse_rational(args.eps)
+        with naming("--eps"):
+            eps = parse_rational(args.eps)
+            if eps <= 0:
+                raise InvalidInputError(f"eps must be positive, got {eps}")
         seq = cfg.lookup("sequences", args.sequence)
         values = [[p, relative_mixing_fraction(r, p, eps)] for p in seq.times]
         payload.update({"sequence": args.sequence, "eps": eps, "values": values})
@@ -213,21 +212,24 @@ def _cmd_cocycle(args):
 def _cmd_mixing(args):
     cfg, blob = _load_config(args.config)
     t = cfg.lookup("automorphisms", args.automorphism)
-    set_names = _name_list(args.sets, "--sets")
-    if len(set_names) < 2:
-        raise InvalidInputError("--sets: need at least two set names")
+    with naming("--sets"):
+        set_names = _name_list(args.sets)
+        if len(set_names) < 2:
+            raise InvalidInputError("need at least two set names")
     sets = [cfg.lookup("sets", name) for name in set_names]
+    # checked before the sweep, whose errors are named after --sweep
+    if any(a.space != t.space for a in sets):
+        raise InvalidInputError("all sets must live on the automorphism's space")
     payload = {
         "command": "mixing",
         "automorphism": args.automorphism,
         "sets": set_names,
     }
     if args.offsets is not None:
-        k = OffsetVector(_int_list(args.offsets, "--offsets"))
+        with naming("--offsets"):
+            k = OffsetVector(_int_list(args.offsets))
         value = correlation(t, sets, k)
-        product_value = Fraction(1)
-        for a in sets:
-            product_value *= a.measure
+        product_value = math.prod((a.measure for a in sets), start=Fraction(1))
         payload.update(
             {
                 "mode": "correlation",
@@ -238,10 +240,11 @@ def _cmd_mixing(args):
             }
         )
     else:
-        try:
-            detail = mixing_deviation_sweep_detail(t, sets, args.sweep)
-        except ResourceLimitError as exc:
-            raise ResourceLimitError(f"--sweep: offset grid {exc}") from exc
+        with naming("--sweep"):
+            try:
+                detail = mixing_deviation_sweep_detail(t, sets, args.sweep)
+            except ResourceLimitError as exc:
+                raise ResourceLimitError(f"offset grid {exc}") from exc
         payload.update(
             {
                 "mode": "sweep",
@@ -296,24 +299,19 @@ def _cmd_joining_verify(args):
     elif args.config is not None:
         digest_bytes = file_blob + read_bytes(args.config)
 
-    shape = shape_of(raw.factors)
     nums, den = raw.numerators, raw.denominator
     mass = Fraction(sum(nums), den)
     min_entry = Fraction(min(nums), den)
-    marginal_defect = Fraction(0)
-    for coord, sp in enumerate(raw.factors):
-        sums = _axis_sums(nums, shape, (coord,))
-        for s, w in zip(sums, sp.weights):
-            marginal_defect = max(marginal_defect, abs(Fraction(s, den) - w))
+    marginals = marginal_defect(raw.factors, nums, den)
     invariance_defect = None
     if action is not None:
         invariance_defect = Fraction(
-            _invariance_defect(nums, shape, action.generators), den
+            _invariance_defect(nums, shape_of(raw.factors), action.generators), den
         )
     passed = (
         mass == 1
         and min_entry >= 0
-        and marginal_defect == 0
+        and marginals == 0
         and (invariance_defect is None or invariance_defect == 0)
     )
     payload = {
@@ -322,7 +320,7 @@ def _cmd_joining_verify(args):
         "mass": mass,
         "mass_defect": abs(mass - 1),
         "min_entry": min_entry,
-        "marginal_defect": marginal_defect,
+        "marginal_defect": marginals,
         "invariance_defect": invariance_defect,
         "pass": passed,
     }

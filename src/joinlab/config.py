@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, naming
 from .serialize import _check_keys, _parse_weights, load_json_file
 from .skew import RigiditySequence, SkewProduct
 from .spaces import (
@@ -59,13 +59,14 @@ class Config:
     objectives: dict = field(default_factory=dict)
 
     def lookup(self, section: str, name: str):
-        table = getattr(self, section)
-        if name not in table:
-            known = ", ".join(sorted(table)) or "none defined"
-            raise InvalidInputError(
-                f"unknown {section[:-1]} '{name}' (config has: {known})"
-            )
-        return table[name]
+        return _find(getattr(self, section), section[:-1], name)
+
+
+def _find(table: dict, kind: str, name):
+    if not isinstance(name, str) or name not in table:
+        known = ", ".join(sorted(table)) or "none defined"
+        raise InvalidInputError(f"unknown {kind} {name!r} (config has: {known})")
+    return table[name]
 
 
 def _section(data: dict, key: str) -> dict:
@@ -80,22 +81,15 @@ def _section(data: dict, key: str) -> dict:
     return raw
 
 
-def _parse_perm(raw, path: str) -> tuple[int, ...]:
-    if (
-        not isinstance(raw, list)
-        or not raw
-        or any(not isinstance(p, int) or isinstance(p, bool) for p in raw)
-    ):
-        raise InvalidInputError(f"{path}: expected a nonempty list of ints")
-    return tuple(raw)
-
-
-def _build_automorphism(space: FiniteSpace, raw_perm, path: str) -> Automorphism:
-    perm = _parse_perm(raw_perm, path)
-    try:
-        return Automorphism(space, perm)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from exc
+def _build_automorphism(space: FiniteSpace, raw, path: str) -> Automorphism:
+    with naming(path):
+        if (
+            not isinstance(raw, list)
+            or not raw
+            or any(not isinstance(p, int) or isinstance(p, bool) for p in raw)
+        ):
+            raise InvalidInputError("expected a nonempty list of ints")
+        return Automorphism(space, tuple(raw))
 
 
 def parse_config(data, origin: str = "config") -> Config:
@@ -112,25 +106,17 @@ def parse_config(data, origin: str = "config") -> Config:
         if ("uniform" in raw) == ("weights" in raw):
             raise InvalidInputError(f"{path}: give exactly one of uniform, weights")
         if "uniform" in raw:
-            n = raw["uniform"]
-            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-                raise InvalidInputError(
-                    f"{path}.uniform: expected a positive int, got {n!r}"
-                )
-            try:
+            with naming(f"{path}.uniform"):
+                n = raw["uniform"]
+                if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+                    raise InvalidInputError(f"expected a positive int, got {n!r}")
                 spaces[name] = FiniteSpace.uniform(n)
-            except ResourceLimitError as exc:
-                raise ResourceLimitError(f"{path}.uniform: {exc}") from exc
         else:
             spaces[name] = _parse_weights(raw["weights"], f"{path}.weights")
 
     def space_ref(raw, path: str) -> FiniteSpace:
-        if not isinstance(raw, str) or raw not in spaces:
-            known = ", ".join(sorted(spaces)) or "none defined"
-            raise InvalidInputError(
-                f"{path}: unknown space {raw!r} (config has: {known})"
-            )
-        return spaces[raw]
+        with naming(path):
+            return _find(spaces, "space", raw)
 
     automorphisms: dict[str, Automorphism] = {}
     for name, raw in _section(data, "automorphisms").items():
@@ -156,14 +142,8 @@ def parse_config(data, origin: str = "config") -> Config:
     for name, raw in _section(data, "cocycles").items():
         path = f"cocycles.{name}"
         _check_keys(raw, path, ("base_map", "fiber", "maps"))
-        base_name = raw["base_map"]
-        if not isinstance(base_name, str) or base_name not in automorphisms:
-            known = ", ".join(sorted(automorphisms)) or "none defined"
-            raise InvalidInputError(
-                f"{path}.base_map: unknown automorphism {base_name!r} "
-                f"(config has: {known})"
-            )
-        base_map = automorphisms[base_name]
+        with naming(f"{path}.base_map"):
+            base_map = _find(automorphisms, "automorphism", raw["base_map"])
         fiber = space_ref(raw["fiber"], f"{path}.fiber")
         if not isinstance(raw["maps"], list):
             raise InvalidInputError(f"{path}.maps: expected a list")
@@ -184,24 +164,19 @@ def parse_config(data, origin: str = "config") -> Config:
         _check_keys(raw, path, ("space", "atoms"))
         space = space_ref(raw["space"], f"{path}.space")
         atoms = raw["atoms"]
-        if not isinstance(atoms, list) or any(
-            not isinstance(a, int) or isinstance(a, bool) for a in atoms
-        ):
-            raise InvalidInputError(f"{path}.atoms: expected a list of ints")
-        try:
+        with naming(f"{path}.atoms"):
+            if not isinstance(atoms, list) or any(
+                not isinstance(a, int) or isinstance(a, bool) for a in atoms
+            ):
+                raise InvalidInputError("expected a list of ints")
             sets[name] = MeasurableSet(space, frozenset(atoms))
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"{path}.atoms: {exc}") from exc
 
     sequences: dict[str, RigiditySequence] = {}
     for name, raw in _section(data, "sequences").items():
-        path = f"sequences.{name}"
-        if not isinstance(raw, list):
-            raise InvalidInputError(f"{path}: expected a list of ints")
-        try:
+        with naming(f"sequences.{name}"):
+            if not isinstance(raw, list):
+                raise InvalidInputError("expected a list of ints")
             sequences[name] = RigiditySequence(tuple(raw))
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"{path}: {exc}") from exc
 
     objectives: dict[str, tuple] = {}
     for name, raw in _section(data, "objectives").items():
@@ -212,25 +187,20 @@ def parse_config(data, origin: str = "config") -> Config:
         pairs = []
         seen = set()
         for i, pair in enumerate(raw["entries"]):
-            where = f"{path}.entries[{i}]"
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise InvalidInputError(f"{where}: expected [index tuple, rational]")
-            tup, value = pair
-            if not isinstance(tup, list) or any(
-                not isinstance(t, int) or isinstance(t, bool) or t < 0 for t in tup
-            ):
-                raise InvalidInputError(
-                    f"{where}: index must be a list of nonnegative ints"
-                )
-            key = tuple(tup)
-            if key in seen:
-                raise InvalidInputError(f"{where}: duplicate index {key}")
-            seen.add(key)
-            try:
-                coeff = parse_rational(value)
-            except InvalidInputError as exc:
-                raise InvalidInputError(f"{where}: {exc}") from exc
-            pairs.append((key, coeff))
+            with naming(f"{path}.entries[{i}]"):
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise InvalidInputError("expected [index tuple, rational]")
+                tup, value = pair
+                if not isinstance(tup, list) or any(
+                    not isinstance(t, int) or isinstance(t, bool) or t < 0
+                    for t in tup
+                ):
+                    raise InvalidInputError("index must be a list of nonnegative ints")
+                key = tuple(tup)
+                if key in seen:
+                    raise InvalidInputError(f"duplicate index {key}")
+                seen.add(key)
+                pairs.append((key, parse_rational(value)))
         objectives[name] = tuple(pairs)
 
     return Config(

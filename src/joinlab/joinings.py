@@ -42,6 +42,7 @@ from .spaces import (
     product_form,
     product_space,
     projection_map,
+    shape_of,
     space_size,
     tuple_to_index,
 )
@@ -164,6 +165,22 @@ def _axis_sums(numerators, shape, coords) -> list[int]:
     return out
 
 
+def marginal_defect(factors: Sequence[FiniteSpace], numerators, denominator: int) -> Fraction:
+    """Largest |marginal - weight| over every coordinate and atom of the
+    entries ``numerators`` / ``denominator`` on the product of ``factors``;
+    the entries need not form a measure."""
+    shape = shape_of(factors)
+    best = Fraction(0)
+    for coord, sp in enumerate(factors):
+        sums = _axis_sums(numerators, shape, (coord,))
+        worst = max(
+            abs(s * sp.denominator - w * denominator)
+            for s, w in zip(sums, sp.numerators)
+        )
+        best = max(best, Fraction(worst, denominator * sp.denominator))
+    return best
+
+
 def sup_distance(v: ProductMeasure, w: ProductMeasure) -> Fraction:
     """Largest absolute entrywise difference."""
     if v.factors != w.factors:
@@ -229,17 +246,13 @@ def face_independence_defect(v: ProductMeasure, m: int) -> Fraction:
     if not isinstance(m, int) or not 1 <= m < v.order:
         raise InvalidInputError(f"face order must satisfy 1 <= m < {v.order}, got {m!r}")
     best = Fraction(0)
-    for coords in _subsets(v.order, m):
+    for coords in combinations(range(v.order), m):
         face = marginal(v, coords)
         target = product_joining([v.factors[c] for c in coords])
         d = sup_distance(face, target)
         if d > best:
             best = d
     return best
-
-
-def _subsets(n: int, m: int):
-    return combinations(range(n), m)
 
 
 def has_standard_projections(v: ProductMeasure, distinguished: int) -> bool:

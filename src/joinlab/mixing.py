@@ -8,6 +8,7 @@ exactly.  The relative variants run along a skew product's fibers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -20,7 +21,6 @@ from .spaces import (
     SIZE_CAP,  # also read as mixing.SIZE_CAP
     Automorphism,
     MeasurableSet,
-    compose,
     iter_tuples,
     space_size,
 )
@@ -57,6 +57,18 @@ def _as_offsets(k) -> OffsetVector:
     return k if isinstance(k, OffsetVector) else OffsetVector(tuple(k))
 
 
+def _meet(t: Automorphism, atom_sets: Sequence, k: OffsetVector) -> set[int]:
+    """A_0 ^ t^{K_1} A_1 ^ ... ^ t^{K_n} A_n for atom sets A_i, with
+    K_i = k_1 + ... + k_i; the walk stops once the meet is empty."""
+    running = set(atom_sets[0])
+    for big_k, atoms in zip(k.partial_sums(), atom_sets[1:]):
+        if not running:
+            break
+        perm = t.power(big_k).perm
+        running &= {perm[x] for x in atoms}
+    return running
+
+
 def correlation(t: Automorphism, sets: Sequence[MeasurableSet], k) -> Fraction:
     """mu(A_0 ^ S^{K_1} A_1 ^ ... ^ S^{K_n} A_n), K_i = k_1 + ... + k_i,
     where S^K A is the image of A under the K-th power."""
@@ -68,14 +80,7 @@ def correlation(t: Automorphism, sets: Sequence[MeasurableSet], k) -> Fraction:
     for a in sets:
         if a.space != t.space:
             raise InvalidInputError("all sets must live on the automorphism's space")
-    running = set(sets[0].atoms)
-    power = Automorphism.identity(t.space)
-    for gap, a in zip(k.offsets, sets[1:]):
-        power = compose(t.power(gap), power)
-        running &= {power.perm[x] for x in a.atoms}
-        if not running:
-            return Fraction(0)
-    return t.space.mass(running)
+    return t.space.mass(_meet(t, [a.atoms for a in sets], k))
 
 
 @dataclass(frozen=True)
@@ -110,9 +115,7 @@ def mixing_deviation_sweep_detail(
         raise InvalidInputError(f"k_range must be a positive int, got {k_range!r}")
     if len(sets) < 2:
         raise InvalidInputError("need at least two sets")
-    target = Fraction(1)
-    for a in sets:
-        target *= a.measure
+    target = math.prod((a.measure for a in sets), start=Fraction(1))
     n = len(sets) - 1
     shape = (min(k_range, t.order()),) * n
     points = space_size(shape)
@@ -146,12 +149,8 @@ def offset_joining(r: Automorphism, k) -> JoiningTensor:
     exactly."""
     k = _as_offsets(k)
     n = len(k)
-    inv_perms = []
-    power = Automorphism.identity(r.space)
     r_inv = r.inverse()
-    for gap in k.offsets:
-        power = compose(r_inv.power(gap), power)
-        inv_perms.append(power.perm)
+    inv_perms = [r_inv.power(big_k).perm for big_k in k.partial_sums()]
     values = {}
     for z0 in r.space.atoms():
         tup = (z0,) + tuple(p[z0] for p in inv_perms)
@@ -203,15 +202,9 @@ def relative_mixing_deviation(
     for b in horizontal_sets:
         if b.space != r.fiber:
             raise InvalidInputError("horizontal sets must live on the fiber")
-    big = as_automorphism(r)
-    running = _lift_horizontal(r, horizontal_sets[0])
-    power = Automorphism.identity(big.space)
-    for gap, b in zip(k.offsets, horizontal_sets[1:]):
-        power = compose(big.power(gap), power)
-        running &= {power.perm[z] for z in _lift_horizontal(r, b)}
-    target = Fraction(1)
-    for b in horizontal_sets:
-        target *= b.measure
+    lifts = [_lift_horizontal(r, b) for b in horizontal_sets]
+    running = _meet(as_automorphism(r), lifts, k)
+    target = math.prod((b.measure for b in horizontal_sets), start=Fraction(1))
     nf = r.fiber.atom_count
     total = Fraction(0)
     for x in r.base.atoms():
@@ -242,10 +235,8 @@ def mixed_set_correlation(
         if b.space != r.fiber:
             raise InvalidInputError("horizontal sets must live on the fiber")
     big = as_automorphism(r)
-    running = _lift_vertical(r, vertical_sets[0])
-    power = Automorphism.identity(big.space)
-    for gap, a, b in zip(k.offsets, vertical_sets[1:], horizontal_sets):
-        power = compose(big.power(gap), power)
-        cell = _lift_vertical(r, a) & _lift_horizontal(r, b)
-        running &= {power.perm[z] for z in cell}
-    return big.space.mass(running)
+    cells = [_lift_vertical(r, vertical_sets[0])] + [
+        _lift_vertical(r, a) & _lift_horizontal(r, b)
+        for a, b in zip(vertical_sets[1:], horizontal_sets)
+    ]
+    return big.space.mass(_meet(big, cells, k))

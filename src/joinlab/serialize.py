@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, naming
 from .joinings import JoiningTensor, ProductMeasure
 from .rationals import format_rational, parse_rational
 from .skew import SkewProduct
@@ -61,14 +61,10 @@ def _parse_weights(raw, path: str) -> FiniteSpace:
         raise InvalidInputError(f"{path}: expected a nonempty list of rationals")
     weights = []
     for i, item in enumerate(raw):
-        try:
+        with naming(f"{path}[{i}]"):
             weights.append(parse_rational(item))
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"{path}[{i}]: {exc}") from exc
-    try:
+    with naming(path):
         return FiniteSpace(tuple(weights))
-    except (InvalidInputError, ResourceLimitError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def joining_to_data(v: ProductMeasure) -> dict:
@@ -104,55 +100,43 @@ def data_to_raw(data, path: str = "tensor") -> RawTensor:
         _parse_weights(f, f"{path}.factors[{i}]") for i, f in enumerate(raw_factors)
     )
     shape = shape_of(factors)
-    try:
-        size = space_size(shape)
-    except ResourceLimitError as exc:
-        raise ResourceLimitError(f"{path}.factors: {exc}") from exc
-    entries = [Fraction(0)] * size
+    with naming(f"{path}.factors"):
+        entries = [Fraction(0)] * space_size(shape)
     raw_nonzero = data["nonzero"]
     if not isinstance(raw_nonzero, list):
         raise InvalidInputError(f"{path}.nonzero: expected a list")
     seen = set()
     for i, pair in enumerate(raw_nonzero):
-        where = f"{path}.nonzero[{i}]"
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise InvalidInputError(f"{where}: expected [index tuple, rational]")
-        tup, value = pair
-        if (
-            not isinstance(tup, list)
-            or len(tup) != len(shape)
-            or any(not isinstance(t, int) or isinstance(t, bool) for t in tup)
-        ):
-            raise InvalidInputError(
-                f"{where}: index must be a list of {len(shape)} ints"
-            )
-        for axis, (t, n) in enumerate(zip(tup, shape)):
-            if not 0 <= t < n:
-                raise InvalidInputError(
-                    f"{where}: coordinate {axis} is {t}, out of range 0..{n - 1}"
-                )
-        key = tuple(tup)
-        if key in seen:
-            raise InvalidInputError(f"{where}: duplicate index {key}")
-        seen.add(key)
-        try:
+        with naming(f"{path}.nonzero[{i}]"):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise InvalidInputError("expected [index tuple, rational]")
+            tup, value = pair
+            if (
+                not isinstance(tup, list)
+                or len(tup) != len(shape)
+                or any(not isinstance(t, int) or isinstance(t, bool) for t in tup)
+            ):
+                raise InvalidInputError(f"index must be a list of {len(shape)} ints")
+            for axis, (t, n) in enumerate(zip(tup, shape)):
+                if not 0 <= t < n:
+                    raise InvalidInputError(
+                        f"coordinate {axis} is {t}, out of range 0..{n - 1}"
+                    )
+            key = tuple(tup)
+            if key in seen:
+                raise InvalidInputError(f"duplicate index {key}")
+            seen.add(key)
             entries[tuple_to_index(shape, key)] = parse_rational(value)
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"{where}: {exc}") from exc
-    try:
+    with naming(f"{path}.nonzero"):
         nums, den = integer_form(entries)
-    except ResourceLimitError as exc:
-        raise ResourceLimitError(f"{path}.nonzero: {exc}") from exc
     return RawTensor(factors, tuple(entries), nums, den)
 
 
 def data_to_joining(data, path: str = "tensor") -> JoiningTensor:
     """Decode and validate as a joining (marginals equal the factors)."""
     raw = data_to_raw(data, path)
-    try:
+    with naming(path):
         return JoiningTensor(raw.factors, raw.entries)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from exc
 
 
 def skew_to_data(r: SkewProduct) -> dict:

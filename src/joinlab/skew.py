@@ -62,7 +62,7 @@ class RigiditySequence:
             raise InvalidInputError("rigidity sequence must be nonempty")
         prev = 0
         for p in self.times:
-            if not isinstance(p, int) or p <= prev:
+            if not isinstance(p, int) or isinstance(p, bool) or p <= prev:
                 raise InvalidInputError(
                     f"times must be strictly increasing positive ints, got {self.times}"
                 )

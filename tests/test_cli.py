@@ -56,6 +56,27 @@ def test_eta_bad_k_exits_2():
     assert "error:" in proc.stderr
 
 
+SKEW_FRACTION = ("cocycle", "--config", "configs/skew_demo.json", "--cocycle",
+                 "alternating", "--stat", "fraction", "--sequence", "times")
+MIXING_LOW_HIGH = ("mixing", "--config", "configs/mixing_demo.json",
+                   "--automorphism", "rot4", "--sets", "low,high")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("eta", "--k", "0"), "--k"),
+        ((*SKEW_FRACTION, "--eps", "1.5"), "--eps"),
+        ((*SKEW_FRACTION, "--eps", "0"), "--eps"),
+        ((*MIXING_LOW_HIGH, "--offsets", "0"), "--offsets"),
+        ((*MIXING_LOW_HIGH, "--sweep", "0"), "--sweep"),
+    ],
+)
+def test_bad_flag_values_name_the_flag(argv, flag):
+    proc = run_cli(*argv, expect=2)
+    assert proc.stderr.startswith(f"error: {flag}: ")
+
+
 def test_reports_are_byte_identical_across_runs():
     invocations = [
         ("eta", "--k", "1"),

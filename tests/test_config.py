@@ -110,6 +110,11 @@ def test_lookup_names_known_entries():
         (lambda d: d.update(sets={"s": {"space": "pair", "atoms": [True]}}), "sets.s.atoms"),
         (lambda d: d.update(sequences={"t": [3, 1]}), "sequences.t"),
         (lambda d: d.update(sequences={"t": "nope"}), "sequences.t"),
+        # JSON true would otherwise run as time 1 and echo as true in reports
+        (
+            lambda d: d.update(sequences={"t": [True, 2]}),
+            "sequences.t: times must be strictly increasing positive ints",
+        ),
         (
             lambda d: d.update(objectives={"o": {"entries": []}}),
             "objectives.o.entries",
@@ -160,3 +165,4 @@ def test_uniform_space_over_cap_rejected_before_building():
         parse_config({"spaces": {"huge": {"uniform": 10**12}}})
     cfg = parse_config({"spaces": {"edge": {"uniform": SIZE_CAP}}})
     assert cfg.spaces["edge"].atom_count == SIZE_CAP
+

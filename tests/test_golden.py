@@ -4,21 +4,38 @@ Every ``cocycle``, ``mixing`` and ``sample --analyze`` invocation of the
 README's examples, plus the other statistics on the same configs, has its
 full report (digest included) stored under ``tests/golden/``, as have the
 small ``polytope`` certificates and objectives and ``eta --k 2 --verify``,
-whose witnesses and defects are built on product weights.  A faster path
-that changes any byte of any of them fails here.
+whose witnesses and defects are built on product weights, and two
+``joining verify`` runs on the tensor files under ``tests/golden/tensors/``.
+A faster path that changes any byte of any of them fails here.
 
-To re-record after an intended report change, run from the repository root
+``tests/golden/errors.json`` pins the exit code and stderr (minus the
+wall-time line) of each invalid-input case in ``ERROR_CASES``: one or more
+per place that names the failing input, a config field, a tensor file
+field or a command line flag.  Each case runs in a fresh directory holding
+a copy of ``configs/`` and the case's own files, so a file path in a
+message is the bare name.
+
+To re-record after an intended report or message change, run from the
+repository root
 
     PYTHONPATH=src python tests/test_golden.py
 
 and review the diff of ``tests/golden/``.
 """
 
+import io
+import json
+import os
+import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+
+from joinlab.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -84,24 +101,187 @@ INVOCATIONS = {
         "polytope", *K2, "--action", "full", "--order", "3",
         "--independence", "2", "--objective", "corner", "--minimize"),
     "eta_k2_verify": ("eta", "--k", "2", "--verify"),
+    "joining_verify_eta_k1": (
+        "joining", "verify", "--file", "tests/golden/tensors/eta_k1.json",
+        *K1, "--action", "flip"),
+    "joining_verify_damaged": (
+        "joining", "verify", "--file", "tests/golden/tensors/damaged.json",
+        *K1, "--action", "flip"),
+}
+
+# reports of a verification that fails, printed with exit code 1
+FAILING = {"joining_verify_damaged"}
+
+
+def report_bytes(name) -> bytes:
+    proc = subprocess.run(
+        [sys.executable, "-m", "joinlab", *INVOCATIONS[name]],
+        capture_output=True, cwd=REPO,
+    )
+    assert proc.returncode == (1 if name in FAILING else 0), proc.stderr.decode()
+    return proc.stdout
+
+
+def _config(**sections) -> str:
+    return json.dumps(sections)
+
+
+def _cycle(n: int) -> str:
+    return _config(
+        spaces={"s": {"uniform": n}},
+        automorphisms={"t": {"space": "s", "perm": [(i + 1) % n for i in range(n)]}},
+        sets={"a": {"space": "s", "atoms": list(range(n // 2))}},
+    )
+
+
+PAIR = {"pair": {"uniform": 2}}
+SWAP = {"swap": {"space": "pair", "perm": [1, 0]}}
+TENSOR = {"factors": [["1/2", "1/2"]], "nonzero": [[[0], "1/2"], [[1], "1/2"]]}
+# 512 distinct 100-digit denominators: an integer form of about 85 M bits
+DENSE = [f"1/{10**99 + 2 * i + 1}" for i in range(512)]
+DENSE_TENSOR = {
+    "factors": [["1/2", "1/2"]] * 9,
+    "nonzero": [
+        [[(i >> (8 - b)) & 1 for b in range(9)], w] for i, w in enumerate(DENSE)
+    ],
+}
+
+CERTIFY = ("polytope", "--config", "c.json", "--action", "a", "--order", "2",
+           "--independence", "1", "--certify")
+VERIFY = ("joining", "verify", "--file", "t.json")
+SKEW_MIX = ("mixing", *SKEW, "--automorphism", "rot4")
+DEMO_MIX = ("mixing", *MIXING, "--automorphism", "rot4")
+FRACTION = ("cocycle", *SKEW, "--cocycle", "alternating", "--stat", "fraction",
+            "--sequence", "times")
+
+
+def _tensor(**fields) -> dict:
+    return {"t.json": json.dumps({**TENSOR, **fields})}
+
+
+def _spaces(**spaces) -> dict:
+    return {"c.json": _config(spaces=spaces)}
+
+
+ERROR_CASES = {
+    # config fields
+    "config_automorphism_perm": (CERTIFY, {"c.json": _config(
+        spaces=PAIR, automorphisms={"a": {"space": "pair", "perm": [0, 0]}})}),
+    "config_automorphism_weights": (CERTIFY, {"c.json": _config(
+        spaces={"s": {"weights": ["1/3", "2/3"]}},
+        automorphisms={"a": {"space": "s", "perm": [1, 0]}})}),
+    "config_action_perms": (CERTIFY, {"c.json": _config(
+        spaces=PAIR, actions={"a": {"space": "pair", "perms": [[0, 1], [2, 0]]}})}),
+    "config_cocycle_maps": (CERTIFY, {"c.json": _config(
+        spaces=PAIR, automorphisms=SWAP,
+        cocycles={"r": {"base_map": "swap", "fiber": "pair", "maps": [[1, 0], [1]]}})}),
+    "config_uniform_cap": (CERTIFY, _spaces(big={"uniform": 70000})),
+    "config_weight_item": (CERTIFY, _spaces(s={"weights": ["1/2", "0.5"]})),
+    "config_weight_literal_cap": (CERTIFY, _spaces(s={"weights": ["1" * 5000 + "/3"]})),
+    "config_weights_sum": (CERTIFY, _spaces(s={"weights": ["1/2", "1/3"]})),
+    "config_weights_form_cap": (CERTIFY, _spaces(s={"weights": DENSE})),
+    "config_set_atoms": (CERTIFY, {"c.json": _config(
+        spaces=PAIR, sets={"a": {"space": "pair", "atoms": [0, 2]}})}),
+    "config_sequence_order": (CERTIFY, {"c.json": _config(sequences={"s": [2, 1]})}),
+    "config_sequence_empty": (CERTIFY, {"c.json": _config(sequences={"s": []})}),
+    "config_objective_coefficient": (CERTIFY, {"c.json": _config(
+        objectives={"o": {"entries": [[[0, 0], "1/2"], [[0, 1], "1.5"]]}})}),
+    "config_space_ref": (CERTIFY, {"c.json": _config(
+        spaces=PAIR, actions={"a": {"space": "nope", "perms": [[1, 0]]}})}),
+    "config_space_ref_not_a_name": (CERTIFY, {"c.json": _config(
+        sets={"a": {"space": 5, "atoms": [0]}})}),
+    "config_base_map": (CERTIFY, {"c.json": _config(
+        spaces=PAIR, automorphisms=SWAP,
+        cocycles={"r": {"base_map": "nope", "fiber": "pair", "maps": []}})}),
+    # tensor file fields
+    "tensor_factor_item": (VERIFY, _tensor(factors=[["1/2", "x"]])),
+    "tensor_factor_weights": (VERIFY, _tensor(factors=[["1/2", "1/3"]])),
+    "tensor_factors_cap": (VERIFY, _tensor(factors=[["1/2", "1/2"]] * 17)),
+    "tensor_nonzero_pair": (VERIFY, _tensor(nonzero=[[[0], "1/2"], [[1]]])),
+    "tensor_nonzero_index": (VERIFY, _tensor(nonzero=[[[0, 1], "1/2"]])),
+    "tensor_nonzero_range": (VERIFY, _tensor(nonzero=[[[2], "1/2"]])),
+    "tensor_nonzero_duplicate": (VERIFY, _tensor(nonzero=[[[0], "1/2"], [[0], "1/2"]])),
+    "tensor_nonzero_value": (VERIFY, _tensor(nonzero=[[[0], "1/2"], [[1], "1e0"]])),
+    "tensor_nonzero_form_cap": (VERIFY, {"t.json": json.dumps(DENSE_TENSOR)}),
+    # command line flags and the names they look up
+    "lookup_unknown_action": (
+        ("polytope", *K1, "--action", "nope", "--order", "2",
+         "--independence", "1", "--certify"), {}),
+    "lookup_none_defined": (
+        ("mixing", *K1, "--automorphism", "t", "--sets", "a,b", "--sweep", "2"), {}),
+    "lookup_unknown_set": ((*DEMO_MIX, "--sets", "low,nope", "--sweep", "2"), {}),
+    "polytope_objective_index": (
+        ("polytope", "--config", "c.json", "--action", "a", "--order", "3",
+         "--independence", "2", "--objective", "o"),
+        {"c.json": _config(
+            spaces=PAIR, actions={"a": {"space": "pair", "perms": [[1, 0]]}},
+            objectives={"o": {"entries": [[[0, 0], "1/1"]]}})}),
+    "mixing_sets_empty": ((*DEMO_MIX, "--sets", ",", "--sweep", "2"), {}),
+    "mixing_sets_one": ((*DEMO_MIX, "--sets", "low", "--sweep", "2"), {}),
+    "mixing_sets_space": ((*SKEW_MIX, "--sets", "low,top", "--sweep", "2"), {}),
+    "mixing_offsets_empty": ((*DEMO_MIX, "--sets", "low,high", "--offsets", ","), {}),
+    "mixing_offsets_not_int": ((*DEMO_MIX, "--sets", "low,high", "--offsets", "x"), {}),
+    "mixing_offsets_zero": ((*DEMO_MIX, "--sets", "low,high", "--offsets", "0"), {}),
+    "mixing_offsets_count": ((*DEMO_MIX, "--sets", "low,high", "--offsets", "1,1"), {}),
+    "mixing_sweep_zero": ((*DEMO_MIX, "--sets", "low,high", "--sweep", "0"), {}),
+    "mixing_sweep_grid_cap": (
+        ("mixing", "--config", "c.json", "--automorphism", "t", "--sets", "a,a,a,a",
+         "--sweep", "64"), {"c.json": _cycle(64)}),
+    "mixing_sweep_work_cap": (
+        ("mixing", "--config", "c.json", "--automorphism", "t", "--sets", "a,a,a",
+         "--sweep", "256"), {"c.json": _cycle(256)}),
+    "eta_k_zero": (("eta", "--k", "0"), {}),
+    "cocycle_eps_literal": ((*FRACTION, "--eps", "1.5"), {}),
+    "cocycle_eps_zero": ((*FRACTION, "--eps", "0"), {}),
 }
 
 
-def report_bytes(argv) -> bytes:
-    proc = subprocess.run(
-        [sys.executable, "-m", "joinlab", *argv], capture_output=True, cwd=REPO
-    )
-    assert proc.returncode == 0, proc.stderr.decode()
-    return proc.stdout
+def error_entry(name) -> dict:
+    """Exit code and stderr, minus the wall-time line, of one error case."""
+    argv, files = ERROR_CASES[name]
+    err = io.StringIO()
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(REPO / "configs", Path(tmp) / "configs")
+        for path, text in files.items():
+            (Path(tmp) / path).write_text(text)
+        os.chdir(tmp)
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(list(argv))
+        finally:
+            os.chdir(home)
+    lines = err.getvalue().splitlines(keepends=True)
+    return {
+        "exit": code,
+        "stderr": "".join(x for x in lines if not x.startswith("wall time:")),
+    }
 
 
 @pytest.mark.parametrize("name", sorted(INVOCATIONS))
 def test_report_matches_golden_bytes(name):
-    assert report_bytes(INVOCATIONS[name]) == (GOLDEN / f"{name}.json").read_bytes()
+    assert report_bytes(name) == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def errors():
+    return json.loads((GOLDEN / "errors.json").read_text())
+
+
+def test_error_table_covers_every_case(errors):
+    assert sorted(errors) == sorted(ERROR_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_CASES))
+def test_error_matches_golden(errors, name):
+    assert error_entry(name) == errors[name]
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in sorted(INVOCATIONS.items()):
-        (GOLDEN / f"{name}.json").write_bytes(report_bytes(argv))
+    for name in sorted(INVOCATIONS):
+        (GOLDEN / f"{name}.json").write_bytes(report_bytes(name))
         print(f"recorded {name}")
+    table = {name: error_entry(name) for name in sorted(ERROR_CASES)}
+    (GOLDEN / "errors.json").write_text(json.dumps(table, indent=1) + "\n")
+    print(f"recorded {len(table)} error cases")

@@ -27,6 +27,7 @@ from joinlab import (
     disintegrate,
     joining_from_operator,
     marginal,
+    marginal_defect,
     operator_from_joining,
     product_joining,
     push_by_automorphisms,
@@ -196,6 +197,23 @@ def test_axis_sums_on_raw_entries(data):
     nums, den = integer_form(entries)
     got = [Fraction(s, den) for s in _axis_sums(nums, shape, coords)]
     assert got == oracle.axis_sums(entries, shape, coords)
+
+
+@PROPERTY
+@given(st.data())
+def test_marginal_defect_on_raw_entries(data):
+    shape = data.draw(shapes())
+    entries = data.draw(raw_entries(space_size(shape)))
+    weights = [data.draw(measure_entries(n)) for n in shape]
+    assume(all(w > 0 for ws in weights for w in ws))
+    factors = spaces(weights)
+    want = max(
+        abs(s - w)
+        for c, sp in enumerate(factors)
+        for s, w in zip(oracle.axis_sums(entries, shape, [c]), sp.weights)
+    )
+    nums, den = integer_form(entries)
+    assert marginal_defect(factors, nums, den) == want
 
 
 @PROPERTY
