@@ -38,7 +38,7 @@ from .mixing import (
     correlation,
     mixing_deviation_sweep_detail,
 )
-from .polytope import PolytopeSpec, certify_triviality, optimize
+from .polytope import ORDER_CAP, PolytopeSpec, certify_triviality, optimize
 from .rationals import parse_rational
 from .report import input_digest, render_report
 from .serialize import (
@@ -49,12 +49,12 @@ from .serialize import (
     skew_to_data,
 )
 from .skew import (
+    _rigidity_walk,
     as_automorphism,
     is_ergodic,
     relative_mixing_fraction,
     relative_product,
     relative_weak_mixing_average,
-    rigidity_statistic,
     sample_random_extension,
 )
 from .spaces import orbit_count, shape_of, tuple_to_index
@@ -116,10 +116,23 @@ def _cmd_eta(args):
     return payload, (passed if args.verify else True), b""
 
 
+def _check(flag: str, ok: bool, message: str) -> None:
+    """Refuse the value of ``flag`` with ``message`` unless ``ok``; run before
+    the computation, whose own checks cannot tell which flag is at fault."""
+    if not ok:
+        with naming(flag):
+            raise InvalidInputError(message)
+
+
 def _cmd_polytope(args):
     cfg, blob = _load_config(args.config)
     action = cfg.lookup("actions", args.action)
-    spec = PolytopeSpec(action, args.order, args.independence)
+    order, m = args.order, args.independence
+    _check("--order", 2 <= order <= ORDER_CAP,
+           f"order must be an int in 2..{ORDER_CAP}, got {order}")
+    _check("--independence", 1 <= m < order,
+           f"independence must satisfy 1 <= m < {order}, got {m}")
+    spec = PolytopeSpec(action, order, m)
     payload = {
         "command": "polytope",
         "action": args.action,
@@ -170,9 +183,11 @@ def _cmd_cocycle(args):
         )
         a = cfg.lookup("sets", args.set)
         seq = cfg.lookup("sequences", args.sequence)
-        values = [
-            [p, rigidity_statistic(r, a, args.n_param, p)] for p in seq.times
-        ]
+        _check("--set", a.space == r.base, "set must live on the base")
+        _check("--n-param", args.n_param >= 1,
+               f"n_param must be a positive int, got {args.n_param}")
+        stats = _rigidity_walk(r, a, args.n_param, seq.times)
+        values = [[p, x] for p, x in zip(seq.times, stats)]
         payload.update(
             {"set": args.set, "sequence": args.sequence, "n_param": args.n_param,
              "values": values}
@@ -197,6 +212,10 @@ def _cmd_cocycle(args):
         )
         a = cfg.lookup("sets", args.fiber_set_a)
         b = cfg.lookup("sets", args.fiber_set_b)
+        _check("--fiber-set-a", a.space == r.fiber, "sets must live on the fiber")
+        _check("--fiber-set-b", b.space == r.fiber, "sets must live on the fiber")
+        _check("--horizon", args.horizon >= 1,
+               f"horizon must be a positive int, got {args.horizon}")
         value = relative_weak_mixing_average(r, a, b, args.horizon)
         payload.update(
             {
@@ -218,8 +237,8 @@ def _cmd_mixing(args):
             raise InvalidInputError("need at least two set names")
     sets = [cfg.lookup("sets", name) for name in set_names]
     # checked before the sweep, whose errors are named after --sweep
-    if any(a.space != t.space for a in sets):
-        raise InvalidInputError("all sets must live on the automorphism's space")
+    _check("--sets", all(a.space == t.space for a in sets),
+           "all sets must live on the automorphism's space")
     payload = {
         "command": "mixing",
         "automorphism": args.automorphism,

@@ -20,9 +20,8 @@ Malformed input raises InvalidInputError naming the offending field.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
-from .errors import InvalidInputError, naming
+from .errors import InvalidInputError, Value, naming
 from .serialize import _check_keys, _parse_weights, load_json_file
 from .skew import RigiditySequence, SkewProduct
 from .spaces import (
@@ -46,17 +45,25 @@ _SECTIONS = (
 )
 
 
-@dataclass(frozen=True)
-class Config:
-    """All named objects defined by one config file."""
+class Config(Value):
+    """All named objects defined by one config file, one dict per section;
+    a section not given is a fresh empty dict."""
 
-    spaces: dict = field(default_factory=dict)
-    automorphisms: dict = field(default_factory=dict)
-    actions: dict = field(default_factory=dict)
-    cocycles: dict = field(default_factory=dict)
-    sets: dict = field(default_factory=dict)
-    sequences: dict = field(default_factory=dict)
-    objectives: dict = field(default_factory=dict)
+    __slots__ = _fields = _SECTIONS
+
+    def __init__(
+        self,
+        spaces: dict | None = None,
+        automorphisms: dict | None = None,
+        actions: dict | None = None,
+        cocycles: dict | None = None,
+        sets: dict | None = None,
+        sequences: dict | None = None,
+        objectives: dict | None = None,
+    ):
+        tables = (spaces, automorphisms, actions, cocycles, sets, sequences, objectives)
+        for section, table in zip(_SECTIONS, tables):
+            object.__setattr__(self, section, {} if table is None else table)
 
     def lookup(self, section: str, name: str):
         return _find(getattr(self, section), section[:-1], name)

@@ -1,4 +1,4 @@
-"""Error taxonomy shared by every module.
+"""Error taxonomy shared by every module, and the base of its value classes.
 
 Three input failure kinds are distinguished so callers (and the CLI
 exit-code mapping) can react uniformly: malformed data, violated
@@ -9,6 +9,9 @@ input.
 Every input error names the input that caused it: a field path such as
 ``spaces.<name>.weights[0]`` or ``<file>.nonzero[3]``, or a command line
 flag.  ``naming`` is the one place that adds that name to a message.
+
+``Value`` is the base of the immutable value classes (spaces, maps,
+measures, results); it lives here because every module imports this one.
 """
 
 
@@ -53,3 +56,40 @@ class naming:
         if kind is not None and issubclass(kind, _INPUT_ERRORS):
             raise kind(f"{self.field}: {exc}") from exc
         return False
+
+
+class Value:
+    """Immutable value with ``__slots__``.  A subclass stores its fields in
+    its own ``__init__`` through ``object.__setattr__``, and lists in
+    ``_fields`` those that ``==``, ``hash`` and ``repr`` read, in order:
+    instances are equal when they are of the same class and those fields
+    are, and ``hash`` is the hash of the tuple of those fields.  ``_fields``
+    are also the ``__init__`` parameters, so a copy or an unpickled
+    instance is rebuilt, and validated, by the constructor."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values()

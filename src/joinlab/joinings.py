@@ -20,13 +20,12 @@ denominator; past ``FORM_BITS_CAP`` bits construction raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as _field
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations, compress
 from math import lcm
-from typing import Callable, Mapping, Sequence
 
-from .errors import InvalidInputError, PreconditionError
+from .errors import InvalidInputError, PreconditionError, Value
 from .operators import MarkovOperator
 from .rationals import as_fraction, show
 from .spaces import (
@@ -48,24 +47,22 @@ from .spaces import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class ProductMeasure:
+class ProductMeasure(Value):
     """Probability measure on a product of finite spaces (mass one, entries
     nonnegative).  Marginals are unconstrained; conditional measures produced
     by disintegration live here.  ``numerators`` and ``denominator`` are the
-    integer form of ``entries``, derived at construction."""
+    integer form of ``entries``, derived at construction and left out of
+    repr."""
 
-    factors: tuple[FiniteSpace, ...]
-    entries: tuple[Fraction, ...]
-    numerators: tuple[int, ...] = _field(init=False, repr=False)
-    denominator: int = _field(init=False, repr=False)
+    __slots__ = ("factors", "entries", "numerators", "denominator")
+    _fields = ("factors", "entries")
 
-    def __post_init__(self):
-        factors = tuple(self.factors)
+    def __init__(self, factors: tuple[FiniteSpace, ...], entries: tuple[Fraction, ...]):
+        factors = tuple(factors)
         object.__setattr__(self, "factors", factors)
         if not factors:
             raise InvalidInputError("a measure needs at least one factor")
-        entries = tuple(as_fraction(x) for x in self.entries)
+        entries = tuple(as_fraction(x) for x in entries)
         object.__setattr__(self, "entries", entries)
         if len(entries) != self.size:
             raise InvalidInputError(
@@ -84,6 +81,19 @@ class ProductMeasure:
             raise InvalidInputError(
                 f"total mass is {show(Fraction(mass, den))}, expected 1"
             )
+
+    @classmethod
+    def _trusted(cls, factors, entries, numerators, denominator):
+        """Measure built without validation from ``entries`` and their
+        integer form, for data that is a measure of this class by
+        construction (the product weights of ``factors``).  Every other
+        caller goes through the validating constructor."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "factors", factors)
+        object.__setattr__(obj, "entries", entries)
+        object.__setattr__(obj, "numerators", numerators)
+        object.__setattr__(obj, "denominator", denominator)
+        return obj
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -127,8 +137,10 @@ class JoiningTensor(ProductMeasure):
     """ProductMeasure whose every single-coordinate marginal equals the
     corresponding factor's weight vector."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, factors: tuple[FiniteSpace, ...], entries: tuple[Fraction, ...]):
+        super().__init__(factors, entries)
         shape, den = self.shape, self.denominator
         for coord, sp in enumerate(self.factors):
             sums = _axis_sums(self.numerators, shape, (coord,))
@@ -197,7 +209,7 @@ def product_joining(factors: Sequence[FiniteSpace]) -> JoiningTensor:
     if not factors:
         raise InvalidInputError("a joining needs at least one factor")
     nums, den = product_form(factors)
-    return JoiningTensor(factors, _fractions(nums, den))
+    return JoiningTensor._trusted(factors, _fractions(nums, den), tuple(nums), den)
 
 
 def marginal(v: ProductMeasure, coords: Sequence[int]) -> ProductMeasure:
@@ -428,19 +440,21 @@ def product_convergence_trace(
 # disintegration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EquivariantField:
+class EquivariantField(Value):
     """Assignment of a fiber measure to every base tuple, stored in
     lexicographic base order.  Every assigned measure has mass one."""
 
-    base_spaces: tuple[FiniteSpace, ...]
-    fiber_spaces: tuple[FiniteSpace, ...]
-    assignment: tuple[ProductMeasure, ...]
+    __slots__ = _fields = ("base_spaces", "fiber_spaces", "assignment")
 
-    def __post_init__(self):
-        object.__setattr__(self, "base_spaces", tuple(self.base_spaces))
-        object.__setattr__(self, "fiber_spaces", tuple(self.fiber_spaces))
-        object.__setattr__(self, "assignment", tuple(self.assignment))
+    def __init__(
+        self,
+        base_spaces: tuple[FiniteSpace, ...],
+        fiber_spaces: tuple[FiniteSpace, ...],
+        assignment: tuple[ProductMeasure, ...],
+    ):
+        object.__setattr__(self, "base_spaces", tuple(base_spaces))
+        object.__setattr__(self, "fiber_spaces", tuple(fiber_spaces))
+        object.__setattr__(self, "assignment", tuple(assignment))
         if not self.base_spaces or not self.fiber_spaces:
             raise InvalidInputError("field needs base and fiber factors")
         expected = space_size(sp.atom_count for sp in self.base_spaces)

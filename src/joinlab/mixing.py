@@ -9,11 +9,10 @@ exactly.  The relative variants run along a skew product's fibers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError, Value
 from .joinings import JoiningTensor
 from .rationals import as_fraction
 from .skew import SkewProduct, as_automorphism
@@ -26,21 +25,19 @@ from .spaces import (
 )
 
 
-@dataclass(frozen=True)
-class OffsetVector:
+class OffsetVector(Value):
     """Positive gaps k_1, ..., k_n between successive powers."""
 
-    offsets: tuple[int, ...]
+    __slots__ = _fields = ("offsets",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "offsets", tuple(self.offsets))
-        if not self.offsets:
+    def __init__(self, offsets: tuple[int, ...]):
+        offsets = tuple(offsets)
+        if not offsets:
             raise InvalidInputError("offset vector must be nonempty")
-        for k in self.offsets:
+        for k in offsets:
             if not isinstance(k, int) or k < 1:
-                raise InvalidInputError(
-                    f"offsets must be positive ints, got {self.offsets}"
-                )
+                raise InvalidInputError(f"offsets must be positive ints, got {offsets}")
+        object.__setattr__(self, "offsets", offsets)
 
     def __len__(self) -> int:
         return len(self.offsets)
@@ -83,14 +80,21 @@ def correlation(t: Automorphism, sets: Sequence[MeasurableSet], k) -> Fraction:
     return t.space.mass(_meet(t, [a.atoms for a in sets], k))
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Value):
     """Worst deviation over the offset grid, with the first grid point
     attaining it (lexicographic order) and the target product value."""
 
-    max_deviation: Fraction
-    argmax_offsets: tuple[int, ...]
-    product_value: Fraction
+    __slots__ = _fields = ("max_deviation", "argmax_offsets", "product_value")
+
+    def __init__(
+        self,
+        max_deviation: Fraction,
+        argmax_offsets: tuple[int, ...],
+        product_value: Fraction,
+    ):
+        object.__setattr__(self, "max_deviation", max_deviation)
+        object.__setattr__(self, "argmax_offsets", argmax_offsets)
+        object.__setattr__(self, "product_value", product_value)
 
 
 def mixing_deviation_sweep(t: Automorphism, sets: Sequence[MeasurableSet], k_range: int) -> Fraction:

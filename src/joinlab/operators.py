@@ -11,27 +11,30 @@ extreme examples; convex mixtures of them model partial mixing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, Value
 from .rationals import as_fraction, show
 from .spaces import Automorphism, FiniteSpace, compose, space_size
 
 
-@dataclass(frozen=True)
-class MarkovOperator:
+class MarkovOperator(Value):
     """kernel[t][s] is the coefficient of f(s) in (Pf)(t)."""
 
-    source: FiniteSpace
-    target: FiniteSpace
-    kernel: tuple[tuple[Fraction, ...], ...]
+    __slots__ = _fields = ("source", "target", "kernel")
 
-    def __post_init__(self):
-        rows = tuple(tuple(as_fraction(x) for x in row) for row in self.kernel)
+    def __init__(
+        self,
+        source: FiniteSpace,
+        target: FiniteSpace,
+        kernel: tuple[tuple[Fraction, ...], ...],
+    ):
+        rows = tuple(tuple(as_fraction(x) for x in row) for row in kernel)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
         object.__setattr__(self, "kernel", rows)
-        ns, nt = self.source.atom_count, self.target.atom_count
+        ns, nt = source.atom_count, target.atom_count
         if len(rows) != nt or any(len(row) != ns for row in rows):
             raise InvalidInputError(
                 f"kernel must be {nt}x{ns}, got {len(rows)} rows"
@@ -42,7 +45,7 @@ class MarkovOperator:
                     raise InvalidInputError(f"negative kernel entry at [{t}][{s}]")
             if sum(row) != 1:
                 raise InvalidInputError(f"row {t} sums to {show(sum(row))}, expected 1")
-        wt, ws = self.target.weights, self.source.weights
+        wt, ws = target.weights, source.weights
         for s in range(ns):
             col = sum((wt[t] * rows[t][s] for t in range(nt)), Fraction(0))
             if col != ws[s]:
@@ -143,13 +146,15 @@ def affine_combination(c: Fraction, p: MarkovOperator, q: MarkovOperator) -> Mar
     return MarkovOperator(p.source, p.target, kernel)
 
 
-@dataclass(frozen=True)
-class ClosureProbe:
+class ClosureProbe(Value):
     """Best match found when probing powers against identity/averaging mixtures."""
 
-    best_k: int
-    best_eps: Fraction
-    best_distance: Fraction
+    __slots__ = _fields = ("best_k", "best_eps", "best_distance")
+
+    def __init__(self, best_k: int, best_eps: Fraction, best_distance: Fraction):
+        object.__setattr__(self, "best_k", best_k)
+        object.__setattr__(self, "best_eps", best_eps)
+        object.__setattr__(self, "best_distance", best_distance)
 
 
 def weak_closure_probe(

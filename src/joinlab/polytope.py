@@ -15,12 +15,11 @@ joining defect checks, an independent code path from the LP itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
 
-from .errors import InvalidInputError, JoinlabInternalError
+from .errors import InvalidInputError, JoinlabInternalError, Value
 from .joinings import (
     JoiningTensor,
     diagonal_invariance_defect,
@@ -42,27 +41,23 @@ from .spaces import (
 ORDER_CAP = 4
 
 
-@dataclass(frozen=True)
-class PolytopeSpec:
+class PolytopeSpec(Value):
     """Order-n joining polytope of an action with independent m-faces."""
 
-    action: ActionGenerators
-    order: int
-    independence: int
+    __slots__ = _fields = ("action", "order", "independence")
 
-    def __post_init__(self):
-        if not isinstance(self.order, int) or not 2 <= self.order <= ORDER_CAP:
+    def __init__(self, action: ActionGenerators, order: int, independence: int):
+        if not isinstance(order, int) or not 2 <= order <= ORDER_CAP:
             raise InvalidInputError(
-                f"order must be an int in 2..{ORDER_CAP}, got {self.order!r}"
+                f"order must be an int in 2..{ORDER_CAP}, got {order!r}"
             )
-        if (
-            not isinstance(self.independence, int)
-            or not 1 <= self.independence < self.order
-        ):
+        if not isinstance(independence, int) or not 1 <= independence < order:
             raise InvalidInputError(
-                f"independence must satisfy 1 <= m < {self.order}, "
-                f"got {self.independence!r}"
+                f"independence must satisfy 1 <= m < {order}, got {independence!r}"
             )
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "independence", independence)
         space_size(self.shape)
 
     @property
@@ -74,36 +69,52 @@ class PolytopeSpec:
         return (self.action.space.atom_count,) * self.order
 
 
-@dataclass(frozen=True)
-class LpOutcome:
-    status: str
-    optimum: Fraction | None
-    witness: JoiningTensor | None
+class LpOutcome(Value):
+    __slots__ = _fields = ("status", "optimum", "witness")
+
+    def __init__(
+        self, status: str, optimum: Fraction | None, witness: JoiningTensor | None
+    ):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "optimum", optimum)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class TrivialityCertificate:
+class TrivialityCertificate(Value):
     """trivial=True: the polytope is exactly {product measure}.  Otherwise
     ``witness`` is a vertex and ``max_deviation`` its sup-distance to the
     product measure."""
 
-    trivial: bool
-    max_deviation: Fraction
-    witness: JoiningTensor | None
+    __slots__ = _fields = ("trivial", "max_deviation", "witness")
+
+    def __init__(
+        self, trivial: bool, max_deviation: Fraction, witness: JoiningTensor | None
+    ):
+        object.__setattr__(self, "trivial", trivial)
+        object.__setattr__(self, "max_deviation", max_deviation)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class _Reduction:
+class _Reduction(Value):
     """The polytope with one variable per orbit of the diagonal action on
     index tuples: ``orbit[idx]`` labels each coordinate, orbits numbered by
     first appearance in index order; ``rows``/``rhs`` pin every m-face cell
     to the product of its weights, each row counting how many of an
     orbit's tuples fall in the cell."""
 
-    orbit: tuple[int, ...]
-    count: int
-    rows: list[list[int]]
-    rhs: list[Fraction]
+    __slots__ = _fields = ("orbit", "count", "rows", "rhs")
+
+    def __init__(
+        self,
+        orbit: tuple[int, ...],
+        count: int,
+        rows: list[list[int]],
+        rhs: list[Fraction],
+    ):
+        object.__setattr__(self, "orbit", orbit)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rhs", rhs)
 
     def expand(self, values: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Full tensor entries from one value per orbit."""

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .rationals import format_rational
 

@@ -16,10 +16,9 @@ instead of refusing to load.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInputError, naming
+from .errors import InvalidInputError, Value, naming
 from .joinings import JoiningTensor, ProductMeasure
 from .rationals import format_rational, parse_rational
 from .skew import SkewProduct
@@ -80,15 +79,23 @@ def joining_to_data(v: ProductMeasure) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class RawTensor:
+class RawTensor(Value):
     """Decoded tensor before any joining axiom is imposed, with its integer
     form: entries[i] == numerators[i] / denominator."""
 
-    factors: tuple[FiniteSpace, ...]
-    entries: tuple[Fraction, ...]
-    numerators: tuple[int, ...]
-    denominator: int
+    __slots__ = _fields = ("factors", "entries", "numerators", "denominator")
+
+    def __init__(
+        self,
+        factors: tuple[FiniteSpace, ...],
+        entries: tuple[Fraction, ...],
+        numerators: tuple[int, ...],
+        denominator: int,
+    ):
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
 
 
 def data_to_raw(data, path: str = "tensor") -> RawTensor:

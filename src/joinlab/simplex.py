@@ -21,22 +21,25 @@ there anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
 
-from .errors import InvalidInputError, JoinlabError
+from .errors import InvalidInputError, JoinlabError, Value
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(Value):
     """status 'optimal' carries the value and a basic optimal point;
     status 'infeasible' carries neither."""
 
-    status: str
-    value: Fraction | None
-    solution: tuple[Fraction, ...] | None
+    __slots__ = _fields = ("status", "value", "solution")
+
+    def __init__(
+        self, status: str, value: Fraction | None, solution: tuple[Fraction, ...] | None
+    ):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "solution", solution)
 
 
 def _integer_row(values) -> tuple[list[int], int]:

@@ -9,11 +9,10 @@ C behaves in the Halmos metric and the weak operator distance.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
-from .errors import InvalidInputError, PreconditionError
+from .errors import InvalidInputError, PreconditionError, Value
 from .rationals import as_fraction
 from .spaces import (
     Automorphism,
@@ -27,46 +26,52 @@ from .spaces import (
 )
 
 
-@dataclass(frozen=True)
-class SkewProduct:
+class SkewProduct(Value):
     """(x, y) -> (base_map(x), cocycle[x](y)); always measure-preserving."""
 
-    base: FiniteSpace
-    fiber: FiniteSpace
-    base_map: Automorphism
-    cocycle: tuple[Automorphism, ...]
+    __slots__ = _fields = ("base", "fiber", "base_map", "cocycle")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cocycle", tuple(self.cocycle))
-        if self.base_map.space != self.base:
+    def __init__(
+        self,
+        base: FiniteSpace,
+        fiber: FiniteSpace,
+        base_map: Automorphism,
+        cocycle: tuple[Automorphism, ...],
+    ):
+        cocycle = tuple(cocycle)
+        if base_map.space != base:
             raise InvalidInputError("base map lives on a different space")
-        if len(self.cocycle) != self.base.atom_count:
+        if len(cocycle) != base.atom_count:
             raise InvalidInputError(
-                f"need one fiber map per base atom ({self.base.atom_count}), "
-                f"got {len(self.cocycle)}"
+                f"need one fiber map per base atom ({base.atom_count}), "
+                f"got {len(cocycle)}"
             )
-        for x, r in enumerate(self.cocycle):
-            if r.space != self.fiber:
+        for x, r in enumerate(cocycle):
+            if r.space != fiber:
                 raise InvalidInputError(f"fiber map at base atom {x} lives elsewhere")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "fiber", fiber)
+        object.__setattr__(self, "base_map", base_map)
+        object.__setattr__(self, "cocycle", cocycle)
 
 
-@dataclass(frozen=True)
-class RigiditySequence:
+class RigiditySequence(Value):
     """Strictly increasing positive return times p_1 < p_2 < ..."""
 
-    times: tuple[int, ...]
+    __slots__ = _fields = ("times",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "times", tuple(self.times))
-        if not self.times:
+    def __init__(self, times: tuple[int, ...]):
+        times = tuple(times)
+        if not times:
             raise InvalidInputError("rigidity sequence must be nonempty")
         prev = 0
-        for p in self.times:
+        for p in times:
             if not isinstance(p, int) or isinstance(p, bool) or p <= prev:
                 raise InvalidInputError(
-                    f"times must be strictly increasing positive ints, got {self.times}"
+                    f"times must be strictly increasing positive ints, got {times}"
                 )
             prev = p
+        object.__setattr__(self, "times", times)
 
 
 def as_automorphism(r: SkewProduct) -> Automorphism:
@@ -151,15 +156,38 @@ def rigidity_statistic(
         raise InvalidInputError(f"n_param must be a positive int, got {n_param!r}")
     if not isinstance(p, int) or p < 0:
         raise InvalidInputError(f"p must be a nonnegative int, got {p!r}")
+    return _rigidity_walk(r, a, n_param, (p,))[0]
+
+
+def _rigidity_walk(
+    r: SkewProduct, a: MeasurableSet, n_param: int, times: Sequence[int]
+) -> list[Fraction]:
+    """``rigidity_statistic(r, a, n_param, p)`` for every p of the
+    nondecreasing nonnegative ``times``; the caller has checked that ``a``
+    lives on the base and that ``n_param`` is a positive int.
+
+    One walk per atom x of A extends C(x, p_i) to
+    C(x, p_{i+1}) = C(S^{p_i} x, p_{i+1} - p_i) o C(x, p_i), so the cocycle
+    products cost the gaps between the times, not the times themselves."""
     ident = Automorphism.identity(r.fiber)
-    s_pow = r.base_map.power(p)
     threshold = Fraction(1, n_param)
-    return r.base.mass(
-        x
-        for x in a.atoms
-        if s_pow.perm[x] in a.atoms
-        and halmos_distance(cocycle_product(r, x, p), ident) < threshold
-    )
+    starts = tuple(a.atoms)
+    where = list(starts)  # S^p x
+    products = [ident] * len(starts)  # C(x, p)
+    out, prev = [], 0
+    for p in times:
+        gap, prev = p - prev, p
+        s_gap = r.base_map.power(gap).perm
+        for i, y in enumerate(where):
+            products[i] = compose(cocycle_product(r, y, gap), products[i])
+            where[i] = s_gap[y]
+        hits = (
+            x
+            for x, y, c in zip(starts, where, products)
+            if y in a.atoms and halmos_distance(c, ident) < threshold
+        )
+        out.append(r.base.mass(hits))
+    return out
 
 
 def relative_mixing_fraction(r: SkewProduct, p: int, eps: Fraction) -> Fraction:

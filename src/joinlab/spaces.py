@@ -18,13 +18,12 @@ before it is allocated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Iterable, Iterator, Sequence
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError, Value
 from .rationals import as_fraction, show
 
 # Largest dense tensor (product of atom counts) any layer builds.
@@ -86,18 +85,16 @@ def _fractions(numerators: Sequence[int], den: int) -> tuple[Fraction, ...]:
     return tuple(map(memo.__getitem__, numerators))
 
 
-@dataclass(frozen=True)
-class FiniteSpace:
+class FiniteSpace(Value):
     """Finite probability space: atom i has weight ``weights[i]`` > 0.
     ``numerators`` and ``denominator`` are the integer form of ``weights``,
-    derived at construction."""
+    derived at construction and left out of equality, hash and repr."""
 
-    weights: tuple[Fraction, ...]
-    numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    denominator: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("weights", "numerators", "denominator")
+    _fields = ("weights",)
 
-    def __post_init__(self):
-        ws = tuple(as_fraction(w) for w in self.weights)
+    def __init__(self, weights: tuple[Fraction, ...]):
+        ws = tuple(as_fraction(w) for w in weights)
         object.__setattr__(self, "weights", ws)
         if not ws:
             raise InvalidInputError("a space needs at least one atom")
@@ -134,18 +131,18 @@ class FiniteSpace:
         return Fraction(sum(nums[a] for a in atoms), self.denominator)
 
 
-@dataclass(frozen=True)
-class MeasurableSet:
+class MeasurableSet(Value):
     """Subset of a space's atoms."""
 
-    space: FiniteSpace
-    atoms: frozenset[int]
+    __slots__ = _fields = ("space", "atoms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", frozenset(self.atoms))
-        for a in self.atoms:
-            if not isinstance(a, int) or not 0 <= a < self.space.atom_count:
+    def __init__(self, space: FiniteSpace, atoms: frozenset[int]):
+        atoms = frozenset(atoms)
+        for a in atoms:
+            if not isinstance(a, int) or not 0 <= a < space.atom_count:
                 raise InvalidInputError(f"atom {a!r} outside the space")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "atoms", atoms)
 
     @property
     def measure(self) -> Fraction:
@@ -162,28 +159,29 @@ class MeasurableSet:
         return MeasurableSet(self.space, self.atoms & other.atoms)
 
 
-@dataclass(frozen=True)
-class Automorphism:
+class Automorphism(Value):
     """Measure-preserving permutation of a space's atoms.
 
     ``perm[i]`` is the image of atom i.  Weight preservation
     (weights[perm[i]] == weights[i]) is enforced at construction.
     """
 
-    space: FiniteSpace
-    perm: tuple[int, ...]
+    __slots__ = _fields = ("space", "perm")
 
-    def __post_init__(self):
-        object.__setattr__(self, "perm", tuple(self.perm))
-        n = self.space.atom_count
-        if len(self.perm) != n or sorted(self.perm) != list(range(n)):
-            raise InvalidInputError(f"not a permutation of 0..{n - 1}: {self.perm}")
-        for i, j in enumerate(self.perm):
-            if self.space.weights[i] != self.space.weights[j]:
+    def __init__(self, space: FiniteSpace, perm: tuple[int, ...]):
+        perm = tuple(perm)
+        n = space.atom_count
+        if len(perm) != n or sorted(perm) != list(range(n)):
+            raise InvalidInputError(f"not a permutation of 0..{n - 1}: {perm}")
+        ws = space.weights
+        for i, j in enumerate(perm):
+            if ws[i] != ws[j]:
                 raise InvalidInputError(
-                    f"atom {i} (weight {show(self.space.weights[i])}) maps to "
-                    f"atom {j} of different weight {show(self.space.weights[j])}"
+                    f"atom {i} (weight {show(ws[i])}) maps to "
+                    f"atom {j} of different weight {show(ws[j])}"
                 )
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "perm", perm)
 
     @classmethod
     def _trusted(cls, space: FiniteSpace, perm: tuple[int, ...]) -> "Automorphism":
@@ -264,20 +262,20 @@ def is_measure_preserving(perm: Sequence[int], space: FiniteSpace) -> bool:
     return all(space.weights[i] == space.weights[j] for i, j in enumerate(perm))
 
 
-@dataclass(frozen=True)
-class ActionGenerators:
+class ActionGenerators(Value):
     """Finitely generated group action on one space."""
 
-    space: FiniteSpace
-    generators: tuple[Automorphism, ...]
+    __slots__ = _fields = ("space", "generators")
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        if not self.generators:
+    def __init__(self, space: FiniteSpace, generators: tuple[Automorphism, ...]):
+        generators = tuple(generators)
+        if not generators:
             raise InvalidInputError("an action needs at least one generator")
-        for g in self.generators:
-            if g.space != self.space:
+        for g in generators:
+            if g.space != space:
                 raise InvalidInputError("generator lives on a different space")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "generators", generators)
 
 
 def halmos_distance(p: Automorphism, r: Automorphism) -> Fraction:

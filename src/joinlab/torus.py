@@ -9,11 +9,10 @@ character attached to a bit-vector a is chi_a(x) = (-1)^(a.x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, Value
 from .joinings import JoiningTensor, ProductMeasure
 from .rationals import as_fraction
 from .spaces import (
@@ -29,15 +28,15 @@ from .spaces import (
 K_CAP = 4
 
 
-@dataclass(frozen=True)
-class Z2kContext:
+class Z2kContext(Value):
     """Uniform measure on the group Z_2^k, 1 <= k <= 4."""
 
-    k: int
+    __slots__ = _fields = ("k",)
 
-    def __post_init__(self):
-        if not isinstance(self.k, int) or not 1 <= self.k <= K_CAP:
-            raise InvalidInputError(f"k must be an int in 1..{K_CAP}, got {self.k!r}")
+    def __init__(self, k: int):
+        if not isinstance(k, int) or not 1 <= k <= K_CAP:
+            raise InvalidInputError(f"k must be an int in 1..{K_CAP}, got {k!r}")
+        object.__setattr__(self, "k", k)
 
     @property
     def space(self) -> FiniteSpace:

@@ -56,6 +56,20 @@ def test_eta_bad_k_exits_2():
     assert "error:" in proc.stderr
 
 
+def test_start_up_imports_no_dataclasses_typing_or_inspect():
+    # -S: no site hook, which may load typing on its own
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import joinlab.cli, joinlab; "
+        "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'typing') "
+        "if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(REPO / "src")],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.split() == []
+
+
 SKEW_FRACTION = ("cocycle", "--config", "configs/skew_demo.json", "--cocycle",
                  "alternating", "--stat", "fraction", "--sequence", "times")
 MIXING_LOW_HIGH = ("mixing", "--config", "configs/mixing_demo.json",

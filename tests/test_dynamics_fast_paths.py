@@ -8,6 +8,7 @@ times run past the base orbit length so the periodic branch of
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,6 +31,10 @@ from joinlab import (
     relative_weak_mixing_average,
     rigidity_statistic,
 )
+from joinlab.config import load_config
+from joinlab.skew import _rigidity_walk
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 PROPERTY = settings(
     max_examples=60,
@@ -100,6 +105,38 @@ def test_rigidity_statistic_matches_the_oracle(r, data):
     n_param = data.draw(st.integers(1, 9))
     p = data.draw(st.integers(0, 3 * r.base.atom_count + 2))
     assert rigidity_statistic(r, a, n_param, p) == oracle.rigidity_statistic(r, a, n_param, p)
+
+
+def assert_walk_matches(r, a, n_param, times):
+    walk = _rigidity_walk(r, a, n_param, times)
+    assert walk == [rigidity_statistic(r, a, n_param, p) for p in times]
+
+
+@PROPERTY
+@given(skews(), st.data())
+def test_rigidity_walk_matches_each_time_on_its_own(r, data):
+    a = subset(data.draw, r.base)
+    n_param = data.draw(st.integers(1, 9))
+    # gaps past the base orbit length take the periodic branch, and one
+    # huge gap checks that the walk never steps through it
+    gaps = data.draw(st.lists(st.integers(1, 3 * r.base.atom_count + 2), max_size=6))
+    times = [sum(gaps[: i + 1]) for i in range(len(gaps))]
+    times.append((times[-1] if times else 0) + data.draw(st.integers(10**6, 10**12)))
+    assert_walk_matches(r, a, n_param, times)
+    short = [p for p in times if p < 10**6]
+    assert _rigidity_walk(r, a, n_param, short) == [
+        oracle.rigidity_statistic(r, a, n_param, p) for p in short
+    ]
+
+
+def test_rigidity_walk_on_the_demo_config():
+    cfg = load_config(str(CONFIGS / "skew_demo.json"))
+    a = cfg.lookup("sets", "low")
+    for name in ("product", "alternating"):
+        r = cfg.lookup("cocycles", name)
+        for n_param in (1, 2, 8):
+            assert_walk_matches(r, a, n_param, range(1, 65))
+            assert_walk_matches(r, a, n_param, cfg.lookup("sequences", "times").times)
 
 
 @PROPERTY

@@ -153,6 +153,10 @@ SKEW_MIX = ("mixing", *SKEW, "--automorphism", "rot4")
 DEMO_MIX = ("mixing", *MIXING, "--automorphism", "rot4")
 FRACTION = ("cocycle", *SKEW, "--cocycle", "alternating", "--stat", "fraction",
             "--sequence", "times")
+RIGIDITY = ("cocycle", *SKEW, "--cocycle", "alternating", "--stat", "rigidity",
+            "--sequence", "times")
+AVERAGE = ("cocycle", *SKEW, "--cocycle", "alternating", "--stat", "average")
+K1_FLIP = ("polytope", *K1, "--action", "flip", "--certify")
 
 
 def _tensor(**fields) -> dict:
@@ -233,6 +237,18 @@ ERROR_CASES = {
     "eta_k_zero": (("eta", "--k", "0"), {}),
     "cocycle_eps_literal": ((*FRACTION, "--eps", "1.5"), {}),
     "cocycle_eps_zero": ((*FRACTION, "--eps", "0"), {}),
+    "cocycle_n_param_zero": ((*RIGIDITY, "--set", "low", "--n-param", "0"), {}),
+    "cocycle_set_on_fiber": ((*RIGIDITY, "--set", "top", "--n-param", "2"), {}),
+    "cocycle_horizon_zero": (
+        (*AVERAGE, "--fiber-set-a", "top", "--fiber-set-b", "top", "--horizon", "0"), {}),
+    "cocycle_fiber_set_a_on_base": (
+        (*AVERAGE, "--fiber-set-a", "low", "--fiber-set-b", "top", "--horizon", "2"), {}),
+    "cocycle_fiber_set_b_on_base": (
+        (*AVERAGE, "--fiber-set-a", "top", "--fiber-set-b", "low", "--horizon", "2"), {}),
+    "polytope_order_one": ((*K1_FLIP, "--order", "1", "--independence", "1"), {}),
+    "polytope_order_past_cap": ((*K1_FLIP, "--order", "5", "--independence", "1"), {}),
+    "polytope_independence_order": ((*K1_FLIP, "--order", "3", "--independence", "3"), {}),
+    "polytope_independence_zero": ((*K1_FLIP, "--order", "3", "--independence", "0"), {}),
 }
 
 

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weights_oracle as oracle
-from joinlab import FiniteSpace, MeasurableSet, product_joining, product_space
+from joinlab import (
+    FiniteSpace,
+    JoiningTensor,
+    MeasurableSet,
+    product_joining,
+    product_space,
+)
 from joinlab.spaces import integer_form
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
@@ -37,6 +43,21 @@ def test_product_weights_are_the_fraction_products(factors):
     assert prod.weights == oracle.product_weights(factors)
     assert (prod.numerators, prod.denominator) == integer_form(prod.weights)
     assert product_joining(factors).entries == prod.weights
+
+
+@PROPERTY
+@given(st.lists(spaces(), min_size=1, max_size=4))
+def test_product_joining_equals_the_validated_tensor(factors):
+    # product_joining skips validation: its tensor must be the one the
+    # validating constructor builds from the same entries
+    fast = product_joining(factors)
+    checked = JoiningTensor(tuple(factors), fast.entries)
+    assert type(fast) is JoiningTensor
+    assert fast.factors == checked.factors
+    assert fast.entries == checked.entries
+    assert fast.numerators == checked.numerators
+    assert fast.denominator == checked.denominator
+    assert type(fast.numerators) is tuple and fast == checked
 
 
 @PROPERTY
