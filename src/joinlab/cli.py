@@ -26,12 +26,11 @@ from .errors import (
     naming,
 )
 from .joinings import (
+    _face_gap,
     _invariance_defect,
     diagonal_invariance_defect,
     face_independence_defect,
     marginal_defect,
-    product_joining,
-    sup_distance,
 )
 from .mixing import (
     OffsetVector,
@@ -101,7 +100,7 @@ def _cmd_eta(args):
     edge = marginal_defect(v.factors, v.numerators, v.denominator)
     three = face_independence_defect(v, 3)
     invariance = diagonal_invariance_defect(v, action)
-    sup_product = sup_distance(v, product_joining(v.factors))
+    sup_product = _face_gap(v.factors, v.numerators, v.denominator, range(v.order))
     passed = mass == 1 and edge == 0 and three == 0 and invariance == 0
     payload = {
         "command": "eta",
@@ -124,9 +123,15 @@ def _check(flag: str, ok: bool, message: str) -> None:
             raise InvalidInputError(message)
 
 
+def _lookup(cfg, section: str, flag: str, name: str):
+    """``cfg.lookup(section, name)``, an unknown name refused under ``flag``."""
+    with naming(flag):
+        return cfg.lookup(section, name)
+
+
 def _cmd_polytope(args):
     cfg, blob = _load_config(args.config)
-    action = cfg.lookup("actions", args.action)
+    action = _lookup(cfg, "actions", "--action", args.action)
     order, m = args.order, args.independence
     _check("--order", 2 <= order <= ORDER_CAP,
            f"order must be an int in 2..{ORDER_CAP}, got {order}")
@@ -152,7 +157,7 @@ def _cmd_polytope(args):
             }
         )
     else:
-        pairs = cfg.lookup("objectives", args.objective)
+        pairs = _lookup(cfg, "objectives", "--objective", args.objective)
         dense = [Fraction(0)] * spec.size
         with naming(f"objective '{args.objective}'"):
             for tup, coeff in pairs:
@@ -174,15 +179,15 @@ def _cmd_polytope(args):
 
 def _cmd_cocycle(args):
     cfg, blob = _load_config(args.config)
-    r = cfg.lookup("cocycles", args.cocycle)
+    r = _lookup(cfg, "cocycles", "--cocycle", args.cocycle)
     payload = {"command": "cocycle", "cocycle": args.cocycle, "stat": args.stat}
     if args.stat == "rigidity":
         _require(
             {"--set": args.set, "--sequence": args.sequence, "--n-param": args.n_param},
             "stat 'rigidity'",
         )
-        a = cfg.lookup("sets", args.set)
-        seq = cfg.lookup("sequences", args.sequence)
+        a = _lookup(cfg, "sets", "--set", args.set)
+        seq = _lookup(cfg, "sequences", "--sequence", args.sequence)
         _check("--set", a.space == r.base, "set must live on the base")
         _check("--n-param", args.n_param >= 1,
                f"n_param must be a positive int, got {args.n_param}")
@@ -198,7 +203,7 @@ def _cmd_cocycle(args):
             eps = parse_rational(args.eps)
             if eps <= 0:
                 raise InvalidInputError(f"eps must be positive, got {eps}")
-        seq = cfg.lookup("sequences", args.sequence)
+        seq = _lookup(cfg, "sequences", "--sequence", args.sequence)
         values = [[p, relative_mixing_fraction(r, p, eps)] for p in seq.times]
         payload.update({"sequence": args.sequence, "eps": eps, "values": values})
     else:
@@ -210,8 +215,8 @@ def _cmd_cocycle(args):
             },
             "stat 'average'",
         )
-        a = cfg.lookup("sets", args.fiber_set_a)
-        b = cfg.lookup("sets", args.fiber_set_b)
+        a = _lookup(cfg, "sets", "--fiber-set-a", args.fiber_set_a)
+        b = _lookup(cfg, "sets", "--fiber-set-b", args.fiber_set_b)
         _check("--fiber-set-a", a.space == r.fiber, "sets must live on the fiber")
         _check("--fiber-set-b", b.space == r.fiber, "sets must live on the fiber")
         _check("--horizon", args.horizon >= 1,
@@ -230,12 +235,12 @@ def _cmd_cocycle(args):
 
 def _cmd_mixing(args):
     cfg, blob = _load_config(args.config)
-    t = cfg.lookup("automorphisms", args.automorphism)
+    t = _lookup(cfg, "automorphisms", "--automorphism", args.automorphism)
     with naming("--sets"):
         set_names = _name_list(args.sets)
         if len(set_names) < 2:
             raise InvalidInputError("need at least two set names")
-    sets = [cfg.lookup("sets", name) for name in set_names]
+    sets = [_lookup(cfg, "sets", "--sets", name) for name in set_names]
     # checked before the sweep, whose errors are named after --sweep
     _check("--sets", all(a.space == t.space for a in sets),
            "all sets must live on the automorphism's space")
@@ -247,6 +252,9 @@ def _cmd_mixing(args):
     if args.offsets is not None:
         with naming("--offsets"):
             k = OffsetVector(_int_list(args.offsets))
+        _check("--offsets", len(sets) == len(k.offsets) + 1,
+               f"need {len(k.offsets) + 1} sets for {len(k.offsets)} offsets, "
+               f"got {len(sets)}")
         value = correlation(t, sets, k)
         product_value = math.prod((a.measure for a in sets), start=Fraction(1))
         payload.update(
@@ -278,8 +286,8 @@ def _cmd_mixing(args):
 
 def _cmd_sample(args):
     cfg, blob = _load_config(args.config)
-    s = cfg.lookup("automorphisms", args.base)
-    fiber = cfg.lookup("spaces", args.fiber)
+    s = _lookup(cfg, "automorphisms", "--base", args.base)
+    fiber = _lookup(cfg, "spaces", "--fiber", args.fiber)
     r = sample_random_extension(s, fiber, args.seed, args.mode)
     payload = {
         "command": "sample",
@@ -300,23 +308,21 @@ def _cmd_sample(args):
 
 
 def _cmd_joining_verify(args):
+    if args.action is not None and args.config is None:
+        raise InvalidInputError("--action requires --config")
+    if args.config is not None and args.action is None:
+        raise InvalidInputError("--config requires --action")
     file_blob = read_bytes(args.file)
     raw = data_to_raw(parse_json(file_blob, args.file), path=args.file)
-    digest_bytes = file_blob
-    action = None
+    action, cfg_blob = None, b""
     if args.action is not None:
-        if args.config is None:
-            raise InvalidInputError("--action requires --config")
         cfg, cfg_blob = _load_config(args.config)
-        digest_bytes = file_blob + cfg_blob
-        action = cfg.lookup("actions", args.action)
+        action = _lookup(cfg, "actions", "--action", args.action)
         for sp in raw.factors:
             if sp != action.space:
                 raise InvalidInputError(
                     "invariance check needs every factor equal to the action's space"
                 )
-    elif args.config is not None:
-        digest_bytes = file_blob + read_bytes(args.config)
 
     nums, den = raw.numerators, raw.denominator
     mass = Fraction(sum(nums), den)
@@ -343,7 +349,7 @@ def _cmd_joining_verify(args):
         "invariance_defect": invariance_defect,
         "pass": passed,
     }
-    return payload, passed, digest_bytes
+    return payload, passed, file_blob + cfg_blob
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,6 +16,9 @@ instead of converting between tuples and indices; ``Fraction`` is built
 only for results.  The form costs entries times the bit length of the
 denominator; past ``FORM_BITS_CAP`` bits construction raises
 ``ResourceLimitError`` before any numerator is scaled.
+
+Every comparison of a face marginal with the product of its factors'
+measures runs through one integer kernel, ``_face_gap``.
 """
 
 from __future__ import annotations
@@ -141,13 +144,10 @@ class JoiningTensor(ProductMeasure):
 
     def __init__(self, factors: tuple[FiniteSpace, ...], entries: tuple[Fraction, ...]):
         super().__init__(factors, entries)
-        shape, den = self.shape, self.denominator
+        nums, den = self.numerators, self.denominator
         for coord, sp in enumerate(self.factors):
-            sums = _axis_sums(self.numerators, shape, (coord,))
-            if any(
-                s * sp.denominator != w * den for s, w in zip(sums, sp.numerators)
-            ):
-                got = tuple(Fraction(s, den) for s in sums)
+            if _face_gap(self.factors, nums, den, (coord,)):
+                got = _fractions(_axis_sums(nums, self.shape, (coord,)), den)
                 raise InvalidInputError(
                     f"marginal onto coordinate {coord} is {show(got)}, "
                     f"expected the factor weights {show(sp.weights)}"
@@ -177,20 +177,24 @@ def _axis_sums(numerators, shape, coords) -> list[int]:
     return out
 
 
+def _face_gap(factors, numerators, denominator, coords) -> Fraction:
+    """Sup-distance from the marginal on ``coords`` of ``numerators`` /
+    ``denominator`` on the product of ``factors`` to the product of those
+    factors' measures; the entries need not form a measure."""
+    sums = _axis_sums(numerators, shape_of(factors), coords)
+    weights, weight_den = product_form([factors[c] for c in coords])
+    worst = max(abs(s * weight_den - w * denominator) for s, w in zip(sums, weights))
+    return Fraction(worst, denominator * weight_den)
+
+
 def marginal_defect(factors: Sequence[FiniteSpace], numerators, denominator: int) -> Fraction:
     """Largest |marginal - weight| over every coordinate and atom of the
     entries ``numerators`` / ``denominator`` on the product of ``factors``;
     the entries need not form a measure."""
-    shape = shape_of(factors)
-    best = Fraction(0)
-    for coord, sp in enumerate(factors):
-        sums = _axis_sums(numerators, shape, (coord,))
-        worst = max(
-            abs(s * sp.denominator - w * denominator)
-            for s, w in zip(sums, sp.numerators)
-        )
-        best = max(best, Fraction(worst, denominator * sp.denominator))
-    return best
+    return max(
+        (_face_gap(factors, numerators, denominator, (c,)) for c in range(len(factors))),
+        default=Fraction(0),
+    )
 
 
 def sup_distance(v: ProductMeasure, w: ProductMeasure) -> Fraction:
@@ -257,14 +261,8 @@ def face_independence_defect(v: ProductMeasure, m: int) -> Fraction:
     product measure, over all m-subsets of coordinates."""
     if not isinstance(m, int) or not 1 <= m < v.order:
         raise InvalidInputError(f"face order must satisfy 1 <= m < {v.order}, got {m!r}")
-    best = Fraction(0)
-    for coords in combinations(range(v.order), m):
-        face = marginal(v, coords)
-        target = product_joining([v.factors[c] for c in coords])
-        d = sup_distance(face, target)
-        if d > best:
-            best = d
-    return best
+    faces = combinations(range(v.order), m)
+    return max(_face_gap(v.factors, v.numerators, v.denominator, c) for c in faces)
 
 
 def has_standard_projections(v: ProductMeasure, distinguished: int) -> bool:
@@ -276,12 +274,8 @@ def has_standard_projections(v: ProductMeasure, distinguished: int) -> bool:
         raise InvalidInputError("need at least two factors")
     if not 0 <= distinguished < v.order:
         raise InvalidInputError(f"distinguished coordinate {distinguished} out of range")
-    edge = marginal(v, (distinguished,))
-    if tuple(edge.entries) != v.factors[distinguished].weights:
-        return False
-    rest = tuple(c for c in range(v.order) if c != distinguished)
-    face = marginal(v, rest)
-    return face == product_joining([v.factors[c] for c in rest])
+    faces = ((distinguished,), tuple(c for c in range(v.order) if c != distinguished))
+    return not any(_face_gap(v.factors, v.numerators, v.denominator, c) for c in faces)
 
 
 def operator_from_joining(v: ProductMeasure, distinguished: int) -> MarkovOperator:
@@ -431,8 +425,8 @@ def product_convergence_trace(
     for j in range(1, j_max + 1):
         ops = [distinguished_rule(j)]
         ops.extend(fiber_rule(i, j) for i in range(1, v.order))
-        pushed = push_joining(v, ops)
-        trace.append(sup_distance(pushed, product_joining(pushed.factors)))
+        p = push_joining(v, ops)
+        trace.append(_face_gap(p.factors, p.numerators, p.denominator, range(p.order)))
     return tuple(trace)
 
 
@@ -492,23 +486,22 @@ def disintegrate(v: ProductMeasure, base_coords: Sequence[int]) -> EquivariantFi
     fiber_coords = tuple(c for c in range(v.order) if c not in base_coords)
     if not fiber_coords:
         raise InvalidInputError("at least one fiber coordinate is required")
-    base_factors = tuple(v.factors[c] for c in base_coords)
-    base_marg = marginal(v, base_coords)
-    if base_marg != product_joining(base_factors):
+    nums, den = v.numerators, v.denominator
+    if _face_gap(v.factors, nums, den, base_coords):
         raise PreconditionError(
             "marginal onto the base is not the independent product measure"
         )
+    base_factors = tuple(v.factors[c] for c in base_coords)
     fiber_factors = tuple(v.factors[c] for c in fiber_coords)
-    nums, den = v.numerators, v.denominator
+    weights, weight_den = product_form(base_factors)
     fibers = embedding_map(v.shape, fiber_coords)
     conditionals = []
-    for b, w in zip(embedding_map(v.shape, base_coords), base_marg.entries):
-        # v(b, f) / w == nums[b + f] * q / (den * p) for w == p / q
-        scale, cond_den = w.denominator, den * w.numerator
+    for b, w in zip(embedding_map(v.shape, base_coords), weights):
+        # v(b, f) / (w / weight_den) == nums[b + f] * weight_den / (den * w)
         conditionals.append(
             ProductMeasure(
                 fiber_factors,
-                tuple(Fraction(nums[b + f] * scale, cond_den) for f in fibers),
+                tuple(Fraction(nums[b + f] * weight_den, den * w) for f in fibers),
             )
         )
     return EquivariantField(base_factors, fiber_factors, tuple(conditionals))

@@ -22,7 +22,6 @@ from .spaces import (
     halmos_distance,
     orbit_count,
     product_space,
-    space_size,
 )
 
 
@@ -199,16 +198,13 @@ def relative_mixing_fraction(r: SkewProduct, p: int, eps: Fraction) -> Fraction:
     atom), so the statistic is the full base mass when eps > 1 - min w and
     0 otherwise, whatever the cocycle or p.  On a one-atom fiber both
     operators are the identity and every eps gives full mass.  That closed
-    form is what is computed, after the fiber x fiber size check the kernels
-    would need."""
+    form is what is computed; no kernel is built."""
     if not isinstance(p, int) or p < 0:
         raise InvalidInputError(f"p must be a nonnegative int, got {p!r}")
     eps = as_fraction(eps)
     if eps <= 0:
         raise InvalidInputError(f"eps must be positive, got {eps}")
-    nf = r.fiber.atom_count
-    space_size((nf, nf))
-    if nf == 1 or eps > 1 - min(r.fiber.weights):
+    if r.fiber.atom_count == 1 or eps > 1 - min(r.fiber.weights):
         return Fraction(1)
     return Fraction(0)
 

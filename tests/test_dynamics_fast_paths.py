@@ -6,6 +6,7 @@ times run past the base orbit length so the periodic branch of
 ``cocycle_product`` runs, eps sits on and around the threshold
 1 - min w, and sweep bounds run from 1 to three times the order."""
 
+import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -31,6 +32,7 @@ from joinlab import (
     relative_weak_mixing_average,
     rigidity_statistic,
 )
+from joinlab.cli import main
 from joinlab.config import load_config
 from joinlab.skew import _rigidity_walk
 
@@ -157,6 +159,33 @@ def test_relative_mixing_fraction_matches_the_koopman_distance(r, data):
     for eps in (threshold, threshold - Fraction(1, 97), threshold + Fraction(1, 97), drawn):
         if eps > 0:
             assert relative_mixing_fraction(r, p, eps) == oracle.relative_mixing_fraction(r, p, eps)
+
+
+def test_relative_mixing_fraction_on_a_300_atom_fiber(tmp_path, capsys):
+    # past the 256-atom fiber whose fiber x fiber kernel would exceed the
+    # size cap, so the Koopman oracle cannot run: compare with the closed
+    # form 1 - min w = 399/400 (100 atoms of weight 1/200, 200 of 1/400)
+    weights = [Fraction(1, 200)] * 100 + [Fraction(1, 400)] * 200
+    heavy_reversed = list(range(99, -1, -1)) + list(range(100, 300))
+    cfg = {
+        "spaces": {"base": {"uniform": 3},
+                   "fiber": {"weights": [str(w) for w in weights]}},
+        "automorphisms": {"rot": {"space": "base", "perm": [1, 2, 0]}},
+        "cocycles": {"r": {"base_map": "rot", "fiber": "fiber",
+                           "maps": [heavy_reversed, list(range(300)), heavy_reversed]}},
+        "sequences": {"times": [1, 2, 10**12]},
+    }
+    path = tmp_path / "big_fiber.json"
+    path.write_text(json.dumps(cfg))
+    r = load_config(str(path)).lookup("cocycles", "r")
+    for eps, expected in (("399/400", 0), ("2/5", 0), ("2/1", 1), ("3991/4000", 1)):
+        for p in (0, 1, 10**12):
+            assert relative_mixing_fraction(r, p, Fraction(eps)) == expected
+        code = main(["cocycle", "--config", str(path), "--cocycle", "r",
+                     "--stat", "fraction", "--sequence", "times", "--eps", eps])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["values"] == [[p, f"{expected}/1"] for p in (1, 2, 10**12)]
 
 
 @PROPERTY

@@ -214,6 +214,9 @@ ERROR_CASES = {
     "lookup_none_defined": (
         ("mixing", *K1, "--automorphism", "t", "--sets", "a,b", "--sweep", "2"), {}),
     "lookup_unknown_set": ((*DEMO_MIX, "--sets", "low,nope", "--sweep", "2"), {}),
+    "lookup_unknown_fiber_set_b": (
+        (*AVERAGE, "--fiber-set-a", "top", "--fiber-set-b", "nope", "--horizon", "2"), {}),
+    "joining_verify_config_without_action": ((*VERIFY, *K1), _tensor()),
     "polytope_objective_index": (
         ("polytope", "--config", "c.json", "--action", "a", "--order", "3",
          "--independence", "2", "--objective", "o"),

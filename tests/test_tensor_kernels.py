@@ -9,6 +9,7 @@ oracle's exactly, and construction must raise the oracle's message.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 import pytest
@@ -21,10 +22,13 @@ from joinlab import (
     FiniteSpace,
     InvalidInputError,
     JoiningTensor,
+    PreconditionError,
     ProductMeasure,
     affine_combination,
     diagonal_invariance_defect,
     disintegrate,
+    face_independence_defect,
+    has_standard_projections,
     joining_from_operator,
     marginal,
     marginal_defect,
@@ -109,10 +113,10 @@ def coords_of(draw, order, min_size=1, max_size=None):
 
 
 @st.composite
-def joinings(draw):
+def joinings(draw, min_axes=1):
     """A joining whose factors are the single-axis marginals of random
     entries (each must be positive)."""
-    shape = draw(shapes())
+    shape = draw(shapes(min_axes=min_axes))
     entries = draw(measure_entries(space_size(shape)))
     weights = [oracle.axis_sums(entries, shape, [c]) for c in range(len(shape))]
     assume(all(w > 0 for ws in weights for w in ws))
@@ -296,6 +300,56 @@ def test_disintegrate_and_reassemble_match_oracle(case):
     want = oracle.conditionals(v.entries, v.shape, base)
     assert [cond.entries for cond in field.assignment] == want
     assert reassemble(field, base) == v
+
+
+@st.composite
+def faced_measures(draw):
+    """A measure of order >= 2: the product joining (every face
+    independent), a joining with an independent base face, a joining from
+    random entries (faces generally dependent), or a measure whose
+    marginals miss its factors."""
+    kind = draw(st.sampled_from(("product", "independent base", "joining", "measure")))
+    if kind == "product":
+        return product_joining(spaces(draw(weight_lists(draw(shapes(min_axes=2))))))
+    if kind == "independent base":
+        return draw(independent_over())[0]
+    if kind == "joining":
+        return draw(joinings(min_axes=2))
+    shape = draw(shapes(min_axes=2))
+    factors = spaces(draw(weight_lists(shape)))
+    return ProductMeasure(factors, tuple(draw(measure_entries(space_size(shape)))))
+
+
+def oracle_face_gap(v, coords):
+    """Sup-distance between the marginal on ``coords`` and the product of
+    those factors' weights, on Fraction entries."""
+    return oracle.sup_distance(
+        oracle.axis_sums(v.entries, v.shape, coords),
+        oracle.product([v.factors[c].weights for c in coords]),
+    )
+
+
+@PROPERTY
+@given(faced_measures())
+def test_face_kernel_matches_oracle(v):
+    axes = range(v.order)
+    for m in range(1, v.order):
+        assert face_independence_defect(v, m) == max(
+            oracle_face_gap(v, coords) for coords in combinations(axes, m)
+        )
+    for d in axes:
+        rest = tuple(c for c in axes if c != d)
+        independent = oracle_face_gap(v, (d,)) == 0 and oracle_face_gap(v, rest) == 0
+        assert has_standard_projections(v, d) == independent
+    for m in range(1, v.order):
+        for base in combinations(axes, m):
+            if oracle_face_gap(v, base):
+                with pytest.raises(PreconditionError):
+                    disintegrate(v, base)
+            else:
+                field = disintegrate(v, base)
+                want = oracle.conditionals(v.entries, v.shape, base)
+                assert [cond.entries for cond in field.assignment] == want
 
 
 @PROPERTY
