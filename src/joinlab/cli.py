@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 a verification failed, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -440,11 +441,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process: ``parse_args``
+    keeps nothing between calls, so each call still sees a fresh parser."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else 2

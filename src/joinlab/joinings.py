@@ -169,7 +169,10 @@ class JoiningTensor(ProductMeasure):
 
 def _axis_sums(numerators, shape, coords) -> list[int]:
     """Integer sums over every coordinate outside ``coords``: the marginal's
-    numerators over the same denominator, in the sub-shape's index order."""
+    numerators over the same denominator, in the sub-shape's index order.
+    On every axis in order the marginal is the entries themselves."""
+    if tuple(coords) == tuple(range(len(shape))):
+        return list(numerators)
     out = [0] * space_size(shape[c] for c in coords)
     cells = compress(projection_map(shape, coords), numerators)
     for j, x in zip(cells, compress(numerators, numerators)):  # nonzero only

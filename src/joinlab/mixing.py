@@ -21,6 +21,7 @@ from .spaces import (
     Automorphism,
     MeasurableSet,
     iter_tuples,
+    perm_power,
     space_size,
 )
 
@@ -110,18 +111,25 @@ def mixing_deviation_sweep_detail(
 
     A correlation depends on each offset only modulo the order of t, and
     reducing an offset that way never makes a grid point lexicographically
-    larger, so only {1..min(k_range, order)}^n is scanned: the result,
-    argmax included, is the one of the full grid.  That grid, and then the
-    work of composing powers on every atom at every grid point, are sized
-    by ``space_size`` before any correlation is computed, so either one
-    past ``SIZE_CAP`` raises ``ResourceLimitError``."""
+    larger, so only {1..side}^n is scanned, side = min(k_range, order): the
+    result, argmax included, is the one of the full grid.  That grid, and
+    then its points times the atoms, are sized by ``space_size`` before any
+    correlation is computed, so either one past ``SIZE_CAP`` raises
+    ``ResourceLimitError``.
+
+    The images t^K A_i that the grid reaches, i <= K <= i side, are
+    computed once, at most ``order`` of them per set, so a grid point costs
+    at most one set intersection per offset, and its deviation from the
+    product value is compared in integers."""
     if not isinstance(k_range, int) or k_range < 1:
         raise InvalidInputError(f"k_range must be a positive int, got {k_range!r}")
     if len(sets) < 2:
         raise InvalidInputError("need at least two sets")
     target = math.prod((a.measure for a in sets), start=Fraction(1))
     n = len(sets) - 1
-    shape = (min(k_range, t.order()),) * n
+    order = t.order()
+    side = min(k_range, order)
+    shape = (side,) * n
     points = space_size(shape)
     atoms = t.space.atom_count
     try:
@@ -131,15 +139,37 @@ def mixing_deviation_sweep_detail(
             f"work of {points} points on {atoms} atoms exceeds the cap of "
             f"{SIZE_CAP} point-atom steps"
         ) from None
-    best = Fraction(-1)
+    for a in sets:
+        if a.space != t.space:
+            raise InvalidInputError("all sets must live on the automorphism's space")
+    # K_i = i + m with m the sum of the first i zero-based grid coordinates,
+    # 0 <= m <= i (side - 1); images[i - 1][m] = t^(i + m) A_i, m mod order
+    perm = t.perm
+    images = []
+    for i, a in enumerate(sets[1:], 1):
+        shift = perm_power(perm, i % order)
+        row = [frozenset(shift[x] for x in a.atoms)]
+        for _ in range(min(i * (side - 1), order - 1)):
+            row.append(frozenset(perm[x] for x in row[-1]))
+        images.append(row)
+    # |mass/D - tn/td| = |mass td - tn D| / (D td), compared as numerators
+    nums, den = t.space.numerators, t.space.denominator
+    tn, td = target.numerator * den, target.denominator
+    first = sets[0].atoms
+    best = -1
     best_k: tuple[int, ...] = ()
     for grid in iter_tuples(shape):
-        offs = tuple(g + 1 for g in grid)
-        dev = abs(correlation(t, sets, offs) - target)
+        running, m = first, 0
+        for g, row in zip(grid, images):
+            if not running:
+                break
+            m += g
+            running = running & row[m % order]
+        dev = abs(sum(nums[x] for x in running) * td - tn)
         if dev > best:
             best = dev
-            best_k = offs
-    return SweepResult(best, best_k, target)
+            best_k = tuple(g + 1 for g in grid)
+    return SweepResult(Fraction(best, den * td), best_k, target)
 
 
 def offset_joining(r: Automorphism, k) -> JoiningTensor:

@@ -19,8 +19,9 @@ from .spaces import (
     FiniteSpace,
     MeasurableSet,
     compose,
-    halmos_distance,
+    halmos_numerator,
     orbit_count,
+    perm_power,
     product_space,
 )
 
@@ -96,17 +97,24 @@ def cocycle_product(r: SkewProduct, x: int, p: int) -> Automorphism:
         raise InvalidInputError(f"base atom {x} out of range")
     if not isinstance(p, int) or p < 0:
         raise InvalidInputError(f"p must be a nonnegative int, got {p!r}")
+    return Automorphism._trusted(r.fiber, _cocycle_perm(r, x, p))
+
+
+def _cocycle_perm(r: SkewProduct, x: int, p: int) -> tuple[int, ...]:
+    """The permutation tuple of ``cocycle_product(r, x, p)``, unchecked.
+    At the top of each step, acc is C(x, step) and cur is S^step x."""
+    if p == 0:
+        return tuple(r.fiber.atoms())
     base = r.base_map.perm
-    acc = tuple(r.fiber.atoms())
-    cur = x
-    for step in range(1, p + 1):
-        acc = tuple(map(r.cocycle[cur].perm.__getitem__, acc))
-        cur = base[cur]
+    acc, cur = r.cocycle[x].perm, base[x]
+    for step in range(1, p):
         if cur == x:
             q, rest = divmod(p, step)
-            period = Automorphism._trusted(r.fiber, acc)
-            return compose(cocycle_product(r, x, rest), period.power(q))
-    return Automorphism._trusted(r.fiber, acc)
+            head = _cocycle_perm(r, x, rest)
+            return tuple(map(head.__getitem__, perm_power(acc, q)))
+        acc = tuple(map(r.cocycle[cur].perm.__getitem__, acc))
+        cur = base[cur]
+    return acc
 
 
 def coboundary_extension(
@@ -167,23 +175,27 @@ def _rigidity_walk(
 
     One walk per atom x of A extends C(x, p_i) to
     C(x, p_{i+1}) = C(S^{p_i} x, p_{i+1} - p_i) o C(x, p_i), so the cocycle
-    products cost the gaps between the times, not the times themselves."""
-    ident = Automorphism.identity(r.fiber)
-    threshold = Fraction(1, n_param)
+    products cost the gaps between the times, not the times themselves.
+    Products stay permutation tuples, and rho(C, Id) < 1/n_param is tested
+    as n_param * T < D 2^n on the integer T of ``halmos_numerator``."""
+    num = r.fiber.numerators
+    bound = r.fiber.denominator << len(num)
+    ident = tuple(r.fiber.atoms())
     starts = tuple(a.atoms)
     where = list(starts)  # S^p x
     products = [ident] * len(starts)  # C(x, p)
     out, prev = [], 0
     for p in times:
         gap, prev = p - prev, p
-        s_gap = r.base_map.power(gap).perm
+        s_gap = perm_power(r.base_map.perm, gap)
         for i, y in enumerate(where):
-            products[i] = compose(cocycle_product(r, y, gap), products[i])
+            step = _cocycle_perm(r, y, gap)
+            products[i] = tuple(map(step.__getitem__, products[i]))
             where[i] = s_gap[y]
         hits = (
             x
             for x, y, c in zip(starts, where, products)
-            if y in a.atoms and halmos_distance(c, ident) < threshold
+            if y in a.atoms and n_param * halmos_numerator(num, c, ident) < bound
         )
         out.append(r.base.mass(hits))
     return out
@@ -273,7 +285,7 @@ def relative_product(r: SkewProduct) -> Automorphism:
 
 
 def is_ergodic(a: Automorphism) -> bool:
-    """Single orbit on atoms (union-find orbit count equals one)."""
+    """Single orbit on atoms (orbit count equals one)."""
     return orbit_count(a) == 1
 
 

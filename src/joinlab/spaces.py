@@ -111,6 +111,18 @@ class FiniteSpace(Value):
                 f"weights must sum to 1, got {show(Fraction(sum(nums), den))}"
             )
 
+    @classmethod
+    def _trusted(cls, numerators: Sequence[int], denominator: int) -> "FiniteSpace":
+        """Space built without validation from an integer form already known
+        to be canonical, positive and summing to ``denominator``, because it
+        is derived from valid spaces (``product_form``).  Every other caller
+        goes through the validating constructor."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "weights", _fractions(numerators, denominator))
+        object.__setattr__(obj, "numerators", tuple(numerators))
+        object.__setattr__(obj, "denominator", denominator)
+        return obj
+
     @property
     def atom_count(self) -> int:
         return len(self.weights)
@@ -173,9 +185,9 @@ class Automorphism(Value):
         n = space.atom_count
         if len(perm) != n or sorted(perm) != list(range(n)):
             raise InvalidInputError(f"not a permutation of 0..{n - 1}: {perm}")
-        ws = space.weights
+        ws, nums = space.weights, space.numerators
         for i, j in enumerate(perm):
-            if ws[i] != ws[j]:
+            if nums[i] != nums[j]:
                 raise InvalidInputError(
                     f"atom {i} (weight {show(ws[i])}) maps to "
                     f"atom {j} of different weight {show(ws[j])}"
@@ -211,15 +223,7 @@ class Automorphism(Value):
     def power(self, k: int) -> "Automorphism":
         """k-th iterate by repeated squaring; negative k iterates the inverse."""
         base = self.perm if k >= 0 else self.inverse().perm
-        k = abs(k)
-        result = tuple(range(len(base)))
-        while k:
-            if k & 1:
-                result = tuple(map(base.__getitem__, result))
-            k >>= 1
-            if k:
-                base = tuple(map(base.__getitem__, base))
-        return Automorphism._trusted(self.space, result)
+        return Automorphism._trusted(self.space, perm_power(base, abs(k)))
 
     def image(self, subset: MeasurableSet) -> MeasurableSet:
         if subset.space != self.space:
@@ -243,6 +247,18 @@ class Automorphism(Value):
             if length:
                 out = lcm(out, length)
         return out
+
+
+def perm_power(perm: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """k-th iterate of a permutation tuple, k >= 0, by repeated squaring."""
+    result = tuple(range(len(perm)))
+    while k:
+        if k & 1:
+            result = tuple(map(perm.__getitem__, result))
+        k >>= 1
+        if k:
+            perm = tuple(map(perm.__getitem__, perm))
+    return result
 
 
 def compose(a: Automorphism, b: Automorphism) -> Automorphism:
@@ -284,23 +300,36 @@ def halmos_distance(p: Automorphism, r: Automorphism) -> Fraction:
     rho(P, R) = sum_{i=1..n} 2^{-i} (mu(P A_i symdiff R A_i)
                                      + mu(P^{-1} A_i symdiff R^{-1} A_i))
     with A_i the singleton {i-1}.  Zero exactly when P == R; the singleton
-    family separates points, so this is a genuine metric.
-
-    Computed in integers: over the space's common denominator D, each
-    bracket is an integer t_i over D, and rho is sum_i 2^(n-i) t_i over
-    2^n D, reduced once by the one ``Fraction`` built at the end."""
+    family separates points, so this is a genuine metric.  Computed in
+    integers by ``halmos_numerator``, reduced once by the one ``Fraction``
+    built at the end."""
     if p.space != r.space:
         raise InvalidInputError("automorphisms live on different spaces")
-    num, den = p.space.numerators, p.space.denominator
+    num = p.space.numerators
+    return Fraction(
+        halmos_numerator(num, p.perm, r.perm), p.space.denominator << len(num)
+    )
+
+
+def halmos_numerator(
+    numerators: Sequence[int], p: Sequence[int], r: Sequence[int]
+) -> int:
+    """The integer T with rho(P, R) = T / (2^n D) for permutations ``p`` and
+    ``r`` of n atoms weighing ``numerators`` over D.
+
+    Atom j with p_j != r_j puts its brackets' mass on the singletons it
+    meets: weight 2^(n-1-j) on num[p_j] + num[r_j] (the forward term of
+    {j}), and num[j] at weights 2^(n-1-p_j) and 2^(n-1-r_j) (the inverse
+    terms of {p_j} and {r_j}, whose preimages differ there).  Summing over
+    j needs no inverse, and atoms with p_j == r_j add nothing."""
+    num, top = numerators, len(numerators) - 1
     total = 0
-    for pa, ra, pia, ria in zip(p.perm, r.perm, p.inverse().perm, r.inverse().perm):
-        term = 0
-        if pa != ra:
-            term += num[pa] + num[ra]
-        if pia != ria:
-            term += num[pia] + num[ria]
-        total = 2 * total + term
-    return Fraction(total, den << len(num))
+    for j, (pj, rj) in enumerate(zip(p, r)):
+        if pj != rj:
+            total += ((num[pj] + num[rj]) << (top - j)) + num[j] * (
+                (1 << (top - pj)) + (1 << (top - rj))
+            )
+    return total
 
 
 def orbit_count(a: Automorphism) -> int:
@@ -311,22 +340,28 @@ def orbit_count(a: Automorphism) -> int:
 def orbit_labels(size: int, maps: Iterable[Sequence[int]]) -> list[int]:
     """Orbit of every point 0..size-1 under the group generated by the
     permutations ``maps`` (each a list of images), orbits numbered 0, 1, ...
-    by first appearance; union-find with path halving."""
-    parent = list(range(size))
+    by first appearance in index order.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for images in maps:
-        for i, j in enumerate(images):
-            a, b = find(i), find(j)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    labels: dict[int, int] = {}
-    return [labels.setdefault(find(i), len(labels)) for i in range(size)]
+    Each unlabelled point, in index order, starts a stack walk that labels
+    everything its images reach; for permutations of a finite set that
+    forward closure is the whole orbit."""
+    maps = list(maps)
+    labels = [-1] * size
+    count = 0
+    for start in range(size):
+        if labels[start] >= 0:
+            continue
+        labels[start] = count
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for images in maps:
+                y = images[x]
+                if labels[y] < 0:
+                    labels[y] = count
+                    stack.append(y)
+        count += 1
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +384,10 @@ def product_form(spaces: Sequence[FiniteSpace]) -> tuple[list[int], int]:
 
 
 def product_space(spaces: Sequence[FiniteSpace]) -> FiniteSpace:
-    """Product space; atoms are tuples in lexicographic order, weights multiply."""
-    return FiniteSpace(_fractions(*product_form(spaces)))
+    """Product space; atoms are tuples in lexicographic order, weights multiply.
+    ``product_form`` already gives the canonical, positive integer form
+    summing to its denominator, so nothing is re-validated."""
+    return FiniteSpace._trusted(*product_form(spaces))
 
 
 def shape_of(spaces: Sequence[FiniteSpace]) -> tuple[int, ...]:

@@ -770,7 +770,7 @@ def test_mixing_sweep_grid_past_the_cap_exits_2_fast(tmp_path, capsys):
 
 
 def test_mixing_sweep_work_past_the_cap_exits_2_fast(tmp_path, capsys):
-    # 256 x 256 grid points fit the cap, but each composes powers on 256 atoms
+    # 256 x 256 grid points fit the cap, but points times 256 atoms do not
     cfg = tmp_path / "cycle256.json"
     cfg.write_text(json.dumps({
         "spaces": {"s": {"uniform": 256}},
@@ -785,3 +785,40 @@ def test_mixing_sweep_work_past_the_cap_exits_2_fast(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: --sweep: ")
     assert "65536 points on 256 atoms" in err
+
+
+def test_consecutive_in_process_calls_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process: flags set by one call must
+    # not leak into the next, and an argparse exit must leave it usable
+    from joinlab.cli import main
+
+    monkeypatch.chdir(REPO)
+    out = tmp_path / "report.json"
+    corner = ("polytope", "--config", "configs/polytope_k2.json", "--action", "full",
+              "--order", "3", "--independence", "2", "--objective", "corner")
+    calls = [
+        (*corner, "--minimize", "--out", str(out)),
+        (*corner, "--certify"),  # --certify and --objective exclude each other
+        corner,
+    ]
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "joinlab", *argv],
+                              capture_output=True, text=True, cwd=REPO)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    out.unlink()
+    codes = []
+    for argv, (code, stdout, stderr) in zip(calls, fresh):
+        got = main(list(argv))
+        captured = capsys.readouterr()
+        codes.append(got)
+        assert (got, captured.out) == (code, stdout)
+        if code == 2:
+            assert captured.err == stderr
+        if argv is calls[0]:
+            assert out.read_text() == stdout
+            out.unlink()
+    assert codes == [0, 2, 0]
+    assert json.loads(fresh[0][1])["sense"] == "min"
+    assert json.loads(fresh[2][1])["sense"] == "max"
+    assert not out.exists()

@@ -27,6 +27,7 @@ from joinlab import (
     compose,
     halmos_distance,
     mixing_deviation_sweep_detail,
+    product_space,
     relative_mixing_fraction,
     relative_product,
     relative_weak_mixing_average,
@@ -139,6 +140,31 @@ def test_rigidity_walk_on_the_demo_config():
         for n_param in (1, 2, 8):
             assert_walk_matches(r, a, n_param, range(1, 65))
             assert_walk_matches(r, a, n_param, cfg.lookup("sequences", "times").times)
+
+
+@pytest.mark.parametrize(
+    "light, rho, n_param, counted",
+    [
+        # swapping the two heavy atoms of (l, l, h, h), h = 1/2 - l, puts
+        # rho(C, Id) at (2^-3 + 2^-4) 4h = 3h/4: exactly 1/4 at h = 1/3
+        (Fraction(1, 6), Fraction(1, 4), 4, False),
+        (Fraction(1, 6), Fraction(1, 4), 3, True),
+        # and just below 1/4 once h is 1/600 lighter
+        (Fraction(1, 6) + Fraction(1, 600), Fraction(199, 800), 4, True),
+    ],
+)
+def test_rigidity_threshold_is_strict(light, rho, n_param, counted):
+    fiber = FiniteSpace((light, light, Fraction(1, 2) - light, Fraction(1, 2) - light))
+    swap = Automorphism(fiber, (0, 1, 3, 2))
+    assert halmos_distance(swap, Automorphism.identity(fiber)) == rho
+    base = FiniteSpace.uniform(1)
+    r = SkewProduct(base, fiber, Automorphism.identity(base), (swap,))
+    a = MeasurableSet(base, frozenset({0}))
+    want = Fraction(1) if counted else Fraction(0)
+    assert oracle.rigidity_statistic(r, a, n_param, 1) == want
+    assert rigidity_statistic(r, a, n_param, 1) == want
+    # C(0, p) is the swap at odd p and the identity at even p
+    assert _rigidity_walk(r, a, n_param, [1, 2, 3, 10**12 + 1]) == [want, 1, want, want]
 
 
 @PROPERTY
@@ -261,6 +287,22 @@ def test_derived_automorphisms_equal_validated_ones(data):
         assert a.power(k) == expected
         assert a.power(-k) == oracle.inverse(expected)
         expected = oracle.compose(a, expected)
+
+
+@PROPERTY
+@given(st.data())
+def test_product_space_equals_the_validated_space(data):
+    factors = [two_class_space(data.draw) for _ in range(data.draw(st.integers(1, 3)))]
+    fast = product_space(factors)
+    slow = FiniteSpace(fast.weights)
+    assert type(fast.numerators) is tuple
+    assert (fast.weights, fast.numerators, fast.denominator) == \
+        (slow.weights, slow.numerators, slow.denominator)
+    assert fast == slow and hash(fast) == hash(slow)
+    weights = [Fraction(1)]
+    for f in factors:
+        weights = [w * v for w in weights for v in f.weights]
+    assert list(fast.weights) == weights
 
 
 @PROPERTY

@@ -260,3 +260,46 @@ def test_orbit_labels_match_a_brute_force_closure(data):
     if len(maps) == 1:
         auto = Automorphism(FiniteSpace.uniform(size), tuple(maps[0]))
         assert orbit_count(auto) == count
+
+
+def sympy_orbit_labels(size, maps):
+    """Orbit labels from sympy's orbit computation, numbered by each orbit's
+    least point: an implementation independent of the stack walks above."""
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    gens = [Permutation(list(m)) for m in maps] or [Permutation(list(range(size)))]
+    orbits = sorted(PermutationGroup(gens).orbits(), key=min)
+    labels = [0] * size
+    for label, orbit in enumerate(orbits):
+        for x in orbit:
+            labels[x] = label
+    return labels
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.data())
+def test_orbit_labels_match_sympy_orbits(data):
+    size = data.draw(st.integers(1, 40))
+    maps = data.draw(st.lists(st.permutations(range(size)), max_size=3))
+    assert orbit_labels(size, maps) == sympy_orbit_labels(size, maps)
+
+
+@pytest.mark.parametrize(
+    "k, order, count", [(1, 2, None), (1, 4, None), (2, 2, None), (2, 3, 10), (3, 3, 20)]
+)
+def test_orbit_labels_of_z2k_diagonal_actions_match_sympy(k, order, count):
+    from joinlab.torus import Z2kContext, full_action
+
+    action = full_action(Z2kContext(k))
+    shape = (action.space.atom_count,) * order
+    maps = [moved_index_map(shape, (g.perm,) * order) for g in action.generators]
+    size = space_size(shape)
+    labels = orbit_labels(size, iter(maps))  # any iterable of maps, read once
+    assert labels == sympy_orbit_labels(size, maps)
+    if count is not None:  # the orbit counts of the polytope certificates
+        assert max(labels) + 1 == count

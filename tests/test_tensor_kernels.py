@@ -201,6 +201,11 @@ def test_axis_sums_on_raw_entries(data):
     nums, den = integer_form(entries)
     got = [Fraction(s, den) for s in _axis_sums(nums, shape, coords)]
     assert got == oracle.axis_sums(entries, shape, coords)
+    # every axis in order: the entries themselves, a list like any other face
+    every = range(len(shape))
+    assert _axis_sums(nums, shape, every) == list(nums)
+    assert [Fraction(s, den) for s in _axis_sums(nums, shape, every)] == \
+        oracle.axis_sums(entries, shape, tuple(every))
 
 
 @PROPERTY
