@@ -32,7 +32,7 @@ from .spaces import (
 )
 from .rationals import parse_rational
 
-_NAME = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
+_NAME = re.compile(r"[A-Za-z0-9_.-]{1,64}")
 
 _SECTIONS = (
     "spaces",
@@ -81,7 +81,7 @@ def _section(data: dict, key: str) -> dict:
     if not isinstance(raw, dict):
         raise InvalidInputError(f"{key}: expected an object of named entries")
     for name in raw:
-        if not isinstance(name, str) or not _NAME.match(name):
+        if not isinstance(name, str) or not _NAME.fullmatch(name):
             raise InvalidInputError(
                 f"{key}: invalid name {name!r} (letters, digits, '_', '.', '-')"
             )

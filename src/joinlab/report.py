@@ -8,12 +8,22 @@ never belongs in a report; the command line prints it to stderr.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections.abc import Sequence
 from fractions import Fraction
 
 from .rationals import format_rational
+
+# CPython's builtin SHA-256, as `random` takes `_sha512`: importing
+# `hashlib` loads OpenSSL, the largest leaf of a cold start, to hash a
+# few KB of arguments and input bytes.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 def jsonable(value):
@@ -44,7 +54,7 @@ def jsonable(value):
 def input_digest(argv: Sequence[str], config_bytes: bytes = b"") -> str:
     """Hex digest identifying one invocation: the argument vector plus the
     raw bytes of every file input, in order."""
-    h = hashlib.sha256()
+    h = sha256()
     for arg in argv:
         h.update(arg.encode("utf-8"))
         h.update(b"\x00")

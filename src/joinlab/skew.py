@@ -8,7 +8,6 @@ C behaves in the Halmos metric and the weak operator distance.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -243,20 +242,22 @@ def relative_weak_mixing_average(
     if not isinstance(n_horizon, int) or n_horizon < 1:
         raise InvalidInputError(f"horizon must be a positive int, got {n_horizon!r}")
     num, den = r.fiber.numerators, r.fiber.denominator
-    in_b = [False] * r.fiber.atom_count
+    # numerator on B, 0 elsewhere: the hits of an image are one map-sum
+    on_b = [0] * r.fiber.atom_count
     for y in b.atoms:
-        in_b[y] = True
+        on_b[y] = num[y]
     # (mu(C A ^ B) - mu(A) mu(B))^2 = (hits * den - target)^2 / den^4
-    target = sum(num[y] for y in a.atoms) * sum(num[y] for y in b.atoms)
+    target = sum(num[y] for y in a.atoms) * sum(on_b)
+    start = sorted(a.atoms)
     total = 0
     for x, weight in enumerate(r.base.numerators):
-        images = sorted(a.atoms)
+        images = start
         cur = x
         inner = step = 0
         while step < n_horizon:
             images = list(map(r.cocycle[cur].perm.__getitem__, images))
             cur = r.base_map.perm[cur]
-            hits = sum(num[y] for y in images if in_b[y])
+            hits = sum(map(on_b.__getitem__, images))
             inner += (hits * den - target) ** 2
             step += 1
             if cur == x and a.atoms.issuperset(images):
@@ -289,9 +290,7 @@ def is_ergodic(a: Automorphism) -> bool:
     return orbit_count(a) == 1
 
 
-def _random_preserving_permutation(
-    rng: random.Random, space: FiniteSpace
-) -> Automorphism:
+def _random_preserving_permutation(rng, space: FiniteSpace) -> Automorphism:
     # Uniform over the weight-preserving subgroup: shuffle within weight classes.
     classes: dict[Fraction, list[int]] = {}
     for i, w in enumerate(space.weights):
@@ -316,6 +315,8 @@ def sample_random_extension(
     """
     if not isinstance(seed, int):
         raise InvalidInputError(f"seed must be an int, got {seed!r}")
+    import random  # only `sample` draws; every other command starts without it
+
     rng = random.Random(seed)
     draws = [
         _random_preserving_permutation(rng, fiber) for _ in s.space.atoms()

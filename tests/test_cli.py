@@ -2,6 +2,7 @@
 determinism and exit-code behaviour.  Tests that bound the time of the
 work itself call ``main`` in-process instead."""
 
+import importlib.util
 import json
 import math
 import re
@@ -68,6 +69,46 @@ def test_start_up_imports_no_dataclasses_typing_or_inspect():
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout.split() == []
+
+
+BUILTIN_SHA256 = any(
+    importlib.util.find_spec(m) is not None for m in ("_sha2", "_sha256")
+)
+COLD_COMMANDS = {
+    "eta": ("eta", "--k", "1", "--verify"),
+    "polytope": ("polytope", "--config", "configs/polytope_k1.json", "--action",
+                 "flip", "--order", "3", "--independence", "2", "--certify"),
+    "joining": ("joining", "verify", "--file", "tests/golden/tensors/eta_k1.json",
+                "--config", "configs/polytope_k1.json", "--action", "flip"),
+    "mixing": ("mixing", "--config", "configs/mixing_demo.json", "--automorphism",
+               "rot4", "--sets", "low,mixed", "--sweep", "3"),
+    "cocycle": ("cocycle", "--config", "configs/skew_demo.json", "--cocycle",
+                "alternating", "--stat", "average", "--fiber-set-a", "top",
+                "--fiber-set-b", "top", "--horizon", "4"),
+    "sample": ("sample", "--config", "configs/skew_demo.json", "--base", "rot4",
+               "--fiber", "pair", "--seed", "7", "--mode", "iid-cocycle",
+               "--analyze"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COLD_COMMANDS))
+def test_cold_run_loads_neither_openssl_nor_random_unless_sampling(command):
+    # -S: no site hook, which may load random through tempfile
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from joinlab.cli import main; "
+        "code = main(sys.argv[2:]); "
+        "print('loaded:', *[m for m in ('hashlib', '_hashlib', 'random') "
+        "if m in sys.modules]); sys.exit(code)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(REPO / "src"), *COLD_COMMANDS[command]],
+        capture_output=True, text=True, cwd=REPO,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split()[1:])
+    assert ("random" in loaded) == (command == "sample")
+    if BUILTIN_SHA256:
+        assert not loaded & {"hashlib", "_hashlib"}
 
 
 SKEW_FRACTION = ("cocycle", "--config", "configs/skew_demo.json", "--cocycle",

@@ -62,6 +62,12 @@ def test_lookup_names_known_entries():
     [
         (lambda d: d.update(extra_section={}), "extra_section"),
         (lambda d: d.update(spaces={"bad name!": {"uniform": 2}}), "invalid name"),
+        # a `$` anchor would also match just before a final newline
+        (lambda d: d.update(spaces={"b\n": {"uniform": 2}}), "invalid name 'b\\n'"),
+        (
+            lambda d: d.update(spaces={"x" * 64 + "\n": {"uniform": 2}}),
+            "spaces: invalid name",
+        ),
         (lambda d: d.update(spaces={"p": {}}), "spaces.p"),
         (
             lambda d: d.update(spaces={"p": {"uniform": 2, "weights": ["1/1"]}}),
@@ -141,6 +147,11 @@ def test_malformed_configs(mutate, fragment):
     with pytest.raises(InvalidInputError) as err:
         parse_config(data)
     assert fragment in str(err.value)
+
+
+def test_longest_name_accepted():
+    name = "x" * 64
+    assert parse_config({"spaces": {name: {"uniform": 2}}}).spaces[name].atom_count == 2
 
 
 def test_non_object_rejected():

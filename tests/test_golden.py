@@ -197,6 +197,7 @@ ERROR_CASES = {
     "config_base_map": (CERTIFY, {"c.json": _config(
         spaces=PAIR, automorphisms=SWAP,
         cocycles={"r": {"base_map": "nope", "fiber": "pair", "maps": []}})}),
+    "config_name_trailing_newline": (CERTIFY, _spaces(**{"b\n": {"uniform": 2}})),
     # tensor file fields
     "tensor_factor_item": (VERIFY, _tensor(factors=[["1/2", "x"]])),
     "tensor_factor_weights": (VERIFY, _tensor(factors=[["1/2", "1/3"]])),
