@@ -13,9 +13,13 @@ entries' reduced denominators, so the form is canonical.  The sign, mass
 and marginal checks and the defect kernels run on it, and loops over
 entries walk precomputed flat index maps (``spaces.flat_index_map``)
 instead of converting between tuples and indices; ``Fraction`` is built
-only for results.  The form costs entries times the bit length of the
-denominator; past ``FORM_BITS_CAP`` bits construction raises
-``ResourceLimitError`` before any numerator is scaled.
+only for results, one object per distinct entry.  A builder that already
+holds an integer form (a marginal, a pushed or a sparse tensor, a decoded
+file) constructs through ``_from_form``, which the ``Fraction``
+constructor also ends in, so both run one validation.  The form costs
+entries times the bit length of the denominator; past ``FORM_BITS_CAP``
+bits construction raises ``ResourceLimitError`` before any numerator is
+scaled.  The invariance kernel reads only the nonzero cells.
 
 Every comparison of a face marginal with the product of its factors'
 measures runs through one integer kernel, ``_face_gap``.
@@ -26,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations, compress
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InvalidInputError, PreconditionError, Value
 from .operators import MarkovOperator
@@ -61,19 +65,45 @@ class ProductMeasure(Value):
     _fields = ("factors", "entries")
 
     def __init__(self, factors: tuple[FiniteSpace, ...], entries: tuple[Fraction, ...]):
-        factors = tuple(factors)
+        entries = tuple(as_fraction(x) for x in entries)
+        self._set_form(tuple(factors), *integer_form(entries), entries)
+
+    @classmethod
+    def _from_form(cls, factors, numerators, denominator: int, entries=None):
+        """Measure with entries ``numerators[i] / denominator`` (a positive
+        denominator), checked exactly as the constructor checks entries.
+        Without ``entries`` the form is divided by its gcd, so any common
+        denominator will do, and the entries are built from it; a caller
+        that holds the entries already passes them with their canonical
+        form."""
+        obj = object.__new__(cls)
+        obj._set_form(tuple(factors), numerators, denominator, entries)
+        return obj
+
+    def _set_form(self, factors, numerators, denominator, entries=None) -> None:
+        """Store the canonical form and the entries, then check them: the
+        one validation path, which ``_from_form`` and the constructor share."""
         object.__setattr__(self, "factors", factors)
         if not factors:
             raise InvalidInputError("a measure needs at least one factor")
-        entries = tuple(as_fraction(x) for x in entries)
-        object.__setattr__(self, "entries", entries)
-        if len(entries) != self.size:
+        if len(numerators) != self.size:
             raise InvalidInputError(
-                f"expected {self.size} entries, got {len(entries)}"
+                f"expected {self.size} entries, got {len(numerators)}"
             )
-        nums, den = integer_form(entries)
-        object.__setattr__(self, "numerators", nums)
-        object.__setattr__(self, "denominator", den)
+        if entries is None:
+            common = gcd(denominator, *numerators)
+            if common > 1:
+                numerators = [n // common for n in numerators]
+                denominator //= common
+            entries = _fractions(numerators, denominator)
+        object.__setattr__(self, "numerators", tuple(numerators))
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "entries", entries)
+        self._check()
+
+    def _check(self) -> None:
+        """Raise unless the entries are nonnegative with mass one."""
+        nums, den = self.numerators, self.denominator
         if min(nums) < 0:
             first = next(i for i, x in enumerate(nums) if x < 0)
             raise InvalidInputError(
@@ -86,15 +116,15 @@ class ProductMeasure(Value):
             )
 
     @classmethod
-    def _trusted(cls, factors, entries, numerators, denominator):
-        """Measure built without validation from ``entries`` and their
-        integer form, for data that is a measure of this class by
-        construction (the product weights of ``factors``).  Every other
-        caller goes through the validating constructor."""
+    def _trusted(cls, factors, numerators, denominator):
+        """Measure built without validation from a canonical integer form,
+        for data that is a measure of this class by construction (the
+        product weights of ``factors``, the order-4 sum joining).  Every
+        other caller goes through a validating constructor."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "factors", factors)
-        object.__setattr__(obj, "entries", entries)
-        object.__setattr__(obj, "numerators", numerators)
+        object.__setattr__(obj, "entries", _fractions(numerators, denominator))
+        object.__setattr__(obj, "numerators", tuple(numerators))
         object.__setattr__(obj, "denominator", denominator)
         return obj
 
@@ -142,8 +172,10 @@ class JoiningTensor(ProductMeasure):
 
     __slots__ = ()
 
-    def __init__(self, factors: tuple[FiniteSpace, ...], entries: tuple[Fraction, ...]):
-        super().__init__(factors, entries)
+    def _check(self) -> None:
+        """Raise unless the measure checks pass and every single-coordinate
+        marginal is its factor's weights."""
+        super()._check()
         nums, den = self.numerators, self.denominator
         for coord, sp in enumerate(self.factors):
             if _face_gap(self.factors, nums, den, (coord,)):
@@ -160,11 +192,20 @@ class JoiningTensor(ProductMeasure):
         values: Mapping[tuple[int, ...], Fraction],
     ) -> "JoiningTensor":
         factors = tuple(factors)
-        shape = tuple(sp.atom_count for sp in factors)
-        entries = [Fraction(0)] * space_size(shape)
-        for tup, x in values.items():
-            entries[tuple_to_index(shape, tup)] = as_fraction(x)
-        return cls(factors, tuple(entries))
+        shape = shape_of(factors)
+        cells = {tuple_to_index(shape, t): as_fraction(x) for t, x in values.items()}
+        return cls._from_form(factors, *sparse_form(space_size(shape), cells))
+
+
+def sparse_form(size: int, cells: Mapping[int, Fraction]) -> tuple[list[int], int]:
+    """Integer form of the ``size`` entries that hold ``cells[i]`` at each
+    flat index i listed and zero elsewhere.  Only the listed values are
+    scaled, but the ``FORM_BITS_CAP`` check counts all ``size`` entries."""
+    nums, den = integer_form(tuple(cells.values()), size)
+    out = [0] * size
+    for i, n in zip(cells, nums):
+        out[i] = n
+    return out, den
 
 
 def _axis_sums(numerators, shape, coords) -> list[int]:
@@ -216,7 +257,7 @@ def product_joining(factors: Sequence[FiniteSpace]) -> JoiningTensor:
     if not factors:
         raise InvalidInputError("a joining needs at least one factor")
     nums, den = product_form(factors)
-    return JoiningTensor._trusted(factors, _fractions(nums, den), tuple(nums), den)
+    return JoiningTensor._trusted(factors, nums, den)
 
 
 def marginal(v: ProductMeasure, coords: Sequence[int]) -> ProductMeasure:
@@ -233,7 +274,7 @@ def marginal(v: ProductMeasure, coords: Sequence[int]) -> ProductMeasure:
     sums = _axis_sums(v.numerators, v.shape, coords)
     factors = tuple(v.factors[c] for c in coords)
     cls = JoiningTensor if isinstance(v, JoiningTensor) else ProductMeasure
-    return cls(factors, _fractions(sums, v.denominator))
+    return cls._from_form(factors, sums, v.denominator)
 
 
 def diagonal_invariance_defect(v: ProductMeasure, action: ActionGenerators) -> Fraction:
@@ -249,13 +290,25 @@ def diagonal_invariance_defect(v: ProductMeasure, action: ActionGenerators) -> F
 
 def _invariance_defect(numerators, shape, generators) -> int:
     """max over generators g and tuples t of |n(g t) - n(t)| on integer
-    numerators; the entries need not form a measure."""
+    numerators; the entries need not form a measure.
+
+    Only the support S (the nonzero cells) is read.  Off S the difference
+    is |n(g t)|, nonzero only where g t lies in S but not in g(S); when g
+    moves no value of S, g maps S onto itself and no such cell exists."""
+    values = list(compress(numerators, numerators))  # n(t) for t in S, in order
+    everywhere = len(values) == len(numerators)  # then no filter is needed
     best = 0
     for g in generators:
         moved = moved_index_map(shape, (g.perm,) * len(shape))
-        best = max(
-            best, max(abs(numerators[j] - x) for j, x in zip(moved, numerators))
-        )
+        images = moved if everywhere else compress(moved, numerators)  # g t, t in S
+        gap = max((abs(numerators[j] - x) for j, x in zip(images, values)), default=0)
+        if gap:
+            hit = set(compress(moved, numerators))  # g(S)
+            support = compress(range(len(numerators)), numerators)
+            gap = max(gap, max(
+                (abs(numerators[u]) for u in support if u not in hit), default=0
+            ))
+        best = max(best, gap)
     return best
 
 
@@ -397,7 +450,12 @@ def push_by_automorphisms(
         if a.space != v.factors[i]:
             raise InvalidInputError(f"automorphism {i} lives on the wrong space")
     moved = moved_index_map(v.shape, [a.inverse().perm for a in autos])
-    return type(v)(v.factors, tuple(map(v.entries.__getitem__, moved)))
+    return type(v)._from_form(
+        v.factors,
+        list(map(v.numerators.__getitem__, moved)),
+        v.denominator,
+        tuple(map(v.entries.__getitem__, moved)),
+    )
 
 
 def product_convergence_trace(

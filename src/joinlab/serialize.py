@@ -10,7 +10,9 @@ A tensor file looks like
 with every rational written as an explicit "p/q" string and the nonzero
 list sorted ascending by index tuple.  ``data_to_raw`` decodes without
 imposing the joining axioms so that verification can report defects
-instead of refusing to load.
+instead of refusing to load.  It parses each distinct literal once and
+takes the integer form of the listed values only, scattered into the
+dense numerators; the form's size cap still counts every entry.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import json
 from fractions import Fraction
 
 from .errors import InvalidInputError, Value, naming
-from .joinings import JoiningTensor, ProductMeasure
+from .joinings import JoiningTensor, ProductMeasure, sparse_form
 from .rationals import format_rational, parse_rational
 from .skew import SkewProduct
-from .spaces import FiniteSpace, integer_form, shape_of, space_size, tuple_to_index
+from .spaces import FiniteSpace, _offsets, shape_of, space_size
 
 
 def read_bytes(path: str) -> bytes:
@@ -108,11 +110,15 @@ def data_to_raw(data, path: str = "tensor") -> RawTensor:
     )
     shape = shape_of(factors)
     with naming(f"{path}.factors"):
-        entries = [Fraction(0)] * space_size(shape)
+        size = space_size(shape)
     raw_nonzero = data["nonzero"]
     if not isinstance(raw_nonzero, list):
         raise InvalidInputError(f"{path}.nonzero: expected a list")
-    seen = set()
+    cells = {}  # flat index -> value
+    literals = {}  # literal string -> value: a repeated literal is parsed once
+    # per-coordinate tables, applied across an index by ``map``
+    ints, ranges = (int,) * len(shape), [range(n) for n in shape]
+    offsets = _offsets(shape)  # a coordinate's share in the flat index
     for i, pair in enumerate(raw_nonzero):
         with naming(f"{path}.nonzero[{i}]"):
             if not isinstance(pair, list) or len(pair) != 2:
@@ -121,29 +127,43 @@ def data_to_raw(data, path: str = "tensor") -> RawTensor:
             if (
                 not isinstance(tup, list)
                 or len(tup) != len(shape)
-                or any(not isinstance(t, int) or isinstance(t, bool) for t in tup)
+                or not all(map(isinstance, tup, ints))
+                or bool in map(type, tup)
             ):
                 raise InvalidInputError(f"index must be a list of {len(shape)} ints")
-            for axis, (t, n) in enumerate(zip(tup, shape)):
-                if not 0 <= t < n:
-                    raise InvalidInputError(
-                        f"coordinate {axis} is {t}, out of range 0..{n - 1}"
-                    )
-            key = tuple(tup)
-            if key in seen:
-                raise InvalidInputError(f"duplicate index {key}")
-            seen.add(key)
-            entries[tuple_to_index(shape, key)] = parse_rational(value)
+            if not all(map(range.__contains__, ranges, tup)):
+                axis, t, n = next(
+                    (axis, t, n) for axis, (t, n) in enumerate(zip(tup, shape))
+                    if not 0 <= t < n
+                )
+                raise InvalidInputError(
+                    f"coordinate {axis} is {t}, out of range 0..{n - 1}"
+                )
+            flat = sum(map(list.__getitem__, offsets, tup))
+            if flat in cells:
+                raise InvalidInputError(f"duplicate index {tuple(tup)}")
+            if isinstance(value, str):  # a list or an object is unhashable
+                x = literals.get(value)
+                if x is None:
+                    x = literals[value] = parse_rational(value)
+            else:
+                x = parse_rational(value)  # refuses every non-string
+            cells[flat] = x
     with naming(f"{path}.nonzero"):
-        nums, den = integer_form(entries)
-    return RawTensor(factors, tuple(entries), nums, den)
+        nums, den = sparse_form(size, cells)
+    entries = [Fraction(0)] * size
+    for j, x in cells.items():
+        entries[j] = x
+    return RawTensor(factors, tuple(entries), tuple(nums), den)
 
 
 def data_to_joining(data, path: str = "tensor") -> JoiningTensor:
     """Decode and validate as a joining (marginals equal the factors)."""
     raw = data_to_raw(data, path)
     with naming(path):
-        return JoiningTensor(raw.factors, raw.entries)
+        return JoiningTensor._from_form(
+            raw.factors, raw.numerators, raw.denominator, raw.entries
+        )
 
 
 def skew_to_data(r: SkewProduct) -> dict:

@@ -62,19 +62,22 @@ def check_form_bits(size: int, den: int) -> None:
         )
 
 
-def integer_form(entries: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+def integer_form(
+    entries: Sequence[Fraction], size: int | None = None
+) -> tuple[tuple[int, ...], int]:
     """(numerators, denominator) with entries[i] == numerators[i] / denominator
     and the denominator the lcm of the entries' reduced denominators.
 
     The lcm is accumulated one distinct denominator at a time and checked
     against ``FORM_BITS_CAP`` at each step, so an oversized form raises
-    ``ResourceLimitError`` before any numerator is scaled."""
-    size = len(entries)
+    ``ResourceLimitError`` before any numerator is scaled.  The check counts
+    ``size`` numerators, default ``len(entries)``: a sparse tensor's form
+    is taken over its nonzero values but fills all its entries."""
     dens = {x.denominator for x in entries}
     den = 1
     for d in dens:
         den = lcm(den, d)
-        check_form_bits(size, den)
+        check_form_bits(len(entries) if size is None else size, den)
     scale = {d: den // d for d in dens}
     return tuple(x.numerator * scale[x.denominator] for x in entries), den
 

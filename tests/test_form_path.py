@@ -1,0 +1,261 @@
+"""Joining tensors built, decoded and checked in their integer form.
+
+The invariance kernel reads only the nonzero cells; it is compared with
+the dense oracle in ``tensor_oracle.py`` on mostly-zero raw entries, and
+its reads are counted on the k = 3 sum joining.  The decoder is compared
+with the ``Fraction`` decoder it replaced (``decode_oracle.py``) on sparse
+files with repeated literals, explicit zeros, negative values and
+malformed items.  ``_from_form`` is compared with the ``Fraction``
+constructor, and both with the oracle's validation messages.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from joinlab import Automorphism, FiniteSpace, JoiningTensor, ProductMeasure
+from joinlab.errors import InvalidInputError, JoinlabError, ResourceLimitError
+from joinlab.joinings import _invariance_defect
+from joinlab.serialize import data_to_joining, data_to_raw
+from joinlab.spaces import index_to_tuple, space_size, tuple_to_index
+from joinlab.torus import Z2kContext, full_action, triple_sum_joining
+
+import decode_oracle
+import tensor_oracle as oracle
+
+# derandomized, so that a failure replays exactly and the run time is fixed
+PROPERTY = settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+# literals drawn with repeats: explicit zeros, negatives, integers, and
+# non-canonical forms that parse to the same value as a canonical one
+LITERALS = ("1/2", "1/3", "-1/6", "0/1", "0", "-0", "2/4", "5", "-2/7", "1/12", "+1/3")
+BAD_VALUES = ([1], {}, None, 0.5, True, "1e0", "1/0", "1/2 ", "")
+
+
+@st.composite
+def small_shapes(draw):
+    axes = draw(st.integers(1, 3))
+    return tuple(draw(st.integers(1, 4)) for _ in range(axes))
+
+
+@st.composite
+def sparse_entries(draw, size):
+    """Mostly-zero signed entries: at most half the cells carry a value."""
+    cells = draw(st.dictionaries(
+        st.integers(0, size - 1),
+        st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4, 6))),
+        max_size=max(1, size // 2),
+    ))
+    return [cells.get(i, Fraction(0)) for i in range(size)]
+
+
+# -- invariance on the support --------------------------------------------
+
+
+def test_invariance_counts_cells_that_move_onto_the_support():
+    # x -> x + 1 mod 3 on (9, 2, 0): off the support, cell 2 moves onto the
+    # 9 at cell 0; the pairs inside the support differ by 7 at most
+    cycle = Automorphism(FiniteSpace.uniform(3), (1, 2, 0))
+    assert _invariance_defect([9, 2, 0], (3,), [cycle]) == 9
+    assert oracle.invariance_defect([9, 2, 0], (3,), [cycle.perm]) == 9
+
+
+def _plant_staircase(entries, shape, perm, start, step):
+    """Zero the diagonal orbit of ``perm`` through flat index ``start`` and
+    put step * (m, m - 1, ..., 1) on the m >= 2 cells after it: every step
+    along the orbit inside the support is ``step``, while the zero before
+    the top moves onto it, a gap of m * step."""
+    orbit = [start]
+    while True:
+        tup = index_to_tuple(shape, orbit[-1])
+        nxt = tuple_to_index(shape, [perm[t] for t in tup])
+        if nxt == start:
+            break
+        orbit.append(nxt)
+    if len(orbit) < 3:
+        return
+    for i in orbit:
+        entries[i] = Fraction(0)
+    top = len(orbit) - 1
+    for i, cell in enumerate(orbit[1:top + 1]):
+        entries[cell] = Fraction(step * (top - i))
+
+
+@PROPERTY
+@given(st.data())
+def test_invariance_on_sparse_raw_entries_matches_oracle(data):
+    atoms = data.draw(st.integers(1, 4))
+    order = data.draw(st.integers(1, 3))
+    shape = (atoms,) * order
+    size = space_size(shape)
+    entries = data.draw(sparse_entries(size))
+    perms = data.draw(st.lists(st.permutations(range(atoms)), min_size=1, max_size=3))
+    if data.draw(st.booleans()):
+        # one generator, steps above any gap between the drawn entries
+        perms = perms[:1]
+        start = data.draw(st.integers(0, size - 1))
+        _plant_staircase(entries, shape, perms[0], start, data.draw(st.integers(13, 20)))
+    space = FiniteSpace.uniform(atoms)
+    gens = [Automorphism(space, tuple(p)) for p in perms]
+    den = 12
+    nums = [int(x * den) for x in entries]
+    want = oracle.invariance_defect(entries, shape, perms)
+    assert Fraction(_invariance_defect(nums, shape, gens), den) == want
+
+
+class CountingList(list):
+    """A list that counts its index reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        CountingList.reads += 1
+        return super().__getitem__(index)
+
+
+def test_invariance_reads_each_support_cell_once_per_generator():
+    ctx = Z2kContext(3)
+    v = triple_sum_joining(ctx)
+    gens = full_action(ctx).generators
+    nonzero = sum(1 for x in v.numerators if x)
+    assert nonzero == 512
+    CountingList.reads = 0
+    assert _invariance_defect(CountingList(v.numerators), v.shape, gens) == 0
+    assert CountingList.reads <= len(gens) * nonzero
+
+
+def test_sum_joining_equals_the_validated_tensor():
+    for k in (1, 2, 3):
+        ctx = Z2kContext(k)
+        g = ctx.group_order
+        entries = [Fraction(0)] * g**4
+        for a in range(g):
+            for b in range(g):
+                for c in range(g):
+                    entries[((a * g + b) * g + c) * g + (a ^ b ^ c)] = Fraction(1, g**3)
+        want = JoiningTensor((ctx.space,) * 4, entries)
+        got = triple_sum_joining(ctx)
+        assert got == want and hash(got) == hash(want)
+        assert got.entries == want.entries
+
+
+# -- decode ---------------------------------------------------------------
+
+
+def _outcome(decode, doc):
+    try:
+        raw = decode(doc, "t")
+    except JoinlabError as exc:
+        return type(exc), str(exc)
+    return raw.numerators, raw.denominator, raw.entries
+
+
+@st.composite
+def sparse_documents(draw):
+    shape = draw(small_shapes())
+    size = space_size(shape)
+    cells = draw(st.lists(st.integers(0, size - 1), unique=True, max_size=size))
+    nonzero = [
+        [list(index_to_tuple(shape, i)), draw(st.sampled_from(LITERALS))]
+        for i in cells
+    ]
+    if nonzero and draw(st.booleans()):
+        # one malformed item, anywhere in the list
+        at = draw(st.integers(0, len(nonzero) - 1))
+        kind = draw(st.sampled_from(("value", "range", "duplicate", "bool", "short")))
+        tup = nonzero[at][0]
+        if kind == "value":
+            nonzero[at][1] = draw(st.sampled_from(BAD_VALUES))
+        elif kind == "range":
+            tup[-1] = draw(st.sampled_from((-1, shape[-1])))
+        elif kind == "duplicate":
+            nonzero.insert(at + 1, [list(tup), "1/2"])
+        elif kind == "bool":
+            tup[0] = True
+        else:
+            tup.pop()
+    return {"factors": [["1/%d" % n] * n for n in shape], "nonzero": nonzero}
+
+
+@PROPERTY
+@given(sparse_documents())
+def test_decode_matches_the_fraction_decoder(doc):
+    assert _outcome(data_to_raw, doc) == _outcome(decode_oracle.data_to_raw, doc)
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES, ids=repr)
+def test_decode_refuses_a_bad_value_after_a_parsed_literal(bad):
+    doc = {"factors": [["1/2", "1/2"]],
+           "nonzero": [[[0], "1/2"], [[1], bad]]}
+    want = _outcome(decode_oracle.data_to_raw, doc)
+    assert want[0] is InvalidInputError
+    assert _outcome(data_to_raw, doc) == want
+
+
+def test_decode_form_cap_counts_every_entry():
+    # one nonzero entry; its denominator fits a one-entry form, but not the
+    # 65,536 numerators the tensor holds
+    doc = {"factors": [["1/2", "1/2"]] * 16, "nonzero": [[[0] * 16, "1/" + "3" * 400]]}
+    with pytest.raises(ResourceLimitError) as new:
+        data_to_raw(doc, "t")
+    with pytest.raises(ResourceLimitError) as old:
+        decode_oracle.data_to_raw(doc, "t")
+    assert str(new.value) == str(old.value)
+    assert str(new.value).startswith("t.nonzero: 65536 entries over")
+
+
+def test_repeated_literal_is_parsed_once():
+    doc = {"factors": [["1/2", "1/2"]] * 2,
+           "nonzero": [[[0, 0], "1/2"], [[1, 1], "1/2"]]}
+    raw = data_to_raw(doc)
+    assert raw.entries[0] is raw.entries[3]
+    assert data_to_joining(doc).entries == raw.entries
+
+
+# -- one validation path --------------------------------------------------
+
+
+def _built(build):
+    try:
+        v = build()
+    except InvalidInputError as exc:
+        return "error", str(exc)
+    return v, hash(v), v.entries, v.numerators, v.denominator
+
+
+@PROPERTY
+@given(st.data())
+def test_from_form_equals_the_fraction_constructor(data):
+    shape = data.draw(small_shapes())
+    size = space_size(shape)
+    weights = [[Fraction(1, n)] * n for n in shape]
+    factors = tuple(FiniteSpace(tuple(ws)) for ws in weights)
+    kind = data.draw(st.sampled_from(("measure", "joining", "raw", "length")))
+    if kind == "length":
+        size += data.draw(st.sampled_from((-1, 1)))
+    den = data.draw(st.sampled_from((1, 2, 6, 12)))
+    nums = data.draw(st.lists(st.integers(-2, 12), min_size=size, max_size=size))
+    if kind == "measure":
+        nums = [abs(n) for n in nums]
+        den = sum(nums) or 1
+    if kind == "joining":
+        # the product measure, scaled by a common factor the form divides out
+        scale = data.draw(st.integers(1, 5))
+        nums = [scale] * size
+        den = scale * size
+    entries = [Fraction(n, den) for n in nums]
+    for cls, joining in ((ProductMeasure, False), (JoiningTensor, True)):
+        by_form = _built(lambda: cls._from_form(factors, nums, den))
+        by_fractions = _built(lambda: cls(factors, entries))
+        assert by_form == by_fractions
+        if by_form[0] == "error" and kind != "length":
+            assert by_form[1] == oracle.validation_error(weights, entries, joining)
+        if by_form[0] != "error":
+            assert oracle.validation_error(weights, entries, joining) is None

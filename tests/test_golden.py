@@ -3,9 +3,12 @@
 Every ``cocycle``, ``mixing`` and ``sample --analyze`` invocation of the
 README's examples, plus the other statistics on the same configs, has its
 full report (digest included) stored under ``tests/golden/``, as have the
-small ``polytope`` certificates and objectives and ``eta --k 2 --verify``,
-whose witnesses and defects are built on product weights, and two
-``joining verify`` runs on the tensor files under ``tests/golden/tensors/``.
+small ``polytope`` certificates and objectives, ``eta --k 2 --verify`` and
+``eta --k 3 --verify``, whose witnesses and defects are built on product
+weights, and ``joining verify`` runs on the tensor files under
+``tests/golden/tensors/``: eta at k = 1 and k = 3, the latter under the full
+Z_2^3 action of ``z2k3_full.json`` as in the tensor benchmark, and two
+damaged tensors.
 A faster path that changes any byte of any of them fails here.
 
 ``tests/golden/errors.json`` pins the exit code and stderr (minus the
@@ -44,6 +47,8 @@ SKEW = ("--config", "configs/skew_demo.json")
 MIXING = ("--config", "configs/mixing_demo.json")
 K1 = ("--config", "configs/polytope_k1.json")
 K2 = ("--config", "configs/polytope_k2.json")
+# the full action on Z_2^3 that the tensor benchmark checks eta against
+K3 = ("--config", "tests/golden/tensors/z2k3_full.json")
 
 INVOCATIONS = {
     "cocycle_rigidity_alternating": (
@@ -107,10 +112,17 @@ INVOCATIONS = {
     "joining_verify_damaged": (
         "joining", "verify", "--file", "tests/golden/tensors/damaged.json",
         *K1, "--action", "flip"),
+    "eta_k3_verify": ("eta", "--k", "3", "--verify"),
+    "joining_verify_eta_k3": (
+        "joining", "verify", "--file", "tests/golden/tensors/eta_k3.json",
+        *K3, "--action", "full"),
+    "joining_verify_eta_k3_damaged": (
+        "joining", "verify", "--file", "tests/golden/tensors/eta_k3_damaged.json",
+        *K3, "--action", "full"),
 }
 
 # reports of a verification that fails, printed with exit code 1
-FAILING = {"joining_verify_damaged"}
+FAILING = {"joining_verify_damaged", "joining_verify_eta_k3_damaged"}
 
 
 def report_bytes(name) -> bytes:
@@ -207,6 +219,13 @@ ERROR_CASES = {
     "tensor_nonzero_range": (VERIFY, _tensor(nonzero=[[[2], "1/2"]])),
     "tensor_nonzero_duplicate": (VERIFY, _tensor(nonzero=[[[0], "1/2"], [[0], "1/2"]])),
     "tensor_nonzero_value": (VERIFY, _tensor(nonzero=[[[0], "1/2"], [[1], "1e0"]])),
+    # values that are not strings, after a string literal: never looked up
+    # among the parsed literals (a list or an object is not hashable)
+    **{
+        f"tensor_nonzero_value_{kind}": (VERIFY, _tensor(nonzero=[[[0], "1/2"], [[1], value]]))
+        for kind, value in (("list", [1]), ("object", {}), ("null", None),
+                            ("float", 0.5), ("bool", True))
+    },
     "tensor_nonzero_form_cap": (VERIFY, {"t.json": json.dumps(DENSE_TENSOR)}),
     # command line flags and the names they look up
     "lookup_unknown_action": (
