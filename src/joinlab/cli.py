@@ -57,7 +57,7 @@ from .skew import (
     relative_weak_mixing_average,
     sample_random_extension,
 )
-from .spaces import orbit_count, shape_of, tuple_to_index
+from .spaces import orbit_count, shape_of, support_cells, tuple_to_index
 from .torus import Z2kContext, full_action, triple_sum_joining
 
 
@@ -98,7 +98,8 @@ def _cmd_eta(args):
     v = triple_sum_joining(ctx)
     action = full_action(ctx)
     mass = Fraction(sum(v.numerators), v.denominator)
-    edge = marginal_defect(v.factors, v.numerators, v.denominator)
+    # the kernels below share ``v.support``, computed here once
+    edge = marginal_defect(v.factors, v.numerators, v.denominator, v.support)
     three = face_independence_defect(v, 3)
     invariance = diagonal_invariance_defect(v, action)
     sup_product = _face_gap(v.factors, v.numerators, v.denominator, range(v.order))
@@ -325,14 +326,15 @@ def _cmd_joining_verify(args):
                     "invariance check needs every factor equal to the action's space"
                 )
 
-    nums, den = raw.numerators, raw.denominator
+    nums, den, shape = raw.numerators, raw.denominator, shape_of(raw.factors)
+    support = support_cells(shape, nums)  # read by both checks below
     mass = Fraction(sum(nums), den)
     min_entry = Fraction(min(nums), den)
-    marginals = marginal_defect(raw.factors, nums, den)
+    marginals = marginal_defect(raw.factors, nums, den, support)
     invariance_defect = None
     if action is not None:
         invariance_defect = Fraction(
-            _invariance_defect(nums, shape_of(raw.factors), action.generators), den
+            _invariance_defect(nums, shape, action.generators, support), den
         )
     passed = (
         mass == 1

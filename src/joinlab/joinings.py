@@ -10,16 +10,22 @@ through a tuple of operators, and exact disintegration over a base.
 Every measure also keeps an integer form, computed once at construction:
 Python-int numerators over one common denominator, the lcm of the
 entries' reduced denominators, so the form is canonical.  The sign, mass
-and marginal checks and the defect kernels run on it, and loops over
-entries walk precomputed flat index maps (``spaces.flat_index_map``)
-instead of converting between tuples and indices; ``Fraction`` is built
-only for results, one object per distinct entry.  A builder that already
-holds an integer form (a marginal, a pushed or a sparse tensor, a decoded
-file) constructs through ``_from_form``, which the ``Fraction``
+and marginal checks and the defect kernels run on it; ``Fraction`` is
+built only for results, one object per distinct entry.  A builder that
+already holds an integer form (a marginal, a pushed or a sparse tensor, a
+decoded file) constructs through ``_from_form``, which the ``Fraction``
 constructor also ends in, so both run one validation.  The form costs
 entries times the bit length of the denominator; past ``FORM_BITS_CAP``
 bits construction raises ``ResourceLimitError`` before any numerator is
-scaled.  The invariance kernel reads only the nonzero cells.
+scaled.
+
+The measure kernels (face sums, the marginal and face checks, the
+invariance defect) read only the support: the nonzero cells and their
+coordinates, from ``spaces.support_cells``.  A measure computes its
+support on first use and keeps it, and each kernel takes a support
+computed once by its caller, so a command lists the cells once.  Loops
+that need every cell (a full fill, a push, a disintegration) walk the
+dense flat index maps of ``spaces`` instead.
 
 Every comparison of a face marginal with the product of its factors'
 measures runs through one integer kernel, ``_face_gap``.
@@ -29,8 +35,9 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations
 from math import gcd, lcm
+from operator import sub
 
 from .errors import InvalidInputError, PreconditionError, Value
 from .operators import MarkovOperator
@@ -40,6 +47,7 @@ from .spaces import (
     Automorphism,
     FiniteSpace,
     _fractions,
+    _offsets,
     embedding_map,
     index_to_tuple,
     integer_form,
@@ -47,9 +55,10 @@ from .spaces import (
     moved_index_map,
     product_form,
     product_space,
-    projection_map,
     shape_of,
     space_size,
+    support_cells,
+    support_map,
     tuple_to_index,
 )
 
@@ -59,9 +68,9 @@ class ProductMeasure(Value):
     nonnegative).  Marginals are unconstrained; conditional measures produced
     by disintegration live here.  ``numerators`` and ``denominator`` are the
     integer form of ``entries``, derived at construction and left out of
-    repr."""
+    repr; ``support`` is derived from it on first use."""
 
-    __slots__ = ("factors", "entries", "numerators", "denominator")
+    __slots__ = ("factors", "entries", "numerators", "denominator", "_support")
     _fields = ("factors", "entries")
 
     def __init__(self, factors: tuple[FiniteSpace, ...], entries: tuple[Fraction, ...]):
@@ -140,6 +149,16 @@ class ProductMeasure(Value):
     def size(self) -> int:
         return space_size(self.shape)
 
+    @property
+    def support(self) -> tuple[list[int], list[int], list[list[int]]]:
+        """``spaces.support_cells`` of the numerators, computed once."""
+        try:
+            return self._support
+        except AttributeError:
+            found = support_cells(self.shape, self.numerators)
+            object.__setattr__(self, "_support", found)
+            return found
+
     def value(self, tup: Sequence[int]) -> Fraction:
         return self.entries[tuple_to_index(self.shape, tup)]
 
@@ -176,10 +195,10 @@ class JoiningTensor(ProductMeasure):
         """Raise unless the measure checks pass and every single-coordinate
         marginal is its factor's weights."""
         super()._check()
-        nums, den = self.numerators, self.denominator
+        nums, den, support = self.numerators, self.denominator, self.support
         for coord, sp in enumerate(self.factors):
-            if _face_gap(self.factors, nums, den, (coord,)):
-                got = _fractions(_axis_sums(nums, self.shape, (coord,)), den)
+            if _face_gap(self.factors, nums, den, (coord,), support):
+                got = _fractions(_axis_sums(nums, self.shape, (coord,), support), den)
                 raise InvalidInputError(
                     f"marginal onto coordinate {coord} is {show(got)}, "
                     f"expected the factor weights {show(sp.weights)}"
@@ -208,35 +227,52 @@ def sparse_form(size: int, cells: Mapping[int, Fraction]) -> tuple[list[int], in
     return out, den
 
 
-def _axis_sums(numerators, shape, coords) -> list[int]:
+def _axis_sums(numerators, shape, coords, support=None) -> list[int]:
     """Integer sums over every coordinate outside ``coords``: the marginal's
     numerators over the same denominator, in the sub-shape's index order.
-    On every axis in order the marginal is the entries themselves."""
-    if tuple(coords) == tuple(range(len(shape))):
+    On every axis in order the marginal is the entries themselves; on any
+    other face each support value is added into its projected cell.
+    ``support`` is ``support_cells(shape, numerators)``, computed here when
+    not given."""
+    coords = tuple(coords)
+    if coords == tuple(range(len(shape))):
         return list(numerators)
-    out = [0] * space_size(shape[c] for c in coords)
-    cells = compress(projection_map(shape, coords), numerators)
-    for j, x in zip(cells, compress(numerators, numerators)):  # nonzero only
+    _, values, at = support or support_cells(shape, numerators)
+    face_shape = [shape[c] for c in coords]
+    out = [0] * space_size(face_shape)
+    projected = support_map([at[c] for c in coords], _offsets(face_shape))
+    for j, x in zip(projected, values):
         out[j] += x
     return out
 
 
-def _face_gap(factors, numerators, denominator, coords) -> Fraction:
+def _face_gap(factors, numerators, denominator, coords, support=None) -> Fraction:
     """Sup-distance from the marginal on ``coords`` of ``numerators`` /
     ``denominator`` on the product of ``factors`` to the product of those
-    factors' measures; the entries need not form a measure."""
-    sums = _axis_sums(numerators, shape_of(factors), coords)
+    factors' measures; the entries need not form a measure.  ``support`` is
+    as for ``_axis_sums``."""
+    sums = _axis_sums(numerators, shape_of(factors), coords, support)
     weights, weight_den = product_form([factors[c] for c in coords])
-    worst = max(abs(s * weight_den - w * denominator) for s, w in zip(sums, weights))
+    worst = max(map(abs, map(
+        sub, map(weight_den.__mul__, sums), map(denominator.__mul__, weights)
+    )))
     return Fraction(worst, denominator * weight_den)
 
 
-def marginal_defect(factors: Sequence[FiniteSpace], numerators, denominator: int) -> Fraction:
+def marginal_defect(
+    factors: Sequence[FiniteSpace], numerators, denominator: int, support=None
+) -> Fraction:
     """Largest |marginal - weight| over every coordinate and atom of the
     entries ``numerators`` / ``denominator`` on the product of ``factors``;
-    the entries need not form a measure."""
+    the entries need not form a measure.  ``support`` is
+    ``support_cells(shape_of(factors), numerators)``, computed here once
+    when not given."""
+    support = support or support_cells(shape_of(factors), numerators)
     return max(
-        (_face_gap(factors, numerators, denominator, (c,)) for c in range(len(factors))),
+        (
+            _face_gap(factors, numerators, denominator, (c,), support)
+            for c in range(len(factors))
+        ),
         default=Fraction(0),
     )
 
@@ -271,7 +307,7 @@ def marginal(v: ProductMeasure, coords: Sequence[int]) -> ProductMeasure:
         raise InvalidInputError(f"coords must be nonempty strictly increasing, got {coords}")
     if coords[0] < 0 or coords[-1] >= v.order:
         raise InvalidInputError(f"coords {coords} outside 0..{v.order - 1}")
-    sums = _axis_sums(v.numerators, v.shape, coords)
+    sums = _axis_sums(v.numerators, v.shape, coords, v.support)
     factors = tuple(v.factors[c] for c in coords)
     cls = JoiningTensor if isinstance(v, JoiningTensor) else ProductMeasure
     return cls._from_form(factors, sums, v.denominator)
@@ -284,29 +320,31 @@ def diagonal_invariance_defect(v: ProductMeasure, action: ActionGenerators) -> F
         if sp != action.space:
             raise InvalidInputError("every factor must equal the action's space")
     return Fraction(
-        _invariance_defect(v.numerators, v.shape, action.generators), v.denominator
+        _invariance_defect(v.numerators, v.shape, action.generators, v.support),
+        v.denominator,
     )
 
 
-def _invariance_defect(numerators, shape, generators) -> int:
+def _invariance_defect(numerators, shape, generators, support=None) -> int:
     """max over generators g and tuples t of |n(g t) - n(t)| on integer
-    numerators; the entries need not form a measure.
+    numerators; the entries need not form a measure.  ``support`` is
+    ``support_cells(shape, numerators)``, computed here when not given.
 
-    Only the support S (the nonzero cells) is read.  Off S the difference
-    is |n(g t)|, nonzero only where g t lies in S but not in g(S); when g
-    moves no value of S, g maps S onto itself and no such cell exists."""
-    values = list(compress(numerators, numerators))  # n(t) for t in S, in order
-    everywhere = len(values) == len(numerators)  # then no filter is needed
+    Only the support S (the nonzero cells) is read, and g t is computed
+    only for t in S.  Off S the difference is |n(g t)|, nonzero only where
+    g t lies in S but not in g(S); when g moves no value of S, g maps S
+    onto itself and no such cell exists."""
+    cells, values, at = support or support_cells(shape, numerators)
+    offsets = _offsets(shape)
     best = 0
     for g in generators:
-        moved = moved_index_map(shape, (g.perm,) * len(shape))
-        images = moved if everywhere else compress(moved, numerators)  # g t, t in S
-        gap = max((abs(numerators[j] - x) for j, x in zip(images, values)), default=0)
+        images = support_map(at, [[col[p] for p in g.perm] for col in offsets])
+        moved = map(numerators.__getitem__, images)  # n(g t), t in S
+        gap = max(map(abs, map(sub, moved, values)), default=0)
         if gap:
-            hit = set(compress(moved, numerators))  # g(S)
-            support = compress(range(len(numerators)), numerators)
+            hit = set(images)  # g(S)
             gap = max(gap, max(
-                (abs(numerators[u]) for u in support if u not in hit), default=0
+                (abs(x) for u, x in zip(cells, values) if u not in hit), default=0
             ))
         best = max(best, gap)
     return best
@@ -318,7 +356,8 @@ def face_independence_defect(v: ProductMeasure, m: int) -> Fraction:
     if not isinstance(m, int) or not 1 <= m < v.order:
         raise InvalidInputError(f"face order must satisfy 1 <= m < {v.order}, got {m!r}")
     faces = combinations(range(v.order), m)
-    return max(_face_gap(v.factors, v.numerators, v.denominator, c) for c in faces)
+    nums, den, support = v.numerators, v.denominator, v.support
+    return max(_face_gap(v.factors, nums, den, c, support) for c in faces)
 
 
 def has_standard_projections(v: ProductMeasure, distinguished: int) -> bool:
@@ -331,7 +370,8 @@ def has_standard_projections(v: ProductMeasure, distinguished: int) -> bool:
     if not 0 <= distinguished < v.order:
         raise InvalidInputError(f"distinguished coordinate {distinguished} out of range")
     faces = ((distinguished,), tuple(c for c in range(v.order) if c != distinguished))
-    return not any(_face_gap(v.factors, v.numerators, v.denominator, c) for c in faces)
+    nums, den, support = v.numerators, v.denominator, v.support
+    return not any(_face_gap(v.factors, nums, den, c, support) for c in faces)
 
 
 def operator_from_joining(v: ProductMeasure, distinguished: int) -> MarkovOperator:
@@ -548,7 +588,7 @@ def disintegrate(v: ProductMeasure, base_coords: Sequence[int]) -> EquivariantFi
     if not fiber_coords:
         raise InvalidInputError("at least one fiber coordinate is required")
     nums, den = v.numerators, v.denominator
-    if _face_gap(v.factors, nums, den, base_coords):
+    if _face_gap(v.factors, nums, den, base_coords, v.support):
         raise PreconditionError(
             "marginal onto the base is not the independent product measure"
         )

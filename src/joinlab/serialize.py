@@ -12,7 +12,8 @@ list sorted ascending by index tuple.  ``data_to_raw`` decodes without
 imposing the joining axioms so that verification can report defects
 instead of refusing to load.  It parses each distinct literal once and
 takes the integer form of the listed values only, scattered into the
-dense numerators; the form's size cap still counts every entry.
+dense numerators; the form's size cap still counts every entry.  An
+item's field name is formatted only when that item is refused.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import InvalidInputError, Value, naming
+from .errors import InvalidInputError, JoinlabError, Value, naming
 from .joinings import JoiningTensor, ProductMeasure, sparse_form
 from .rationals import format_rational, parse_rational
 from .skew import SkewProduct
@@ -120,7 +121,7 @@ def data_to_raw(data, path: str = "tensor") -> RawTensor:
     ints, ranges = (int,) * len(shape), [range(n) for n in shape]
     offsets = _offsets(shape)  # a coordinate's share in the flat index
     for i, pair in enumerate(raw_nonzero):
-        with naming(f"{path}.nonzero[{i}]"):
+        try:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise InvalidInputError("expected [index tuple, rational]")
             tup, value = pair
@@ -149,6 +150,9 @@ def data_to_raw(data, path: str = "tensor") -> RawTensor:
             else:
                 x = parse_rational(value)  # refuses every non-string
             cells[flat] = x
+        except JoinlabError:
+            with naming(f"{path}.nonzero[{i}]"):  # the item's name, built on failure
+                raise
     with naming(f"{path}.nonzero"):
         nums, den = sparse_form(size, cells)
     entries = [Fraction(0)] * size

@@ -10,7 +10,12 @@ products run on each space's integer form, computed once at construction.
 Products are laid out here and only here: atom tuples are ranked
 lexicographically, last coordinate fastest; ``iter_tuples`` enumerates
 them, ``flat_index_map`` and its derived maps turn them into flat
-indices, and ``orbit_labels`` partitions them into orbits.  ``space_size``
+indices, and ``orbit_labels`` partitions them into orbits.  The dense maps
+serve what needs every cell: the polytope's LP columns and orbits, and
+tensors filled or moved cell by cell.  The measure kernels read only a
+tensor's support: ``support_cells`` lists its nonzero cells with their
+coordinates once, and ``support_map`` sums per-axis tables over them as
+``flat_index_map`` does over every cell.  ``space_size``
 is the one check against ``SIZE_CAP``; everything that builds a product
 calls it first, so an oversized product raises ``ResourceLimitError``
 before it is allocated.
@@ -20,8 +25,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from math import lcm
+from operator import add
 
 from .errors import InvalidInputError, ResourceLimitError, Value
 from .rationals import as_fraction, show
@@ -458,6 +464,34 @@ def moved_index_map(
     return flat_index_map(
         shape, [[col[p] for p in perm] for col, perm in zip(_offsets(shape), perms)]
     )
+
+
+def support_cells(
+    shape: Sequence[int], numerators: Sequence[int]
+) -> tuple[list[int], list[int], list[list[int]]]:
+    """The support of ``numerators`` laid out on ``shape``: the flat indices
+    of its nonzero cells (of either sign) in ascending order, their values,
+    and for every axis a the cells' coordinates on it, so that
+    ``coords[a][k]`` is coordinate a of ``cells[k]``."""
+    cells = list(compress(range(len(numerators)), numerators))
+    coords = []
+    stride = 1
+    for n in reversed(shape):
+        coords.append([i // stride % n for i in cells])
+        stride *= n
+    return cells, list(compress(numerators, numerators)), coords[::-1]
+
+
+def support_map(
+    coords: Sequence[Sequence[int]], per_axis: Sequence[Sequence[int]]
+) -> list[int]:
+    """For every support cell k, the sum over axes a of
+    ``per_axis[a][coords[a][k]]``: ``flat_index_map`` on the cells whose
+    coordinates ``support_cells`` listed, for the axes given."""
+    out = list(map(per_axis[0].__getitem__, coords[0]))
+    for col, at in zip(per_axis[1:], coords[1:]):
+        out = list(map(add, out, map(col.__getitem__, at)))
+    return out
 
 
 def projection_map(shape: Sequence[int], coords: Sequence[int]) -> list[int]:

@@ -23,6 +23,7 @@ from .spaces import (
     flat_index_map,
     index_to_tuple,
     space_size,
+    support_map,
 )
 
 K_CAP = 4
@@ -122,7 +123,7 @@ def character_coefficient(
     v: ProductMeasure, chars: Sequence[Sequence[int]]
 ) -> Fraction:
     """Fourier coefficient sum_t v(t) * prod_i chi_{a_i}(t_i) for one
-    bit-vector per factor."""
+    bit-vector per factor, summed over the support of v only."""
     chars = [tuple(c) for c in chars]
     if len(chars) != v.order:
         raise InvalidInputError(f"need {v.order} characters, got {len(chars)}")
@@ -134,17 +135,23 @@ def character_coefficient(
                 "factor is not the uniform group matching the character length"
             )
         idxs.append(ctx.atom(c))
-    parities = _parity_table(v.shape, idxs)
-    total = sum(-x if p & 1 else x for p, x in zip(parities, v.numerators) if x)
+    _, values, at = v.support
+    parities = support_map(at, _parity_columns(v.shape, idxs))
+    total = sum(-x if p & 1 else x for p, x in zip(parities, values))
     return Fraction(total, v.denominator)
 
 
+def _parity_columns(shape: Sequence[int], idx_key: Sequence[int]) -> list[list[int]]:
+    """a_i . t_i for every coordinate t_i of every axis i, one character
+    index a_i per axis: summed over the axes, its parity is the sign of
+    prod_i chi_{a_i}(t_i)."""
+    return [[_dot_parity(a, t) for t in range(n)] for a, n in zip(idx_key, shape)]
+
+
 def _parity_table(shape: Sequence[int], idx_key: Sequence[int]) -> list[int]:
-    """sum_i a_i . t_i at every flat index t, for one character index a_i
-    per axis; its parity is the sign of prod_i chi_{a_i}(t_i)."""
-    return flat_index_map(
-        shape, [[_dot_parity(a, t) for t in range(n)] for a, n in zip(idx_key, shape)]
-    )
+    """sum_i a_i . t_i at every flat index t: ``_parity_columns`` summed
+    over every cell, for a tensor filled cell by cell."""
+    return flat_index_map(shape, _parity_columns(shape, idx_key))
 
 
 def fourier_joining(

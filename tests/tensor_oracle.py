@@ -22,6 +22,14 @@ def flat_index_map(shape, per_axis):
     return [sum(col[t] for col, t in zip(per_axis, tup)) for tup in tuples(shape)]
 
 
+def support(entries, shape):
+    """(flat indices, values, per-axis coordinates) of the nonzero entries."""
+    cells = [idx for idx, x in enumerate(entries) if x]
+    tups = [index_to_tuple(shape, idx) for idx in cells]
+    coords = [[tup[a] for tup in tups] for a in range(len(shape))]
+    return cells, [entries[idx] for idx in cells], coords
+
+
 def axis_sums(entries, shape, coords):
     out_shape = [shape[c] for c in coords]
     out = [Fraction(0)] * space_size(out_shape)
@@ -144,6 +152,18 @@ def markov_push(entries, shape, trans_per_axis):
             acc += x
         out.append(acc)
     return out
+
+
+def character_coefficient(entries, k, order, key):
+    """sum over every tuple t of v(t) * prod_i chi_{a_i}(t_i), the key given
+    as one atom index per factor."""
+    total = Fraction(0)
+    for tup, x in zip(tuples([2**k] * order), entries):
+        parity = 0
+        for a, t in zip(key, tup):
+            parity ^= bin(a & t).count("1") & 1
+        total += -x if parity else x
+    return total
 
 
 def fourier_entries(k, order, table):

@@ -2,7 +2,8 @@
 
 The invariance kernel reads only the nonzero cells; it is compared with
 the dense oracle in ``tensor_oracle.py`` on mostly-zero raw entries, and
-its reads are counted on the k = 3 sum joining.  The decoder is compared
+its reads, and those of the face sums, are counted on the k = 3 sum
+joining.  The decoder is compared
 with the ``Fraction`` decoder it replaced (``decode_oracle.py``) on sparse
 files with repeated literals, explicit zeros, negative values and
 malformed items.  ``_from_form`` is compared with the ``Fraction``
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from joinlab import Automorphism, FiniteSpace, JoiningTensor, ProductMeasure
 from joinlab.errors import InvalidInputError, JoinlabError, ResourceLimitError
-from joinlab.joinings import _invariance_defect
+from joinlab.joinings import _axis_sums, _invariance_defect
 from joinlab.serialize import data_to_joining, data_to_raw
 from joinlab.spaces import index_to_tuple, space_size, tuple_to_index
 from joinlab.torus import Z2kContext, full_action, triple_sum_joining
@@ -129,6 +130,16 @@ def test_invariance_reads_each_support_cell_once_per_generator():
     CountingList.reads = 0
     assert _invariance_defect(CountingList(v.numerators), v.shape, gens) == 0
     assert CountingList.reads <= len(gens) * nonzero
+
+
+def test_axis_sums_read_each_support_cell_once_per_face():
+    v = triple_sum_joining(Z2kContext(3))
+    nonzero = sum(1 for x in v.numerators if x)
+    for coords in ((0,), (1, 3), (0, 1, 2), (1, 2, 3)):
+        CountingList.reads = 0
+        got = _axis_sums(CountingList(v.numerators), v.shape, coords)
+        assert got == _axis_sums(v.numerators, v.shape, coords)
+        assert CountingList.reads <= nonzero
 
 
 def test_sum_joining_equals_the_validated_tensor():

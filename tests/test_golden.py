@@ -4,12 +4,15 @@ Every ``cocycle``, ``mixing`` and ``sample --analyze`` invocation of the
 README's examples, plus the other statistics on the same configs, has its
 full report (digest included) stored under ``tests/golden/``, as have the
 small ``polytope`` certificates and objectives, ``eta --k 2 --verify`` and
-``eta --k 3 --verify``, whose witnesses and defects are built on product
-weights, and ``joining verify`` runs on the tensor files under
-``tests/golden/tensors/``: eta at k = 1 and k = 3, the latter under the full
-Z_2^3 action of ``z2k3_full.json`` as in the tensor benchmark, and two
-damaged tensors.
-A faster path that changes any byte of any of them fails here.
+``eta --k 3 --verify`` and ``eta --k 4 --verify``, whose witnesses and
+defects are built on product weights, and ``joining verify`` runs on the
+tensor files under ``tests/golden/tensors/``: eta at k = 1 and k = 3, the
+latter under the full Z_2^3 action of ``z2k3_full.json`` as in the tensor
+benchmark, two damaged tensors, and under the full Z_2^2 action a sparse
+tensor whose support carries both signs and one with an empty support.
+A faster path that changes any byte of any of them fails here, and eta and
+``joining verify`` at k = 3 must print theirs with every dense flat index
+map refused.
 
 ``tests/golden/errors.json`` pins the exit code and stderr (minus the
 wall-time line) of each invalid-input case in ``ERROR_CASES``: one or more
@@ -119,10 +122,22 @@ INVOCATIONS = {
     "joining_verify_eta_k3_damaged": (
         "joining", "verify", "--file", "tests/golden/tensors/eta_k3_damaged.json",
         *K3, "--action", "full"),
+    "eta_k4_verify": ("eta", "--k", "4", "--verify"),
+    "joining_verify_signed_k2": (
+        "joining", "verify", "--file", "tests/golden/tensors/signed_k2.json",
+        *K2, "--action", "full"),
+    "joining_verify_empty_k2": (
+        "joining", "verify", "--file", "tests/golden/tensors/empty_k2.json",
+        *K2, "--action", "full"),
 }
 
 # reports of a verification that fails, printed with exit code 1
-FAILING = {"joining_verify_damaged", "joining_verify_eta_k3_damaged"}
+FAILING = {
+    "joining_verify_damaged",
+    "joining_verify_eta_k3_damaged",
+    "joining_verify_signed_k2",
+    "joining_verify_empty_k2",
+}
 
 
 def report_bytes(name) -> bytes:
@@ -300,6 +315,23 @@ def error_entry(name) -> dict:
 @pytest.mark.parametrize("name", sorted(INVOCATIONS))
 def test_report_matches_golden_bytes(name):
     assert report_bytes(name) == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_tensor_commands_build_no_dense_index_map(monkeypatch, capsys):
+    """eta and joining verify read only the support: with every dense flat
+    index map refused, they still print their golden reports."""
+
+    def refuse(*args):
+        raise AssertionError("a dense flat index map was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("joinlab") and hasattr(module, "flat_index_map"):
+            monkeypatch.setattr(module, "flat_index_map", refuse)
+    monkeypatch.chdir(REPO)
+    for name in ("eta_k3_verify", "joining_verify_eta_k3"):
+        assert main(list(INVOCATIONS[name])) == 0
+        golden = (GOLDEN / f"{name}.json").read_bytes()
+        assert capsys.readouterr().out.encode() == golden
 
 
 @pytest.fixture(scope="module")

@@ -3,8 +3,10 @@
 
 Shapes have 1-4 axes of unequal atom counts and at most 64 entries;
 entries carry mixed denominators, and raw entries (for the helpers that
-accept them) may be negative.  Every kernel result must equal the
-oracle's exactly, and construction must raise the oracle's message.
+accept them) may be negative.  The support kernels are also drawn on
+empty, single-cell, sparse (at most one cell in eight) and full supports
+of signed values.  Every kernel result must equal the oracle's exactly,
+and construction must raise the oracle's message.
 """
 
 import random
@@ -39,13 +41,15 @@ from joinlab import (
     reassemble,
     sup_distance,
 )
-from joinlab.torus import Z2kContext, fourier_joining
-from joinlab.joinings import _axis_sums, _invariance_defect, integer_form
+from joinlab.torus import Z2kContext, character_coefficient, fourier_joining
+from joinlab.joinings import _axis_sums, _face_gap, _invariance_defect, integer_form
 from joinlab.spaces import (
     flat_index_map,
     moved_index_map,
     projection_map,
     space_size,
+    support_cells,
+    support_map,
 )
 
 import tensor_oracle as oracle
@@ -256,6 +260,99 @@ def test_invariance_defect_on_raw_entries(data):
     assert diagonal_invariance_defect(v, ActionGenerators(space, gens)) == (
         oracle.invariance_defect(v.entries, shape, perms)
     )
+
+
+NONZERO = SIGNED.filter(bool)
+
+
+@st.composite
+def supported_entries(draw, size):
+    """Signed nonzero values on an empty, a single-cell, a sparse (at most
+    one cell in eight) or a full support, zero elsewhere."""
+    kind = draw(st.sampled_from(("empty", "single", "sparse", "full")))
+    if kind == "full":
+        cells = range(size)
+    else:
+        most = {"empty": 0, "single": 1, "sparse": size // 8}[kind]
+        cells = draw(st.sets(
+            st.integers(0, size - 1), min_size=min(most, 1), max_size=most
+        ))
+    values = {i: draw(NONZERO) for i in cells}
+    return [values.get(i, Fraction(0)) for i in range(size)]
+
+
+def _scaled(values, den):
+    return [Fraction(x, den) for x in values]
+
+
+@PROPERTY
+@given(st.data())
+def test_support_cells_match_oracle(data):
+    shape = data.draw(shapes())
+    entries = data.draw(supported_entries(space_size(shape)))
+    nums, den = integer_form(entries)
+    cells, values, coords = support_cells(shape, nums)
+    assert (cells, _scaled(values, den), coords) == oracle.support(entries, shape)
+    per_axis = [
+        data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+        for n in shape
+    ]
+    dense = oracle.flat_index_map(shape, per_axis)
+    assert support_map(coords, per_axis) == [dense[i] for i in cells]
+
+
+@PROPERTY
+@given(st.data())
+def test_face_kernels_on_sparse_supports(data):
+    shape = data.draw(shapes())
+    entries = data.draw(supported_entries(space_size(shape)))
+    factors = spaces(data.draw(weight_lists(shape)))
+    nums, den = integer_form(entries)
+    support = support_cells(shape, nums)
+    coords = coords_of(data.draw, len(shape))
+    want = oracle.axis_sums(entries, shape, coords)
+    assert _scaled(_axis_sums(nums, shape, coords, support), den) == want
+    assert _scaled(_axis_sums(nums, shape, coords), den) == want
+    product = oracle.product([factors[c].weights for c in coords])
+    gap = oracle.sup_distance(want, product)
+    assert _face_gap(factors, nums, den, coords, support) == gap
+    assert _face_gap(factors, nums, den, coords) == gap
+    marginals = max(
+        oracle.sup_distance(oracle.axis_sums(entries, shape, [c]), sp.weights)
+        for c, sp in enumerate(factors)
+    )
+    assert marginal_defect(factors, nums, den, support) == marginals
+    assert marginal_defect(factors, nums, den) == marginals
+
+
+@PROPERTY
+@given(st.data())
+def test_invariance_defect_on_sparse_supports(data):
+    atoms = data.draw(st.integers(1, 4))
+    order = data.draw(st.integers(1, 3))
+    shape = (atoms,) * order
+    entries = data.draw(supported_entries(space_size(shape)))
+    perms = data.draw(st.lists(st.permutations(range(atoms)), min_size=1, max_size=3))
+    gens = [Automorphism(FiniteSpace.uniform(atoms), tuple(p)) for p in perms]
+    nums, den = integer_form(entries)
+    want = oracle.invariance_defect(entries, shape, perms)
+    support = support_cells(shape, nums)
+    assert Fraction(_invariance_defect(nums, shape, gens, support), den) == want
+    assert Fraction(_invariance_defect(nums, shape, gens), den) == want
+
+
+@PROPERTY
+@given(st.data())
+def test_character_coefficient_on_sparse_supports(data):
+    k = data.draw(st.integers(1, 2))
+    order = data.draw(st.integers(1, 6 // k))
+    ctx = Z2kContext(k)
+    entries = [abs(x) for x in data.draw(supported_entries(2 ** (k * order)))]
+    assume(any(entries))
+    v = ProductMeasure((ctx.space,) * order, tuple(x / sum(entries) for x in entries))
+    key = data.draw(st.tuples(*[st.integers(0, 2**k - 1)] * order))
+    want = oracle.character_coefficient(v.entries, k, order, key)
+    assert character_coefficient(v, [ctx.bits(a) for a in key]) == want
 
 
 @PROPERTY
