@@ -51,13 +51,12 @@ from .serialize import (
 from .skew import (
     _rigidity_walk,
     as_automorphism,
-    is_ergodic,
+    fiber_square_ergodic,
     relative_mixing_fraction,
-    relative_product,
     relative_weak_mixing_average,
     sample_random_extension,
 )
-from .spaces import orbit_count, shape_of, support_cells, tuple_to_index
+from .spaces import orbit_count, shape_of, tuple_to_index
 from .torus import Z2kContext, full_action, triple_sum_joining
 
 
@@ -102,7 +101,9 @@ def _cmd_eta(args):
     edge = marginal_defect(v.factors, v.numerators, v.denominator, v.support)
     three = face_independence_defect(v, 3)
     invariance = diagonal_invariance_defect(v, action)
-    sup_product = _face_gap(v.factors, v.numerators, v.denominator, range(v.order))
+    sup_product = _face_gap(
+        v.factors, v.numerators, v.denominator, range(v.order), v.support
+    )
     passed = mass == 1 and edge == 0 and three == 0 and invariance == 0
     payload = {
         "command": "eta",
@@ -304,7 +305,7 @@ def _cmd_sample(args):
         payload["analysis"] = {
             "orbit_count": count,
             "ergodic": count == 1,
-            "fiber_square_ergodic": is_ergodic(relative_product(r)),
+            "fiber_square_ergodic": fiber_square_ergodic(r),
         }
     return payload, True, blob
 
@@ -327,7 +328,7 @@ def _cmd_joining_verify(args):
                 )
 
     nums, den, shape = raw.numerators, raw.denominator, shape_of(raw.factors)
-    support = support_cells(shape, nums)  # read by both checks below
+    support = raw.support  # the decoder's cells, read by both checks below
     mass = Fraction(sum(nums), den)
     min_entry = Fraction(min(nums), den)
     marginals = marginal_defect(raw.factors, nums, den, support)

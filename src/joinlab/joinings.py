@@ -7,37 +7,46 @@ carries the two-way correspondence between joinings with an independent
 complement face and Markov operators, the predual push of a joining
 through a tuple of operators, and exact disintegration over a base.
 
-Every measure also keeps an integer form, computed once at construction:
+Every measure is its integer form, computed once at construction:
 Python-int numerators over one common denominator, the lcm of the
 entries' reduced denominators, so the form is canonical.  The sign, mass
-and marginal checks and the defect kernels run on it; ``Fraction`` is
-built only for results, one object per distinct entry.  A builder that
-already holds an integer form (a marginal, a pushed or a sparse tensor, a
-decoded file) constructs through ``_from_form``, which the ``Fraction``
-constructor also ends in, so both run one validation.  The form costs
-entries times the bit length of the denominator; past ``FORM_BITS_CAP``
-bits construction raises ``ResourceLimitError`` before any numerator is
+and marginal checks and the defect kernels run on it; the ``Fraction``
+entries are built on first read, one object per distinct entry, and a
+command that reads none builds none.  A builder that already holds an
+integer form (a marginal, a pushed or a sparse tensor, a decoded file)
+constructs through ``_from_form``, which the ``Fraction`` constructor
+also ends in, so both run one validation.  The form costs entries times
+the bit length of the denominator; past ``FORM_BITS_CAP`` bits
+construction raises ``ResourceLimitError`` before any numerator is
 scaled.
 
 The measure kernels (face sums, the marginal and face checks, the
-invariance defect) read only the support: the nonzero cells and their
-coordinates, from ``spaces.support_cells``.  A measure computes its
-support on first use and keeps it, and each kernel takes a support
-computed once by its caller, so a command lists the cells once.  Loops
-that need every cell (a full fill, a push, a disintegration) walk the
-dense flat index maps of ``spaces`` instead.
+invariance defect) read only the support: the nonzero cells, from
+``spaces.support_cells``, and per-axis tables summed over them by
+``spaces.support_map``.  A measure computes its support on first use and
+keeps it, and each kernel takes a support computed once by its caller, so
+a command lists the cells once.  Loops that need every cell (a full fill,
+a push, a disintegration) walk the dense flat index maps of ``spaces``
+instead.
 
 Every comparison of a face marginal with the product of its factors'
-measures runs through one integer kernel, ``_face_gap``.
+measures runs through one integer kernel, ``_face_gap``.  A face on fewer
+axes sums the support into its cells and compares each.  The face on
+every axis is the tensor itself, whose cells off the support sit at
+their product weight from it: given the support, ``_full_face_gap``
+compares the support cells, and of the rest needs only the heaviest
+product weight that the support does not fill, found by counting the
+support cells of each weight (``spaces.weight_counts``).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from operator import sub
+from operator import mul, sub
 
 from .errors import InvalidInputError, PreconditionError, Value
 from .operators import MarkovOperator
@@ -53,6 +62,7 @@ from .spaces import (
     integer_form,
     iter_tuples,
     moved_index_map,
+    product_bounds,
     product_form,
     product_space,
     shape_of,
@@ -60,17 +70,19 @@ from .spaces import (
     support_cells,
     support_map,
     tuple_to_index,
+    weight_counts,
 )
 
 
 class ProductMeasure(Value):
     """Probability measure on a product of finite spaces (mass one, entries
     nonnegative).  Marginals are unconstrained; conditional measures produced
-    by disintegration live here.  ``numerators`` and ``denominator`` are the
-    integer form of ``entries``, derived at construction and left out of
-    repr; ``support`` is derived from it on first use."""
+    by disintegration live here.  ``numerators`` and ``denominator`` are
+    its integer form, computed at construction and left out of repr.  The
+    form is the measure: equality and hash read it, and ``entries`` and
+    ``support`` are derived from it on first use and kept in slots."""
 
-    __slots__ = ("factors", "entries", "numerators", "denominator", "_support")
+    __slots__ = ("factors", "numerators", "denominator", "_entries", "_support")
     _fields = ("factors", "entries")
 
     def __init__(self, factors: tuple[FiniteSpace, ...], entries: tuple[Fraction, ...]):
@@ -82,9 +94,9 @@ class ProductMeasure(Value):
         """Measure with entries ``numerators[i] / denominator`` (a positive
         denominator), checked exactly as the constructor checks entries.
         Without ``entries`` the form is divided by its gcd, so any common
-        denominator will do, and the entries are built from it; a caller
-        that holds the entries already passes them with their canonical
-        form."""
+        denominator will do, and the entries are built from it when first
+        read; a caller that holds the entries already passes them with
+        their canonical form."""
         obj = object.__new__(cls)
         obj._set_form(tuple(factors), numerators, denominator, entries)
         return obj
@@ -104,10 +116,10 @@ class ProductMeasure(Value):
             if common > 1:
                 numerators = [n // common for n in numerators]
                 denominator //= common
-            entries = _fractions(numerators, denominator)
+        else:
+            object.__setattr__(self, "_entries", entries)
         object.__setattr__(self, "numerators", tuple(numerators))
         object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "entries", entries)
         self._check()
 
     def _check(self) -> None:
@@ -132,7 +144,6 @@ class ProductMeasure(Value):
         other caller goes through a validating constructor."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "factors", factors)
-        object.__setattr__(obj, "entries", _fractions(numerators, denominator))
         object.__setattr__(obj, "numerators", tuple(numerators))
         object.__setattr__(obj, "denominator", denominator)
         return obj
@@ -150,7 +161,18 @@ class ProductMeasure(Value):
         return space_size(self.shape)
 
     @property
-    def support(self) -> tuple[list[int], list[int], list[list[int]]]:
+    def entries(self) -> tuple[Fraction, ...]:
+        """The entries as ``Fraction``, one object per distinct value, built
+        from the integer form on first read."""
+        try:
+            return self._entries
+        except AttributeError:
+            found = _fractions(self.numerators, self.denominator)
+            object.__setattr__(self, "_entries", found)
+            return found
+
+    @property
+    def support(self) -> tuple[list[int], list[int], tuple]:
         """``spaces.support_cells`` of the numerators, computed once."""
         try:
             return self._support
@@ -237,10 +259,13 @@ def _axis_sums(numerators, shape, coords, support=None) -> list[int]:
     coords = tuple(coords)
     if coords == tuple(range(len(shape))):
         return list(numerators)
-    _, values, at = support or support_cells(shape, numerators)
+    _, values, split = support or support_cells(shape, numerators)
     face_shape = [shape[c] for c in coords]
     out = [0] * space_size(face_shape)
-    projected = support_map([at[c] for c in coords], _offsets(face_shape))
+    per_axis = [[0] * n for n in shape]  # axes off the face add nothing
+    for c, col in zip(coords, _offsets(face_shape)):
+        per_axis[c] = col
+    projected = support_map(split, per_axis)
     for j, x in zip(projected, values):
         out[j] += x
     return out
@@ -250,13 +275,51 @@ def _face_gap(factors, numerators, denominator, coords, support=None) -> Fractio
     """Sup-distance from the marginal on ``coords`` of ``numerators`` /
     ``denominator`` on the product of ``factors`` to the product of those
     factors' measures; the entries need not form a measure.  ``support`` is
-    as for ``_axis_sums``."""
+    as for ``_axis_sums``.  The face on every axis, whose marginal is the
+    tensor, is read from a given support by ``_full_face_gap``; without
+    one it is compared cell by cell, as listing the support would read
+    every cell too."""
+    coords = tuple(coords)
+    if support and coords == tuple(range(len(factors))):
+        return _full_face_gap(factors, denominator, support)
     sums = _axis_sums(numerators, shape_of(factors), coords, support)
     weights, weight_den = product_form([factors[c] for c in coords])
     worst = max(map(abs, map(
         sub, map(weight_den.__mul__, sums), map(denominator.__mul__, weights)
     )))
     return Fraction(worst, denominator * weight_den)
+
+
+def _full_face_gap(factors, denominator, support) -> Fraction:
+    """``_face_gap`` on every axis, read from the support alone.  A cell off
+    the support has numerator 0, so its gap is the denominator times its
+    product weight, whatever the tensor's values: the answer is the largest
+    gap on the support or the denominator times the heaviest product weight
+    among the cells off it.  A cell of weight w lies off the support exactly
+    when the support holds fewer cells of weight w than the product
+    (``spaces.weight_counts``).  The work is the support, the product
+    weights of the two parts of its split, and the distinct product
+    weights; a support of every cell lists the cells in index order, so
+    their weights are ``product_form``'s and none is off it."""
+    _, values, (h, high, low) = support
+    size, weight_den = product_bounds(factors)
+    if len(values) == size:
+        weights, off = product_form(factors)[0], 0
+    else:
+        top, bottom = _weights(factors[:h]), _weights(factors[h:])
+        weights = list(map(mul, map(top.__getitem__, high), map(bottom.__getitem__, low)))
+        held = Counter(weights)
+        counts, _ = weight_counts(factors)
+        off = max((w for w, n in counts.items() if held[w] < n), default=0)
+    worst = max(map(abs, map(
+        sub, map(weight_den.__mul__, values), map(denominator.__mul__, weights)
+    )), default=0)
+    return Fraction(max(worst, denominator * off), denominator * weight_den)
+
+
+def _weights(factors) -> list[int]:
+    """Product weight numerators of ``factors`` in index order; [1] for none."""
+    return product_form(factors)[0] if factors else [1]
 
 
 def marginal_defect(
@@ -334,11 +397,11 @@ def _invariance_defect(numerators, shape, generators, support=None) -> int:
     only for t in S.  Off S the difference is |n(g t)|, nonzero only where
     g t lies in S but not in g(S); when g moves no value of S, g maps S
     onto itself and no such cell exists."""
-    cells, values, at = support or support_cells(shape, numerators)
+    cells, values, split = support or support_cells(shape, numerators)
     offsets = _offsets(shape)
     best = 0
     for g in generators:
-        images = support_map(at, [[col[p] for p in g.perm] for col in offsets])
+        images = support_map(split, [[col[p] for p in g.perm] for col in offsets])
         moved = map(numerators.__getitem__, images)  # n(g t), t in S
         gap = max(map(abs, map(sub, moved, values)), default=0)
         if gap:
@@ -491,10 +554,7 @@ def push_by_automorphisms(
             raise InvalidInputError(f"automorphism {i} lives on the wrong space")
     moved = moved_index_map(v.shape, [a.inverse().perm for a in autos])
     return type(v)._from_form(
-        v.factors,
-        list(map(v.numerators.__getitem__, moved)),
-        v.denominator,
-        tuple(map(v.entries.__getitem__, moved)),
+        v.factors, list(map(v.numerators.__getitem__, moved)), v.denominator
     )
 
 

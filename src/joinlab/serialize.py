@@ -10,22 +10,37 @@ A tensor file looks like
 with every rational written as an explicit "p/q" string and the nonzero
 list sorted ascending by index tuple.  ``data_to_raw`` decodes without
 imposing the joining axioms so that verification can report defects
-instead of refusing to load.  It parses each distinct literal once and
-takes the integer form of the listed values only, scattered into the
-dense numerators; the form's size cap still counts every entry.  An
-item's field name is formatted only when that item is refused.
+instead of refusing to load.  It checks the items a column at a time:
+every item's shape, each axis's coordinate types and range, the flat
+indices and their duplicates, and the literals, each distinct one parsed
+once.  Only when one of these checks fails does it check the items again
+one by one, so that the error names the first item at fault, built only
+then.  The integer form is taken over the distinct literals' values and
+scattered into the dense numerators; its size cap still counts every
+entry.  The decoded tensor carries its support, the nonzero cells the
+items listed, so that no check lists them again.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import compress
+from operator import add
 
 from .errors import InvalidInputError, JoinlabError, Value, naming
-from .joinings import JoiningTensor, ProductMeasure, sparse_form
+from .joinings import JoiningTensor, ProductMeasure
 from .rationals import format_rational, parse_rational
 from .skew import SkewProduct
-from .spaces import FiniteSpace, _offsets, shape_of, space_size
+from .spaces import (
+    FiniteSpace,
+    _offsets,
+    integer_form,
+    shape_of,
+    space_size,
+    split_cells,
+    support_cells,
+)
 
 
 def read_bytes(path: str) -> bytes:
@@ -84,9 +99,12 @@ def joining_to_data(v: ProductMeasure) -> dict:
 
 class RawTensor(Value):
     """Decoded tensor before any joining axiom is imposed, with its integer
-    form: entries[i] == numerators[i] / denominator."""
+    form: entries[i] == numerators[i] / denominator.  ``support`` is
+    ``spaces.support_cells`` of the numerators, set by the decoder or
+    computed on first use, and left out of equality, hash and repr."""
 
-    __slots__ = _fields = ("factors", "entries", "numerators", "denominator")
+    __slots__ = ("factors", "entries", "numerators", "denominator", "_support")
+    _fields = ("factors", "entries", "numerators", "denominator")
 
     def __init__(
         self,
@@ -100,6 +118,15 @@ class RawTensor(Value):
         object.__setattr__(self, "numerators", numerators)
         object.__setattr__(self, "denominator", denominator)
 
+    @property
+    def support(self) -> tuple[list[int], list[int], tuple]:
+        try:
+            return self._support
+        except AttributeError:
+            found = support_cells(shape_of(self.factors), self.numerators)
+            object.__setattr__(self, "_support", found)
+            return found
+
 
 def data_to_raw(data, path: str = "tensor") -> RawTensor:
     _check_keys(data, path, ("factors", "nonzero"))
@@ -112,15 +139,69 @@ def data_to_raw(data, path: str = "tensor") -> RawTensor:
     shape = shape_of(factors)
     with naming(f"{path}.factors"):
         size = space_size(shape)
-    raw_nonzero = data["nonzero"]
-    if not isinstance(raw_nonzero, list):
+    items = data["nonzero"]
+    if not isinstance(items, list):
         raise InvalidInputError(f"{path}.nonzero: expected a list")
-    cells = {}  # flat index -> value
     literals = {}  # literal string -> value: a repeated literal is parsed once
+    decoded = _decode_columns(items, shape, literals)
+    if decoded is None:
+        decoded = _decode_items(items, shape, literals, path)
+    flat, texts = decoded
+    distinct = list(dict.fromkeys(texts))  # each literal once, first met first
+    with naming(f"{path}.nonzero"):
+        scaled, den = integer_form([literals[t] for t in distinct], size)
+    numerator = dict(zip(distinct, scaled))
+    listed = list(map(numerator.__getitem__, texts))
+    nums = [0] * size
+    entries = [Fraction(0)] * size
+    for j, n, t in zip(flat, listed, texts):
+        nums[j] = n
+        entries[j] = literals[t]
+    raw = RawTensor(factors, tuple(entries), tuple(nums), den)
+    # the items of nonzero value, in ascending cell order, are the support
+    keep = sorted(compress(range(len(flat)), listed), key=flat.__getitem__)
+    cells = [flat[j] for j in keep]
+    support = cells, [listed[j] for j in keep], split_cells(shape, cells)
+    object.__setattr__(raw, "_support", support)
+    return raw
+
+
+def _decode_columns(items, shape, literals):
+    """(flat indices, literals) of the items in their order, each check
+    run over a whole column at once, or None when any check fails, so that
+    ``_decode_items`` finds and names the first item at fault.  Every
+    literal is parsed into ``literals``."""
+    if not items:
+        return [], []
+    if {type(p) for p in items} != {list} or set(map(len, items)) != {2}:
+        return None
+    tups, texts = map(list, zip(*items))
+    if {type(t) for t in tups} != {list} or set(map(len, tups)) != {len(shape)}:
+        return None
+    flat = [0] * len(items)
+    for col, offsets, n in zip(zip(*tups), _offsets(shape), shape):
+        if {type(t) for t in col} != {int} or min(col) < 0 or max(col) >= n:
+            return None
+        flat = list(map(add, flat, map(offsets.__getitem__, col)))
+    if len(set(flat)) != len(flat) or {type(x) for x in texts} != {str}:
+        return None
+    try:
+        for text in set(texts).difference(literals):
+            literals[text] = parse_rational(text)
+    except JoinlabError:
+        return None
+    return flat, texts
+
+
+def _decode_items(items, shape, literals, path):
+    """``_decode_columns`` item by item: the first item that fails a check
+    raises under its own name, ``<path>.nonzero[i]``."""
+    flat, texts = [], []
+    seen = set()
     # per-coordinate tables, applied across an index by ``map``
     ints, ranges = (int,) * len(shape), [range(n) for n in shape]
     offsets = _offsets(shape)  # a coordinate's share in the flat index
-    for i, pair in enumerate(raw_nonzero):
+    for i, pair in enumerate(items):
         try:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise InvalidInputError("expected [index tuple, rational]")
@@ -140,25 +221,20 @@ def data_to_raw(data, path: str = "tensor") -> RawTensor:
                 raise InvalidInputError(
                     f"coordinate {axis} is {t}, out of range 0..{n - 1}"
                 )
-            flat = sum(map(list.__getitem__, offsets, tup))
-            if flat in cells:
+            j = sum(map(list.__getitem__, offsets, tup))
+            if j in seen:
                 raise InvalidInputError(f"duplicate index {tuple(tup)}")
-            if isinstance(value, str):  # a list or an object is unhashable
-                x = literals.get(value)
-                if x is None:
-                    x = literals[value] = parse_rational(value)
-            else:
-                x = parse_rational(value)  # refuses every non-string
-            cells[flat] = x
+            if not isinstance(value, str):  # a list or an object is unhashable
+                parse_rational(value)  # refuses every non-string
+            if value not in literals:
+                literals[value] = parse_rational(value)
         except JoinlabError:
             with naming(f"{path}.nonzero[{i}]"):  # the item's name, built on failure
                 raise
-    with naming(f"{path}.nonzero"):
-        nums, den = sparse_form(size, cells)
-    entries = [Fraction(0)] * size
-    for j, x in cells.items():
-        entries[j] = x
-    return RawTensor(factors, tuple(entries), tuple(nums), den)
+        seen.add(j)
+        flat.append(j)
+        texts.append(value)
+    return flat, texts
 
 
 def data_to_joining(data, path: str = "tensor") -> JoiningTensor:

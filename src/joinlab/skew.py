@@ -21,6 +21,7 @@ from .spaces import (
     halmos_numerator,
     orbit_count,
     perm_power,
+    product_bounds,
     product_space,
 )
 
@@ -290,10 +291,21 @@ def is_ergodic(a: Automorphism) -> bool:
     return orbit_count(a) == 1
 
 
+def fiber_square_ergodic(r: SkewProduct) -> bool:
+    """Whether ``relative_product(r)`` is ergodic, without building it.
+    The diagonal {y = y'} is invariant and of positive measure, so the
+    fiber square is never ergodic over a fiber of two or more atoms; over
+    one atom it is the skew product itself.  Its size is refused as
+    building it would refuse it."""
+    product_bounds([r.base, r.fiber, r.fiber])
+    return r.fiber.atom_count == 1 and is_ergodic(as_automorphism(r))
+
+
 def _random_preserving_permutation(rng, space: FiniteSpace) -> Automorphism:
-    # Uniform over the weight-preserving subgroup: shuffle within weight classes.
-    classes: dict[Fraction, list[int]] = {}
-    for i, w in enumerate(space.weights):
+    # Uniform over the weight-preserving subgroup: shuffle within weight
+    # classes, keyed by the integer numerator and met in atom order.
+    classes: dict[int, list[int]] = {}
+    for i, w in enumerate(space.numerators):
         classes.setdefault(w, []).append(i)
     perm = [0] * space.atom_count
     for atoms in classes.values():

@@ -13,9 +13,12 @@ them, ``flat_index_map`` and its derived maps turn them into flat
 indices, and ``orbit_labels`` partitions them into orbits.  The dense maps
 serve what needs every cell: the polytope's LP columns and orbits, and
 tensors filled or moved cell by cell.  The measure kernels read only a
-tensor's support: ``support_cells`` lists its nonzero cells with their
-coordinates once, and ``support_map`` sums per-axis tables over them as
-``flat_index_map`` does over every cell.  ``space_size``
+tensor's support: ``support_cells`` lists its nonzero cells once, each
+cut by ``split_cells`` into its index on the leading and on the trailing
+axes, and ``support_map`` sums per-axis tables over them as
+``flat_index_map`` does over every cell, with one lookup per cell in
+each part's own summed table.  ``weight_counts`` counts the product's
+atoms of each product weight.  ``space_size``
 is the one check against ``SIZE_CAP``; everything that builds a product
 calls it first, so an oversized product raises ``ResourceLimitError``
 before it is allocated.
@@ -23,6 +26,7 @@ before it is allocated.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import compress, product
@@ -377,19 +381,45 @@ def orbit_labels(size: int, maps: Iterable[Sequence[int]]) -> list[int]:
 # product structure
 # ---------------------------------------------------------------------------
 
-def product_form(spaces: Sequence[FiniteSpace]) -> tuple[list[int], int]:
-    """Integer form of the product weights, atoms in lexicographic order: the
-    factors' numerators multiply, and their denominators multiply to the lcm.
-    The size, then every partial denominator, is checked before multiplying."""
+def product_bounds(spaces: Sequence[FiniteSpace]) -> tuple[int, int]:
+    """(atom count, denominator) of the product of ``spaces``: the size is
+    checked first, then every partial denominator, so an oversized product
+    raises before a caller builds anything of its size."""
     if not spaces:
         raise InvalidInputError("product of zero spaces is undefined here")
     size = space_size(shape_of(spaces))
-    nums, den = [1], 1
+    den = 1
     for sp in spaces:
         den *= sp.denominator
         check_form_bits(size, den)
+    return size, den
+
+
+def product_form(spaces: Sequence[FiniteSpace]) -> tuple[list[int], int]:
+    """Integer form of the product weights, atoms in lexicographic order: the
+    factors' numerators multiply, and their denominators multiply to the lcm.
+    ``product_bounds`` is checked before multiplying."""
+    _, den = product_bounds(spaces)
+    nums = [1]
+    for sp in spaces:
         nums = [x * y for x in nums for y in sp.numerators]
     return nums, den
+
+
+def weight_counts(spaces: Sequence[FiniteSpace]) -> tuple[dict[int, int], int]:
+    """How many atoms of the product of ``spaces`` carry each product
+    weight: {numerator: atom count} over the product's denominator.  The
+    work is the number of distinct partial products, one for uniform
+    factors; ``product_bounds`` is checked first."""
+    _, den = product_bounds(spaces)
+    counts = {1: 1}
+    for sp in spaces:
+        step: dict[int, int] = {}
+        for n, k in Counter(sp.numerators).items():
+            for w, c in counts.items():
+                step[w * n] = step.get(w * n, 0) + c * k
+        counts = step
+    return counts, den
 
 
 def product_space(spaces: Sequence[FiniteSpace]) -> FiniteSpace:
@@ -440,6 +470,12 @@ def flat_index_map(
     ):
         raise InvalidInputError(f"per-axis tables do not match shape {tuple(shape)}")
     space_size(shape)
+    return _sum_table(per_axis)
+
+
+def _sum_table(per_axis: Sequence[Sequence[int]]) -> list[int]:
+    """``flat_index_map`` unchecked: the sum over axes a of
+    ``per_axis[a][t_a]`` for every tuple t on the tables' shape."""
     out = [0]
     for col in per_axis:
         out = [m + c for m in out for c in col]
@@ -468,30 +504,42 @@ def moved_index_map(
 
 def support_cells(
     shape: Sequence[int], numerators: Sequence[int]
-) -> tuple[list[int], list[int], list[list[int]]]:
+) -> tuple[list[int], list[int], tuple[int, list[int], list[int]]]:
     """The support of ``numerators`` laid out on ``shape``: the flat indices
     of its nonzero cells (of either sign) in ascending order, their values,
-    and for every axis a the cells' coordinates on it, so that
-    ``coords[a][k]`` is coordinate a of ``cells[k]``."""
+    and the cells cut in two by ``split_cells``."""
     cells = list(compress(range(len(numerators)), numerators))
-    coords = []
-    stride = 1
-    for n in reversed(shape):
-        coords.append([i // stride % n for i in cells])
-        stride *= n
-    return cells, list(compress(numerators, numerators)), coords[::-1]
+    return cells, list(compress(numerators, numerators)), split_cells(shape, cells)
+
+
+def split_cells(
+    shape: Sequence[int], cells: Sequence[int]
+) -> tuple[int, list[int], list[int]]:
+    """(h, high, low) for the listed flat indices: the shape is cut after
+    its first h axes, as many as keep their atom count at most that of the
+    rest, and ``high[k]`` and ``low[k]`` are the flat indices of the
+    coordinates of ``cells[k]`` before and after the cut, each in its own
+    part's shape."""
+    high_size, low_size, h = 1, space_size(shape), 0
+    while h < len(shape) and high_size * shape[h] <= low_size // shape[h]:
+        high_size *= shape[h]
+        low_size //= shape[h]
+        h += 1
+    return h, [i // low_size for i in cells], [i % low_size for i in cells]
 
 
 def support_map(
-    coords: Sequence[Sequence[int]], per_axis: Sequence[Sequence[int]]
+    split: tuple[int, Sequence[int], Sequence[int]],
+    per_axis: Sequence[Sequence[int]],
 ) -> list[int]:
-    """For every support cell k, the sum over axes a of
-    ``per_axis[a][coords[a][k]]``: ``flat_index_map`` on the cells whose
-    coordinates ``support_cells`` listed, for the axes given."""
-    out = list(map(per_axis[0].__getitem__, coords[0]))
-    for col, at in zip(per_axis[1:], coords[1:]):
-        out = list(map(add, out, map(col.__getitem__, at)))
-    return out
+    """For every cell k of a ``split_cells`` split, the sum over axes a of
+    ``per_axis[a][t_a]`` at the cell's coordinates t: ``flat_index_map``
+    on those cells.  Each part's tables are summed over the part's own
+    shape, so each cell costs one lookup per part, whatever the number of
+    axes."""
+    h, high, low = split
+    top, bottom = _sum_table(per_axis[:h]), _sum_table(per_axis[h:])
+    return list(map(add, map(top.__getitem__, high), map(bottom.__getitem__, low)))
 
 
 def projection_map(shape: Sequence[int], coords: Sequence[int]) -> list[int]:

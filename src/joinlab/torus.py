@@ -135,8 +135,8 @@ def character_coefficient(
                 "factor is not the uniform group matching the character length"
             )
         idxs.append(ctx.atom(c))
-    _, values, at = v.support
-    parities = support_map(at, _parity_columns(v.shape, idxs))
+    _, values, split = v.support
+    parities = support_map(split, _parity_columns(v.shape, idxs))
     total = sum(-x if p & 1 else x for p, x in zip(parities, values))
     return Fraction(total, v.denominator)
 

@@ -128,3 +128,18 @@ def sweep(t: Automorphism, sets, k_range: int):
         if dev > best:
             best, best_k = dev, offs
     return best, best_k, target
+
+
+def random_preserving_permutation(rng, space) -> Automorphism:
+    """A shuffle within each class of equal ``Fraction`` weight, classes in
+    the order their first atom appears."""
+    classes = {}
+    for i, w in enumerate(space.weights):
+        classes.setdefault(w, []).append(i)
+    perm = [0] * space.atom_count
+    for atoms in classes.values():
+        shuffled = atoms[:]
+        rng.shuffle(shuffled)
+        for src, dst in zip(atoms, shuffled):
+            perm[src] = dst
+    return Automorphism(space, tuple(perm))

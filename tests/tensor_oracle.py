@@ -23,11 +23,19 @@ def flat_index_map(shape, per_axis):
 
 
 def support(entries, shape):
-    """(flat indices, values, per-axis coordinates) of the nonzero entries."""
+    """(flat indices, values, split) of the nonzero entries; the split is
+    (h, high, low) with h the most leading axes whose atom count is at
+    most that of the rest, and high and low each cell's index on the axes
+    before and after them."""
     cells = [idx for idx, x in enumerate(entries) if x]
     tups = [index_to_tuple(shape, idx) for idx in cells]
-    coords = [[tup[a] for tup in tups] for a in range(len(shape))]
-    return cells, [entries[idx] for idx in cells], coords
+    h = max(
+        h for h in range(len(shape) + 1)
+        if space_size(shape[:h]) <= space_size(shape[h:])
+    )
+    high = [tuple_to_index(shape[:h], tup[:h]) for tup in tups]
+    low = [tuple_to_index(shape[h:], tup[h:]) for tup in tups]
+    return cells, [entries[idx] for idx in cells], (h, high, low)
 
 
 def axis_sums(entries, shape, coords):

@@ -8,6 +8,7 @@ times run past the base orbit length so the periodic branch of
 
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,7 +36,12 @@ from joinlab import (
 )
 from joinlab.cli import main
 from joinlab.config import load_config
-from joinlab.skew import _rigidity_walk
+from joinlab.skew import (
+    _random_preserving_permutation,
+    _rigidity_walk,
+    fiber_square_ergodic,
+    is_ergodic,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -310,6 +316,54 @@ def test_product_space_equals_the_validated_space(data):
 def test_skew_automorphisms_equal_validated_ones(r):
     assert_valid(as_automorphism(r))
     assert_valid(relative_product(r))
+
+
+@st.composite
+def ergodic_leaning_skews(draw) -> SkewProduct:
+    """Skew products over a uniform base, whose map is a single cycle half
+    the time, with a one-atom fiber half the time, so that the fiber
+    square is often ergodic."""
+    n = draw(st.integers(1, 5))
+    base = FiniteSpace.uniform(n)
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        perm = [0] * n
+        for i, x in enumerate(order):
+            perm[x] = order[(i + 1) % n]
+        base_map = Automorphism(base, tuple(perm))
+    else:
+        base_map = preserving_perm(draw, base)
+    fiber = FiniteSpace.uniform(1) if draw(st.booleans()) else two_class_space(draw)
+    maps = tuple(preserving_perm(draw, fiber) for _ in base.atoms())
+    return SkewProduct(base, fiber, base_map, maps)
+
+
+@PROPERTY
+@given(st.one_of(skews(), ergodic_leaning_skews()))
+def test_fiber_square_ergodic_matches_the_built_fiber_square(r):
+    assert fiber_square_ergodic(r) == is_ergodic(relative_product(r))
+
+
+def test_fiber_square_ergodic_over_one_atom_is_the_skew_products_own():
+    one = FiniteSpace.uniform(1)
+    base = FiniteSpace.uniform(3)
+    ident = Automorphism.identity(one)
+    cycle = SkewProduct(base, one, Automorphism(base, (1, 2, 0)), (ident,) * 3)
+    swap = SkewProduct(base, one, Automorphism(base, (1, 0, 2)), (ident,) * 3)
+    assert fiber_square_ergodic(cycle) and is_ergodic(relative_product(cycle))
+    assert not fiber_square_ergodic(swap) and not is_ergodic(relative_product(swap))
+
+
+@PROPERTY
+@given(st.data(), st.integers(0, 2**32))
+def test_random_preserving_permutation_draws_as_the_weight_keyed_shuffle(data, seed):
+    # three draws from one generator: the same classes in the same order
+    # consume the same random numbers
+    space = two_class_space(data.draw)
+    rng = random.Random(seed)
+    want = [oracle.random_preserving_permutation(rng, space) for _ in range(3)]
+    rng = random.Random(seed)
+    assert [_random_preserving_permutation(rng, space) for _ in range(3)] == want
 
 
 def test_compose_across_spaces_still_raises():

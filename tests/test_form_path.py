@@ -20,7 +20,7 @@ from joinlab import Automorphism, FiniteSpace, JoiningTensor, ProductMeasure
 from joinlab.errors import InvalidInputError, JoinlabError, ResourceLimitError
 from joinlab.joinings import _axis_sums, _invariance_defect
 from joinlab.serialize import data_to_joining, data_to_raw
-from joinlab.spaces import index_to_tuple, space_size, tuple_to_index
+from joinlab.spaces import index_to_tuple, space_size, support_cells, tuple_to_index
 from joinlab.torus import Z2kContext, full_action, triple_sum_joining
 
 import decode_oracle
@@ -199,6 +199,68 @@ def sparse_documents(draw):
 @given(sparse_documents())
 def test_decode_matches_the_fraction_decoder(doc):
     assert _outcome(data_to_raw, doc) == _outcome(decode_oracle.data_to_raw, doc)
+
+
+MALFORMED = {
+    "value": lambda draw, item, shape: [item[0], draw(st.sampled_from(BAD_VALUES))],
+    "range": lambda draw, item, shape: [
+        item[0][:-1] + [draw(st.sampled_from((-1, shape[-1])))], item[1]],
+    "bool": lambda draw, item, shape: [[True] + item[0][1:], item[1]],
+    "float": lambda draw, item, shape: [[0.0] + item[0][1:], item[1]],
+    "short": lambda draw, item, shape: [item[0][:-1], item[1]],
+    "long": lambda draw, item, shape: [item[0] + [0], item[1]],
+    "not a list": lambda draw, item, shape: [tuple(item[0]), item[1]],
+    "triple": lambda draw, item, shape: item + ["1/2"],
+    "pair as tuple": lambda draw, item, shape: tuple(item),
+    "bare value": lambda draw, item, shape: item[1],
+}
+
+
+@st.composite
+def near_valid_documents(draw):
+    """Sparse documents whose items come in a drawn order, often with zero
+    literals; some carry up to two malformed items or a duplicate."""
+    shape = draw(small_shapes())
+    size = space_size(shape)
+    cells = draw(st.lists(st.integers(0, size - 1), unique=True, max_size=size))
+    nonzero = [
+        [list(index_to_tuple(shape, i)), draw(st.sampled_from(LITERALS))]
+        for i in cells
+    ]
+    ats = draw(st.lists(st.integers(0, len(nonzero) - 1), unique=True, max_size=2)) \
+        if nonzero else []
+    copies = []
+    for at in ats:
+        kind = draw(st.sampled_from(sorted(MALFORMED) + ["duplicate"]))
+        if kind == "duplicate":
+            copies.append([list(nonzero[at][0]), "1/2"])
+        else:
+            nonzero[at] = MALFORMED[kind](draw, nonzero[at], shape)
+    for item in copies:
+        nonzero.insert(draw(st.integers(0, len(nonzero))), item)
+    return {"factors": [["1/%d" % n] * n for n in shape], "nonzero": nonzero}
+
+
+@PROPERTY
+@given(near_valid_documents())
+def test_bulk_decode_matches_the_fraction_decoder_and_lists_the_support(doc):
+    want = _outcome(decode_oracle.data_to_raw, doc)
+    assert _outcome(data_to_raw, doc) == want
+    if not isinstance(want[0], type):  # decoded: its support is the cells'
+        raw = data_to_raw(doc, "t")
+        shape = tuple(map(len, doc["factors"]))
+        assert raw.support == support_cells(shape, raw.numerators)
+
+
+def test_decoded_support_of_unsorted_items_with_a_zero_literal():
+    doc = {"factors": [["1/2", "1/2"], ["1/3", "1/3", "1/3"]],
+           "nonzero": [[[1, 2], "1/3"], [[0, 1], "0/1"], [[1, 0], "-1/6"],
+                       [[0, 0], "1/2"], [[0, 2], "0"], [[1, 1], "1/3"]]}
+    raw = data_to_raw(doc)
+    want = support_cells((2, 3), raw.numerators)
+    assert raw.support == want
+    assert want[0] == [0, 3, 4, 5]  # (0, 1) and (0, 2) hold zeros
+    assert raw.numerators == (3, 0, 0, -1, 2, 2)
 
 
 @pytest.mark.parametrize("bad", BAD_VALUES, ids=repr)

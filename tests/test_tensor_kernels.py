@@ -291,14 +291,14 @@ def test_support_cells_match_oracle(data):
     shape = data.draw(shapes())
     entries = data.draw(supported_entries(space_size(shape)))
     nums, den = integer_form(entries)
-    cells, values, coords = support_cells(shape, nums)
-    assert (cells, _scaled(values, den), coords) == oracle.support(entries, shape)
+    cells, values, split = support_cells(shape, nums)
+    assert (cells, _scaled(values, den), split) == oracle.support(entries, shape)
     per_axis = [
         data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
         for n in shape
     ]
     dense = oracle.flat_index_map(shape, per_axis)
-    assert support_map(coords, per_axis) == [dense[i] for i in cells]
+    assert support_map(split, per_axis) == [dense[i] for i in cells]
 
 
 @PROPERTY
@@ -339,6 +339,76 @@ def test_invariance_defect_on_sparse_supports(data):
     support = support_cells(shape, nums)
     assert Fraction(_invariance_defect(nums, shape, gens, support), den) == want
     assert Fraction(_invariance_defect(nums, shape, gens), den) == want
+
+
+def full_face_cases(draw):
+    """Signed entries on non-uniform factors with an empty, a single-cell, a
+    sparse, a full, or an every-cell-but-one support."""
+    shape = draw(shapes())
+    size = space_size(shape)
+    factors = spaces(draw(weight_lists(shape)))
+    if draw(st.booleans()):
+        entries = draw(supported_entries(size))
+    else:
+        entries = [draw(NONZERO) for _ in range(size)]
+        entries[draw(st.integers(0, size - 1))] = Fraction(0)
+    return shape, factors, entries
+
+
+def oracle_full_gap(shape, factors, entries):
+    """Sup-distance from the entries to the product of the factors."""
+    return oracle.sup_distance(entries, oracle.product([sp.weights for sp in factors]))
+
+
+@PROPERTY
+@given(st.data())
+def test_full_face_gap_matches_oracle(data):
+    shape, factors, entries = full_face_cases(data.draw)
+    nums, den = integer_form(entries)
+    want = oracle_full_gap(shape, factors, entries)
+    every = range(len(shape))
+    assert _face_gap(factors, nums, den, every, support_cells(shape, nums)) == want
+    assert _face_gap(factors, nums, den, every) == want
+
+
+@pytest.mark.parametrize("kind", ["full", "all but one", "one cell", "empty"])
+def test_full_face_gap_on_fixed_supports(kind):
+    # two factors of three weight classes each; signed values
+    factors = spaces([
+        [Fraction(1, 6), Fraction(3, 6), Fraction(2, 6)],
+        [Fraction(1, 8), Fraction(5, 8), Fraction(1, 8), Fraction(1, 8)],
+    ])
+    shape = (3, 4)
+    rng = random.Random(kind)
+    entries = [Fraction(rng.randint(-9, 9) or 1, 24) for _ in range(12)]
+    if kind == "all but one":
+        entries[5] = Fraction(0)  # the heaviest cell, (1, 1), of weight 15/48
+    elif kind == "one cell":
+        entries = [Fraction(0)] * 12
+        entries[7] = Fraction(-1, 3)
+    elif kind == "empty":
+        entries = [Fraction(0)] * 12
+    nums, den = integer_form(entries)
+    want = oracle_full_gap(shape, factors, entries)
+    assert _face_gap(factors, nums, den, (0, 1), support_cells(shape, nums)) == want
+
+
+def test_full_face_gap_finds_a_heavy_cell_off_the_support_past_the_heaviest():
+    # the three heaviest cells, (1, 1), (2, 1) and (0, 1) at 15/48, 10/48
+    # and 5/48, sit on the support at their own weight; the heaviest cells
+    # off it are (1, 0), (1, 2) and (1, 3) at 3/48, and every support gap
+    # is smaller
+    factors = spaces([
+        [Fraction(1, 6), Fraction(3, 6), Fraction(2, 6)],
+        [Fraction(1, 8), Fraction(5, 8), Fraction(1, 8), Fraction(1, 8)],
+    ])
+    entries = [Fraction(0)] * 12
+    entries[5], entries[9], entries[1] = Fraction(15, 48), Fraction(10, 48), Fraction(5, 48)
+    entries[0] = Fraction(1, 48) + Fraction(1, 96)  # (0, 0) weighs 1/48
+    nums, den = integer_form(entries)
+    support = support_cells((3, 4), nums)
+    assert _face_gap(factors, nums, den, (0, 1), support) == Fraction(3, 48)
+    assert oracle_full_gap((3, 4), factors, entries) == Fraction(3, 48)
 
 
 @PROPERTY
