@@ -328,9 +328,13 @@ def _cmd_joining_verify(args):
                 )
 
     nums, den, shape = raw.numerators, raw.denominator, shape_of(raw.factors)
-    support = raw.support  # the decoder's cells, read by both checks below
-    mass = Fraction(sum(nums), den)
-    min_entry = Fraction(min(nums), den)
+    support = raw.support  # the decoder's cells, read by every check below
+    cells, values, _ = support
+    mass = Fraction(sum(values), den)
+    low = min(values, default=0)
+    if len(cells) < len(nums):  # a cell off the support holds 0
+        low = min(low, 0)
+    min_entry = Fraction(low, den)
     marginals = marginal_defect(raw.factors, nums, den, support)
     invariance_defect = None
     if action is not None:

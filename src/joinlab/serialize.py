@@ -34,6 +34,7 @@ from .rationals import format_rational, parse_rational
 from .skew import SkewProduct
 from .spaces import (
     FiniteSpace,
+    _fractions,
     _offsets,
     integer_form,
     shape_of,
@@ -99,11 +100,12 @@ def joining_to_data(v: ProductMeasure) -> dict:
 
 class RawTensor(Value):
     """Decoded tensor before any joining axiom is imposed, with its integer
-    form: entries[i] == numerators[i] / denominator.  ``support`` is
-    ``spaces.support_cells`` of the numerators, set by the decoder or
-    computed on first use, and left out of equality, hash and repr."""
+    form: entries[i] == numerators[i] / denominator.  ``entries`` and
+    ``support`` (``spaces.support_cells`` of the numerators) are built on
+    first read unless given; the decoder gives the support.  Only
+    ``entries`` is among the fields that equality, hash and repr read."""
 
-    __slots__ = ("factors", "entries", "numerators", "denominator", "_support")
+    __slots__ = ("factors", "numerators", "denominator", "_entries", "_support")
     _fields = ("factors", "entries", "numerators", "denominator")
 
     def __init__(
@@ -114,9 +116,28 @@ class RawTensor(Value):
         denominator: int,
     ):
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_entries", entries)
         object.__setattr__(self, "numerators", numerators)
         object.__setattr__(self, "denominator", denominator)
+
+    @classmethod
+    def _from_form(cls, factors, numerators, denominator: int, support):
+        """The tensor of an integer form and its support, entries unbuilt."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "factors", factors)
+        object.__setattr__(obj, "numerators", numerators)
+        object.__setattr__(obj, "denominator", denominator)
+        object.__setattr__(obj, "_support", support)
+        return obj
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        try:
+            return self._entries
+        except AttributeError:
+            found = _fractions(self.numerators, self.denominator)
+            object.__setattr__(self, "_entries", found)
+            return found
 
     @property
     def support(self) -> tuple[list[int], list[int], tuple]:
@@ -153,17 +174,13 @@ def data_to_raw(data, path: str = "tensor") -> RawTensor:
     numerator = dict(zip(distinct, scaled))
     listed = list(map(numerator.__getitem__, texts))
     nums = [0] * size
-    entries = [Fraction(0)] * size
-    for j, n, t in zip(flat, listed, texts):
+    for j, n in zip(flat, listed):
         nums[j] = n
-        entries[j] = literals[t]
-    raw = RawTensor(factors, tuple(entries), tuple(nums), den)
     # the items of nonzero value, in ascending cell order, are the support
     keep = sorted(compress(range(len(flat)), listed), key=flat.__getitem__)
     cells = [flat[j] for j in keep]
     support = cells, [listed[j] for j in keep], split_cells(shape, cells)
-    object.__setattr__(raw, "_support", support)
-    return raw
+    return RawTensor._from_form(factors, tuple(nums), den, support)
 
 
 def _decode_columns(items, shape, literals):
@@ -241,9 +258,7 @@ def data_to_joining(data, path: str = "tensor") -> JoiningTensor:
     """Decode and validate as a joining (marginals equal the factors)."""
     raw = data_to_raw(data, path)
     with naming(path):
-        return JoiningTensor._from_form(
-            raw.factors, raw.numerators, raw.denominator, raw.entries
-        )
+        return JoiningTensor._from_form(raw.factors, raw.numerators, raw.denominator)
 
 
 def skew_to_data(r: SkewProduct) -> dict:

@@ -4,12 +4,20 @@ R(x, y) = (S x, R_x y) for a base automorphism S and one fiber automorphism
 per base atom.  The cocycle product C(x, p) composes the fiber maps met
 along the base orbit; rigidity and relative mixing statistics quantify how
 C behaves in the Halmos metric and the weak operator distance.
+
+Both statistics rest on C preserving the fiber weights.  The Halmos
+distance to the identity is 2 sum over the atoms j that C moves of
+nu_j 2^-j, since C maps its moved set onto itself.  With G_j = C(x_0, j)
+along a base orbit, C(x_i, p) = G_{i+p} G_i^-1, so
+mu(C(x_i, p) A intersect B) = mu(G_i^-1 A intersect G_{i+p}^-1 B).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import add, mul, ne, sub
 
 from .errors import InvalidInputError, PreconditionError, Value
 from .rationals import as_fraction
@@ -18,7 +26,6 @@ from .spaces import (
     FiniteSpace,
     MeasurableSet,
     compose,
-    halmos_numerator,
     orbit_count,
     perm_power,
     product_bounds,
@@ -176,28 +183,40 @@ def _rigidity_walk(
     One walk per atom x of A extends C(x, p_i) to
     C(x, p_{i+1}) = C(S^{p_i} x, p_{i+1} - p_i) o C(x, p_i), so the cocycle
     products cost the gaps between the times, not the times themselves.
-    Products stay permutation tuples, and rho(C, Id) < 1/n_param is tested
-    as n_param * T < D 2^n on the integer T of ``halmos_numerator``."""
+    The step C(y, gap) of each base atom y is kept while the gap between
+    times is unchanged.
+
+    A weight-preserving C maps the atoms it moves onto themselves, so
+    rho(C, Id) = 2 sum over moved j of nu_j 2^-j: with the fiber's
+    numerators num over D and n atoms, rho(C, Id) < 1/n_param is
+    4 n_param sum over moved j of num_j 2^(n-1-j) < D 2^n, one C-level sum
+    over the atoms the product moves."""
     num = r.fiber.numerators
-    bound = r.fiber.denominator << len(num)
-    ident = tuple(r.fiber.atoms())
+    n = len(num)
+    weights = [w << (n - 1 - j) for j, w in enumerate(num)]
+    # 4 n_param T < D 2^n for the integer sum T, tested as T <= limit
+    limit = ((r.fiber.denominator << n) - 1) // (4 * n_param)
+    ident = tuple(range(n))
     starts = tuple(a.atoms)
-    where = list(starts)  # S^p x
+    where = starts  # S^p x
     products = [ident] * len(starts)  # C(x, p)
-    out, prev = [], 0
+    out, prev, gap = [], 0, None
     for p in times:
-        gap, prev = p - prev, p
-        s_gap = perm_power(r.base_map.perm, gap)
-        for i, y in enumerate(where):
-            step = _cocycle_perm(r, y, gap)
-            products[i] = tuple(map(step.__getitem__, products[i]))
-            where[i] = s_gap[y]
-        hits = (
-            x
-            for x, y, c in zip(starts, where, products)
-            if y in a.atoms and n_param * halmos_numerator(num, c, ident) < bound
+        if p - prev != gap:
+            gap = p - prev
+            s_gap = perm_power(r.base_map.perm, gap)
+            steps = {}  # base atom y -> C(y, gap).__getitem__
+        prev = p
+        for y in set(where).difference(steps):
+            steps[y] = _cocycle_perm(r, y, gap).__getitem__
+        products = list(
+            map(tuple, map(map, map(steps.__getitem__, where), products))
         )
-        out.append(r.base.mass(hits))
+        where = tuple(map(s_gap.__getitem__, where))
+        back = list(map(a.atoms.__contains__, where))  # S^p x in A
+        flags = map(map, repeat(ne), compress(products, back), repeat(ident))
+        near = map(limit.__ge__, map(sum, map(compress, repeat(weights), flags)))
+        out.append(r.base.mass(compress(compress(starts, back), near)))
     return out
 
 
@@ -232,42 +251,80 @@ def relative_weak_mixing_average(
     the finite Cesaro average whose smallness witnesses relative weak mixing
     of the extension over its base.
 
-    The walk from x tracks only S^p x and the image set C(x, p) A, summing
-    measures as integers over the fiber's and base's common denominators.
-    That pair evolves by a bijection, so it returns to (x, A) after some
-    period P and the summands repeat; the walk adds the whole periods left
-    at once, so it costs fewer than min(N + 1, 2P) steps per base atom,
-    with P at most L ord C(x, L) for a base orbit of length L."""
+    Along each base orbit x_0, ..., x_{L-1} the prefix products
+    G_j = C(x_0, j) are built once, and each is kept only as the fiber
+    bitmasks U_j = G_j^-1 A and V_j = G_j^-1 B.  C(x_i, p) = G_{i+p} G_i^-1
+    preserves weights, so mu(C(x_i, p) A intersect B) is the sum over the
+    fiber's weight classes c of w_c popcount(U_i & V_{i+p} & M_c), and the
+    row of x_i over p is one C-level map chain.  The walk from x_i is back
+    at (x_i, A) exactly when L divides p and U_{i+p} = U_i; the first such
+    p is the row's period P, whose summands then repeat, so whole periods
+    are added at once and the rest is summed from the start of the row.
+    Sums are integers over the fiber's and base's common denominators.
+    Per orbit this costs and holds a sequence of at most L + min(N, max P)
+    bitmask pairs, one composition each, with P at most L ord C(x_0, L);
+    the row of x_i then takes min(N, P) popcounts per weight class."""
     if a.space != r.fiber or b.space != r.fiber:
         raise InvalidInputError("sets must live on the fiber")
     if not isinstance(n_horizon, int) or n_horizon < 1:
         raise InvalidInputError(f"horizon must be a positive int, got {n_horizon!r}")
     num, den = r.fiber.numerators, r.fiber.denominator
-    # numerator on B, 0 elsewhere: the hits of an image are one map-sum
-    on_b = [0] * r.fiber.atom_count
-    for y in b.atoms:
-        on_b[y] = num[y]
-    # (mu(C A ^ B) - mu(A) mu(B))^2 = (hits * den - target)^2 / den^4
-    target = sum(num[y] for y in a.atoms) * sum(on_b)
-    start = sorted(a.atoms)
+    bits = [1 << y for y in r.fiber.atoms()]
+    in_a = [y in a.atoms for y in r.fiber.atoms()]
+    in_b = [y in b.atoms for y in r.fiber.atoms()]
+    # (mu(C A ^ B) - mu(A) mu(B))^2 = (hits - target)^2 / den^4, where hits
+    # adds num_c den for each atom of C A ^ B, c its weight class
+    target = sum(num[y] for y in a.atoms) * sum(num[y] for y in b.atoms)
+    classes: dict[int, int] = {}  # num_c den -> mask M_c of the class
+    for y, w in enumerate(num):
+        classes[w * den] = classes.get(w * den, 0) | bits[y]
     total = 0
-    for x, weight in enumerate(r.base.numerators):
-        images = start
-        cur = x
-        inner = step = 0
-        while step < n_horizon:
-            images = list(map(r.cocycle[cur].perm.__getitem__, images))
-            cur = r.base_map.perm[cur]
-            hits = sum(map(on_b.__getitem__, images))
-            inner += (hits * den - target) ** 2
-            step += 1
-            if cur == x and a.atoms.issuperset(images):
-                # back at (x, A) after one period: add the whole periods left
-                periods = (n_horizon - step) // step
-                inner += periods * inner
-                step += periods * step
-        total += weight * inner
+    for orbit in _orbits(r.base_map.perm):
+        length = len(orbit)
+        last = length - 1 + n_horizon  # the largest index a row can need
+        periods = [None] * length
+        unclosed = length
+        steps = [r.cocycle[x].perm.__getitem__ for x in orbit]
+        us, vs = [], []
+        g = tuple(r.fiber.atoms())  # G_j
+        for j in range(last + 1):
+            u = sum(compress(bits, map(in_a.__getitem__, g)))
+            us.append(u)
+            vs.append(sum(compress(bits, map(in_b.__getitem__, g))))
+            i = j % length
+            if j >= length and periods[i] is None and u == us[i]:
+                periods[i] = j - i
+                unclosed -= 1
+                if not unclosed:
+                    break
+            g = tuple(map(steps[i], g))
+        for i, x in enumerate(orbit):
+            k = min(n_horizon, periods[i] or n_horizon)
+            later = vs[i + 1 : i + 1 + k]  # V_{i+1}, ..., V_{i+k}
+            hits = repeat(0)
+            for weight, mask in classes.items():
+                met = map(int.bit_count, map((us[i] & mask).__and__, later))
+                hits = map(add, hits, map(mul, met, repeat(weight)))
+            row = list(map(pow, map(sub, hits, repeat(target)), repeat(2)))
+            whole, rest = divmod(n_horizon, k)
+            total += r.base.numerators[x] * (whole * sum(row) + sum(row[:rest]))
     return Fraction(total, r.base.denominator * den**4 * n_horizon)
+
+
+def _orbits(perm: Sequence[int]) -> list[list[int]]:
+    """The cycles of a permutation, each from its least atom in the order
+    the permutation visits it, cycles by least atom."""
+    seen = [False] * len(perm)
+    out = []
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycle, x = [], start
+            while not seen[x]:
+                seen[x] = True
+                cycle.append(x)
+                x = perm[x]
+            out.append(cycle)
+    return out
 
 
 def relative_product(r: SkewProduct) -> Automorphism:

@@ -30,18 +30,19 @@ K_CAP = 4
 
 
 class Z2kContext(Value):
-    """Uniform measure on the group Z_2^k, 1 <= k <= 4."""
+    """Uniform measure on the group Z_2^k, 1 <= k <= 4.  ``space`` is built
+    once, so every automorphism made from one context holds the same space
+    object; it is derived from ``k`` and left out of equality, hash and
+    repr."""
 
-    __slots__ = _fields = ("k",)
+    __slots__ = ("k", "space")
+    _fields = ("k",)
 
     def __init__(self, k: int):
         if not isinstance(k, int) or not 1 <= k <= K_CAP:
             raise InvalidInputError(f"k must be an int in 1..{K_CAP}, got {k!r}")
         object.__setattr__(self, "k", k)
-
-    @property
-    def space(self) -> FiniteSpace:
-        return FiniteSpace.uniform(2**self.k)
+        object.__setattr__(self, "space", FiniteSpace.uniform(2**k))
 
     @property
     def group_order(self) -> int:

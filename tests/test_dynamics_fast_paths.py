@@ -36,6 +36,7 @@ from joinlab import (
 )
 from joinlab.cli import main
 from joinlab.config import load_config
+from joinlab.spaces import halmos_numerator
 from joinlab.skew import (
     _random_preserving_permutation,
     _rigidity_walk,
@@ -138,6 +139,33 @@ def test_rigidity_walk_matches_each_time_on_its_own(r, data):
     ]
 
 
+@PROPERTY
+@given(skews(), st.data())
+def test_rigidity_walk_with_a_repeated_gap_matches_the_oracle(r, data):
+    # equal gaps reuse each base atom's step C(y, gap), past the base orbit
+    a = subset(data.draw, r.base)
+    n_param = data.draw(st.integers(1, 9))
+    gap = data.draw(st.integers(1, 3 * r.base.atom_count + 2))
+    times = [gap * m for m in range(1, 6)]
+    assert _rigidity_walk(r, a, n_param, times) == [
+        oracle.rigidity_statistic(r, a, n_param, p) for p in times
+    ]
+
+
+@PROPERTY
+@given(st.data())
+def test_halmos_numerator_to_the_identity_is_four_times_the_moved_weight(data):
+    # a weight-preserving C maps the atoms it moves onto themselves, so
+    # rho(C, Id) D 2^n = 4 sum over moved j of num_j 2^(n-1-j)
+    space = FiniteSpace.uniform(1) if data.draw(st.booleans()) \
+        else two_class_space(data.draw)
+    c, ident = preserving_perm(data.draw, space), Automorphism.identity(space)
+    num, n = space.numerators, space.atom_count
+    moved = 4 * sum(num[j] << (n - 1 - j) for j in range(n) if c.perm[j] != j)
+    assert halmos_numerator(num, c.perm, ident.perm) == moved
+    assert oracle.halmos_distance(c, ident) * (space.denominator << n) == moved
+
+
 def test_rigidity_walk_on_the_demo_config():
     cfg = load_config(str(CONFIGS / "skew_demo.json"))
     a = cfg.lookup("sets", "low")
@@ -233,6 +261,63 @@ def test_relative_weak_mixing_average_matches_the_per_step_oracle(r, data):
         period = math.lcm(period, oracle.cocycle_period(r, x))
     assert relative_weak_mixing_average(r, a, b, 10**12 * period) == \
         oracle.relative_weak_mixing_average(r, a, b, period)
+
+
+def common_period(r) -> int:
+    """A period of every row: the lcm of L ord C(x, L) over the base."""
+    return math.lcm(*(oracle.cocycle_period(r, x) for x in r.base.atoms()))
+
+
+def assert_huge_average_matches(r, a, b, period, rest):
+    """The average at N = 10^12 period + rest, whose sum is 10^12 sums over
+    one period and the sum over the first ``rest`` steps."""
+    whole = 10**12 * period
+    want = (
+        whole * oracle.relative_weak_mixing_average(r, a, b, period)
+        + rest * oracle.relative_weak_mixing_average(r, a, b, rest)
+    ) / (whole + rest)
+    assert relative_weak_mixing_average(r, a, b, whole + rest) == want
+
+
+@PROPERTY
+@given(skews(), st.data())
+def test_relative_weak_mixing_average_at_a_huge_horizon_with_a_remainder(r, data):
+    a, b = subset(data.draw, r.fiber), subset(data.draw, r.fiber)
+    period = 2 * common_period(r)  # a multiple of a period is one
+    rest = data.draw(st.integers(1, period - 1))
+    assert_huge_average_matches(r, a, b, period, rest)
+
+
+def test_relative_weak_mixing_average_over_orbits_of_lengths_1_2_3_5():
+    # base cycles (3), (0 7), (1 9 4), (2 5 8 10 6); fiber atoms 0-3 weigh
+    # 1/8 and 4-5 weigh 1/4.  Along the 5-cycle, C(2, 5) = (0 1) and
+    # C(2, i) = (0 2) for 1 <= i <= 4, so A = {0, 4} comes back to x = 2
+    # after 10 steps but to the other four atoms after 5
+    base = FiniteSpace.uniform(11)
+    fiber = FiniteSpace((Fraction(1, 8),) * 4 + (Fraction(1, 4),) * 2)
+    s = Automorphism(base, (7, 9, 5, 3, 1, 8, 2, 0, 10, 4, 6))
+    ident = tuple(range(6))
+    maps = {3: (0, 1, 2, 3, 5, 4), 0: (1, 2, 3, 0, 4, 5), 1: (0, 1, 2, 3, 5, 4),
+            9: (3, 2, 1, 0, 4, 5), 2: (2, 1, 0, 3, 4, 5), 6: (2, 0, 1, 3, 4, 5)}
+    cocycle = tuple(Automorphism(fiber, maps.get(x, ident)) for x in base.atoms())
+    r = SkewProduct(base, fiber, s, cocycle)
+    a = MeasurableSet(fiber, frozenset({0, 4}))
+    b = MeasurableSet(fiber, frozenset({1, 2, 5}))
+
+    def returns(x):
+        length = oracle.orbit_length(s, x)
+        p = length
+        while oracle.cocycle_product(r, x, p).image(a) != a:
+            p += length
+        return p
+
+    assert {x: returns(x) for x in (2, 5, 8, 10, 6)} == {2: 10, 5: 5, 8: 5, 10: 5, 6: 5}
+    for horizon in range(1, 41):
+        assert relative_weak_mixing_average(r, a, b, horizon) == \
+            oracle.relative_weak_mixing_average(r, a, b, horizon)
+    period = common_period(r)
+    for rest in (1, 7, period - 1):
+        assert_huge_average_matches(r, a, b, period, rest)
 
 
 def assert_sweep_matches(t, sets, k_range):

@@ -6,10 +6,17 @@ its reads, and those of the face sums, are counted on the k = 3 sum
 joining.  The decoder is compared
 with the ``Fraction`` decoder it replaced (``decode_oracle.py``) on sparse
 files with repeated literals, explicit zeros, negative values and
-malformed items.  ``_from_form`` is compared with the ``Fraction``
+malformed items; ``joining verify``'s mass and least entry, read from the
+decoded support, are compared with the oracle's dense entries on empty,
+full and signed supports.  ``_from_form`` is compared with the ``Fraction``
 constructor, and both with the oracle's validation messages.
 """
 
+import contextlib
+import io
+import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -261,6 +268,50 @@ def test_decoded_support_of_unsorted_items_with_a_zero_literal():
     assert raw.support == want
     assert want[0] == [0, 3, 4, 5]  # (0, 1) and (0, 2) hold zeros
     assert raw.numerators == (3, 0, 0, -1, 2, 2)
+
+
+@st.composite
+def signed_documents(draw):
+    """Documents whose support is empty, full or drawn, with signed values
+    and zero literals on the cells off a drawn support."""
+    shape = draw(small_shapes())
+    size = space_size(shape)
+    kind = draw(st.sampled_from(("empty", "full", "drawn")))
+    if kind == "empty":
+        cells = []
+    elif kind == "full":
+        cells = list(range(size))
+    else:
+        cells = draw(st.lists(st.integers(0, size - 1), unique=True, max_size=size))
+    nonzero = []
+    for i in cells:
+        value = draw(st.sampled_from(LITERALS))
+        if kind == "full":
+            value = draw(st.sampled_from(("1/2", "-1/6", "5", "1/12", "-2/7")))
+        nonzero.append([list(index_to_tuple(shape, i)), value])
+    return {"factors": [["1/%d" % n] * n for n in shape], "nonzero": nonzero}
+
+
+@PROPERTY
+@given(signed_documents())
+def test_joining_verify_mass_and_min_entry_match_the_dense_entries(doc):
+    from joinlab.cli import main
+    from joinlab.rationals import format_rational
+
+    dense = decode_oracle.data_to_raw(doc, "t")
+    raw = data_to_raw(doc, "t")
+    assert (raw, hash(raw), repr(raw)) == (dense, hash(dense), repr(dense))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["joining", "verify", "--file", path])
+    report = json.loads(out.getvalue())
+    assert code == (0 if report["pass"] else 1)
+    assert report["mass"] == format_rational(sum(dense.entries))
+    assert report["min_entry"] == format_rational(min(dense.entries))
 
 
 @pytest.mark.parametrize("bad", BAD_VALUES, ids=repr)

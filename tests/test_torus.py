@@ -78,6 +78,18 @@ def test_full_action_generator_count():
         assert len(gens) == 2 * k - 1
 
 
+def test_full_action_holds_the_contexts_one_space():
+    for k in range(1, 5):
+        ctx = Z2kContext(k)
+        action = full_action(ctx)
+        assert ctx.space is ctx.space
+        assert action.space is ctx.space
+        assert all(g.space is ctx.space for g in action.generators)
+        # the space is derived from k, so it stays out of equality and repr
+        assert ctx == Z2kContext(k) and hash(ctx) == hash(Z2kContext(k))
+        assert repr(ctx) == f"Z2kContext(k={k})"
+
+
 def test_triple_sum_joining_frozen_k1():
     ctx = Z2kContext(1)
     v = triple_sum_joining(ctx)
