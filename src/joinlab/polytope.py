@@ -9,8 +9,13 @@ invariance rows (the standard orbit reduction of a symmetric LP).  The
 product measure is strictly positive, so the polytope is that single
 point exactly when the reduced system has full column rank; otherwise a
 max and a min LP per orbit (2 * orbits LPs) find the farthest vertex.
-Vertices come back as full tensors and are re-verified through the
-joining defect checks, an independent code path from the LP itself.
+That scan runs in integers on the solver's integer core: unit objectives,
+the product weights as integer numerators over one denominator, vertices
+read from the basic rows as (numerator, denominator) pairs, and
+sup-distances compared by cross-multiplication.  Only the winning vertex
+and its deviation become ``Fraction``s.  Vertices come back as full
+tensors and are re-verified through the joining defect checks, an
+independent code path from the LP itself.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .joinings import (
     JoiningTensor,
     diagonal_invariance_defect,
     face_independence_defect,
-    product_joining,
 )
 from .rationals import as_fraction
 from .simplex import RationalSimplex
@@ -33,6 +37,7 @@ from .spaces import (
     ActionGenerators,
     moved_index_map,
     orbit_labels,
+    product_form,
     product_space,
     projection_map,
     space_size,
@@ -181,34 +186,53 @@ def certify_triviality(spec: PolytopeSpec) -> TrivialityCertificate:
     max and min of every orbit variable (2 * orbits LPs on one
     warm-started solver) and returns the optimum farthest from the product
     measure: the largest sup-distance over the polytope is reached at one
-    of these optima."""
+    of these optima.
+
+    The scan stays in integers.  Each LP runs on the solver's integer core
+    with a unit objective (its negation for the min).  The per-orbit targets
+    are the product weights' numerators T_o over their denominator D, and
+    the vertex is read from the basic rows as x_o = p / q, with x_o = 0 off
+    the basis.  D times the deviation |x_o - T_o / D| is the quotient
+    |p D - T_o q| / q, or T_o / 1 off the basis, kept as a (numerator,
+    denominator) pair; pairs are compared by cross-multiplying.  An optimum
+    equal to its orbit's target is skipped, and a vertex wins only by a
+    strictly larger deviation, so the first farthest vertex in scan order
+    is the witness.  ``Fraction``s are built for that vertex and
+    ``max_deviation`` alone."""
     red = _reduce(spec)
     solver = RationalSimplex(red.rows, red.rhs, red.count)
-    zero = Fraction(0)
     if solver.rank == red.count:
-        return TrivialityCertificate(True, zero, None)
-    product = product_joining((spec.action.space,) * spec.order).entries
-    target = [zero] * red.count
-    for idx, o in enumerate(red.orbit):
-        target[o] = product[idx]
-    best_dev = zero
-    best_solution = None
-    objective = [zero] * red.count
+        return TrivialityCertificate(True, Fraction(0), None)
+    if solver._infeasible:
+        # the product measure is always feasible
+        raise JoinlabInternalError("joining polytope reported infeasible")
+    nums, den = product_form((spec.action.space,) * spec.order)
+    target = [0] * red.count
+    for t, o in zip(nums, red.orbit):
+        target[o] = t
+    best, best_vertex = (0, 1), None
+    unit = [0] * red.count
     for o in range(red.count):
-        objective[o] = Fraction(1)
-        for sense in ("max", "min"):
-            sol = solver.solve_for(objective, sense)
-            if sol.status != "optimal":
-                # the product measure is always feasible
-                raise JoinlabInternalError("joining polytope reported infeasible")
-            if sol.value != target[o]:
-                dev = max(abs(a - b) for a, b in zip(sol.solution, target))
-                if dev > best_dev:
-                    best_dev = dev
-                    best_solution = sol.solution
-        objective[o] = zero
-    if best_solution is None:
+        for sign in (1, -1):  # max, then min
+            unit[o] = sign
+            num, vden = solver._maximise(unit, 1)
+            if sign * num * den == target[o] * vden:
+                continue
+            vertex = solver._vertex()
+            basic = {v for v, _, _ in vertex}
+            # an orbit off the basis is 0 there: its deviation is its target
+            dev_num = max((t for u, t in enumerate(target) if u not in basic), default=0)
+            dev_den = 1
+            for v, p, q in vertex:
+                d = abs(p * den - target[v] * q)
+                if d * dev_den > dev_num * q:
+                    dev_num, dev_den = d, q
+            if dev_num * best[1] > best[0] * dev_den:
+                best, best_vertex = (dev_num, dev_den), vertex
+        unit[o] = 0
+    if best_vertex is None:
         raise JoinlabInternalError(
             f"rank {solver.rank} < {red.count} orbits, yet every orbit range is a point"
         )
-    return TrivialityCertificate(False, best_dev, _as_tensor(spec, red.expand(best_solution)))
+    witness = _as_tensor(spec, red.expand(solver._point(best_vertex)))
+    return TrivialityCertificate(False, Fraction(best[0], best[1] * den), witness)

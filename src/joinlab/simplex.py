@@ -13,10 +13,17 @@ positive.  The objective row is a list of ints over one positive
 denominator.  A pivot cross-multiplies rows and divides each result by the
 gcd of its entries, so the rational tableau is exactly the one a
 ``Fraction`` tableau would hold, Bland's rule reads the same signs and
-ratios, and every pivot, vertex and value is the same.  ``Fraction``
-appears only where inputs are read and results are returned.  Repeated
-input rows are dropped before presolve; a repeat would reduce to zero
-there anyway.
+ratios, and every pivot, vertex and value is the same.  Every LP runs on
+one integer core: ``_maximise`` takes an integer objective over a
+denominator and returns the optimum as a (numerator, denominator) pair,
+and ``_vertex`` reads the optimal point from the basic rows as integer
+(variable, numerator, denominator) triples.  ``Fraction`` appears only
+where inputs are read and results are returned: ``solve_for`` reads a
+rational objective and returns its ``LpSolution`` through ``_point``,
+while a caller that stays in integers, the certificate scan of
+``joinlab.polytope``, calls the core directly and builds one ``Fraction``
+point, its witness.  Repeated input rows are dropped before presolve; a
+repeat would reduce to zero there anyway.
 """
 
 from __future__ import annotations
@@ -238,6 +245,35 @@ class RationalSimplex:
                 raise JoinlabError("objective unbounded on the feasible region")
             self._pivot(best, q)
 
+    # -- integer core ------------------------------------------------------
+
+    def _maximise(self, obj: list[int], den: int) -> tuple[int, int]:
+        """The integer core of every LP: maximise the objective obj / den
+        (``den`` > 0, one int per variable) from the current basis and
+        return the optimum as (numerator, positive denominator).  The region
+        must be feasible; the optimal vertex is left in the tableau for
+        ``_vertex``."""
+        self._obj, self._den = [*obj, 0], den
+        for row, bv in zip(self._rows, self._basis):
+            self._reprice(row, bv)
+        self._bland()
+        value = (-self._obj[-1], self._den)
+        self._obj = None
+        return value
+
+    def _vertex(self) -> list[tuple[int, int, int]]:
+        """The current basic point as (variable, numerator, positive
+        denominator), one per basic row: x_bv = row[-1] / row[bv].  Every
+        other variable is 0."""
+        return [(bv, row[-1], row[bv]) for row, bv in zip(self._rows, self._basis)]
+
+    def _point(self, vertex: list[tuple[int, int, int]]) -> tuple[Fraction, ...]:
+        """A ``_vertex`` result as one ``Fraction`` per variable."""
+        x = [Fraction(0)] * self.num_vars
+        for bv, num, den in vertex:
+            x[bv] = Fraction(num, den)
+        return tuple(x)
+
     # -- public API --------------------------------------------------------
 
     @property
@@ -256,17 +292,11 @@ class RationalSimplex:
                 f"objective length {len(objective)} != {self.num_vars}"
             )
         flip = sense == "min"
-        obj, self._den = _integer_row([*objective, 0])
-        self._obj = [-x for x in obj] if flip else obj
-        for row, bv in zip(self._rows, self._basis):
-            self._reprice(row, bv)
-        self._bland()
-        value = Fraction(-self._obj[-1], self._den)
-        self._obj = None
-        x = [Fraction(0)] * self.num_vars
-        for row, bv in zip(self._rows, self._basis):
-            x[bv] = Fraction(row[-1], row[bv])
-        return LpSolution("optimal", -value if flip else value, tuple(x))
+        obj, den = _integer_row(objective)
+        value = Fraction(*self._maximise([-x for x in obj] if flip else obj, den))
+        return LpSolution(
+            "optimal", -value if flip else value, self._point(self._vertex())
+        )
 
 
 def solve_lp(

@@ -5,12 +5,18 @@ One LP variable per tensor coordinate.  Diagonal invariance is forced by a
 chain of equalities along every cycle of every generator on index tuples;
 then every m-face marginal is pinned to the product of the weights.  The
 certificate scans max and min of every coordinate (2 * size LPs).
+
+``fraction_certify`` is the orbit-reduced scan as it stood in ``Fraction``
+arithmetic, kept as the slow oracle of the integer scan in
+``joinlab.polytope.certify_triviality``.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+from joinlab.errors import JoinlabInternalError
 from joinlab.joinings import product_joining
+from joinlab.polytope import TrivialityCertificate, _as_tensor, _reduce
 from joinlab.simplex import RationalSimplex
 from joinlab.spaces import index_to_tuple, tuple_to_index
 
@@ -82,3 +88,40 @@ def full_certify(spec):
 
 def full_optimum(spec, objective, sense):
     return full_solver(spec).solve_for(objective, sense).value
+
+
+def fraction_certify(spec):
+    """The orbit-reduced certificate with every LP read back through
+    ``solve_for``: a ``Fraction`` vertex per LP, a ``Fraction`` product
+    target per orbit, the sup-distance as a ``Fraction`` max, and the first
+    vertex that strictly beats the best so far as the witness."""
+    red = _reduce(spec)
+    solver = RationalSimplex(red.rows, red.rhs, red.count)
+    zero = Fraction(0)
+    if solver.rank == red.count:
+        return TrivialityCertificate(True, zero, None)
+    product = product_joining((spec.action.space,) * spec.order).entries
+    target = [zero] * red.count
+    for idx, o in enumerate(red.orbit):
+        target[o] = product[idx]
+    best_dev = zero
+    best_solution = None
+    objective = [zero] * red.count
+    for o in range(red.count):
+        objective[o] = Fraction(1)
+        for sense in ("max", "min"):
+            sol = solver.solve_for(objective, sense)
+            if sol.status != "optimal":
+                # the product measure is always feasible
+                raise JoinlabInternalError("joining polytope reported infeasible")
+            if sol.value != target[o]:
+                dev = max(abs(a - b) for a, b in zip(sol.solution, target))
+                if dev > best_dev:
+                    best_dev = dev
+                    best_solution = sol.solution
+        objective[o] = zero
+    if best_solution is None:
+        raise JoinlabInternalError(
+            f"rank {solver.rank} < {red.count} orbits, yet every orbit range is a point"
+        )
+    return TrivialityCertificate(False, best_dev, _as_tensor(spec, red.expand(best_solution)))

@@ -3,10 +3,13 @@
 Every ``cocycle``, ``mixing`` and ``sample --analyze`` invocation of the
 README's examples, plus the other statistics on the same configs, has its
 full report (digest included) stored under ``tests/golden/``, as have the
-small ``polytope`` certificates and objectives, ``eta --k 2 --verify`` and
-``eta --k 3 --verify`` and ``eta --k 4 --verify``, whose witnesses and
-defects are built on product weights, and ``joining verify`` runs on the
-tensor files under ``tests/golden/tensors/``: eta at k = 1 and k = 3, the
+small ``polytope`` certificates and objectives (among them the order-4
+certificates of the flip on two atoms, whose optima are not unique, and one
+on the two-weight-class action of ``tests/golden/tensors/two_class.json``),
+``eta --k 2 --verify`` and ``eta --k 3 --verify`` and ``eta --k 4 --verify``,
+whose witnesses and defects are built on product weights, and ``joining
+verify`` runs on the tensor files under ``tests/golden/tensors/``: eta at
+k = 1 and k = 3, the
 latter under the full Z_2^3 action of ``z2k3_full.json`` as in the tensor
 benchmark, two damaged tensors, and under the full Z_2^2 action a sparse
 tensor whose support carries both signs and one with an empty support.
@@ -52,6 +55,9 @@ K1 = ("--config", "configs/polytope_k1.json")
 K2 = ("--config", "configs/polytope_k2.json")
 # the full action on Z_2^3 that the tensor benchmark checks eta against
 K3 = ("--config", "tests/golden/tensors/z2k3_full.json")
+# two weight classes, 1/6 and 1/3, each swapped: its product targets differ
+# from orbit to orbit
+TWO_CLASS = ("--config", "tests/golden/tensors/two_class.json")
 
 INVOCATIONS = {
     "cocycle_rigidity_alternating": (
@@ -101,6 +107,15 @@ INVOCATIONS = {
         "--independence", "2", "--certify"),
     "polytope_certify_k2_full": (
         "polytope", *K2, "--action", "full", "--order", "3",
+        "--independence", "2", "--certify"),
+    "polytope_certify_k1_flip_order4_m2": (
+        "polytope", *K1, "--action", "flip", "--order", "4",
+        "--independence", "2", "--certify"),
+    "polytope_certify_k1_flip_order4_m3": (
+        "polytope", *K1, "--action", "flip", "--order", "4",
+        "--independence", "3", "--certify"),
+    "polytope_certify_two_class": (
+        "polytope", *TWO_CLASS, "--action", "swap", "--order", "3",
         "--independence", "2", "--certify"),
     "polytope_objective_k2_corner_max": (
         "polytope", *K2, "--action", "full", "--order", "3",

@@ -3,7 +3,9 @@
 Random weight-preserving actions with non-uniform weights (order 2-3, at
 most 64 tensor entries) must give the same certificate, the same optima
 and the same nullity as the full LP, whose nullity is taken from sympy's
-exact rank rather than from the simplex.
+exact rank rather than from the simplex.  The integer certificate scan
+must also match ``fraction_certify``, the same scan in ``Fraction``
+arithmetic, down to the witness.
 """
 
 from fractions import Fraction
@@ -29,7 +31,12 @@ from joinlab import (
 from joinlab.polytope import _reduce
 from joinlab.simplex import RationalSimplex
 
-from polytope_oracle import full_certify, full_constraints, full_optimum
+from polytope_oracle import (
+    fraction_certify,
+    full_certify,
+    full_constraints,
+    full_optimum,
+)
 
 # derandomized, so that a failure replays exactly and the run time is fixed
 PROPERTY = settings(
@@ -125,19 +132,52 @@ def test_orbits_numbered_by_first_appearance():
 
 
 def test_rank_test_skips_every_lp_when_trivial(monkeypatch):
+    # every LP, solve_for's and the certificate scan's, runs on _maximise
     calls = []
-    solve_for = RationalSimplex.solve_for
+    maximise = RationalSimplex._maximise
 
-    def counting(self, objective, sense="max"):
-        calls.append(sense)
-        return solve_for(self, objective, sense)
+    def counting(self, obj, den):
+        calls.append(den)
+        return maximise(self, obj, den)
 
-    monkeypatch.setattr(RationalSimplex, "solve_for", counting)
+    monkeypatch.setattr(RationalSimplex, "_maximise", counting)
     assert certify_triviality(PolytopeSpec(full_action(Z2kContext(1)), 3, 2)).trivial
     assert calls == []
     spec = PolytopeSpec(full_action(Z2kContext(2)), 3, 2)
     assert not certify_triviality(spec).trivial
     assert len(calls) == 2 * _reduce(spec).count == 20
+
+
+def _assert_matches_fraction_scan(spec):
+    cert, oracle = certify_triviality(spec), fraction_certify(spec)
+    assert cert.trivial == oracle.trivial
+    assert cert.max_deviation == oracle.max_deviation
+    if oracle.witness is None:
+        assert cert.witness is None
+    else:
+        assert cert.witness.entries == oracle.witness.entries
+
+
+@PROPERTY
+@given(specs())
+def test_integer_scan_matches_fraction_scan(spec):
+    _assert_matches_fraction_scan(spec)
+
+
+def test_integer_scan_matches_fraction_scan_on_fixed_instances():
+    # warm-started scans with non-unique optima: the witness depends on
+    # the scan order and the strict tie rule
+    for k, order, m in ((1, 4, 2), (1, 4, 3), (2, 3, 2), (3, 3, 2), (2, 4, 3)):
+        _assert_matches_fraction_scan(PolytopeSpec(full_action(Z2kContext(k)), order, m))
+    # identity actions on unequal weights.  At (2/3, 1/3), order 4, a
+    # vertex's largest deviation sits on an orbit off the basis, where the
+    # vertex is 0; at (2/9, 1/3, 1/3, 1/9), order 2, the certificate
+    # depends on the min LPs
+    for parts, order, m in (((6, 3), 4, 2), ((2, 3, 3, 1), 2, 1)):
+        space = FiniteSpace(tuple(Fraction(p, sum(parts)) for p in parts))
+        identity = Automorphism(space, tuple(range(len(parts))))
+        spec = PolytopeSpec(ActionGenerators(space, (identity,)), order, m)
+        _assert_matches_fraction_scan(spec)
 
 
 def test_larger_z2k_certificates():
