@@ -15,11 +15,21 @@ names to definitions, and later sections may refer to earlier ones:
     }
 
 Malformed input raises InvalidInputError naming the offending field.
+
+The maps of ``actions.*.perms`` and ``cocycles.*.maps``, one fiber map
+per base atom in a cocycle, are checked all at once: the entry types and
+the element types as sets of types, each map sorted against ``range(n)``
+(which also fixes its length), and weight preservation as one lookup of
+the images' numerators against the numerators repeated.  The maps are then
+built unvalidated.  When any check fails, the entries are built one by one
+through the validating ``Automorphism``, so the error names the first bad
+entry with the same message as a per-entry parse.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain
 
 from .errors import InvalidInputError, Value, naming
 from .serialize import _check_keys, _parse_weights, load_json_file
@@ -99,6 +109,24 @@ def _build_automorphism(space: FiniteSpace, raw, path: str) -> Automorphism:
         return Automorphism(space, tuple(raw))
 
 
+def _build_automorphisms(space: FiniteSpace, raws: list, path: str) -> tuple:
+    """One automorphism of ``space`` per entry of ``raws``, the list at
+    ``path``.  Every entry is checked at once; when any check fails, the
+    entries are built one by one, so the first bad one is named."""
+    nums = space.numerators
+    if {*map(type, raws)} == {list}:
+        flat = list(chain.from_iterable(raws))
+        if (
+            {*map(type, flat)} == {int}
+            and all(map(list(range(len(nums))).__eq__, map(sorted, raws)))
+            and list(map(nums.__getitem__, flat)) == list(nums) * len(raws)
+        ):
+            return tuple(Automorphism._trusted(space, tuple(raw)) for raw in raws)
+    return tuple(
+        _build_automorphism(space, raw, f"{path}[{i}]") for i, raw in enumerate(raws)
+    )
+
+
 def parse_config(data, origin: str = "config") -> Config:
     if not isinstance(data, dict):
         raise InvalidInputError(f"{origin}: expected a JSON object")
@@ -139,10 +167,7 @@ def parse_config(data, origin: str = "config") -> Config:
         space = space_ref(raw["space"], f"{path}.space")
         if not isinstance(raw["perms"], list) or not raw["perms"]:
             raise InvalidInputError(f"{path}.perms: expected a nonempty list")
-        gens = tuple(
-            _build_automorphism(space, p, f"{path}.perms[{i}]")
-            for i, p in enumerate(raw["perms"])
-        )
+        gens = _build_automorphisms(space, raw["perms"], f"{path}.perms")
         actions[name] = ActionGenerators(space, gens)
 
     cocycles: dict[str, SkewProduct] = {}
@@ -159,10 +184,7 @@ def parse_config(data, origin: str = "config") -> Config:
                 f"{path}.maps: need one fiber permutation per base atom "
                 f"({base_map.space.atom_count}), got {len(raw['maps'])}"
             )
-        maps = tuple(
-            _build_automorphism(fiber, p, f"{path}.maps[{i}]")
-            for i, p in enumerate(raw["maps"])
-        )
+        maps = _build_automorphisms(fiber, raw["maps"], f"{path}.maps")
         cocycles[name] = SkewProduct(base_map.space, fiber, base_map, maps)
 
     sets: dict[str, MeasurableSet] = {}

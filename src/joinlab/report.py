@@ -4,13 +4,27 @@ Reports are rendered with sorted keys, two-space indentation, and a
 trailing newline, with every rational as an explicit "p/q" string, so a
 repeated run over identical inputs is byte-identical.  Wall-clock timing
 never belongs in a report; the command line prints it to stderr.
+
+``render_report`` writes the text in one recursive pass.  The bytes are
+those of ``json.dumps(payload, sort_keys=True, indent=2)`` over the
+payload with Fractions as "p/q" strings and tuples as lists: keys and
+strings go through ``json.encoder.encode_basestring_ascii``, the escaper
+``ensure_ascii`` uses, ints through ``int.__repr__``, and items are
+joined by ``,`` and a newline indented two spaces per level.  With an
+indent, CPython's ``json.dumps`` leaves its C encoder for the pure-Python
+``_iterencode``, a generator step per item, after a pass that converts
+the payload to plain JSON types; here a list of plain ints, the bulk of a
+``sample`` report, is one ``str.join``.  Floats are refused so no inexact
+number can leak into a report.  A dict's items are written in insertion
+order and then sorted, so the error names the first bad value or key in
+payload order.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .rationals import format_rational
 
@@ -26,28 +40,43 @@ except ImportError:
         from hashlib import sha256
 
 
-def jsonable(value):
-    """Recursively convert a report payload to plain JSON types.
-
-    Fractions become "p/q" strings; tuples become lists.  Floats are
-    refused so no inexact number can leak into a report."""
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
+def _write(value, pad: str) -> str:
+    """``value`` as report JSON, with ``pad`` the indent of its own line."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return _quote(value)
     if isinstance(value, Fraction):
-        return format_rational(value)
+        return f'"{format_rational(value)}"'
     if isinstance(value, int):
-        return value
+        return int.__repr__(value)
     if isinstance(value, float):
         raise TypeError(f"refusing to put a float in a report: {value!r}")
     if isinstance(value, (list, tuple)):
-        return [jsonable(item) for item in value]
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        if {*map(type, value)} == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [_write(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if isinstance(value, dict):
-        out = {}
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        entries = []
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be strings, got {key!r}")
-            out[key] = jsonable(item)
-        return out
+            entries.append((key, _write(item, inner)))
+        entries.sort()
+        items = [_quote(key) + ": " + text for key, text in entries]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(value).__name__} into a report")
 
 
@@ -64,4 +93,4 @@ def input_digest(argv: Sequence[str], config_bytes: bytes = b"") -> str:
 
 
 def render_report(payload: dict) -> str:
-    return json.dumps(jsonable(payload), sort_keys=True, indent=2) + "\n"
+    return _write(payload, "") + "\n"

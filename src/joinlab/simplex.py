@@ -128,7 +128,11 @@ class RationalSimplex:
         for row, b in zip(rows, rhs):
             if len(row) != n:
                 raise InvalidInputError(f"row length {len(row)} != {n}")
-            r = _primitive(_integer_row([*row, b])[0])
+            if {*map(type, row)} <= {int} and type(b) in (int, Fraction):
+                d = b.denominator  # an int row's lcm is the rhs denominator
+                r = _primitive([x * d for x in row] + [b.numerator])
+            else:
+                r = _primitive(_integer_row([*row, b])[0])
             key = tuple(r)
             if key in seen:
                 continue  # a repeat of an earlier row reduces to zero

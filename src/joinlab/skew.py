@@ -360,7 +360,8 @@ def fiber_square_ergodic(r: SkewProduct) -> bool:
 
 def _random_preserving_permutation(rng, space: FiniteSpace) -> Automorphism:
     # Uniform over the weight-preserving subgroup: shuffle within weight
-    # classes, keyed by the integer numerator and met in atom order.
+    # classes, keyed by the integer numerator and met in atom order.  The
+    # shuffle preserves weights by construction, so the map is trusted.
     classes: dict[int, list[int]] = {}
     for i, w in enumerate(space.numerators):
         classes.setdefault(w, []).append(i)
@@ -370,7 +371,7 @@ def _random_preserving_permutation(rng, space: FiniteSpace) -> Automorphism:
         rng.shuffle(shuffled)
         for src, dst in zip(atoms, shuffled):
             perm[src] = dst
-    return Automorphism(space, tuple(perm))
+    return Automorphism._trusted(space, tuple(perm))
 
 
 def sample_random_extension(

@@ -127,8 +127,8 @@ class FiniteSpace(Value):
     @classmethod
     def _trusted(cls, numerators: Sequence[int], denominator: int) -> "FiniteSpace":
         """Space built without validation from an integer form already known
-        to be canonical, positive and summing to ``denominator``, because it
-        is derived from valid spaces (``product_form``).  Every other caller
+        to be canonical, positive and summing to ``denominator``: derived
+        from valid spaces (``product_form``) or uniform.  Every other caller
         goes through the validating constructor."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "weights", _fractions(numerators, denominator))
@@ -144,16 +144,17 @@ class FiniteSpace(Value):
     def uniform(cls, n: int) -> "FiniteSpace":
         if not isinstance(n, int) or n < 1:
             raise InvalidInputError(f"atom count must be a positive int, got {n!r}")
-        w = Fraction(1, space_size((n,)))
-        return cls((w,) * n)
+        # n ones over n: canonical, positive, and within FORM_BITS_CAP
+        # for any n under SIZE_CAP
+        n = space_size((n,))
+        return cls._trusted((1,) * n, n)
 
     def atoms(self) -> range:
         return range(len(self.weights))
 
     def mass(self, atoms: Iterable[int]) -> Fraction:
         """Total weight of the given atoms."""
-        nums = self.numerators
-        return Fraction(sum(nums[a] for a in atoms), self.denominator)
+        return Fraction(sum(map(self.numerators.__getitem__, atoms)), self.denominator)
 
 
 class MeasurableSet(Value):
@@ -211,10 +212,11 @@ class Automorphism(Value):
     @classmethod
     def _trusted(cls, space: FiniteSpace, perm: tuple[int, ...]) -> "Automorphism":
         """Automorphism built without validation, for a ``perm`` tuple already
-        known to be a weight-preserving permutation of ``space``'s atoms
-        because it is derived from valid ones (a composition, an inverse, a
-        power, or a product map built from them).  Every other caller goes
-        through the validating constructor."""
+        known to be a weight-preserving permutation of ``space``'s atoms:
+        derived from valid ones (a composition, an inverse, a power, or a
+        product map built from them), drawn by a shuffle within weight
+        classes, or checked in bulk by the config parser.  Every other
+        caller goes through the validating constructor."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "space", space)
         object.__setattr__(obj, "perm", perm)

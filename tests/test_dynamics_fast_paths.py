@@ -63,6 +63,12 @@ def two_class_space(draw) -> FiniteSpace:
     return FiniteSpace(tuple(2 * unit if i in heavy else unit for i in range(n1 + n2)))
 
 
+def weighted_space(draw) -> FiniteSpace:
+    """1 to 7 atoms of weights p / (sum of the p), each p drawn from 1..3."""
+    parts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=7))
+    return FiniteSpace(tuple(Fraction(p, sum(parts)) for p in parts))
+
+
 def preserving_perm(draw, space: FiniteSpace) -> Automorphism:
     """A weight-preserving permutation: a drawn shuffle within each class."""
     perm = [0] * space.atom_count
@@ -396,6 +402,16 @@ def test_product_space_equals_the_validated_space(data):
     assert list(fast.weights) == weights
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 1000])
+def test_uniform_space_equals_the_validated_space(n):
+    fast = FiniteSpace.uniform(n)
+    slow = FiniteSpace((Fraction(1, n),) * n)
+    assert type(fast.numerators) is tuple
+    assert (fast.weights, fast.numerators, fast.denominator) == \
+        (slow.weights, slow.numerators, slow.denominator)
+    assert fast == slow and hash(fast) == hash(slow)
+
+
 @PROPERTY
 @given(skews())
 def test_skew_automorphisms_equal_validated_ones(r):
@@ -443,12 +459,17 @@ def test_fiber_square_ergodic_over_one_atom_is_the_skew_products_own():
 @given(st.data(), st.integers(0, 2**32))
 def test_random_preserving_permutation_draws_as_the_weight_keyed_shuffle(data, seed):
     # three draws from one generator: the same classes in the same order
-    # consume the same random numbers
-    space = two_class_space(data.draw)
+    # consume the same random numbers.  The draws are built unvalidated, so
+    # each must also pass the validating constructor.
+    space = two_class_space(data.draw) if data.draw(st.booleans()) \
+        else weighted_space(data.draw)
     rng = random.Random(seed)
     want = [oracle.random_preserving_permutation(rng, space) for _ in range(3)]
     rng = random.Random(seed)
-    assert [_random_preserving_permutation(rng, space) for _ in range(3)] == want
+    got = [_random_preserving_permutation(rng, space) for _ in range(3)]
+    for draw in got:
+        assert_valid(draw)
+    assert got == want
 
 
 def test_compose_across_spaces_still_raises():
