@@ -194,9 +194,8 @@ def parse_config(data, origin: str = "config") -> Config:
         space = space_ref(raw["space"], f"{path}.space")
         atoms = raw["atoms"]
         with naming(f"{path}.atoms"):
-            if not isinstance(atoms, list) or any(
-                not isinstance(a, int) or isinstance(a, bool) for a in atoms
-            ):
+            # bool is a type of its own, so the set test refuses true/false
+            if not isinstance(atoms, list) or not {*map(type, atoms)} <= {int}:
                 raise InvalidInputError("expected a list of ints")
             sets[name] = MeasurableSet(space, frozenset(atoms))
 

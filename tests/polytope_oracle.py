@@ -7,16 +7,18 @@ then every m-face marginal is pinned to the product of the weights.  The
 certificate scans max and min of every coordinate (2 * size LPs).
 
 ``fraction_certify`` is the orbit-reduced scan as it stood in ``Fraction``
-arithmetic, kept as the slow oracle of the integer scan in
-``joinlab.polytope.certify_triviality``.
+arithmetic, a max and a min LP for every orbit with no early stop, kept
+as the slow oracle of the integer scan in
+``joinlab.polytope.certify_triviality``; its witness is built by the
+``Fraction`` constructor of ``JoiningTensor``.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from joinlab.errors import JoinlabInternalError
-from joinlab.joinings import product_joining
-from joinlab.polytope import TrivialityCertificate, _as_tensor, _reduce
+from joinlab.joinings import JoiningTensor, product_joining
+from joinlab.polytope import TrivialityCertificate, _reduce
 from joinlab.simplex import RationalSimplex
 from joinlab.spaces import index_to_tuple, tuple_to_index
 
@@ -124,4 +126,7 @@ def fraction_certify(spec):
         raise JoinlabInternalError(
             f"rank {solver.rank} < {red.count} orbits, yet every orbit range is a point"
         )
-    return TrivialityCertificate(False, best_dev, _as_tensor(spec, red.expand(best_solution)))
+    witness = JoiningTensor(
+        (spec.action.space,) * spec.order, tuple(best_solution[o] for o in red.orbit)
+    )
+    return TrivialityCertificate(False, best_dev, witness)

@@ -17,6 +17,10 @@ A faster path that changes any byte of any of them fails here, and eta and
 ``joining verify`` at k = 3 must print theirs with every dense flat index
 map refused.
 
+Two ``polytope --certify`` reports too large to store, the pairwise
+independent order-4 certificates on the full Z_2^3 and Z_2^4 actions, are
+pinned by their sha256 in ``HASHED``.
+
 ``tests/golden/errors.json`` pins the exit code and stderr (minus the
 wall-time line) of each invalid-input case in ``ERROR_CASES``: one or more
 per place that names the failing input, a config field, a tensor file
@@ -40,10 +44,12 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
 
+from joinlab import Z2kContext, full_action
 from joinlab.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -330,6 +336,29 @@ def error_entry(name) -> dict:
 @pytest.mark.parametrize("name", sorted(INVOCATIONS))
 def test_report_matches_golden_bytes(name):
     assert report_bytes(name) == (GOLDEN / f"{name}.json").read_bytes()
+
+
+# pairwise-independent order-4 certificates on the full Z_2^3 and Z_2^4
+# actions, pinned by the sha256 of their reports: the Z_2^4 witness alone
+# holds 65,536 entries
+HASHED = {
+    "z2k3_full.json": "e7271eab8bdc693ec81c74143a13d2b6e8615013d1b0de55f92014daf8b2ee77",
+    "z2k4_full.json": "b10e42296b363b8a9db6cbf2b1bcc7e6749185b0658d9284e5758e71bad159e6",
+}
+
+
+def test_large_certificates_match_pinned_hashes(tmp_path, monkeypatch, capsys):
+    shutil.copy(REPO / "tests/golden/tensors/z2k3_full.json", tmp_path)
+    perms = [list(g.perm) for g in full_action(Z2kContext(4)).generators]
+    config = {"spaces": {"g": {"uniform": 16}},
+              "actions": {"full": {"space": "g", "perms": perms}}}
+    (tmp_path / "z2k4_full.json").write_text(json.dumps(config))
+    monkeypatch.chdir(tmp_path)
+    for name, digest in HASHED.items():
+        argv = ["polytope", "--config", name, "--action", "full", "--order", "4",
+                "--independence", "2", "--certify"]
+        assert main(argv) == 0
+        assert sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_tensor_commands_build_no_dense_index_map(monkeypatch, capsys):
