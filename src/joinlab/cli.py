@@ -28,7 +28,6 @@ from .errors import (
 )
 from .joinings import (
     _face_gap,
-    _invariance_defect,
     diagonal_invariance_defect,
     face_independence_defect,
     marginal_defect,
@@ -56,7 +55,7 @@ from .skew import (
     relative_weak_mixing_average,
     sample_random_extension,
 )
-from .spaces import orbit_count, shape_of, tuple_to_index
+from .spaces import orbit_count, tuple_to_index
 from .torus import Z2kContext, full_action, triple_sum_joining
 
 
@@ -97,13 +96,10 @@ def _cmd_eta(args):
     v = triple_sum_joining(ctx)
     action = full_action(ctx)
     mass = Fraction(sum(v.numerators), v.denominator)
-    # the kernels below share ``v.support``, computed here once
-    edge = marginal_defect(v.factors, v.numerators, v.denominator, v.support)
+    edge = marginal_defect(v)
     three = face_independence_defect(v, 3)
     invariance = diagonal_invariance_defect(v, action)
-    sup_product = _face_gap(
-        v.factors, v.numerators, v.denominator, range(v.order), v.support
-    )
+    sup_product = _face_gap(v, range(v.order))
     passed = mass == 1 and edge == 0 and three == 0 and invariance == 0
     payload = {
         "command": "eta",
@@ -317,30 +313,20 @@ def _cmd_joining_verify(args):
         raise InvalidInputError("--config requires --action")
     file_blob = read_bytes(args.file)
     raw = data_to_raw(parse_json(file_blob, args.file), path=args.file)
-    action, cfg_blob = None, b""
+    invariance_defect, cfg_blob = None, b""
     if args.action is not None:
         cfg, cfg_blob = _load_config(args.config)
         action = _lookup(cfg, "actions", "--action", args.action)
-        for sp in raw.factors:
-            if sp != action.space:
-                raise InvalidInputError(
-                    "invariance check needs every factor equal to the action's space"
-                )
-
-    nums, den, shape = raw.numerators, raw.denominator, shape_of(raw.factors)
-    support = raw.support  # the decoder's cells, read by every check below
-    cells, values, _ = support
-    mass = Fraction(sum(values), den)
+        with naming("--action"):  # a factor off the action's space is refused
+            invariance_defect = diagonal_invariance_defect(raw, action)
+    # every check reads the decoder's support
+    cells, values, _ = raw.support
+    mass = Fraction(sum(values), raw.denominator)
     low = min(values, default=0)
-    if len(cells) < len(nums):  # a cell off the support holds 0
+    if len(cells) < raw.size:  # a cell off the support holds 0
         low = min(low, 0)
-    min_entry = Fraction(low, den)
-    marginals = marginal_defect(raw.factors, nums, den, support)
-    invariance_defect = None
-    if action is not None:
-        invariance_defect = Fraction(
-            _invariance_defect(nums, shape, action.generators, support), den
-        )
+    min_entry = Fraction(low, raw.denominator)
+    marginals = marginal_defect(raw)
     passed = (
         mass == 1
         and min_entry >= 0

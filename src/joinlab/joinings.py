@@ -7,12 +7,15 @@ carries the two-way correspondence between joinings with an independent
 complement face and Markov operators, the predual push of a joining
 through a tuple of operators, and exact disintegration over a base.
 
-Every measure is its integer form, computed once at construction:
-Python-int numerators over one common denominator, the lcm of the
-entries' reduced denominators, so the form is canonical.  The sign, mass
-and marginal checks and the defect kernels run on it; the ``Fraction``
-entries are built on first read, one object per distinct entry, and a
-command that reads none builds none.  A builder that already holds an
+Every tensor is its integer form: Python-int numerators over one common
+denominator.  ``RawTensor`` holds that form with no axiom imposed, as a
+decoded file arrives, and owns what is read off it: the shape, the
+``Fraction`` entries and the support, each built on first read and kept.
+``ProductMeasure`` and ``JoiningTensor`` extend it with validation,
+equality and the measure operations.  A measure's form is canonical, the
+lcm of the entries' reduced denominators, computed once at construction;
+the sign, mass and marginal checks run on it, and a command that reads
+no entry builds no ``Fraction``.  A builder that already holds an
 integer form (a marginal, a pushed or a sparse tensor, a decoded file)
 constructs through ``_from_form``, which the ``Fraction`` constructor
 also ends in, so both run one validation.  The form costs entries times
@@ -21,22 +24,21 @@ construction raises ``ResourceLimitError`` before any numerator is
 scaled.
 
 The measure kernels (face sums, the marginal and face checks, the
-invariance defect) read only the support: the nonzero cells, from
-``spaces.support_cells``, and per-axis tables summed over them by
-``spaces.support_map``.  A measure computes its support on first use and
-keeps it, and each kernel takes a support computed once by its caller, so
-a command lists the cells once.  Loops that need every cell (a full fill,
-a push, a disintegration) walk the dense flat index maps of ``spaces``
-instead.
+invariance defect) take one tensor, raw or checked, and read only its
+support: the nonzero cells, from ``spaces.support_cells``, and per-axis
+tables summed over them by ``spaces.support_map``.  A tensor lists its
+support once and every kernel shares it.  Loops that need every cell (a
+full fill, a push, a disintegration) walk the dense flat index maps of
+``spaces`` instead.
 
 Every comparison of a face marginal with the product of its factors'
 measures runs through one integer kernel, ``_face_gap``.  A face on fewer
 axes sums the support into its cells and compares each.  The face on
 every axis is the tensor itself, whose cells off the support sit at
-their product weight from it: given the support, ``_full_face_gap``
-compares the support cells, and of the rest needs only the heaviest
-product weight that the support does not fill, found by counting the
-support cells of each weight (``spaces.weight_counts``).
+their product weight from it: ``_full_face_gap`` compares the support
+cells, and of the rest needs only the heaviest product weight that the
+support does not fill, found by counting the support cells of each
+weight (``spaces.weight_counts``).
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul, sub
@@ -74,15 +77,90 @@ from .spaces import (
 )
 
 
-class ProductMeasure(Value):
+class RawTensor(Value):
+    """Tensor on a product of finite spaces in integer form, with no axiom
+    imposed: entries[i] == numerators[i] / denominator, of either sign and
+    any mass.  ``entries`` and ``support`` (``spaces.support_cells`` of the
+    numerators) are built on first read unless given.  Only ``entries``
+    among the derived fields is read by equality, hash and repr."""
+
+    __slots__ = ("factors", "numerators", "denominator", "_entries", "_support")
+    _fields = ("factors", "entries", "numerators", "denominator")
+
+    def __init__(
+        self,
+        factors: tuple[FiniteSpace, ...],
+        entries: tuple[Fraction, ...],
+        numerators: tuple[int, ...],
+        denominator: int,
+    ):
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
+
+    @classmethod
+    def _decoded(cls, factors, numerators, denominator: int, support):
+        """The tensor of an integer form and its support, entries unbuilt."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "factors", factors)
+        object.__setattr__(obj, "numerators", numerators)
+        object.__setattr__(obj, "denominator", denominator)
+        object.__setattr__(obj, "_support", support)
+        return obj
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return shape_of(self.factors)
+
+    @property
+    def order(self) -> int:
+        return len(self.factors)
+
+    @property
+    def size(self) -> int:
+        return space_size(self.shape)
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        """The entries as ``Fraction``, one object per distinct value, built
+        from the integer form on first read."""
+        try:
+            return self._entries
+        except AttributeError:
+            found = _fractions(self.numerators, self.denominator)
+            object.__setattr__(self, "_entries", found)
+            return found
+
+    @property
+    def support(self) -> tuple[list[int], list[int], tuple]:
+        """``spaces.support_cells`` of the numerators, computed once."""
+        try:
+            return self._support
+        except AttributeError:
+            found = support_cells(self.shape, self.numerators)
+            object.__setattr__(self, "_support", found)
+            return found
+
+    def value(self, tup: Sequence[int]) -> Fraction:
+        return self.entries[tuple_to_index(self.shape, tup)]
+
+    def nonzero(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        """(tuple, value) pairs of the support in lexicographic order, one
+        ``Fraction`` per distinct value."""
+        cells, values, _ = self.support
+        tuples = map(partial(index_to_tuple, self.shape), cells)
+        return list(zip(tuples, _fractions(values, self.denominator)))
+
+
+class ProductMeasure(RawTensor):
     """Probability measure on a product of finite spaces (mass one, entries
     nonnegative).  Marginals are unconstrained; conditional measures produced
     by disintegration live here.  ``numerators`` and ``denominator`` are
     its integer form, computed at construction and left out of repr.  The
-    form is the measure: equality and hash read it, and ``entries`` and
-    ``support`` are derived from it on first use and kept in slots."""
+    form is the measure: equality and hash read it."""
 
-    __slots__ = ("factors", "numerators", "denominator", "_entries", "_support")
+    __slots__ = ()
     _fields = ("factors", "entries")
 
     def __init__(self, factors: tuple[FiniteSpace, ...], entries: tuple[Fraction, ...]):
@@ -148,51 +226,6 @@ class ProductMeasure(Value):
         object.__setattr__(obj, "denominator", denominator)
         return obj
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(sp.atom_count for sp in self.factors)
-
-    @property
-    def order(self) -> int:
-        return len(self.factors)
-
-    @property
-    def size(self) -> int:
-        return space_size(self.shape)
-
-    @property
-    def entries(self) -> tuple[Fraction, ...]:
-        """The entries as ``Fraction``, one object per distinct value, built
-        from the integer form on first read."""
-        try:
-            return self._entries
-        except AttributeError:
-            found = _fractions(self.numerators, self.denominator)
-            object.__setattr__(self, "_entries", found)
-            return found
-
-    @property
-    def support(self) -> tuple[list[int], list[int], tuple]:
-        """``spaces.support_cells`` of the numerators, computed once."""
-        try:
-            return self._support
-        except AttributeError:
-            found = support_cells(self.shape, self.numerators)
-            object.__setattr__(self, "_support", found)
-            return found
-
-    def value(self, tup: Sequence[int]) -> Fraction:
-        return self.entries[tuple_to_index(self.shape, tup)]
-
-    def nonzero(self):
-        """(tuple, value) pairs in lexicographic order."""
-        shape = self.shape
-        return [
-            (index_to_tuple(shape, i), x)
-            for i, x in enumerate(self.entries)
-            if x
-        ]
-
     # The integer form is canonical, so comparing it compares the entries.
     def __eq__(self, other):
         if not isinstance(other, ProductMeasure):
@@ -217,10 +250,9 @@ class JoiningTensor(ProductMeasure):
         """Raise unless the measure checks pass and every single-coordinate
         marginal is its factor's weights."""
         super()._check()
-        nums, den, support = self.numerators, self.denominator, self.support
         for coord, sp in enumerate(self.factors):
-            if _face_gap(self.factors, nums, den, (coord,), support):
-                got = _fractions(_axis_sums(nums, self.shape, (coord,), support), den)
+            if _face_gap(self, (coord,)):
+                got = _fractions(_axis_sums(self, (coord,)), self.denominator)
                 raise InvalidInputError(
                     f"marginal onto coordinate {coord} is {show(got)}, "
                     f"expected the factor weights {show(sp.weights)}"
@@ -249,48 +281,40 @@ def sparse_form(size: int, cells: Mapping[int, Fraction]) -> tuple[list[int], in
     return out, den
 
 
-def _axis_sums(numerators, shape, coords, support=None) -> list[int]:
-    """Integer sums over every coordinate outside ``coords``: the marginal's
-    numerators over the same denominator, in the sub-shape's index order.
-    On every axis in order the marginal is the entries themselves; on any
-    other face each support value is added into its projected cell.
-    ``support`` is ``support_cells(shape, numerators)``, computed here when
-    not given."""
-    coords = tuple(coords)
-    if coords == tuple(range(len(shape))):
-        return list(numerators)
-    _, values, split = support or support_cells(shape, numerators)
+def _axis_sums(v: RawTensor, coords) -> list[int]:
+    """Integer sums of v's numerators over every coordinate outside
+    ``coords``: the marginal's numerators over the same denominator, in the
+    sub-shape's index order.  Each support value is added into its
+    projected cell."""
+    shape = v.shape
+    _, values, split = v.support
     face_shape = [shape[c] for c in coords]
     out = [0] * space_size(face_shape)
     per_axis = [[0] * n for n in shape]  # axes off the face add nothing
     for c, col in zip(coords, _offsets(face_shape)):
         per_axis[c] = col
-    projected = support_map(split, per_axis)
-    for j, x in zip(projected, values):
+    for j, x in zip(support_map(split, per_axis), values):
         out[j] += x
     return out
 
 
-def _face_gap(factors, numerators, denominator, coords, support=None) -> Fraction:
-    """Sup-distance from the marginal on ``coords`` of ``numerators`` /
-    ``denominator`` on the product of ``factors`` to the product of those
-    factors' measures; the entries need not form a measure.  ``support`` is
-    as for ``_axis_sums``.  The face on every axis, whose marginal is the
-    tensor, is read from a given support by ``_full_face_gap``; without
-    one it is compared cell by cell, as listing the support would read
-    every cell too."""
+def _face_gap(v: RawTensor, coords) -> Fraction:
+    """Sup-distance from v's marginal on ``coords`` to the product of those
+    factors' measures; v need not be a measure.  The face on every axis,
+    whose marginal is the tensor, is read by ``_full_face_gap``."""
     coords = tuple(coords)
-    if support and coords == tuple(range(len(factors))):
-        return _full_face_gap(factors, denominator, support)
-    sums = _axis_sums(numerators, shape_of(factors), coords, support)
-    weights, weight_den = product_form([factors[c] for c in coords])
+    if coords == tuple(range(v.order)):
+        return _full_face_gap(v)
+    sums = _axis_sums(v, coords)
+    weights, weight_den = product_form([v.factors[c] for c in coords])
+    denominator = v.denominator
     worst = max(map(abs, map(
         sub, map(weight_den.__mul__, sums), map(denominator.__mul__, weights)
     )))
     return Fraction(worst, denominator * weight_den)
 
 
-def _full_face_gap(factors, denominator, support) -> Fraction:
+def _full_face_gap(v: RawTensor) -> Fraction:
     """``_face_gap`` on every axis, read from the support alone.  A cell off
     the support has numerator 0, so its gap is the denominator times its
     product weight, whatever the tensor's values: the answer is the largest
@@ -301,7 +325,8 @@ def _full_face_gap(factors, denominator, support) -> Fraction:
     weights of the two parts of its split, and the distinct product
     weights; a support of every cell lists the cells in index order, so
     their weights are ``product_form``'s and none is off it."""
-    _, values, (h, high, low) = support
+    factors, denominator = v.factors, v.denominator
+    _, values, (h, high, low) = v.support
     size, weight_den = product_bounds(factors)
     if len(values) == size:
         weights, off = product_form(factors)[0], 0
@@ -322,22 +347,10 @@ def _weights(factors) -> list[int]:
     return product_form(factors)[0] if factors else [1]
 
 
-def marginal_defect(
-    factors: Sequence[FiniteSpace], numerators, denominator: int, support=None
-) -> Fraction:
-    """Largest |marginal - weight| over every coordinate and atom of the
-    entries ``numerators`` / ``denominator`` on the product of ``factors``;
-    the entries need not form a measure.  ``support`` is
-    ``support_cells(shape_of(factors), numerators)``, computed here once
-    when not given."""
-    support = support or support_cells(shape_of(factors), numerators)
-    return max(
-        (
-            _face_gap(factors, numerators, denominator, (c,), support)
-            for c in range(len(factors))
-        ),
-        default=Fraction(0),
-    )
+def marginal_defect(v: RawTensor) -> Fraction:
+    """Largest |marginal - weight| over every coordinate and atom of v; v
+    need not be a measure."""
+    return max((_face_gap(v, (c,)) for c in range(v.order)), default=Fraction(0))
 
 
 def sup_distance(v: ProductMeasure, w: ProductMeasure) -> Fraction:
@@ -370,37 +383,28 @@ def marginal(v: ProductMeasure, coords: Sequence[int]) -> ProductMeasure:
         raise InvalidInputError(f"coords must be nonempty strictly increasing, got {coords}")
     if coords[0] < 0 or coords[-1] >= v.order:
         raise InvalidInputError(f"coords {coords} outside 0..{v.order - 1}")
-    sums = _axis_sums(v.numerators, v.shape, coords, v.support)
+    sums = _axis_sums(v, coords)
     factors = tuple(v.factors[c] for c in coords)
     cls = JoiningTensor if isinstance(v, JoiningTensor) else ProductMeasure
     return cls._from_form(factors, sums, v.denominator)
 
 
-def diagonal_invariance_defect(v: ProductMeasure, action: ActionGenerators) -> Fraction:
-    """How far v is from invariance under the diagonal action:
-    max over generators g and tuples t of |v(g t) - v(t)|."""
+def diagonal_invariance_defect(v: RawTensor, action: ActionGenerators) -> Fraction:
+    """How far v is from invariance under the diagonal action: max over
+    generators g and tuples t of |v(g t) - v(t)|; v need not be a measure.
+
+    Only the support S (the nonzero cells) is read, and g t is computed
+    only for t in S.  Off S the difference is |v(g t)|, nonzero only where
+    g t lies in S but not in g(S); when g moves no value of S, g maps S
+    onto itself and no such cell exists."""
     for sp in v.factors:
         if sp != action.space:
             raise InvalidInputError("every factor must equal the action's space")
-    return Fraction(
-        _invariance_defect(v.numerators, v.shape, action.generators, v.support),
-        v.denominator,
-    )
-
-
-def _invariance_defect(numerators, shape, generators, support=None) -> int:
-    """max over generators g and tuples t of |n(g t) - n(t)| on integer
-    numerators; the entries need not form a measure.  ``support`` is
-    ``support_cells(shape, numerators)``, computed here when not given.
-
-    Only the support S (the nonzero cells) is read, and g t is computed
-    only for t in S.  Off S the difference is |n(g t)|, nonzero only where
-    g t lies in S but not in g(S); when g moves no value of S, g maps S
-    onto itself and no such cell exists."""
-    cells, values, split = support or support_cells(shape, numerators)
-    offsets = _offsets(shape)
+    numerators = v.numerators
+    cells, values, split = v.support
+    offsets = _offsets(v.shape)
     best = 0
-    for g in generators:
+    for g in action.generators:
         images = support_map(split, [[col[p] for p in g.perm] for col in offsets])
         moved = map(numerators.__getitem__, images)  # n(g t), t in S
         gap = max(map(abs, map(sub, moved, values)), default=0)
@@ -410,17 +414,15 @@ def _invariance_defect(numerators, shape, generators, support=None) -> int:
                 (abs(x) for u, x in zip(cells, values) if u not in hit), default=0
             ))
         best = max(best, gap)
-    return best
+    return Fraction(best, v.denominator)
 
 
-def face_independence_defect(v: ProductMeasure, m: int) -> Fraction:
+def face_independence_defect(v: RawTensor, m: int) -> Fraction:
     """Largest sup-distance between an m-face marginal and the corresponding
     product measure, over all m-subsets of coordinates."""
     if not isinstance(m, int) or not 1 <= m < v.order:
         raise InvalidInputError(f"face order must satisfy 1 <= m < {v.order}, got {m!r}")
-    faces = combinations(range(v.order), m)
-    nums, den, support = v.numerators, v.denominator, v.support
-    return max(_face_gap(v.factors, nums, den, c, support) for c in faces)
+    return max(_face_gap(v, c) for c in combinations(range(v.order), m))
 
 
 def has_standard_projections(v: ProductMeasure, distinguished: int) -> bool:
@@ -433,8 +435,7 @@ def has_standard_projections(v: ProductMeasure, distinguished: int) -> bool:
     if not 0 <= distinguished < v.order:
         raise InvalidInputError(f"distinguished coordinate {distinguished} out of range")
     faces = ((distinguished,), tuple(c for c in range(v.order) if c != distinguished))
-    nums, den, support = v.numerators, v.denominator, v.support
-    return not any(_face_gap(v.factors, nums, den, c, support) for c in faces)
+    return not any(_face_gap(v, c) for c in faces)
 
 
 def operator_from_joining(v: ProductMeasure, distinguished: int) -> MarkovOperator:
@@ -587,7 +588,7 @@ def product_convergence_trace(
         ops = [distinguished_rule(j)]
         ops.extend(fiber_rule(i, j) for i in range(1, v.order))
         p = push_joining(v, ops)
-        trace.append(_face_gap(p.factors, p.numerators, p.denominator, range(p.order)))
+        trace.append(_face_gap(p, range(p.order)))
     return tuple(trace)
 
 
@@ -647,11 +648,11 @@ def disintegrate(v: ProductMeasure, base_coords: Sequence[int]) -> EquivariantFi
     fiber_coords = tuple(c for c in range(v.order) if c not in base_coords)
     if not fiber_coords:
         raise InvalidInputError("at least one fiber coordinate is required")
-    nums, den = v.numerators, v.denominator
-    if _face_gap(v.factors, nums, den, base_coords, v.support):
+    if _face_gap(v, base_coords):
         raise PreconditionError(
             "marginal onto the base is not the independent product measure"
         )
+    nums, den = v.numerators, v.denominator
     base_factors = tuple(v.factors[c] for c in base_coords)
     fiber_factors = tuple(v.factors[c] for c in fiber_coords)
     weights, weight_den = product_form(base_factors)
@@ -698,16 +699,11 @@ def reassemble(field: EquivariantField, base_coords: Sequence[int]) -> JoiningTe
     return JoiningTensor(factors, tuple(entries))
 
 
-def equivariance_defect(field: EquivariantField, skew, m: int | None = None) -> Fraction:
+def equivariance_defect(field: EquivariantField, skew) -> Fraction:
     """Largest sup-distance between field(S x_1, ..., S x_m) and the image of
     field(x_1, ..., x_m) under R_{x_1} x ... x R_{x_m}, over all base tuples.
     Zero exactly when the field satisfies the cocycle equivariance identity of
-    the skew product.  ``m``, when given, must match the number of base
-    factors; it exists purely as a caller-side consistency check."""
-    if m is not None and m != len(field.base_spaces):
-        raise InvalidInputError(
-            f"field has {len(field.base_spaces)} base factors, caller expected {m}"
-        )
+    the skew product."""
     for sp in field.base_spaces:
         if sp != skew.base:
             raise InvalidInputError("field base spaces must equal the skew base")

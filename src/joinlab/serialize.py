@@ -8,9 +8,10 @@ A tensor file looks like
     }
 
 with every rational written as an explicit "p/q" string and the nonzero
-list sorted ascending by index tuple.  ``data_to_raw`` decodes without
-imposing the joining axioms so that verification can report defects
-instead of refusing to load.  It checks the items a column at a time:
+list sorted ascending by index tuple.  ``data_to_raw`` decodes into a
+``joinings.RawTensor``, re-exported here, without imposing the joining
+axioms, so that verification can report defects instead of refusing to
+load.  It checks the items a column at a time:
 every item's shape, each axis's coordinate types and range, the flat
 indices and their duplicates, and the literals, each distinct one parsed
 once.  Only when one of these checks fails does it check the items again
@@ -18,29 +19,27 @@ one by one, so that the error names the first item at fault, built only
 then.  The integer form is taken over the distinct literals' values and
 scattered into the dense numerators; its size cap still counts every
 entry.  The decoded tensor carries its support, the nonzero cells the
-items listed, so that no check lists them again.
+items listed, which every measure kernel reads, so that no check lists
+them again.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import compress
 from operator import add
 
-from .errors import InvalidInputError, JoinlabError, Value, naming
-from .joinings import JoiningTensor, ProductMeasure
+from .errors import InvalidInputError, JoinlabError, naming
+from .joinings import JoiningTensor, ProductMeasure, RawTensor
 from .rationals import format_rational, parse_rational
 from .skew import SkewProduct
 from .spaces import (
     FiniteSpace,
-    _fractions,
     _offsets,
     integer_form,
     shape_of,
     space_size,
     split_cells,
-    support_cells,
 )
 
 
@@ -87,66 +86,12 @@ def _parse_weights(raw, path: str) -> FiniteSpace:
 
 def joining_to_data(v: ProductMeasure) -> dict:
     """Sparse dict form of a product-space measure, ready for json.dumps."""
-    nonzero = [
-        [list(tup), format_rational(value)] for tup, value in sorted(v.nonzero())
-    ]
     return {
         "factors": [
             [format_rational(w) for w in sp.weights] for sp in v.factors
         ],
-        "nonzero": nonzero,
+        "nonzero": [[list(tup), format_rational(x)] for tup, x in v.nonzero()],
     }
-
-
-class RawTensor(Value):
-    """Decoded tensor before any joining axiom is imposed, with its integer
-    form: entries[i] == numerators[i] / denominator.  ``entries`` and
-    ``support`` (``spaces.support_cells`` of the numerators) are built on
-    first read unless given; the decoder gives the support.  Only
-    ``entries`` is among the fields that equality, hash and repr read."""
-
-    __slots__ = ("factors", "numerators", "denominator", "_entries", "_support")
-    _fields = ("factors", "entries", "numerators", "denominator")
-
-    def __init__(
-        self,
-        factors: tuple[FiniteSpace, ...],
-        entries: tuple[Fraction, ...],
-        numerators: tuple[int, ...],
-        denominator: int,
-    ):
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "_entries", entries)
-        object.__setattr__(self, "numerators", numerators)
-        object.__setattr__(self, "denominator", denominator)
-
-    @classmethod
-    def _from_form(cls, factors, numerators, denominator: int, support):
-        """The tensor of an integer form and its support, entries unbuilt."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "factors", factors)
-        object.__setattr__(obj, "numerators", numerators)
-        object.__setattr__(obj, "denominator", denominator)
-        object.__setattr__(obj, "_support", support)
-        return obj
-
-    @property
-    def entries(self) -> tuple[Fraction, ...]:
-        try:
-            return self._entries
-        except AttributeError:
-            found = _fractions(self.numerators, self.denominator)
-            object.__setattr__(self, "_entries", found)
-            return found
-
-    @property
-    def support(self) -> tuple[list[int], list[int], tuple]:
-        try:
-            return self._support
-        except AttributeError:
-            found = support_cells(shape_of(self.factors), self.numerators)
-            object.__setattr__(self, "_support", found)
-            return found
 
 
 def data_to_raw(data, path: str = "tensor") -> RawTensor:
@@ -180,7 +125,7 @@ def data_to_raw(data, path: str = "tensor") -> RawTensor:
     keep = sorted(compress(range(len(flat)), listed), key=flat.__getitem__)
     cells = [flat[j] for j in keep]
     support = cells, [listed[j] for j in keep], split_cells(shape, cells)
-    return RawTensor._from_form(factors, tuple(nums), den, support)
+    return RawTensor._decoded(factors, tuple(nums), den, support)
 
 
 def _decode_columns(items, shape, literals):

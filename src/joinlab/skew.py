@@ -24,6 +24,7 @@ from .rationals import as_fraction
 from .spaces import (
     Automorphism,
     FiniteSpace,
+    _orbits,
     MeasurableSet,
     compose,
     orbit_count,
@@ -309,22 +310,6 @@ def relative_weak_mixing_average(
             whole, rest = divmod(n_horizon, k)
             total += r.base.numerators[x] * (whole * sum(row) + sum(row[:rest]))
     return Fraction(total, r.base.denominator * den**4 * n_horizon)
-
-
-def _orbits(perm: Sequence[int]) -> list[list[int]]:
-    """The cycles of a permutation, each from its least atom in the order
-    the permutation visits it, cycles by least atom."""
-    seen = [False] * len(perm)
-    out = []
-    for start in range(len(perm)):
-        if not seen[start]:
-            cycle, x = [], start
-            while not seen[x]:
-                seen[x] = True
-                cycle.append(x)
-                x = perm[x]
-            out.append(cycle)
-    return out
 
 
 def relative_product(r: SkewProduct) -> Automorphism:

@@ -250,18 +250,23 @@ class Automorphism(Value):
 
     def order(self) -> int:
         """Least k >= 1 with self^k the identity: the lcm of the cycle lengths."""
-        seen = [False] * len(self.perm)
-        out = 1
-        for start in range(len(self.perm)):
-            length = 0
-            x = start
+        return lcm(*map(len, _orbits(self.perm)))
+
+
+def _orbits(perm: Sequence[int]) -> list[list[int]]:
+    """The cycles of a permutation, each from its least atom in the order
+    the permutation visits it, cycles by least atom."""
+    seen = [False] * len(perm)
+    out = []
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycle, x = [], start
             while not seen[x]:
                 seen[x] = True
-                x = self.perm[x]
-                length += 1
-            if length:
-                out = lcm(out, length)
-        return out
+                cycle.append(x)
+                x = perm[x]
+            out.append(cycle)
+    return out
 
 
 def perm_power(perm: tuple[int, ...], k: int) -> tuple[int, ...]:

@@ -8,8 +8,11 @@ with the ``Fraction`` decoder it replaced (``decode_oracle.py``) on sparse
 files with repeated literals, explicit zeros, negative values and
 malformed items; ``joining verify``'s mass and least entry, read from the
 decoded support, are compared with the oracle's dense entries on empty,
-full and signed supports.  ``_from_form`` is compared with the ``Fraction``
-constructor, and both with the oracle's validation messages.
+full and signed supports.  The measure kernels take the decoded
+``RawTensor`` and the validated ``JoiningTensor`` alike, and must agree on
+both and with the oracle on the eta tensors and damaged files.
+``_from_form`` is compared with the ``Fraction`` constructor, and both with
+the oracle's validation messages.
 """
 
 import contextlib
@@ -18,15 +21,24 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from joinlab import Automorphism, FiniteSpace, JoiningTensor, ProductMeasure
+from joinlab import ActionGenerators, Automorphism, FiniteSpace, JoiningTensor, ProductMeasure
 from joinlab.errors import InvalidInputError, JoinlabError, ResourceLimitError
-from joinlab.joinings import _axis_sums, _invariance_defect
-from joinlab.serialize import data_to_joining, data_to_raw
+from joinlab.joinings import (
+    RawTensor,
+    _axis_sums,
+    _face_gap,
+    diagonal_invariance_defect,
+    face_independence_defect,
+    marginal_defect,
+)
+from joinlab.serialize import data_to_joining, data_to_raw, joining_to_data
 from joinlab.spaces import index_to_tuple, space_size, support_cells, tuple_to_index
 from joinlab.torus import Z2kContext, full_action, triple_sum_joining
 
@@ -67,11 +79,19 @@ def sparse_entries(draw, size):
 # -- invariance on the support --------------------------------------------
 
 
+def _raw(factors, numerators, denominator):
+    """The unchecked tensor of an integer form, entries built from it."""
+    entries = tuple(Fraction(n, denominator) for n in numerators)
+    return RawTensor(tuple(factors), entries, numerators, denominator)
+
+
 def test_invariance_counts_cells_that_move_onto_the_support():
     # x -> x + 1 mod 3 on (9, 2, 0): off the support, cell 2 moves onto the
     # 9 at cell 0; the pairs inside the support differ by 7 at most
-    cycle = Automorphism(FiniteSpace.uniform(3), (1, 2, 0))
-    assert _invariance_defect([9, 2, 0], (3,), [cycle]) == 9
+    space = FiniteSpace.uniform(3)
+    action = ActionGenerators(space, [Automorphism(space, (1, 2, 0))])
+    assert diagonal_invariance_defect(_raw([space], [9, 2, 0], 1), action) == 9
+    cycle = action.generators[0]
     assert oracle.invariance_defect([9, 2, 0], (3,), [cycle.perm]) == 9
 
 
@@ -111,11 +131,11 @@ def test_invariance_on_sparse_raw_entries_matches_oracle(data):
         start = data.draw(st.integers(0, size - 1))
         _plant_staircase(entries, shape, perms[0], start, data.draw(st.integers(13, 20)))
     space = FiniteSpace.uniform(atoms)
-    gens = [Automorphism(space, tuple(p)) for p in perms]
+    action = ActionGenerators(space, [Automorphism(space, tuple(p)) for p in perms])
     den = 12
-    nums = [int(x * den) for x in entries]
+    v = _raw((space,) * order, [int(x * den) for x in entries], den)
     want = oracle.invariance_defect(entries, shape, perms)
-    assert Fraction(_invariance_defect(nums, shape, gens), den) == want
+    assert diagonal_invariance_defect(v, action) == want
 
 
 class CountingList(list):
@@ -131,21 +151,23 @@ class CountingList(list):
 def test_invariance_reads_each_support_cell_once_per_generator():
     ctx = Z2kContext(3)
     v = triple_sum_joining(ctx)
-    gens = full_action(ctx).generators
+    action = full_action(ctx)
     nonzero = sum(1 for x in v.numerators if x)
     assert nonzero == 512
     CountingList.reads = 0
-    assert _invariance_defect(CountingList(v.numerators), v.shape, gens) == 0
-    assert CountingList.reads <= len(gens) * nonzero
+    counted = _raw(v.factors, CountingList(v.numerators), v.denominator)
+    assert diagonal_invariance_defect(counted, action) == 0
+    assert CountingList.reads <= len(action.generators) * nonzero
 
 
 def test_axis_sums_read_each_support_cell_once_per_face():
     v = triple_sum_joining(Z2kContext(3))
     nonzero = sum(1 for x in v.numerators if x)
     for coords in ((0,), (1, 3), (0, 1, 2), (1, 2, 3)):
+        counted = _raw(v.factors, CountingList(v.numerators), v.denominator)
         CountingList.reads = 0
-        got = _axis_sums(CountingList(v.numerators), v.shape, coords)
-        assert got == _axis_sums(v.numerators, v.shape, coords)
+        got = _axis_sums(counted, coords)
+        assert got == _axis_sums(v, coords)
         assert CountingList.reads <= nonzero
 
 
@@ -341,6 +363,49 @@ def test_repeated_literal_is_parsed_once():
     raw = data_to_raw(doc)
     assert raw.entries[0] is raw.entries[3]
     assert data_to_joining(doc).entries == raw.entries
+
+
+# -- one kernel path for raw and checked tensors -------------------------
+
+TENSORS = Path(__file__).resolve().parent / "golden" / "tensors"
+
+
+def _tensor_document(name):
+    if name == "eta_k2":
+        return joining_to_data(triple_sum_joining(Z2kContext(2)))
+    return json.loads((TENSORS / f"{name}.json").read_text())
+
+
+@pytest.mark.parametrize("name", ["eta_k2", "eta_k3", "eta_k3_damaged", "damaged"])
+def test_kernels_agree_on_raw_and_checked_tensors_and_the_oracle(name):
+    doc = _tensor_document(name)
+    raw = data_to_raw(doc)
+    tensors = [raw]
+    if not name.endswith("damaged"):
+        tensors.append(data_to_joining(doc))
+    entries, shape, factors = raw.entries, raw.shape, raw.factors
+    action = full_action(Z2kContext(shape[0].bit_length() - 1))
+    axes = range(len(shape))
+    gaps = {
+        coords: oracle.sup_distance(
+            oracle.axis_sums(entries, shape, coords),
+            oracle.product([factors[c].weights for c in coords]),
+        )
+        for m in range(1, len(shape) + 1)
+        for coords in combinations(axes, m)
+    }
+    marginals = max(gaps[(c,)] for c in axes)
+    invariance = oracle.invariance_defect(entries, shape, [g.perm for g in action.generators])
+    for v in tensors:
+        assert marginal_defect(v) == marginals
+        assert {coords: _face_gap(v, coords) for coords in gaps} == gaps
+        for m in range(1, len(shape)):
+            assert face_independence_defect(v, m) == max(
+                gaps[coords] for coords in combinations(axes, m)
+            )
+        assert diagonal_invariance_defect(v, action) == invariance
+    if name == "eta_k3_damaged":  # the defects its golden report prints
+        assert marginals == invariance == Fraction(3, 512)
 
 
 # -- one validation path --------------------------------------------------

@@ -273,6 +273,11 @@ ERROR_CASES = {
     "lookup_unknown_fiber_set_b": (
         (*AVERAGE, "--fiber-set-a", "top", "--fiber-set-b", "nope", "--horizon", "2"), {}),
     "joining_verify_config_without_action": ((*VERIFY, *K1), _tensor()),
+    "joining_verify_action_space": (
+        (*VERIFY, "--config", "c.json", "--action", "a"),
+        {**_tensor(), "c.json": _config(
+            spaces={"s": {"uniform": 3}},
+            actions={"a": {"space": "s", "perms": [[1, 2, 0]]}})}),
     "polytope_objective_index": (
         ("polytope", "--config", "c.json", "--action", "a", "--order", "3",
          "--independence", "2", "--objective", "o"),

@@ -288,7 +288,7 @@ def test_equivariance_defect_product_field_is_zero():
     field = EquivariantField(
         (sp,), (fiber,), tuple(product_joining([fiber]) for _ in sp.atoms())
     )
-    assert equivariance_defect(field, skew, 1) == 0
+    assert equivariance_defect(field, skew) == 0
 
 
 def test_equivariance_defect_detects_mismatch():
@@ -302,8 +302,6 @@ def test_equivariance_defect_detects_mismatch():
     point1 = ProductMeasure((fiber,), (0, 1))
     field = EquivariantField((base,), (fiber,), (point0, point1))
     assert equivariance_defect(field, skew) == sup_distance(point0, point1)
-    with pytest.raises(InvalidInputError):
-        equivariance_defect(field, skew, 2)
 
 
 def test_marginal_validates_coords():

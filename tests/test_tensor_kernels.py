@@ -42,7 +42,7 @@ from joinlab import (
     sup_distance,
 )
 from joinlab.torus import Z2kContext, character_coefficient, fourier_joining
-from joinlab.joinings import _axis_sums, _face_gap, _invariance_defect, integer_form
+from joinlab.joinings import RawTensor, _axis_sums, _face_gap, integer_form
 from joinlab.spaces import (
     flat_index_map,
     moved_index_map,
@@ -108,6 +108,12 @@ def weight_lists(draw, shape):
 
 def spaces(weights):
     return tuple(FiniteSpace(tuple(ws)) for ws in weights)
+
+
+def raw_tensor(factors, entries):
+    """The unchecked tensor of ``entries`` on ``factors``, in integer form."""
+    nums, den = integer_form(entries)
+    return RawTensor(tuple(factors), tuple(entries), tuple(nums), den)
 
 
 def coords_of(draw, order, min_size=1, max_size=None):
@@ -202,13 +208,13 @@ def test_axis_sums_on_raw_entries(data):
     shape = data.draw(shapes())
     entries = data.draw(raw_entries(space_size(shape)))
     coords = coords_of(data.draw, len(shape))
-    nums, den = integer_form(entries)
-    got = [Fraction(s, den) for s in _axis_sums(nums, shape, coords)]
+    v = raw_tensor([FiniteSpace.uniform(n) for n in shape], entries)
+    got = _scaled(_axis_sums(v, coords), v.denominator)
     assert got == oracle.axis_sums(entries, shape, coords)
     # every axis in order: the entries themselves, a list like any other face
     every = range(len(shape))
-    assert _axis_sums(nums, shape, every) == list(nums)
-    assert [Fraction(s, den) for s in _axis_sums(nums, shape, every)] == \
+    assert _axis_sums(v, every) == list(v.numerators)
+    assert _scaled(_axis_sums(v, every), v.denominator) == \
         oracle.axis_sums(entries, shape, tuple(every))
 
 
@@ -225,8 +231,7 @@ def test_marginal_defect_on_raw_entries(data):
         for c, sp in enumerate(factors)
         for s, w in zip(oracle.axis_sums(entries, shape, [c]), sp.weights)
     )
-    nums, den = integer_form(entries)
-    assert marginal_defect(factors, nums, den) == want
+    assert marginal_defect(raw_tensor(factors, entries)) == want
 
 
 @PROPERTY
@@ -251,13 +256,12 @@ def test_invariance_defect_on_raw_entries(data):
     entries = data.draw(raw_entries(space_size(shape)))
     perms = data.draw(st.lists(st.permutations(range(atoms)), min_size=1, max_size=3))
     space = FiniteSpace.uniform(atoms)
-    gens = [Automorphism(space, tuple(p)) for p in perms]
-    nums, den = integer_form(entries)
+    action = ActionGenerators(space, [Automorphism(space, tuple(p)) for p in perms])
     want = oracle.invariance_defect(entries, shape, perms)
-    assert Fraction(_invariance_defect(nums, shape, gens), den) == want
+    assert diagonal_invariance_defect(raw_tensor((space,) * order, entries), action) == want
     positive = [abs(x) + 1 for x in entries]
     v = ProductMeasure((space,) * order, tuple(x / sum(positive) for x in positive))
-    assert diagonal_invariance_defect(v, ActionGenerators(space, gens)) == (
+    assert diagonal_invariance_defect(v, action) == (
         oracle.invariance_defect(v.entries, shape, perms)
     )
 
@@ -307,22 +311,17 @@ def test_face_kernels_on_sparse_supports(data):
     shape = data.draw(shapes())
     entries = data.draw(supported_entries(space_size(shape)))
     factors = spaces(data.draw(weight_lists(shape)))
-    nums, den = integer_form(entries)
-    support = support_cells(shape, nums)
+    v = raw_tensor(factors, entries)
     coords = coords_of(data.draw, len(shape))
     want = oracle.axis_sums(entries, shape, coords)
-    assert _scaled(_axis_sums(nums, shape, coords, support), den) == want
-    assert _scaled(_axis_sums(nums, shape, coords), den) == want
+    assert _scaled(_axis_sums(v, coords), v.denominator) == want
     product = oracle.product([factors[c].weights for c in coords])
-    gap = oracle.sup_distance(want, product)
-    assert _face_gap(factors, nums, den, coords, support) == gap
-    assert _face_gap(factors, nums, den, coords) == gap
+    assert _face_gap(v, coords) == oracle.sup_distance(want, product)
     marginals = max(
         oracle.sup_distance(oracle.axis_sums(entries, shape, [c]), sp.weights)
         for c, sp in enumerate(factors)
     )
-    assert marginal_defect(factors, nums, den, support) == marginals
-    assert marginal_defect(factors, nums, den) == marginals
+    assert marginal_defect(v) == marginals
 
 
 @PROPERTY
@@ -333,12 +332,10 @@ def test_invariance_defect_on_sparse_supports(data):
     shape = (atoms,) * order
     entries = data.draw(supported_entries(space_size(shape)))
     perms = data.draw(st.lists(st.permutations(range(atoms)), min_size=1, max_size=3))
-    gens = [Automorphism(FiniteSpace.uniform(atoms), tuple(p)) for p in perms]
-    nums, den = integer_form(entries)
+    space = FiniteSpace.uniform(atoms)
+    action = ActionGenerators(space, [Automorphism(space, tuple(p)) for p in perms])
     want = oracle.invariance_defect(entries, shape, perms)
-    support = support_cells(shape, nums)
-    assert Fraction(_invariance_defect(nums, shape, gens, support), den) == want
-    assert Fraction(_invariance_defect(nums, shape, gens), den) == want
+    assert diagonal_invariance_defect(raw_tensor((space,) * order, entries), action) == want
 
 
 def full_face_cases(draw):
@@ -364,11 +361,8 @@ def oracle_full_gap(shape, factors, entries):
 @given(st.data())
 def test_full_face_gap_matches_oracle(data):
     shape, factors, entries = full_face_cases(data.draw)
-    nums, den = integer_form(entries)
     want = oracle_full_gap(shape, factors, entries)
-    every = range(len(shape))
-    assert _face_gap(factors, nums, den, every, support_cells(shape, nums)) == want
-    assert _face_gap(factors, nums, den, every) == want
+    assert _face_gap(raw_tensor(factors, entries), range(len(shape))) == want
 
 
 @pytest.mark.parametrize("kind", ["full", "all but one", "one cell", "empty"])
@@ -388,9 +382,8 @@ def test_full_face_gap_on_fixed_supports(kind):
         entries[7] = Fraction(-1, 3)
     elif kind == "empty":
         entries = [Fraction(0)] * 12
-    nums, den = integer_form(entries)
     want = oracle_full_gap(shape, factors, entries)
-    assert _face_gap(factors, nums, den, (0, 1), support_cells(shape, nums)) == want
+    assert _face_gap(raw_tensor(factors, entries), (0, 1)) == want
 
 
 def test_full_face_gap_finds_a_heavy_cell_off_the_support_past_the_heaviest():
@@ -405,9 +398,7 @@ def test_full_face_gap_finds_a_heavy_cell_off_the_support_past_the_heaviest():
     entries = [Fraction(0)] * 12
     entries[5], entries[9], entries[1] = Fraction(15, 48), Fraction(10, 48), Fraction(5, 48)
     entries[0] = Fraction(1, 48) + Fraction(1, 96)  # (0, 0) weighs 1/48
-    nums, den = integer_form(entries)
-    support = support_cells((3, 4), nums)
-    assert _face_gap(factors, nums, den, (0, 1), support) == Fraction(3, 48)
+    assert _face_gap(raw_tensor(factors, entries), (0, 1)) == Fraction(3, 48)
     assert oracle_full_gap((3, 4), factors, entries) == Fraction(3, 48)
 
 
