@@ -8,15 +8,20 @@ C behaves in the Halmos metric and the weak operator distance.
 Both statistics rest on C preserving the fiber weights.  The Halmos
 distance to the identity is 2 sum over the atoms j that C moves of
 nu_j 2^-j, since C maps its moved set onto itself.  With G_j = C(x_0, j)
-along a base orbit, C(x_i, p) = G_{i+p} G_i^-1, so
-mu(C(x_i, p) A intersect B) = mu(G_i^-1 A intersect G_{i+p}^-1 B).
+along a base orbit x_0, ..., x_{L-1}, C(x_i, p) = G_{i+p} G_i^-1 and
+G_{qL+r} = G_r o G_L^q, so C(x_i, p) moves y = G_i z exactly when
+G_{i+p} z != G_i z, and mu(C(x_i, p) A intersect B) =
+mu(G_i^-1 A intersect G_{i+p}^-1 B).  Both statistics read the G_j from
+one prefix walk (``_prefix_walk``).  Rigidity walks only the stretches of
+an orbit between the atoms of its set, at most
+min(L, |A on the orbit| (max p + 1)) compositions besides powers of G_L.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from operator import add, mul, ne, sub
 
 from .errors import InvalidInputError, PreconditionError, Value
@@ -161,6 +166,16 @@ def power_skew(s: Automorphism, t: Automorphism, n_fun: Sequence[int]) -> SkewPr
     return SkewProduct(s.space, t.space, s, cocycle)
 
 
+def _prefix_walk(r: SkewProduct, x: int) -> Iterator[tuple[int, ...]]:
+    """The prefix products C(x, 0), C(x, 1), ... along the base orbit of
+    ``x``, as permutation tuples: one composition each, without end."""
+    g, base, cocycle = tuple(r.fiber.atoms()), r.base_map.perm, r.cocycle
+    while True:
+        yield g
+        g = tuple(map(cocycle[x].perm.__getitem__, g))
+        x = base[x]
+
+
 def rigidity_statistic(
     r: SkewProduct, a: MeasurableSet, n_param: int, p: int
 ) -> Fraction:
@@ -181,44 +196,115 @@ def _rigidity_walk(
     nondecreasing nonnegative ``times``; the caller has checked that ``a``
     lives on the base and that ``n_param`` is a positive int.
 
-    One walk per atom x of A extends C(x, p_i) to
-    C(x, p_{i+1}) = C(S^{p_i} x, p_{i+1} - p_i) o C(x, p_i), so the cocycle
-    products cost the gaps between the times, not the times themselves.
-    The step C(y, gap) of each base atom y is kept while the gap between
-    times is unchanged.
+    Along a base orbit x_0, ..., x_{L-1} with G_j = C(x_0, j),
+    C(x_i, p) = G_{i+p} G_i^-1 and G_{qL+r} = G_r o G_L^q, so C(x_i, p)
+    moves y = G_i z exactly when G_{i+p} z != G_i z, and no product or
+    inverse is built per (start, time) pair.  A weight-preserving C maps
+    the atoms it moves onto themselves, so rho(C, Id) = 2 sum over moved j
+    of nu_j 2^-j: with the fiber's numerators num over D and n atoms,
+    rho(C, Id) < 1/n_param is 4 n_param T < D 2^n for the integer sum T of
+    num_y 2^(n-1-y) over the moved y, one C-level sum over w o G_i.
 
-    A weight-preserving C maps the atoms it moves onto themselves, so
-    rho(C, Id) = 2 sum over moved j of nu_j 2^-j: with the fiber's
-    numerators num over D and n atoms, rho(C, Id) < 1/n_param is
-    4 n_param sum over moved j of num_j 2^(n-1-j) < D 2^n, one C-level sum
-    over the atoms the product moves."""
+    A pair counts only when S^p x_i is in A, so only the G_j at starts are
+    read.  The starts are chained along their orbits (``_start_chains``),
+    and each chain is walked once from its first start, taken as x_0 (the
+    identity holds from any atom of the orbit).  A chain that closes
+    around its orbit walks it up to G_L, and G_L^q and G_L^(q+1) are the
+    only live powers, as the times only increase; once some G_L^q is the
+    identity, the chain's counts repeat with period qL.  Per orbit that is
+    at most min(L, |A on it| (max(times) + 1)) compositions and base steps
+    besides the powers, and O(L n) memory."""
     num = r.fiber.numerators
     n = len(num)
     weights = [w << (n - 1 - j) for j, w in enumerate(num)]
     # 4 n_param T < D 2^n for the integer sum T, tested as T <= limit
     limit = ((r.fiber.denominator << n) - 1) // (4 * n_param)
-    ident = tuple(range(n))
-    starts = tuple(a.atoms)
-    where = starts  # S^p x
-    products = [ident] * len(starts)  # C(x, p)
-    out, prev, gap = [], 0, None
-    for p in times:
-        if p - prev != gap:
-            gap = p - prev
-            s_gap = perm_power(r.base_map.perm, gap)
-            steps = {}  # base atom y -> C(y, gap).__getitem__
-        prev = p
-        for y in set(where).difference(steps):
-            steps[y] = _cocycle_perm(r, y, gap).__getitem__
-        products = list(
-            map(tuple, map(map, map(steps.__getitem__, where), products))
-        )
-        where = tuple(map(s_gap.__getitem__, where))
-        back = list(map(a.atoms.__contains__, where))  # S^p x in A
-        flags = map(map, repeat(ne), compress(products, back), repeat(ident))
-        near = map(limit.__ge__, map(sum, map(compress, repeat(weights), flags)))
-        out.append(r.base.mass(compress(compress(starts, back), near)))
-    return out
+    base_num, reach = r.base.numerators, max(times, default=0)
+    counted = [0] * len(times)  # base numerators of the counted starts
+    for chain, period in _start_chains(r.base_map.perm, a.atoms, reach):
+        end = chain[-1][1]  # steps from the first start to the last
+        table = list(islice(_prefix_walk(r, chain[0][0]), (period or end) + 1))
+        found = {i: table[i] for _, i in chain}  # G_i at the starts; G_0 = Id
+        rows = [  # (base numerator, i, G_i, w o G_i)
+            (base_num[x], i, found[i], tuple(map(weights.__getitem__, found[i])))
+            for x, i in chain
+        ]
+        g_l = table[-1]
+        # a chain that does not close needs no index past its last start
+        span = period or end + reach + 1
+        powers = {}  # q -> G_L^q, for q = p // L and p // L + 1 at most
+        cycle = 0  # qL once G_L^q = Id: then G_{j+qL} = G_j
+        known = {}  # time -> this chain's count, times taken mod cycle
+        for k, p in enumerate(times):
+            if not period and p > end:
+                break  # no start lies that far along an open chain
+            if cycle:
+                p %= cycle
+            total = known.get(p)
+            if total is None:
+                total = 0
+                low, shift = divmod(p, span)
+                for w, i, g, wg in rows:
+                    j, q = i + shift, low
+                    if j >= span:
+                        j, q = j - span, q + 1
+                    later = found.get(j)
+                    if later is None:  # S^p x_i is not in A
+                        continue
+                    if q:  # G_{qL+j} = G_j o G_L^q, and G_0 = Id
+                        power = powers.get(q)
+                        if power is None:
+                            last = powers.get(q - 1)
+                            power = (perm_power(g_l, q) if last is None
+                                     else tuple(map(g_l.__getitem__, last)))
+                            powers = {q - 1: last, q: power}
+                            if power == found[0]:
+                                cycle = q * span
+                        later = map(later.__getitem__, power) if j else power
+                    if sum(compress(wg, map(ne, later, g))) <= limit:
+                        total += w
+                known[p] = total
+            counted[k] += total
+    den = r.base.denominator
+    return [Fraction(c, den) for c in counted]
+
+
+def _start_chains(
+    perm: Sequence[int], starts: frozenset[int], reach: int
+) -> Iterator[tuple[list[tuple[int, int]], int]]:
+    """The atoms of ``starts`` chained along the orbits of ``perm``: each is
+    linked to the next start on its orbit when that is at most ``reach``
+    steps on.  Yields each chain as (start, steps from its first start)
+    pairs in walk order, with the orbit's length when the links close
+    around it and 0 otherwise.  Each start steps the base only up to the
+    next start, so an orbit costs at most
+    min(L, |starts on it| (reach + 1)) steps."""
+    link = {}  # start -> (next start, steps to it)
+    for x in starts:
+        y, d = perm[x], 1
+        while d <= reach and y not in starts:
+            y, d = perm[y], d + 1
+        if d <= reach:
+            link[x] = (y, d)
+    entered = {y for y, _ in link.values()}
+    ordered = sorted(starts)
+    seen = set()
+    # open chains from their first starts, then closed ones from their least
+    for x0 in [x for x in ordered if x not in entered] + ordered:
+        if x0 in seen:
+            continue
+        chain, x, at = [], x0, 0
+        while True:
+            seen.add(x)
+            chain.append((x, at))
+            if x not in link:
+                yield chain, 0
+                break
+            x, d = link[x]
+            at += d
+            if x == x0:
+                yield chain, at
+                break
 
 
 def relative_mixing_fraction(r: SkewProduct, p: int, eps: Fraction) -> Fraction:
@@ -270,40 +356,41 @@ def relative_weak_mixing_average(
     if not isinstance(n_horizon, int) or n_horizon < 1:
         raise InvalidInputError(f"horizon must be a positive int, got {n_horizon!r}")
     num, den = r.fiber.numerators, r.fiber.denominator
+    n = len(num)
     bits = [1 << y for y in r.fiber.atoms()]
-    in_a = [y in a.atoms for y in r.fiber.atoms()]
-    in_b = [y in b.atoms for y in r.fiber.atoms()]
+    # bit z of sum(bits[z] * code[G z]) is [G z in A] and bit n + z is
+    # [G z in B]: U_j and V_j from one pass over G_j
+    code = [(y in a.atoms) + ((y in b.atoms) << n) for y in r.fiber.atoms()]
+    low = (1 << n) - 1
     # (mu(C A ^ B) - mu(A) mu(B))^2 = (hits - target)^2 / den^4, where hits
     # adds num_c den for each atom of C A ^ B, c its weight class
     target = sum(num[y] for y in a.atoms) * sum(num[y] for y in b.atoms)
-    classes: dict[int, int] = {}  # num_c den -> mask M_c of the class
-    for y, w in enumerate(num):
-        classes[w * den] = classes.get(w * den, 0) | bits[y]
+    # (num_c den, mask M_c) for each weight class c
+    classes = [(num[atoms[0]] * den, sum(map(bits.__getitem__, atoms)))
+               for atoms in _weight_classes(r.fiber)]
     total = 0
     for orbit in _orbits(r.base_map.perm):
         length = len(orbit)
         last = length - 1 + n_horizon  # the largest index a row can need
         periods = [None] * length
         unclosed = length
-        steps = [r.cocycle[x].perm.__getitem__ for x in orbit]
         us, vs = [], []
-        g = tuple(r.fiber.atoms())  # G_j
-        for j in range(last + 1):
-            u = sum(compress(bits, map(in_a.__getitem__, g)))
+        for j, g in zip(range(last + 1), _prefix_walk(r, orbit[0])):
+            both = sum(map(mul, bits, map(code.__getitem__, g)))
+            u = both & low
             us.append(u)
-            vs.append(sum(compress(bits, map(in_b.__getitem__, g))))
+            vs.append(both >> n)
             i = j % length
             if j >= length and periods[i] is None and u == us[i]:
                 periods[i] = j - i
                 unclosed -= 1
                 if not unclosed:
                     break
-            g = tuple(map(steps[i], g))
         for i, x in enumerate(orbit):
             k = min(n_horizon, periods[i] or n_horizon)
             later = vs[i + 1 : i + 1 + k]  # V_{i+1}, ..., V_{i+k}
             hits = repeat(0)
-            for weight, mask in classes.items():
+            for weight, mask in classes:
                 met = map(int.bit_count, map((us[i] & mask).__and__, later))
                 hits = map(add, hits, map(mul, met, repeat(weight)))
             row = list(map(pow, map(sub, hits, repeat(target)), repeat(2)))
@@ -343,15 +430,23 @@ def fiber_square_ergodic(r: SkewProduct) -> bool:
     return r.fiber.atom_count == 1 and is_ergodic(as_automorphism(r))
 
 
-def _random_preserving_permutation(rng, space: FiniteSpace) -> Automorphism:
-    # Uniform over the weight-preserving subgroup: shuffle within weight
-    # classes, keyed by the integer numerator and met in atom order.  The
-    # shuffle preserves weights by construction, so the map is trusted.
+def _weight_classes(space: FiniteSpace) -> list[list[int]]:
+    """The atoms of each weight class, keyed by the integer numerator, in
+    atom order and classes in the order their first atom appears."""
     classes: dict[int, list[int]] = {}
     for i, w in enumerate(space.numerators):
         classes.setdefault(w, []).append(i)
+    return list(classes.values())
+
+
+def _random_preserving_permutation(
+    rng, space: FiniteSpace, classes: list[list[int]]
+) -> Automorphism:
+    # Uniform over the weight-preserving subgroup: shuffle within each of
+    # the space's ``_weight_classes``.  The shuffle preserves weights by
+    # construction, so the map is trusted.
     perm = [0] * space.atom_count
-    for atoms in classes.values():
+    for atoms in classes:
         shuffled = atoms[:]
         rng.shuffle(shuffled)
         for src, dst in zip(atoms, shuffled):
@@ -373,8 +468,10 @@ def sample_random_extension(
     import random  # only `sample` draws; every other command starts without it
 
     rng = random.Random(seed)
+    classes = _weight_classes(fiber)
     draws = [
-        _random_preserving_permutation(rng, fiber) for _ in s.space.atoms()
+        _random_preserving_permutation(rng, fiber, classes)
+        for _ in s.space.atoms()
     ]
     if mode == "iid-cocycle":
         return SkewProduct(s.space, fiber, s, tuple(draws))

@@ -6,8 +6,10 @@ shuffled atom orders, which is an independent construction from anything
 in the package (exact marginals by telescoping, no solver involved).
 """
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from joinlab import (
     Automorphism,
@@ -16,6 +18,16 @@ from joinlab import (
     MeasurableSet,
     product_space,
 )
+
+
+# The subprocess tests run `python -m joinlab`, which finds the package
+# through PYTHONPATH; a bare `pytest` puts src on sys.path only (pyproject's
+# pythonpath), so the children get it here.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+if SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (SRC, os.environ.get("PYTHONPATH")))
+    )
 
 
 def random_space(rng: random.Random, max_atoms: int, uniform=False) -> FiniteSpace:

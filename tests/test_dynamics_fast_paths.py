@@ -40,6 +40,7 @@ from joinlab.spaces import halmos_numerator
 from joinlab.skew import (
     _random_preserving_permutation,
     _rigidity_walk,
+    _weight_classes,
     fiber_square_ergodic,
     is_ergodic,
 )
@@ -180,6 +181,66 @@ def test_rigidity_walk_on_the_demo_config():
         for n_param in (1, 2, 8):
             assert_walk_matches(r, a, n_param, range(1, 65))
             assert_walk_matches(r, a, n_param, cfg.lookup("sequences", "times").times)
+
+
+def seeded_skew(seed, lengths, fiber):
+    """A skew product over a base of cycles of the given lengths, atoms
+    placed on them in a seeded order, with a seeded weight-preserving fiber
+    map per base atom; returns it with the base cycles, each in walk order,
+    and the generator for drawing sets."""
+    rng = random.Random(seed)
+    order = list(range(sum(lengths)))
+    rng.shuffle(order)
+    perm, cycles = [0] * len(order), []
+    for length in lengths:
+        cycle, order = order[:length], order[length:]
+        for k, x in enumerate(cycle):
+            perm[x] = cycle[(k + 1) % length]
+        cycles.append(cycle)
+    base = FiniteSpace.uniform(len(perm))
+    maps = tuple(oracle.random_preserving_permutation(rng, fiber) for _ in perm)
+    return SkewProduct(base, fiber, Automorphism(base, tuple(perm)), maps), cycles, rng
+
+
+def assert_walk_matches_the_oracle(r, a, n_param, times):
+    """Times past 10^6 are checked at the time reduced mod a period of
+    every start: the lcm of L ord C(x, L) over A."""
+    period = math.lcm(*(oracle.cocycle_period(r, x) for x in a.atoms))
+    want = [oracle.rigidity_statistic(r, a, n_param, p % period if p > 10**6 else p)
+            for p in times]
+    assert _rigidity_walk(r, a, n_param, times) == want
+
+
+def test_rigidity_walk_on_a_benchmark_shaped_cycle():
+    # one 64-cycle over an 8-atom fiber with half the base in A: the starts
+    # link all around the orbit, so entries past it are read as G_j o G_L^q
+    r, _, rng = seeded_skew(2022, [64], FiniteSpace.uniform(8))
+    a = MeasurableSet(r.base, frozenset(rng.sample(range(64), 32)))
+    times = [*range(1, 65), 10**12 + 1]
+    walk = _rigidity_walk(r, a, 4, times)
+    assert any(walk[:-1]) and not all(walk[:-1])
+    assert_walk_matches_the_oracle(r, a, 4, times)
+
+
+@pytest.mark.parametrize("n_param", [2, 8])
+def test_rigidity_walk_on_a_mixed_base(n_param):
+    # a 40-cycle, three 2-cycles and four fixed points over a two-class
+    # fiber.  Short times leave the spread starts of the 40-cycle in open
+    # chains (gaps 2, 1, 7, 15 and 15 against a largest time of 5); longer
+    # ones close them around it, and on the short orbits some G_L^q comes
+    # back to the identity.  [0, 0, 2, 2, 40, 40] repeats times and starts
+    # at 0, as the walk's contract allows
+    fiber = FiniteSpace((Fraction(1, 8),) * 4 + (Fraction(1, 4),) * 2)
+    r, cycles, _ = seeded_skew(7, [40, 2, 2, 2, 1, 1, 1, 1], fiber)
+    forty = cycles[0]
+    one = {forty[11]}
+    spread = {forty[i] for i in (0, 2, 3, 10, 25)} | {cycles[1][0], cycles[4][0]}
+    full = set(r.base.atoms())
+    for atoms in (one, spread, full):
+        a = MeasurableSet(r.base, frozenset(atoms))
+        for times in ([0, 1, 2, 3, 5], [0, 0, 2, 2, 40, 40],
+                      [1, 2, 7, 15, 39, 41, 80, 81, 10**12 + 1]):
+            assert_walk_matches_the_oracle(r, a, n_param, times)
 
 
 @pytest.mark.parametrize(
@@ -466,7 +527,8 @@ def test_random_preserving_permutation_draws_as_the_weight_keyed_shuffle(data, s
     rng = random.Random(seed)
     want = [oracle.random_preserving_permutation(rng, space) for _ in range(3)]
     rng = random.Random(seed)
-    got = [_random_preserving_permutation(rng, space) for _ in range(3)]
+    classes = _weight_classes(space)
+    got = [_random_preserving_permutation(rng, space, classes) for _ in range(3)]
     for draw in got:
         assert_valid(draw)
     assert got == want
