@@ -27,9 +27,11 @@ The measure kernels (face sums, the marginal and face checks, the
 invariance defect) take one tensor, raw or checked, and read only its
 support: the nonzero cells, from ``spaces.support_cells``, and per-axis
 tables summed over them by ``spaces.support_map``.  A tensor lists its
-support once and every kernel shares it.  Loops that need every cell (a
-full fill, a push, a disintegration) walk the dense flat index maps of
-``spaces`` instead.
+support once and every kernel shares it; a builder that visits the cells
+anyway (the file decoder, ``torus.triple_sum_joining``) hands the support
+over with the entries, and no scan of the numerators runs.  Loops that
+need every cell (a full fill, a push, a disintegration) walk the dense
+flat index maps of ``spaces`` instead.
 
 Every comparison of a face marginal with the product of its factors'
 measures runs through one integer kernel, ``_face_gap``.  A face on fewer
@@ -38,7 +40,14 @@ every axis is the tensor itself, whose cells off the support sit at
 their product weight from it: ``_full_face_gap`` compares the support
 cells, and of the rest needs only the heaviest product weight that the
 support does not fill, found by counting the support cells of each
-weight (``spaces.weight_counts``).
+weight (``spaces.weight_counts``).  A face whose factors are all uniform
+has one product weight, 1/W, so either kernel compares only the largest
+and the smallest sum with it, and on every axis adds the off-support
+gap when the support misses a cell; no product weights are built.
+
+``diagonal_invariance_defect`` lists the moved support values per
+generator and compares the list with the support's values first: a
+generator that moves no value adds nothing and skips the off-support scan.
 """
 
 from __future__ import annotations
@@ -101,7 +110,9 @@ class RawTensor(Value):
 
     @classmethod
     def _decoded(cls, factors, numerators, denominator: int, support):
-        """The tensor of an integer form and its support, entries unbuilt."""
+        """The tensor of an integer form and its support, entries unbuilt
+        and nothing checked: a decoded file, or on a measure class a
+        measure by construction (the order-4 sum joining)."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "factors", factors)
         object.__setattr__(obj, "numerators", numerators)
@@ -218,8 +229,8 @@ class ProductMeasure(RawTensor):
     def _trusted(cls, factors, numerators, denominator):
         """Measure built without validation from a canonical integer form,
         for data that is a measure of this class by construction (the
-        product weights of ``factors``, the order-4 sum joining).  Every
-        other caller goes through a validating constructor."""
+        product weights of ``factors``).  Every other caller goes through a
+        validating constructor."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "factors", factors)
         object.__setattr__(obj, "numerators", tuple(numerators))
@@ -301,16 +312,25 @@ def _axis_sums(v: RawTensor, coords) -> list[int]:
 def _face_gap(v: RawTensor, coords) -> Fraction:
     """Sup-distance from v's marginal on ``coords`` to the product of those
     factors' measures; v need not be a measure.  The face on every axis,
-    whose marginal is the tensor, is read by ``_full_face_gap``."""
+    whose marginal is the tensor, is read by ``_full_face_gap``.  When
+    every factor of the face is uniform, each product weight is 1/W for
+    the product denominator W, so only the largest and the smallest face
+    sum are compared (``_one_weight_gap``); otherwise every face cell is
+    compared with its own product weight."""
     coords = tuple(coords)
     if coords == tuple(range(v.order)):
         return _full_face_gap(v)
     sums = _axis_sums(v, coords)
-    weights, weight_den = product_form([v.factors[c] for c in coords])
+    factors = [v.factors[c] for c in coords]
     denominator = v.denominator
-    worst = max(map(abs, map(
-        sub, map(weight_den.__mul__, sums), map(denominator.__mul__, weights)
-    )))
+    if _one_weight(factors):
+        _, weight_den = product_bounds(factors)
+        worst = _one_weight_gap(sums, denominator, weight_den)
+    else:
+        weights, weight_den = product_form(factors)
+        worst = max(map(abs, map(
+            sub, map(weight_den.__mul__, sums), map(denominator.__mul__, weights)
+        )))
     return Fraction(worst, denominator * weight_den)
 
 
@@ -319,7 +339,10 @@ def _full_face_gap(v: RawTensor) -> Fraction:
     the support has numerator 0, so its gap is the denominator times its
     product weight, whatever the tensor's values: the answer is the largest
     gap on the support or the denominator times the heaviest product weight
-    among the cells off it.  A cell of weight w lies off the support exactly
+    among the cells off it.  On uniform factors every product weight is
+    1/W, so the support values are compared by their extremes
+    (``_one_weight_gap``) and a support of fewer than every cell adds the
+    denominator.  Otherwise a cell of weight w lies off the support exactly
     when the support holds fewer cells of weight w than the product
     (``spaces.weight_counts``).  The work is the support, the product
     weights of the two parts of its split, and the distinct product
@@ -328,6 +351,11 @@ def _full_face_gap(v: RawTensor) -> Fraction:
     factors, denominator = v.factors, v.denominator
     _, values, (h, high, low) = v.support
     size, weight_den = product_bounds(factors)
+    if _one_weight(factors):
+        worst = _one_weight_gap(values, denominator, weight_den) if values else 0
+        if len(values) < size:  # a cell off the support: numerator 0, gap D
+            worst = max(worst, denominator)
+        return Fraction(worst, denominator * weight_den)
     if len(values) == size:
         weights, off = product_form(factors)[0], 0
     else:
@@ -340,6 +368,22 @@ def _full_face_gap(v: RawTensor) -> Fraction:
         sub, map(weight_den.__mul__, values), map(denominator.__mul__, weights)
     )), default=0)
     return Fraction(max(worst, denominator * off), denominator * weight_den)
+
+
+def _one_weight(factors) -> bool:
+    """Whether every factor is uniform.  A canonical space's n positive
+    numerators sum to its denominator, so they are all 1 exactly when the
+    denominator is n."""
+    return all(sp.denominator == sp.atom_count for sp in factors)
+
+
+def _one_weight_gap(values, denominator: int, weight_den: int) -> int:
+    """max |weight_den * x - denominator| over the nonempty ``values``: the
+    gap, over ``denominator * weight_den``, of each value from the one
+    product weight 1/weight_den, found at the largest or the smallest."""
+    return max(
+        weight_den * max(values) - denominator, denominator - weight_den * min(values)
+    )
 
 
 def _weights(factors) -> list[int]:
@@ -394,9 +438,11 @@ def diagonal_invariance_defect(v: RawTensor, action: ActionGenerators) -> Fracti
     generators g and tuples t of |v(g t) - v(t)|; v need not be a measure.
 
     Only the support S (the nonzero cells) is read, and g t is computed
-    only for t in S.  Off S the difference is |v(g t)|, nonzero only where
-    g t lies in S but not in g(S); when g moves no value of S, g maps S
-    onto itself and no such cell exists."""
+    only for t in S.  The values v(g t) are listed first: when the list
+    equals the values of S, g moves no value of S, maps S onto itself and
+    adds nothing.  Otherwise the gap is the largest |v(g t) - v(t)| on S
+    or, off S, the largest |v(g t)|, nonzero only where g t lies in S but
+    not in g(S)."""
     for sp in v.factors:
         if sp != action.space:
             raise InvalidInputError("every factor must equal the action's space")
@@ -406,13 +452,13 @@ def diagonal_invariance_defect(v: RawTensor, action: ActionGenerators) -> Fracti
     best = 0
     for g in action.generators:
         images = support_map(split, [[col[p] for p in g.perm] for col in offsets])
-        moved = map(numerators.__getitem__, images)  # n(g t), t in S
-        gap = max(map(abs, map(sub, moved, values)), default=0)
-        if gap:
-            hit = set(images)  # g(S)
-            gap = max(gap, max(
-                (abs(x) for u, x in zip(cells, values) if u not in hit), default=0
-            ))
+        moved = list(map(numerators.__getitem__, images))  # n(g t), t in S
+        if moved == values:
+            continue
+        hit = set(images)  # g(S)
+        gap = max(max(map(abs, map(sub, moved, values))), max(
+            (abs(x) for u, x in zip(cells, values) if u not in hit), default=0
+        ))
         best = max(best, gap)
     return Fraction(best, v.denominator)
 
@@ -420,7 +466,7 @@ def diagonal_invariance_defect(v: RawTensor, action: ActionGenerators) -> Fracti
 def face_independence_defect(v: RawTensor, m: int) -> Fraction:
     """Largest sup-distance between an m-face marginal and the corresponding
     product measure, over all m-subsets of coordinates."""
-    if not isinstance(m, int) or not 1 <= m < v.order:
+    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m < v.order:
         raise InvalidInputError(f"face order must satisfy 1 <= m < {v.order}, got {m!r}")
     return max(_face_gap(v, c) for c in combinations(range(v.order), m))
 

@@ -36,7 +36,7 @@ class OffsetVector(Value):
         if not offsets:
             raise InvalidInputError("offset vector must be nonempty")
         for k in offsets:
-            if not isinstance(k, int) or k < 1:
+            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
                 raise InvalidInputError(f"offsets must be positive ints, got {offsets}")
         object.__setattr__(self, "offsets", offsets)
 

@@ -67,7 +67,11 @@ class PolytopeSpec(Value):
             raise InvalidInputError(
                 f"order must be an int in 2..{ORDER_CAP}, got {order!r}"
             )
-        if not isinstance(independence, int) or not 1 <= independence < order:
+        if (
+            not isinstance(independence, int)
+            or isinstance(independence, bool)
+            or not 1 <= independence < order
+        ):
             raise InvalidInputError(
                 f"independence must satisfy 1 <= m < {order}, got {independence!r}"
             )

@@ -23,6 +23,7 @@ from .spaces import (
     flat_index_map,
     index_to_tuple,
     space_size,
+    split_cells,
     support_map,
 )
 
@@ -39,7 +40,7 @@ class Z2kContext(Value):
     _fields = ("k",)
 
     def __init__(self, k: int):
-        if not isinstance(k, int) or not 1 <= k <= K_CAP:
+        if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= K_CAP:
             raise InvalidInputError(f"k must be an int in 1..{K_CAP}, got {k!r}")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "space", FiniteSpace.uniform(2**k))
@@ -102,18 +103,24 @@ def triple_sum_joining(ctx: Z2kContext) -> JoiningTensor:
     """Order-4 self-joining supported on d = a + b + c: three independent
     coordinates and their sum.  Every 3-face marginal is the full product
     measure, yet the tensor sits at sup-distance
-    2^(-3k) - 2^(-4k) from the order-4 product."""
+    2^(-3k) - 2^(-4k) from the order-4 product.  The g^3 support cells are
+    listed with the entries, in ascending flat order as (a, b, c) runs
+    lexicographically, so the kernels never scan the g^4 numerators for
+    them."""
     g = ctx.group_order
-    numerators = [0] * g**4  # each of the g^3 triples carries 1 / g^3
-    for a in range(g):
-        for b in range(g):
-            ab = a ^ b
-            base = ((a * g) + b) * g
-            for c in range(g):
-                numerators[(base + c) * g + (ab ^ c)] = 1
+    shape = (g,) * 4
+    # each of the g^3 triples carries 1 / g^3
+    cells = [
+        ((a * g + b) * g + c) * g + (a ^ b ^ c)
+        for a in range(g) for b in range(g) for c in range(g)
+    ]
+    numerators = [0] * g**4
+    for i in cells:
+        numerators[i] = 1
+    support = cells, [1] * len(cells), split_cells(shape, cells)
     # a joining by construction (a, b and c are uniform, and so is d given
     # a and b), so no check runs here; ``eta`` reports the defects
-    return JoiningTensor._trusted((ctx.space,) * 4, numerators, g**3)
+    return JoiningTensor._decoded((ctx.space,) * 4, tuple(numerators), g**3, support)
 
 
 def _dot_parity(a_idx: int, x_idx: int) -> int:

@@ -15,7 +15,9 @@ benchmark, two damaged tensors, and under the full Z_2^2 action a sparse
 tensor whose support carries both signs and one with an empty support.
 A faster path that changes any byte of any of them fails here, and eta and
 ``joining verify`` at k = 3 must print theirs with every dense flat index
-map refused.
+map refused, and every eta and ``joining verify`` run must print its own
+with ``support_cells`` refused: eta lists its support as it builds its
+entries, and the decoder hands over the cells it read.
 
 Two ``polytope --certify`` reports too large to store, the pairwise
 independent order-4 certificates on the full Z_2^3 and Z_2^4 actions, are
@@ -49,7 +51,7 @@ from pathlib import Path
 
 import pytest
 
-from joinlab import Z2kContext, full_action
+from joinlab import Z2kContext, full_action, joinings
 from joinlab.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -381,6 +383,23 @@ def test_tensor_commands_build_no_dense_index_map(monkeypatch, capsys):
         assert main(list(INVOCATIONS[name])) == 0
         golden = (GOLDEN / f"{name}.json").read_bytes()
         assert capsys.readouterr().out.encode() == golden
+
+
+def test_tensor_commands_scan_no_numerators_for_the_support(monkeypatch, capsys):
+    """eta builds its support with its entries and joining verify takes the
+    decoder's: with ``support_cells`` refused, every eta and joining verify
+    run prints its golden report with its exit code."""
+
+    def refuse(*args):
+        raise AssertionError("the support was listed by a scan of the numerators")
+
+    monkeypatch.setattr(joinings, "support_cells", refuse)
+    monkeypatch.chdir(REPO)
+    for name in sorted(INVOCATIONS):
+        if name.startswith(("eta_", "joining_verify_")):
+            assert main(list(INVOCATIONS[name])) == (1 if name in FAILING else 0)
+            golden = (GOLDEN / f"{name}.json").read_bytes()
+            assert capsys.readouterr().out.encode() == golden, name
 
 
 @pytest.fixture(scope="module")

@@ -135,6 +135,11 @@ def test_face_independence_monotone():
         face_independence_defect(v, 0)
 
 
+def test_face_independence_refuses_a_bool_face_order():
+    # True == 1 as an int, but a bool is not a face order
+    with pytest.raises(InvalidInputError, match="got True"):
+        face_independence_defect(parity_joining(), True)
+
 def test_has_standard_projections_examples():
     prod4 = product_joining((U2,) * 4)
     assert has_standard_projections(prod4, 0)

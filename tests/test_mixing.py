@@ -47,6 +47,10 @@ def test_offset_vector_validation():
             OffsetVector(bad)
 
 
+def test_offset_vector_refuses_bools():
+    with pytest.raises(InvalidInputError, match=r"got \(True,\)"):
+        OffsetVector((True,))
+
 def test_correlation_full_sets_is_one():
     space = FiniteSpace.uniform(5)
     t = cycle(space)

@@ -112,6 +112,10 @@ def test_independence_range_validated():
         PolytopeSpec(trivial_action(2), 3, 3)
 
 
+def test_independence_refuses_a_bool():
+    with pytest.raises(InvalidInputError, match="got True"):
+        PolytopeSpec(trivial_action(2), 3, True)
+
 def test_objective_length_validated():
     spec = PolytopeSpec(trivial_action(2), 2, 1)
     with pytest.raises(InvalidInputError):

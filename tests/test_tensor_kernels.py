@@ -608,3 +608,73 @@ def test_fourier_joining_matches_oracle(data):
     else:
         expected = _outcome(lambda: JoiningTensor((ctx.space,) * order, entries))
     assert _outcome(lambda: fourier_joining(ctx, order, coefficients)) == expected
+
+
+@st.composite
+def one_weight_factors(draw, shape):
+    """Factors on ``shape``: all uniform, or uniform and weighted mixed."""
+    mixed = draw(st.booleans())
+    weights = draw(weight_lists(shape))
+    return tuple(
+        FiniteSpace(tuple(ws)) if mixed and draw(st.booleans()) else FiniteSpace.uniform(n)
+        for n, ws in zip(shape, weights)
+    )
+
+
+@PROPERTY
+@given(st.data())
+def test_face_gap_on_uniform_and_mixed_factors(data):
+    # uniform factors take the one-weight comparison; a face with a
+    # weighted factor compares every cell
+    shape = data.draw(shapes())
+    entries = data.draw(supported_entries(space_size(shape)))
+    v = raw_tensor(data.draw(one_weight_factors(shape)), entries)
+    axes = range(len(shape))
+    for m in range(1, len(shape) + 1):
+        for coords in combinations(axes, m):
+            assert _face_gap(v, coords) == oracle_face_gap(v, coords)
+    for m in range(1, len(shape)):
+        assert face_independence_defect(v, m) == max(
+            oracle_face_gap(v, coords) for coords in combinations(axes, m)
+        )
+    assert marginal_defect(v) == max(oracle_face_gap(v, (c,)) for c in axes)
+
+
+SIXTH = Fraction(1, 6)
+
+# entries on uniform factors of 2 and 3 atoms (one product weight, 1/6),
+# the face, and the gap, each decided by one term of the comparison
+ONE_WEIGHT_CASES = {
+    "max term": ([Fraction(1, 2)] + [SIXTH] * 5, (0, 1), Fraction(1, 3)),
+    "min term": (
+        [Fraction(-1, 2)] + [SIXTH] * 4 + [Fraction(1, 3)], (0, 1), Fraction(2, 3)),
+    "off-support term": ([Fraction(0)] + [SIXTH] * 5, (0, 1), SIXTH),
+    "empty support": ([Fraction(0)] * 6, (0, 1), SIXTH),
+    # every cell held, each within the 1/6 a missing cell would add
+    "full support": (
+        [Fraction(1, 4), Fraction(1, 12)] + [SIXTH] * 4, (0, 1), Fraction(1, 12)),
+    "exact": ([SIXTH] * 6, (0, 1), Fraction(0)),
+    # sums over the first axis against 1/3
+    "max term, one axis": ([Fraction(1, 2)] + [SIXTH] * 5, (1,), Fraction(1, 3)),
+    "min term, one axis": ([Fraction(-1, 2)] + [SIXTH] * 5, (1,), Fraction(2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_WEIGHT_CASES))
+def test_one_weight_gap_fixed_cases(name):
+    entries, coords, want = ONE_WEIGHT_CASES[name]
+    v = raw_tensor((FiniteSpace.uniform(2), FiniteSpace.uniform(3)), entries)
+    assert oracle_face_gap(v, coords) == want
+    assert _face_gap(v, coords) == want
+
+
+def test_face_gap_on_a_mixed_product_is_zero():
+    # a uniform and a weighted factor: no face of their product has one
+    # product weight, so none may be compared against 1/W
+    factors = (FiniteSpace.uniform(2), FiniteSpace((SIXTH, Fraction(1, 3), Fraction(1, 2))))
+    v = product_joining(factors)
+    for coords in ((0,), (1,), (0, 1)):
+        assert _face_gap(v, coords) == 0
+    # every entry at 1/12, the product denominator's one weight
+    flat = raw_tensor(factors, [Fraction(1, 12)] * 6)
+    assert _face_gap(flat, (0, 1)) == oracle_face_gap(flat, (0, 1)) == Fraction(1, 6)

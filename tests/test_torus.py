@@ -32,6 +32,10 @@ def test_context_validation():
     assert Z2kContext(4).group_order == 16
 
 
+def test_context_refuses_a_bool():
+    with pytest.raises(InvalidInputError, match="got True"):
+        Z2kContext(True)
+
 def test_bits_atom_roundtrip():
     for k in range(1, 5):
         ctx = Z2kContext(k)
