@@ -25,18 +25,27 @@ scaled.
 
 The measure kernels (face sums, the marginal and face checks, the
 invariance defect) take one tensor, raw or checked, and read only its
-support: the nonzero cells, from ``spaces.support_cells``, and per-axis
-tables summed over them by ``spaces.support_map``.  A tensor lists its
-support once and every kernel shares it; a builder that visits the cells
-anyway (the file decoder, ``torus.triple_sum_joining``) hands the support
-over with the entries, and no scan of the numerators runs.  Loops that
+support: the nonzero cells, from ``spaces.support_cells``, with each
+cell's flat index on the first h axes and on the rest (the split).  A
+face inside one of those two parts is read from the part: the support
+values are summed by their index on it into a dense array on its axes,
+which is then projected onto the face, so the single-coordinate
+marginals of the marginal and joining checks come from two sums over
+the support (``_edge_sums``).  A face on both sides of the cut sums
+per-axis tables over the support's cells with ``spaces.support_map``.
+A tensor lists its support once and every kernel shares it; a builder
+that visits the cells anyway (the file decoder,
+``torus.triple_sum_joining``) hands the support over with the entries,
+and no scan of the numerators runs.  Loops that
 need every cell (a full fill, a push, a disintegration) walk the dense
 flat index maps of ``spaces`` instead.
 
 Every comparison of a face marginal with the product of its factors'
-measures runs through one integer kernel, ``_face_gap``.  A face on fewer
-axes sums the support into its cells and compares each.  The face on
-every axis is the tensor itself, whose cells off the support sit at
+measures runs through one integer kernel, ``_face_gap``, or, for the
+marginals ``_edge_sums`` reads at once, through the comparison it ends
+in, ``_sums_gap``, which compares each face cell with its product
+weight.  The face on every axis is the tensor itself, whose cells off
+the support sit at
 their product weight from it: ``_full_face_gap`` compares the support
 cells, and of the rest needs only the heaviest product weight that the
 support does not fill, found by counting the support cells of each
@@ -69,6 +78,8 @@ from .spaces import (
     FiniteSpace,
     _fractions,
     _offsets,
+    _projection_tables,
+    _sum_table,
     embedding_map,
     index_to_tuple,
     integer_form,
@@ -259,11 +270,15 @@ class JoiningTensor(ProductMeasure):
 
     def _check(self) -> None:
         """Raise unless the measure checks pass and every single-coordinate
-        marginal is its factor's weights."""
+        marginal is its factor's weights.  The marginals are read off the
+        two parts of the support's split, each summed once
+        (``_edge_sums``); the first coordinate in axis order whose marginal
+        differs is named."""
         super()._check()
-        for coord, sp in enumerate(self.factors):
-            if _face_gap(self, (coord,)):
-                got = _fractions(_axis_sums(self, (coord,)), self.denominator)
+        den = self.denominator
+        for coord, (sp, sums) in enumerate(zip(self.factors, _edge_sums(self))):
+            if _sums_gap(sums, (sp,), den):
+                got = _fractions(sums, den)
                 raise InvalidInputError(
                     f"marginal onto coordinate {coord} is {show(got)}, "
                     f"expected the factor weights {show(sp.weights)}"
@@ -295,16 +310,52 @@ def sparse_form(size: int, cells: Mapping[int, Fraction]) -> tuple[list[int], in
 def _axis_sums(v: RawTensor, coords) -> list[int]:
     """Integer sums of v's numerators over every coordinate outside
     ``coords``: the marginal's numerators over the same denominator, in the
-    sub-shape's index order.  Each support value is added into its
-    projected cell."""
+    sub-shape's index order.  The support's split (h, high, low) cuts the
+    axes after the first h.  A face inside one part is read from that
+    part: the support values summed by the cells' flat index on the part
+    (``high`` or ``low``) into a dense array on its shape, then projected
+    onto the face, work proportional to the support and the part's size.
+    A face on both sides of the cut adds each support value into its
+    projected cell (``spaces.support_map``)."""
+    coords = tuple(coords)
     shape = v.shape
     _, values, split = v.support
-    face_shape = [shape[c] for c in coords]
-    out = [0] * space_size(face_shape)
-    per_axis = [[0] * n for n in shape]  # axes off the face add nothing
-    for c, col in zip(coords, _offsets(face_shape)):
-        per_axis[c] = col
-    for j, x in zip(support_map(split, per_axis), values):
+    h, high, low = split
+    if coords[-1] < h:
+        part, index, local = shape[:h], high, coords
+    elif coords[0] >= h:
+        part, index, local = shape[h:], low, [c - h for c in coords]
+    else:
+        cells = support_map(split, _projection_tables(shape, coords))
+        return _sums_by(space_size(shape[c] for c in coords), cells, values)
+    return _project(part, _sums_by(space_size(part), index, values), local)
+
+
+def _edge_sums(v: RawTensor) -> list[list[int]]:
+    """``_axis_sums(v, (c,))`` for every axis c in order, with each part of
+    the support's split that holds an axis summed once."""
+    shape = v.shape
+    _, values, (h, high, low) = v.support
+    out = []
+    for part, index in ((shape[:h], high), (shape[h:], low)):
+        if part:  # h = 0 or h = order leaves a part with no axis to read
+            sums = _sums_by(space_size(part), index, values)
+            out.extend(_project(part, sums, (a,)) for a in range(len(part)))
+    return out
+
+
+def _project(shape, sums: list[int], coords) -> list[int]:
+    """The dense ``sums`` on ``shape`` summed over every axis outside
+    ``coords``, in the sub-shape's index order."""
+    cells = _sum_table(_projection_tables(shape, coords))
+    return _sums_by(space_size(shape[c] for c in coords), cells, sums)
+
+
+def _sums_by(size: int, index, values) -> list[int]:
+    """out[j] = the sum of ``values[k]`` over every k with ``index[k] == j``,
+    for j in range(size)."""
+    out = [0] * size
+    for j, x in zip(index, values):
         out[j] += x
     return out
 
@@ -312,17 +363,22 @@ def _axis_sums(v: RawTensor, coords) -> list[int]:
 def _face_gap(v: RawTensor, coords) -> Fraction:
     """Sup-distance from v's marginal on ``coords`` to the product of those
     factors' measures; v need not be a measure.  The face on every axis,
-    whose marginal is the tensor, is read by ``_full_face_gap``.  When
-    every factor of the face is uniform, each product weight is 1/W for
-    the product denominator W, so only the largest and the smallest face
-    sum are compared (``_one_weight_gap``); otherwise every face cell is
-    compared with its own product weight."""
+    whose marginal is the tensor, is read by ``_full_face_gap``; any other
+    is summed by ``_axis_sums`` and compared by ``_sums_gap``."""
     coords = tuple(coords)
     if coords == tuple(range(v.order)):
         return _full_face_gap(v)
-    sums = _axis_sums(v, coords)
     factors = [v.factors[c] for c in coords]
-    denominator = v.denominator
+    return _sums_gap(_axis_sums(v, coords), factors, v.denominator)
+
+
+def _sums_gap(sums: list[int], factors, denominator: int) -> Fraction:
+    """Sup-distance from the face marginal ``sums`` over ``denominator``
+    to the product of ``factors``' measures.  When every factor is
+    uniform, each product weight is 1/W for the product denominator W, so
+    only the largest and the smallest face sum are compared
+    (``_one_weight_gap``); otherwise every face cell is compared with its
+    own product weight."""
     if _one_weight(factors):
         _, weight_den = product_bounds(factors)
         worst = _one_weight_gap(sums, denominator, weight_den)
@@ -393,8 +449,13 @@ def _weights(factors) -> list[int]:
 
 def marginal_defect(v: RawTensor) -> Fraction:
     """Largest |marginal - weight| over every coordinate and atom of v; v
-    need not be a measure."""
-    return max((_face_gap(v, (c,)) for c in range(v.order)), default=Fraction(0))
+    need not be a measure.  Every marginal is read off the two parts of
+    the support's split, each summed once (``_edge_sums``)."""
+    den = v.denominator
+    return max(
+        (_sums_gap(sums, (sp,), den) for sp, sums in zip(v.factors, _edge_sums(v))),
+        default=Fraction(0),
+    )
 
 
 def sup_distance(v: ProductMeasure, w: ProductMeasure) -> Fraction:
@@ -623,7 +684,7 @@ def product_convergence_trace(
     as a diagnostic on arbitrary tensors."""
     if v.order < 2:
         raise InvalidInputError("need at least two factors")
-    if not isinstance(j_max, int) or j_max < 1:
+    if not isinstance(j_max, int) or isinstance(j_max, bool) or j_max < 1:
         raise InvalidInputError(f"j_max must be a positive int, got {j_max!r}")
     if require_standard and not has_standard_projections(v, 0):
         raise PreconditionError(

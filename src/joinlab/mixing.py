@@ -121,7 +121,7 @@ def mixing_deviation_sweep_detail(
     computed once, at most ``order`` of them per set, so a grid point costs
     at most one set intersection per offset, and its deviation from the
     product value is compared in integers."""
-    if not isinstance(k_range, int) or k_range < 1:
+    if not isinstance(k_range, int) or isinstance(k_range, bool) or k_range < 1:
         raise InvalidInputError(f"k_range must be a positive int, got {k_range!r}")
     if len(sets) < 2:
         raise InvalidInputError("need at least two sets")

@@ -11,16 +11,19 @@ with every rational written as an explicit "p/q" string and the nonzero
 list sorted ascending by index tuple.  ``data_to_raw`` decodes into a
 ``joinings.RawTensor``, re-exported here, without imposing the joining
 axioms, so that verification can report defects instead of refusing to
-load.  It checks the items a column at a time:
-every item's shape, each axis's coordinate types and range, the flat
-indices and their duplicates, and the literals, each distinct one parsed
-once.  Only when one of these checks fails does it check the items again
-one by one, so that the error names the first item at fault, built only
-then.  The integer form is taken over the distinct literals' values and
-scattered into the dense numerators; its size cap still counts every
-entry.  The decoded tensor carries its support, the nonzero cells the
-items listed, which every measure kernel reads, so that no check lists
-them again.
+load.  Each distinct factor list is built once: a list of literal
+strings equal to an earlier factor's reuses that factor's space, and any
+other list is parsed literal by literal, so an error names its factor
+and literal (``<path>.factors[i][j]``).  The items are checked a column
+at a time: every item's shape, each axis's coordinate types and range,
+the flat indices and their duplicates, and the literals, each distinct
+one parsed once.  Only when one of these checks fails does it check the
+items again one by one, so that the error names the first item at
+fault, built only then.  The integer form is taken over the distinct
+literals' values and scattered into the dense numerators; its size cap
+still counts every entry.  The decoded tensor carries its support, the
+nonzero cells the items listed, which every measure kernel reads, so
+that no check lists them again.
 """
 
 from __future__ import annotations
@@ -95,13 +98,15 @@ def joining_to_data(v: ProductMeasure) -> dict:
 
 
 def data_to_raw(data, path: str = "tensor") -> RawTensor:
+    """The tensor a file's parsed JSON describes, no axiom imposed: factors
+    from ``_decode_factors`` (each distinct list of strings built once),
+    items checked by ``_decode_columns`` or, when a check fails, by
+    ``_decode_items``, and the integer form with its support."""
     _check_keys(data, path, ("factors", "nonzero"))
     raw_factors = data["factors"]
     if not isinstance(raw_factors, list) or not raw_factors:
         raise InvalidInputError(f"{path}.factors: expected a nonempty list")
-    factors = tuple(
-        _parse_weights(f, f"{path}.factors[{i}]") for i, f in enumerate(raw_factors)
-    )
+    factors = _decode_factors(raw_factors, f"{path}.factors")
     shape = shape_of(factors)
     with naming(f"{path}.factors"):
         size = space_size(shape)
@@ -126,6 +131,24 @@ def data_to_raw(data, path: str = "tensor") -> RawTensor:
     cells = [flat[j] for j in keep]
     support = cells, [listed[j] for j in keep], split_cells(shape, cells)
     return RawTensor._decoded(factors, tuple(nums), den, support)
+
+
+def _decode_factors(raw_factors: list, path: str) -> tuple[FiniteSpace, ...]:
+    """The factor spaces, each distinct list of literal strings built once:
+    a list of strings equal to an earlier factor's takes that factor's
+    space, and any other list is parsed literal by literal under its own
+    name, ``<path>[i]``."""
+    built = {}  # tuple of literal strings -> its space
+    factors = []
+    for i, raw in enumerate(raw_factors):
+        key = tuple(raw) if type(raw) is list and set(map(type, raw)) == {str} else None
+        space = built.get(key)
+        if space is None:
+            space = _parse_weights(raw, f"{path}[{i}]")
+            if key is not None:
+                built[key] = space
+        factors.append(space)
+    return tuple(factors)
 
 
 def _decode_columns(items, shape, literals):

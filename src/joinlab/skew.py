@@ -106,9 +106,9 @@ def cocycle_product(r: SkewProduct, x: int, p: int) -> Automorphism:
     steps; for p >= L it returns C(x, r) o C(x, L)^q with p = qL + r, the
     power by repeated squaring, so the cost is O(L + log q) compositions
     whatever the size of p."""
-    if not 0 <= x < r.base.atom_count:
+    if isinstance(x, bool) or not 0 <= x < r.base.atom_count:
         raise InvalidInputError(f"base atom {x} out of range")
-    if not isinstance(p, int) or p < 0:
+    if not isinstance(p, int) or isinstance(p, bool) or p < 0:
         raise InvalidInputError(f"p must be a nonnegative int, got {p!r}")
     return Automorphism._trusted(r.fiber, _cocycle_perm(r, x, p))
 
@@ -156,7 +156,7 @@ def power_skew(s: Automorphism, t: Automorphism, n_fun: Sequence[int]) -> SkewPr
     if len(n_fun) != s.space.atom_count:
         raise InvalidInputError("need one exponent per base atom")
     for n in n_fun:
-        if not isinstance(n, int):
+        if not isinstance(n, int) or isinstance(n, bool):
             raise InvalidInputError(f"exponents must be ints, got {n!r}")
     total = sum(w * n for w, n in zip(s.space.numerators, n_fun))
     mean = Fraction(total, s.space.denominator)
@@ -182,9 +182,9 @@ def rigidity_statistic(
     """mu-mass of {x in A : S^p x in A and rho(C(x, p), Id) < 1/n_param}."""
     if a.space != r.base:
         raise InvalidInputError("set must live on the base")
-    if not isinstance(n_param, int) or n_param < 1:
+    if not isinstance(n_param, int) or isinstance(n_param, bool) or n_param < 1:
         raise InvalidInputError(f"n_param must be a positive int, got {n_param!r}")
-    if not isinstance(p, int) or p < 0:
+    if not isinstance(p, int) or isinstance(p, bool) or p < 0:
         raise InvalidInputError(f"p must be a nonnegative int, got {p!r}")
     return _rigidity_walk(r, a, n_param, (p,))[0]
 
@@ -317,7 +317,7 @@ def relative_mixing_fraction(r: SkewProduct, p: int, eps: Fraction) -> Fraction:
     0 otherwise, whatever the cocycle or p.  On a one-atom fiber both
     operators are the identity and every eps gives full mass.  That closed
     form is what is computed; no kernel is built."""
-    if not isinstance(p, int) or p < 0:
+    if not isinstance(p, int) or isinstance(p, bool) or p < 0:
         raise InvalidInputError(f"p must be a nonnegative int, got {p!r}")
     eps = as_fraction(eps)
     if eps <= 0:
@@ -353,7 +353,7 @@ def relative_weak_mixing_average(
     the row of x_i then takes min(N, P) popcounts per weight class."""
     if a.space != r.fiber or b.space != r.fiber:
         raise InvalidInputError("sets must live on the fiber")
-    if not isinstance(n_horizon, int) or n_horizon < 1:
+    if not isinstance(n_horizon, int) or isinstance(n_horizon, bool) or n_horizon < 1:
         raise InvalidInputError(f"horizon must be a positive int, got {n_horizon!r}")
     num, den = r.fiber.numerators, r.fiber.denominator
     n = len(num)
@@ -463,7 +463,7 @@ def sample_random_extension(
     per base atom.  mode 'random-coboundary': draw a transfer family J the
     same way and return its coboundary, a rigidity-friendly reference point.
     """
-    if not isinstance(seed, int):
+    if not isinstance(seed, int) or isinstance(seed, bool):
         raise InvalidInputError(f"seed must be an int, got {seed!r}")
     import random  # only `sample` draws; every other command starts without it
 

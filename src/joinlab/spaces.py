@@ -142,7 +142,7 @@ class FiniteSpace(Value):
 
     @classmethod
     def uniform(cls, n: int) -> "FiniteSpace":
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise InvalidInputError(f"atom count must be a positive int, got {n!r}")
         # n ones over n: canonical, positive, and within FORM_BITS_CAP
         # for any n under SIZE_CAP
@@ -165,7 +165,7 @@ class MeasurableSet(Value):
     def __init__(self, space: FiniteSpace, atoms: frozenset[int]):
         atoms = frozenset(atoms)
         for a in atoms:
-            if not isinstance(a, int) or not 0 <= a < space.atom_count:
+            if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < space.atom_count:
                 raise InvalidInputError(f"atom {a!r} outside the space")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "atoms", atoms)
@@ -552,10 +552,16 @@ def support_map(
 def projection_map(shape: Sequence[int], coords: Sequence[int]) -> list[int]:
     """Flat index of (t_c for c in coords) in the sub-shape on ``coords`` for
     every flat index of t."""
+    return flat_index_map(shape, _projection_tables(shape, coords))
+
+
+def _projection_tables(shape: Sequence[int], coords: Sequence[int]) -> list[list[int]]:
+    """The per-axis tables of ``projection_map``: on each axis of ``coords``
+    its offsets in the sub-shape on ``coords``, zeros on every other axis."""
     per_axis = [[0] * n for n in shape]
     for c, col in zip(coords, _offsets([shape[c] for c in coords])):
         per_axis[c] = col
-    return flat_index_map(shape, per_axis)
+    return per_axis
 
 
 def embedding_map(shape: Sequence[int], coords: Sequence[int]) -> list[int]:

@@ -174,7 +174,7 @@ def fourier_joining(
     Keys are tuples of bit-vectors, one per factor; the all-zero key must
     carry coefficient 1 (total mass).  Negative entries anywhere reject the
     coefficient family."""
-    if not isinstance(order, int) or order < 1:
+    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise InvalidInputError(f"order must be a positive int, got {order!r}")
     g = ctx.group_order
     shape = (g,) * order

@@ -365,6 +365,57 @@ def test_repeated_literal_is_parsed_once():
     assert data_to_joining(doc).entries == raw.entries
 
 
+# factor lists for 1-4 atoms: a canonical one, one spelled differently
+# for the same weights, and one with a bad literal or a bad sum
+FACTOR_LISTS = {
+    n: (["1/%d" % n] * n, ["2/%d" % (2 * n)] * n, ["1/%d" % n] * (n - 1) + ["x"],
+        ["1/%d" % (n + 1)] * n)
+    for n in range(1, 5)
+}
+
+
+@st.composite
+def repeated_factor_documents(draw):
+    """Documents whose factor lists often repeat an earlier one; a bad list
+    may sit at any position, also after a good list of its atom count."""
+    shape = draw(small_shapes())
+    factors = [list(draw(st.sampled_from(FACTOR_LISTS[n][:2]))) for n in shape]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(shape) - 1))
+        factors[at] = list(draw(st.sampled_from(FACTOR_LISTS[shape[at]][2:])))
+    size = space_size(shape)
+    cells = draw(st.lists(st.integers(0, size - 1), unique=True, max_size=size))
+    nonzero = [
+        [list(index_to_tuple(shape, i)), draw(st.sampled_from(LITERALS))]
+        for i in cells
+    ]
+    return {"factors": factors, "nonzero": nonzero}
+
+
+@PROPERTY
+@given(repeated_factor_documents())
+def test_decode_of_repeated_factor_lists_matches_the_fraction_decoder(doc):
+    want = _outcome(decode_oracle.data_to_raw, doc)
+    assert _outcome(data_to_raw, doc) == want
+    if not isinstance(want[0], type):
+        raw = data_to_raw(doc, "t")
+        assert raw.factors == decode_oracle.data_to_raw(doc, "t").factors
+        assert raw.support == support_cells(raw.shape, raw.numerators)
+        # an equal list of literals is built once
+        built = {}
+        for lst, sp in zip(doc["factors"], raw.factors):
+            assert built.setdefault(tuple(lst), sp) is sp
+
+
+def test_decode_names_a_bad_literal_in_a_later_factor_only():
+    doc = {"factors": [["1/2", "1/2"], ["1/2", "1/2"], ["1/2", "1/x"]],
+           "nonzero": [[[0, 0, 0], "1"]]}
+    with pytest.raises(InvalidInputError) as info:
+        data_to_raw(doc, "t")
+    assert str(info.value) == "t.factors[2][1]: malformed rational literal: '1/x'"
+    assert _outcome(data_to_raw, doc) == _outcome(decode_oracle.data_to_raw, doc)
+
+
 # -- one kernel path for raw and checked tensors -------------------------
 
 TENSORS = Path(__file__).resolve().parent / "golden" / "tensors"

@@ -385,6 +385,27 @@ def test_tensor_commands_build_no_dense_index_map(monkeypatch, capsys):
         assert capsys.readouterr().out.encode() == golden
 
 
+def test_tensor_commands_read_in_part_faces_without_support_maps(monkeypatch, capsys):
+    """The marginal checks read every 1-face off the two parts of the
+    support's split: eta maps the support only for its four 3-faces and
+    five generators, joining verify only for its five generators."""
+    calls = []
+    real = joinings.support_map
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(joinings, "support_map", counted)
+    monkeypatch.chdir(REPO)
+    for name, maps in (("eta_k3_verify", 4 + 5), ("joining_verify_eta_k3", 5)):
+        calls.clear()
+        assert main(list(INVOCATIONS[name])) == 0
+        golden = (GOLDEN / f"{name}.json").read_bytes()
+        assert capsys.readouterr().out.encode() == golden
+        assert len(calls) == maps, name
+
+
 def test_tensor_commands_scan_no_numerators_for_the_support(monkeypatch, capsys):
     """eta builds its support with its entries and joining verify takes the
     decoder's: with ``support_cells`` refused, every eta and joining verify

@@ -5,14 +5,18 @@ Shapes have 1-4 axes of unequal atom counts and at most 64 entries;
 entries carry mixed denominators, and raw entries (for the helpers that
 accept them) may be negative.  The support kernels are also drawn on
 empty, single-cell, sparse (at most one cell in eight) and full supports
-of signed values.  Every kernel result must equal the oracle's exactly,
-and construction must raise the oracle's message.
+of signed values.  Faces read from the two parts of the support's split
+are also drawn on fixed shapes whose split cuts after no axis, after
+some, or after every axis, up to (2, 3, 5, 7).  Every kernel result must
+equal the oracle's exactly, and construction must raise the oracle's
+message.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -42,6 +46,7 @@ from joinlab import (
     sup_distance,
 )
 from joinlab.torus import Z2kContext, character_coefficient, fourier_joining
+from joinlab import joinings as joinings_module
 from joinlab.joinings import RawTensor, _axis_sums, _face_gap, integer_form
 from joinlab.spaces import (
     flat_index_map,
@@ -678,3 +683,133 @@ def test_face_gap_on_a_mixed_product_is_zero():
     # every entry at 1/12, the product denominator's one weight
     flat = raw_tensor(factors, [Fraction(1, 12)] * 6)
     assert _face_gap(flat, (0, 1)) == oracle_face_gap(flat, (0, 1)) == Fraction(1, 6)
+
+
+# -- faces read from the parts of the support's split ----------------------
+
+# the split cuts after h axes: h = 0 at order 1 and where the leading axis
+# outweighs the rest, h = order on one-atom axes, parts of unequal size
+SPLIT_SHAPES = {
+    (5,): 0, (9, 2): 0, (2, 9): 1, (1, 3): 1, (2, 2, 3): 1,
+    (2, 3, 5, 7): 2, (1, 1, 1, 2): 3, (1, 1): 2,
+}
+
+
+def _signed_case(data, shape):
+    """Signed values on an empty, single-cell, sparse or full support, on
+    uniform, weighted or mixed factors."""
+    entries = data.draw(supported_entries(space_size(shape)))
+    return raw_tensor(data.draw(one_weight_factors(shape)), entries)
+
+
+@pytest.mark.parametrize("shape", sorted(SPLIT_SHAPES), ids=str)
+@settings(PROPERTY, max_examples=15)
+@given(data=st.data())
+def test_faces_from_split_parts_match_oracle(shape, data):
+    v = _signed_case(data, shape)
+    assert v.support[2][0] == SPLIT_SHAPES[shape]
+    axes = range(len(shape))
+    for m in range(1, len(shape) + 1):
+        for coords in combinations(axes, m):
+            want = oracle.axis_sums(v.entries, shape, coords)
+            assert _scaled(_axis_sums(v, coords), v.denominator) == want
+    assert marginal_defect(v) == max(oracle_face_gap(v, (c,)) for c in axes)
+    for m in range(1, len(shape)):
+        assert face_independence_defect(v, m) == max(
+            oracle_face_gap(v, coords) for coords in combinations(axes, m)
+        )
+
+
+@pytest.mark.parametrize("shape", sorted(SPLIT_SHAPES), ids=str)
+@settings(PROPERTY, max_examples=15)
+@given(data=st.data())
+def test_marginal_and_joining_check_from_split_parts(shape, data):
+    entries = [abs(x) for x in data.draw(supported_entries(space_size(shape)))]
+    assume(any(entries))
+    entries = [x / sum(entries) for x in entries]
+    factors = data.draw(one_weight_factors(shape))
+    v = ProductMeasure(factors, tuple(entries))
+    for m in range(1, len(shape) + 1):
+        for coords in combinations(range(len(shape)), m):
+            assert list(marginal(v, coords).entries) == \
+                oracle.axis_sums(entries, shape, coords)
+    # the joining check names the first coordinate whose marginal misses
+    # its factor, of any number that do
+    weights = [sp.weights for sp in factors]
+    want = oracle.validation_error(weights, entries, True)
+    if want is None:
+        assert JoiningTensor(factors, tuple(entries)).entries == tuple(entries)
+    else:
+        with pytest.raises(InvalidInputError) as info:
+            JoiningTensor(factors, tuple(entries))
+        assert str(info.value) == want
+
+
+@pytest.mark.parametrize(
+    "shape", [s for s in sorted(SPLIT_SHAPES) if sum(n > 1 for n in s) >= 2], ids=str
+)
+def test_joining_check_names_the_first_of_two_failing_coordinates(shape):
+    # the product of weighted factors, checked against factors of which two
+    # are uniform instead: both marginals miss, and the lower one is named
+    weights = [[Fraction(t + 1, n * (n + 1) // 2) for t in range(n)] for n in shape]
+    entries = tuple(oracle.product(weights))
+    wide = [c for c, n in enumerate(shape) if n > 1]
+    for pair in combinations(wide, 2):
+        factors = tuple(
+            FiniteSpace.uniform(len(ws)) if c in pair else FiniteSpace(tuple(ws))
+            for c, ws in enumerate(weights)
+        )
+        with pytest.raises(InvalidInputError) as info:
+            JoiningTensor(factors, entries)
+        assert str(info.value) == oracle.validation_error(
+            [sp.weights for sp in factors], entries, True
+        )
+        assert str(info.value).startswith(f"marginal onto coordinate {pair[0]} is ")
+
+
+def _refuse_support_map(*args):
+    raise AssertionError("a face inside one part went through support_map")
+
+
+@pytest.mark.parametrize("shape", sorted(SPLIT_SHAPES), ids=str)
+@settings(PROPERTY, max_examples=10)
+@given(data=st.data())
+def test_marginal_defect_sums_each_part_once_and_maps_no_cell(shape, data):
+    v = _signed_case(data, shape)
+    _, _, (h, high, low) = v.support
+    passes = []  # one entry per sum over the support: which part it read
+    real = joinings_module._sums_by
+
+    def counted(size, index, values):
+        if index is high or index is low:
+            passes.append("high" if index is high else "low")
+        return real(size, index, values)
+
+    with mock.patch.object(joinings_module, "support_map", _refuse_support_map), \
+            mock.patch.object(joinings_module, "_sums_by", counted):
+        got = marginal_defect(v)
+    assert got == max(oracle_face_gap(v, (c,)) for c in range(len(shape)))
+    # a part with no axis (h = 0 or h = order) is not summed
+    assert passes == ["high"] * (h > 0) + ["low"] * (h < len(shape))
+
+
+@PROPERTY
+@given(st.data())
+def test_joining_check_maps_no_cell(data):
+    kind = data.draw(st.sampled_from(("joining", "measure")))
+    if kind == "joining":
+        v = data.draw(joinings())
+        factors, entries = v.factors, list(v.entries)
+    else:
+        shape = data.draw(shapes())
+        factors = spaces(data.draw(weight_lists(shape)))
+        entries = data.draw(measure_entries(space_size(shape)))
+    want = oracle.validation_error([sp.weights for sp in factors], entries, True)
+    with mock.patch.object(joinings_module, "support_map", _refuse_support_map):
+        if want is None:
+            built = JoiningTensor._from_form(factors, *integer_form(entries))
+            assert list(built.entries) == entries
+        else:
+            with pytest.raises(InvalidInputError) as info:
+                JoiningTensor._from_form(factors, *integer_form(entries))
+            assert str(info.value) == want
