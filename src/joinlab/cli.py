@@ -49,13 +49,13 @@ from .serialize import (
 )
 from .skew import (
     _rigidity_walk,
-    as_automorphism,
     fiber_square_ergodic,
     relative_mixing_fraction,
     relative_weak_mixing_average,
     sample_random_extension,
+    skew_orbit_count,
 )
-from .spaces import orbit_count, tuple_to_index
+from .spaces import tuple_to_index
 from .torus import Z2kContext, full_action, triple_sum_joining
 
 
@@ -297,7 +297,7 @@ def _cmd_sample(args):
         "skew": skew_to_data(r),
     }
     if args.analyze:
-        count = orbit_count(as_automorphism(r))
+        count = skew_orbit_count(r)
         payload["analysis"] = {
             "orbit_count": count,
             "ergodic": count == 1,

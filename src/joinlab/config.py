@@ -16,12 +16,21 @@ names to definitions, and later sections may refer to earlier ones:
 
 Malformed input raises InvalidInputError naming the offending field.
 
-The maps of ``actions.*.perms`` and ``cocycles.*.maps``, one fiber map
-per base atom in a cocycle, are checked all at once: the entry types and
-the element types as sets of types, each map sorted against ``range(n)``
-(which also fixes its length), and weight preservation as one lookup of
-the images' numerators against the numerators repeated.  The maps are then
-built unvalidated.  When any check fails, the entries are built one by one
+Every config object is checked at once rather than entry by entry:
+
+- the maps of ``automorphisms.*.perm``, ``actions.*.perms`` and
+  ``cocycles.*.maps`` (one fiber map per base atom in a cocycle): the
+  entry types and the element types as sets of types, each map sorted
+  against ``range(n)`` (which also fixes its length), and, on a weighted
+  space, weight preservation as one comparison of the images' numerators
+  with the numerators repeated; on a uniform space every permutation
+  preserves weights.  The maps are then built unvalidated.
+- the atoms of ``sets.*.atoms``, by ``MeasurableSet``: the set of their
+  types, then their ``min``, then their ``max``.
+- the times of ``sequences.*``, by ``RigiditySequence``: the set of their
+  types, the first time positive, then each less than the next.
+
+When any of these tests fails, the entries are checked one by one, maps
 through the validating ``Automorphism``, so the error names the first bad
 entry with the same message as a per-entry parse.
 """
@@ -29,7 +38,7 @@ entry with the same message as a per-entry parse.
 from __future__ import annotations
 
 import re
-from itertools import chain
+from itertools import chain, repeat
 
 from .errors import InvalidInputError, Value, naming
 from .serialize import _check_keys, _parse_weights, load_json_file
@@ -109,19 +118,31 @@ def _build_automorphism(space: FiniteSpace, raw, path: str) -> Automorphism:
         return Automorphism(space, tuple(raw))
 
 
+def _bulk_valid(space: FiniteSpace, raws: list) -> bool:
+    """Whether every entry of ``raws`` is a list of plain ints that permutes
+    ``space``'s atoms and preserves their weights, tested at once: the
+    entry types and the element types as sets of types, each entry sorted
+    against ``range(n)``, and, unless the space is uniform, the images'
+    numerators against the numerators repeated, in one comparison."""
+    nums = space.numerators
+    return (
+        {*map(type, raws)} == {list}
+        and {*map(type, chain.from_iterable(raws))} == {int}
+        and all(map(list(range(len(nums))).__eq__, map(sorted, raws)))
+        and (
+            space.denominator == len(nums)
+            or list(map(nums.__getitem__, chain.from_iterable(raws)))
+            == list(nums) * len(raws)
+        )
+    )
+
+
 def _build_automorphisms(space: FiniteSpace, raws: list, path: str) -> tuple:
     """One automorphism of ``space`` per entry of ``raws``, the list at
-    ``path``.  Every entry is checked at once; when any check fails, the
+    ``path``, built unvalidated once ``_bulk_valid`` passes; otherwise the
     entries are built one by one, so the first bad one is named."""
-    nums = space.numerators
-    if {*map(type, raws)} == {list}:
-        flat = list(chain.from_iterable(raws))
-        if (
-            {*map(type, flat)} == {int}
-            and all(map(list(range(len(nums))).__eq__, map(sorted, raws)))
-            and list(map(nums.__getitem__, flat)) == list(nums) * len(raws)
-        ):
-            return tuple(Automorphism._trusted(space, tuple(raw)) for raw in raws)
+    if _bulk_valid(space, raws):
+        return tuple(map(Automorphism._trusted, repeat(space), map(tuple, raws)))
     return tuple(
         _build_automorphism(space, raw, f"{path}[{i}]") for i, raw in enumerate(raws)
     )
@@ -158,7 +179,12 @@ def parse_config(data, origin: str = "config") -> Config:
         path = f"automorphisms.{name}"
         _check_keys(raw, path, ("space", "perm"))
         space = space_ref(raw["space"], f"{path}.space")
-        automorphisms[name] = _build_automorphism(space, raw["perm"], f"{path}.perm")
+        perm = raw["perm"]
+        automorphisms[name] = (
+            Automorphism._trusted(space, tuple(perm))
+            if _bulk_valid(space, [perm])
+            else _build_automorphism(space, perm, f"{path}.perm")
+        )
 
     actions: dict[str, ActionGenerators] = {}
     for name, raw in _section(data, "actions").items():

@@ -148,9 +148,9 @@ def mixing_deviation_sweep_detail(
     images = []
     for i, a in enumerate(sets[1:], 1):
         shift = perm_power(perm, i % order)
-        row = [frozenset(shift[x] for x in a.atoms)]
+        row = [frozenset(map(shift.__getitem__, a.atoms))]
         for _ in range(min(i * (side - 1), order - 1)):
-            row.append(frozenset(perm[x] for x in row[-1]))
+            row.append(frozenset(map(perm.__getitem__, row[-1])))
         images.append(row)
     # |mass/D - tn/td| = |mass td - tn D| / (D td), compared as numerators
     nums, den = t.space.numerators, t.space.denominator
@@ -165,7 +165,7 @@ def mixing_deviation_sweep_detail(
                 break
             m += g
             running = running & row[m % order]
-        dev = abs(sum(nums[x] for x in running) * td - tn)
+        dev = abs(sum(map(nums.__getitem__, running)) * td - tn)
         if dev > best:
             best = dev
             best_k = tuple(g + 1 for g in grid)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import compress, islice, repeat
-from operator import add, mul, ne, sub
+from operator import add, lt, mul, ne, sub
 
 from .errors import InvalidInputError, PreconditionError, Value
 from .rationals import as_fraction
@@ -31,7 +31,6 @@ from .spaces import (
     FiniteSpace,
     _orbits,
     MeasurableSet,
-    compose,
     orbit_count,
     perm_power,
     product_bounds,
@@ -40,7 +39,12 @@ from .spaces import (
 
 
 class SkewProduct(Value):
-    """(x, y) -> (base_map(x), cocycle[x](y)); always measure-preserving."""
+    """(x, y) -> (base_map(x), cocycle[x](y)); always measure-preserving.
+
+    Each map's space is tested by identity first and compared by value
+    only when it is another object, as a map checked in bulk by the
+    config parser or drawn by ``sample_random_extension`` shares the one
+    space object."""
 
     __slots__ = _fields = ("base", "fiber", "base_map", "cocycle")
 
@@ -52,7 +56,7 @@ class SkewProduct(Value):
         cocycle: tuple[Automorphism, ...],
     ):
         cocycle = tuple(cocycle)
-        if base_map.space != base:
+        if base_map.space is not base and base_map.space != base:
             raise InvalidInputError("base map lives on a different space")
         if len(cocycle) != base.atom_count:
             raise InvalidInputError(
@@ -60,7 +64,7 @@ class SkewProduct(Value):
                 f"got {len(cocycle)}"
             )
         for x, r in enumerate(cocycle):
-            if r.space != fiber:
+            if r.space is not fiber and r.space != fiber:
                 raise InvalidInputError(f"fiber map at base atom {x} lives elsewhere")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "fiber", fiber)
@@ -69,7 +73,12 @@ class SkewProduct(Value):
 
 
 class RigiditySequence(Value):
-    """Strictly increasing positive return times p_1 < p_2 < ..."""
+    """Strictly increasing positive return times p_1 < p_2 < ...
+
+    The times are checked at once: their set of types must be ``{int}``,
+    the first positive and each less than the next.  When that test fails,
+    each time is checked in turn, which refuses the sequence with the
+    same message unless its times are of an int subclass."""
 
     __slots__ = _fields = ("times",)
 
@@ -77,13 +86,18 @@ class RigiditySequence(Value):
         times = tuple(times)
         if not times:
             raise InvalidInputError("rigidity sequence must be nonempty")
-        prev = 0
-        for p in times:
-            if not isinstance(p, int) or isinstance(p, bool) or p <= prev:
-                raise InvalidInputError(
-                    f"times must be strictly increasing positive ints, got {times}"
-                )
-            prev = p
+        if not (
+            {*map(type, times)} == {int}
+            and times[0] > 0
+            and all(map(lt, times, times[1:]))
+        ):
+            prev = 0
+            for p in times:
+                if not isinstance(p, int) or isinstance(p, bool) or p <= prev:
+                    raise InvalidInputError(
+                        f"times must be strictly increasing positive ints, got {times}"
+                    )
+                prev = p
         object.__setattr__(self, "times", times)
 
 
@@ -134,18 +148,22 @@ def coboundary_extension(
     s: Automorphism, j_family: Sequence[Automorphism]
 ) -> SkewProduct:
     """Skew product with cocycle R_x = J_{S x}^{-1} o J_x, so that
-    C(x, p) = J_{S^p x}^{-1} o J_x telescopes exactly."""
+    C(x, p) = J_{S^p x}^{-1} o J_x telescopes exactly.  Each inverse is
+    built once, and each R_x is composed on the permutation tuples."""
     j_family = tuple(j_family)
     if len(j_family) != s.space.atom_count:
         raise InvalidInputError("need one transfer map per base atom")
     fiber = j_family[0].space
     for j in j_family:
-        if j.space != fiber:
+        if j.space is not fiber and j.space != fiber:
             raise InvalidInputError("transfer maps live on different spaces")
-    cocycle = tuple(
-        compose(j_family[s.perm[x]].inverse(), j_family[x])
-        for x in s.space.atoms()
-    )
+    # the inverse of J_x lists the atoms in the order of their images
+    atoms = range(fiber.atom_count)
+    inverses = [sorted(atoms, key=j.perm.__getitem__) for j in j_family]
+    cocycle = [
+        Automorphism._trusted(fiber, tuple(map(inverses[sx].__getitem__, j.perm)))
+        for sx, j in zip(s.perm, j_family)
+    ]
     return SkewProduct(s.space, fiber, s, cocycle)
 
 
@@ -316,13 +334,17 @@ def relative_mixing_fraction(r: SkewProduct, p: int, eps: Fraction) -> Fraction:
     atom), so the statistic is the full base mass when eps > 1 - min w and
     0 otherwise, whatever the cocycle or p.  On a one-atom fiber both
     operators are the identity and every eps gives full mass.  That closed
-    form is what is computed; no kernel is built."""
+    form is what is computed, in integers from the smallest numerator of
+    the fiber's integer form; no kernel is built."""
     if not isinstance(p, int) or isinstance(p, bool) or p < 0:
         raise InvalidInputError(f"p must be a nonnegative int, got {p!r}")
     eps = as_fraction(eps)
     if eps <= 0:
         raise InvalidInputError(f"eps must be positive, got {eps}")
-    if r.fiber.atom_count == 1 or eps > 1 - min(r.fiber.weights):
+    # eps > 1 - m / D for the lightest numerator m over D, in integers
+    den = r.fiber.denominator
+    light = min(r.fiber.numerators)
+    if light == den or eps.numerator * den > (den - light) * eps.denominator:
         return Fraction(1)
     return Fraction(0)
 
@@ -420,14 +442,31 @@ def is_ergodic(a: Automorphism) -> bool:
     return orbit_count(a) == 1
 
 
+def skew_orbit_count(r: SkewProduct) -> int:
+    """``orbit_count(as_automorphism(r))``, without building it.
+
+    Over a base orbit of length L from x_0, every orbit of the skew
+    product meets the fiber over x_0, and its points there are one cycle
+    of the return map C(x_0, L), so the count is the sum over base orbits
+    of the number of cycles of C(x_0, L): L compositions of fiber maps per
+    base orbit instead of a map on base x fiber.  Its size is refused as
+    building it would refuse it."""
+    product_bounds([r.base, r.fiber])
+    return sum(
+        len(_orbits(_cocycle_perm(r, orbit[0], len(orbit))))
+        for orbit in _orbits(r.base_map.perm)
+    )
+
+
 def fiber_square_ergodic(r: SkewProduct) -> bool:
     """Whether ``relative_product(r)`` is ergodic, without building it.
     The diagonal {y = y'} is invariant and of positive measure, so the
     fiber square is never ergodic over a fiber of two or more atoms; over
-    one atom it is the skew product itself.  Its size is refused as
-    building it would refuse it."""
+    one atom it is the skew product itself, whose orbits
+    ``skew_orbit_count`` counts.  Its size is refused as building it
+    would refuse it."""
     product_bounds([r.base, r.fiber, r.fiber])
-    return r.fiber.atom_count == 1 and is_ergodic(as_automorphism(r))
+    return r.fiber.atom_count == 1 and skew_orbit_count(r) == 1
 
 
 def _weight_classes(space: FiniteSpace) -> list[list[int]]:

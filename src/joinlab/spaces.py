@@ -158,15 +158,24 @@ class FiniteSpace(Value):
 
 
 class MeasurableSet(Value):
-    """Subset of a space's atoms."""
+    """Subset of a space's atoms.
+
+    The atoms are checked at once: their set of types must be ``{int}``,
+    and their ``min`` and ``max`` must lie in the space.  When that test
+    fails, each atom is checked in turn, so the error names the first bad
+    atom the set yields, as a per-atom check would."""
 
     __slots__ = _fields = ("space", "atoms")
 
     def __init__(self, space: FiniteSpace, atoms: frozenset[int]):
         atoms = frozenset(atoms)
-        for a in atoms:
-            if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < space.atom_count:
-                raise InvalidInputError(f"atom {a!r} outside the space")
+        n = space.atom_count
+        if atoms and not (
+            {*map(type, atoms)} == {int} and min(atoms) >= 0 and max(atoms) < n
+        ):
+            for a in atoms:
+                if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < n:
+                    raise InvalidInputError(f"atom {a!r} outside the space")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "atoms", atoms)
 
@@ -189,7 +198,12 @@ class Automorphism(Value):
     """Measure-preserving permutation of a space's atoms.
 
     ``perm[i]`` is the image of atom i.  Weight preservation
-    (weights[perm[i]] == weights[i]) is enforced at construction.
+    (weights[perm[i]] == weights[i]) is enforced at construction: on a
+    uniform space (denominator equal to the atom count) every permutation
+    preserves weights and nothing is looked up; otherwise the images'
+    numerators are compared with the numerators in one comparison, and
+    only when that fails are the atoms walked to name the first one that
+    changes weight.
     """
 
     __slots__ = _fields = ("space", "perm")
@@ -200,12 +214,13 @@ class Automorphism(Value):
         if len(perm) != n or sorted(perm) != list(range(n)):
             raise InvalidInputError(f"not a permutation of 0..{n - 1}: {perm}")
         ws, nums = space.weights, space.numerators
-        for i, j in enumerate(perm):
-            if nums[i] != nums[j]:
-                raise InvalidInputError(
-                    f"atom {i} (weight {show(ws[i])}) maps to "
-                    f"atom {j} of different weight {show(ws[j])}"
-                )
+        if space.denominator != n and tuple(map(nums.__getitem__, perm)) != nums:
+            for i, j in enumerate(perm):
+                if nums[i] != nums[j]:
+                    raise InvalidInputError(
+                        f"atom {i} (weight {show(ws[i])}) maps to "
+                        f"atom {j} of different weight {show(ws[j])}"
+                    )
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "perm", perm)
 
@@ -218,8 +233,8 @@ class Automorphism(Value):
         classes, or checked in bulk by the config parser.  Every other
         caller goes through the validating constructor."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "space", space)
-        object.__setattr__(obj, "perm", perm)
+        _set_space(obj, space)
+        _set_perm(obj, perm)
         return obj
 
     def __call__(self, atom: int) -> int:
@@ -251,6 +266,11 @@ class Automorphism(Value):
     def order(self) -> int:
         """Least k >= 1 with self^k the identity: the lcm of the cycle lengths."""
         return lcm(*map(len, _orbits(self.perm)))
+
+
+# the slots' own setters, which skip ``Value.__setattr__``; ``_trusted``
+# builds every derived map and every map the config parser checked in bulk
+_set_space, _set_perm = Automorphism.space.__set__, Automorphism.perm.__set__
 
 
 def _orbits(perm: Sequence[int]) -> list[list[int]]:

@@ -1,16 +1,29 @@
-"""The maps of ``actions.*.perms`` and ``cocycles.*.maps``, checked all at
+"""The config objects checked all at once against per-entry oracles.
+
+The maps of ``actions.*.perms`` and ``cocycles.*.maps``, checked all at
 once by the config parser, against a per-entry oracle: each map checked
 and built on its own through the validating ``Automorphism``.  A valid
 document gives equal objects; a document with bad maps fails on the first
-one, with the same error and message."""
+one, with the same error and message.  Set atoms, sequences and single
+perms are checked at once by ``MeasurableSet``, ``RigiditySequence`` and
+``Automorphism``; each must fail as the per-entry loop it replaced, with
+the same exception type and message, also through ``parse_config``."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from joinlab import ActionGenerators, Automorphism, SkewProduct
+from joinlab import (
+    ActionGenerators,
+    Automorphism,
+    FiniteSpace,
+    MeasurableSet,
+    RigiditySequence,
+    SkewProduct,
+)
 from joinlab.config import parse_config
 from joinlab.errors import InvalidInputError, naming
 
@@ -200,3 +213,170 @@ def test_fixed_document_parses_as_the_oracle():
     actions, cocycles = bulk_parse(FIXED)
     assert (actions, cocycles) == oracle_parse(FIXED)
     assert cocycles["c"].fiber.weights == (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
+
+
+# -- set atoms, sequences and single perms --------------------------------------
+
+
+def oracle_set(space, atoms):
+    """The atoms of ``MeasurableSet(space, atoms)``, each checked in turn."""
+    atoms = frozenset(atoms)
+    for a in atoms:
+        if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < space.atom_count:
+            raise InvalidInputError(f"atom {a!r} outside the space")
+    return atoms
+
+
+def oracle_times(times):
+    """The times of ``RigiditySequence(times)``, each checked in turn."""
+    times = tuple(times)
+    if not times:
+        raise InvalidInputError("rigidity sequence must be nonempty")
+    prev = 0
+    for p in times:
+        if not isinstance(p, int) or isinstance(p, bool) or p <= prev:
+            raise InvalidInputError(
+                f"times must be strictly increasing positive ints, got {times}"
+            )
+        prev = p
+    return times
+
+
+def oracle_perm(space, perm):
+    """The perm of ``Automorphism(space, perm)``, each atom's weight
+    checked in turn."""
+    perm = tuple(perm)
+    n = space.atom_count
+    if len(perm) != n or sorted(perm) != list(range(n)):
+        raise InvalidInputError(f"not a permutation of 0..{n - 1}: {perm}")
+    ws = space.weights
+    for i, j in enumerate(perm):
+        if ws[i] != ws[j]:
+            raise InvalidInputError(
+                f"atom {i} (weight {ws[i]}) maps to atom {j} of different weight {ws[j]}"
+            )
+    return perm
+
+
+class Atom(int):
+    """An int subclass: the bulk type test refuses it, the per-entry
+    check accepts it."""
+
+
+SPACE5 = FiniteSpace.uniform(5)
+WEIGHTED = FiniteSpace((Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)))
+
+
+@pytest.mark.parametrize(
+    "atoms",
+    [[0, True], [False], [0, -1], [4, 5], [99], [1.0], [0, 2.5], [Atom(2), 3],
+     [Atom(7)], [], [0, 1, 2, 3, 4], [10**30], [-(10**30), 2]],
+    ids=["bool", "false", "negative", "out-of-range", "far", "float", "half",
+         "int-subclass", "bad-int-subclass", "empty", "all", "huge", "huge-negative"],
+)
+def test_set_atoms_check_as_the_per_atom_oracle(atoms):
+    assert outcome(lambda a: MeasurableSet(SPACE5, frozenset(a)).atoms, atoms) == \
+        outcome(lambda a: oracle_set(SPACE5, a), atoms)
+
+
+@PROPERTY
+@given(st.lists(st.one_of(
+    st.integers(-3, 8), st.booleans(), st.floats(-1, 6, allow_nan=False),
+    st.integers(-(2**70), 2**70), st.builds(Atom, st.integers(-2, 7)),
+)))
+def test_drawn_set_atoms_check_as_the_per_atom_oracle(atoms):
+    assert outcome(lambda a: MeasurableSet(SPACE5, frozenset(a)).atoms, atoms) == \
+        outcome(lambda a: oracle_set(SPACE5, a), atoms)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [[], [0], [0, 1], [1, 1], [1, 3, 2], [1, True], [True, 2], [1, 2.0],
+     [1, 10**40], [10**40, 10**40 + 1], [-(10**40)], [Atom(1), 2], [2, Atom(1)],
+     [1, 2, 3]],
+    ids=["empty", "zero", "zero-first", "repeat", "decrease", "bool", "bool-first",
+         "float", "huge", "huge-pair", "huge-negative", "int-subclass",
+         "int-subclass-decrease", "valid"],
+)
+def test_sequences_check_as_the_per_time_oracle(times):
+    assert outcome(lambda t: RigiditySequence(tuple(t)).times, times) == \
+        outcome(oracle_times, times)
+
+
+@PROPERTY
+@given(st.lists(st.one_of(
+    st.integers(-2, 12), st.booleans(), st.integers(2**64, 2**64 + 3),
+    st.builds(Atom, st.integers(0, 12)),
+), max_size=6))
+def test_drawn_sequences_check_as_the_per_time_oracle(times):
+    # sorted half the time, so that valid sequences are drawn too
+    times = sorted(times) if len(times) % 2 else times
+    assert outcome(lambda t: RigiditySequence(tuple(t)).times, times) == \
+        outcome(oracle_times, times)
+
+
+@pytest.mark.parametrize(
+    "space, perm",
+    [(WEIGHTED, [1, 0, 2]), (WEIGHTED, [0, 2, 1]), (WEIGHTED, [2, 1, 0]),
+     (WEIGHTED, [0, 1, 2]), (WEIGHTED, [0, 0, 2]), (SPACE5, [4, 3, 2, 1, 0]),
+     (SPACE5, [0, 1, 2, 3])],
+    ids=["moves-0", "moves-1", "preserving", "identity", "repeat", "uniform", "short"],
+)
+def test_single_perm_checks_as_the_per_atom_oracle(space, perm):
+    assert outcome(lambda p: Automorphism(space, tuple(p)).perm, perm) == \
+        outcome(lambda p: oracle_perm(space, p), perm)
+
+
+SECTIONS = {
+    "spaces": {"u": {"uniform": 5}, "w": {"weights": ["1/4", "1/2", "1/4"]}},
+    "automorphisms": {"s": {"space": "w", "perm": [2, 1, 0]}},
+    "sets": {"a": {"space": "u", "atoms": [0, 3]}},
+    "sequences": {"t": [1, 2, 4]},
+}
+
+
+@pytest.mark.parametrize(
+    "section, name, key, bad, message",
+    [
+        ("automorphisms", "s", "perm", [1, 0, 2],
+         "automorphisms.s.perm: atom 0 (weight 1/4) maps to atom 1 of different weight 1/2"),
+        ("automorphisms", "s", "perm", [0, 2, 1],
+         "automorphisms.s.perm: atom 1 (weight 1/2) maps to atom 2 of different weight 1/4"),
+        ("automorphisms", "s", "perm", [0, True, 2],
+         "automorphisms.s.perm: expected a nonempty list of ints"),
+        ("automorphisms", "s", "perm", [],
+         "automorphisms.s.perm: expected a nonempty list of ints"),
+        ("automorphisms", "s", "perm", [0, 1],
+         "automorphisms.s.perm: not a permutation of 0..2: (0, 1)"),
+        ("sets", "a", "atoms", [0, True], "sets.a.atoms: expected a list of ints"),
+        ("sets", "a", "atoms", [1.0], "sets.a.atoms: expected a list of ints"),
+        ("sets", "a", "atoms", [0, -1], "sets.a.atoms: atom -1 outside the space"),
+        ("sets", "a", "atoms", [5], "sets.a.atoms: atom 5 outside the space"),
+        ("sequences", "t", None, [],
+         "sequences.t: rigidity sequence must be nonempty"),
+        ("sequences", "t", None, [0, 1],
+         "sequences.t: times must be strictly increasing positive ints, got (0, 1)"),
+        ("sequences", "t", None, [2, 2],
+         "sequences.t: times must be strictly increasing positive ints, got (2, 2)"),
+        ("sequences", "t", None, [1, True],
+         "sequences.t: times must be strictly increasing positive ints, got (1, True)"),
+    ],
+    ids=["perm-weight-0", "perm-weight-1", "perm-bool", "perm-empty", "perm-short",
+         "set-bool", "set-float", "set-negative", "set-range", "seq-empty", "seq-zero",
+         "seq-repeat", "seq-bool"],
+)
+def test_bad_config_entry_message(section, name, key, bad, message):
+    doc = json.loads(json.dumps(SECTIONS))
+    if key is None:
+        doc[section][name] = bad
+    else:
+        doc[section][name][key] = bad
+    assert outcome(parse_config, doc) == (InvalidInputError, message)
+
+
+def test_valid_sections_build_the_validated_objects():
+    cfg = parse_config(SECTIONS)
+    assert cfg.automorphisms["s"] == Automorphism(cfg.spaces["w"], (2, 1, 0))
+    assert type(cfg.automorphisms["s"].perm) is tuple
+    assert cfg.sets["a"] == MeasurableSet(cfg.spaces["u"], frozenset({0, 3}))
+    assert cfg.sequences["t"] == RigiditySequence((1, 2, 4))

@@ -41,9 +41,13 @@ from joinlab.skew import (
     _random_preserving_permutation,
     _rigidity_walk,
     _weight_classes,
+    coboundary_extension,
     fiber_square_ergodic,
     is_ergodic,
+    sample_random_extension,
+    skew_orbit_count,
 )
+from joinlab.spaces import orbit_count
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -504,6 +508,98 @@ def ergodic_leaning_skews(draw) -> SkewProduct:
 @given(st.one_of(skews(), ergodic_leaning_skews()))
 def test_fiber_square_ergodic_matches_the_built_fiber_square(r):
     assert fiber_square_ergodic(r) == is_ergodic(relative_product(r))
+
+
+# -- orbits from the return maps ---------------------------------------------
+
+
+def cycle_base(draw) -> Automorphism:
+    """A uniform base of fixed points, of 2-cycles or of mixed cycles,
+    atoms placed on the cycles in a drawn order."""
+    kind = draw(st.sampled_from(["fixed points", "2-cycles", "mixed"]))
+    if kind == "fixed points":
+        lengths = [1] * draw(st.integers(1, 6))
+    elif kind == "2-cycles":
+        lengths = [2] * draw(st.integers(1, 4))
+    else:
+        lengths = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
+    order = draw(st.permutations(range(sum(lengths))))
+    perm, start = [0] * len(order), 0
+    for length in lengths:
+        cycle = order[start : start + length]
+        for k, x in enumerate(cycle):
+            perm[x] = cycle[(k + 1) % length]
+        start += length
+    return Automorphism(FiniteSpace.uniform(len(perm)), tuple(perm))
+
+
+def any_fiber(draw) -> FiniteSpace:
+    kind = draw(st.sampled_from(["one atom", "two classes", "weighted"]))
+    if kind == "one atom":
+        return FiniteSpace.uniform(1)
+    return two_class_space(draw) if kind == "two classes" else weighted_space(draw)
+
+
+def assert_orbits_match_the_built_maps(r):
+    assert skew_orbit_count(r) == orbit_count(as_automorphism(r))
+    assert fiber_square_ergodic(r) == is_ergodic(relative_product(r))
+
+
+@PROPERTY
+@given(st.data())
+def test_return_map_orbit_count_matches_the_built_skew_product(data):
+    s, fiber = cycle_base(data.draw), any_fiber(data.draw)
+    maps = tuple(preserving_perm(data.draw, fiber) for _ in s.space.atoms())
+    assert_orbits_match_the_built_maps(SkewProduct(s.space, fiber, s, maps))
+
+
+@PROPERTY
+@given(st.data(), st.integers(0, 2**32), st.sampled_from(["iid-cocycle", "random-coboundary"]))
+def test_return_map_orbit_count_on_sampled_extensions(data, seed, mode):
+    s, fiber = cycle_base(data.draw), any_fiber(data.draw)
+    r = sample_random_extension(s, fiber, seed, mode)
+    assert_orbits_match_the_built_maps(r)
+    if mode == "random-coboundary":
+        # R_x = J_{S x}^-1 J_x for the transfer maps J drawn as iid fiber maps
+        rng = random.Random(seed)
+        js = [oracle.random_preserving_permutation(rng, fiber) for _ in s.space.atoms()]
+        want = [oracle.compose(oracle.inverse(js[s.perm[x]]), j) for x, j in enumerate(js)]
+        assert r.cocycle == tuple(want)
+        for m in r.cocycle:
+            assert_valid(m)
+
+
+def test_return_map_orbit_count_on_the_demo_config():
+    cfg = load_config(str(CONFIGS / "skew_demo.json"))
+    # over the 4-cycle both return maps C(0, 4) are the identity of the pair
+    for name in ("product", "alternating"):
+        r = cfg.lookup("cocycles", name)
+        assert skew_orbit_count(r) == orbit_count(as_automorphism(r)) == 2
+
+
+@pytest.mark.parametrize(
+    "base, fiber, message",
+    [
+        (257, 256, "error: shape 257 x 256 exceeds the cap of 65536 atoms\n"),
+        (2, 40000, "error: shape 2 x 40000 exceeds the cap of 65536 atoms\n"),
+        (64, 40, "error: shape 64 x 40 x 40 exceeds the cap of 65536 atoms\n"),
+    ],
+)
+def test_sample_analyze_past_the_size_cap_still_exits_2(tmp_path, capsys, base, fiber, message):
+    # base x fiber past SIZE_CAP is refused as building the skew product
+    # refused it, before base x fiber^2 is; nothing of either size is built
+    config = {
+        "spaces": {"b": {"uniform": base}, "f": {"uniform": fiber}},
+        "automorphisms": {"s": {"space": "b", "perm": [(i + 1) % base for i in range(base)]}},
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(config))
+    argv = ["sample", "--config", str(path), "--base", "s", "--fiber", "f",
+            "--seed", "3", "--mode", "iid-cocycle", "--analyze"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
 
 
 def test_fiber_square_ergodic_over_one_atom_is_the_skew_products_own():

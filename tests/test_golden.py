@@ -17,7 +17,9 @@ A faster path that changes any byte of any of them fails here, and eta and
 ``joining verify`` at k = 3 must print theirs with every dense flat index
 map refused, and every eta and ``joining verify`` run must print its own
 with ``support_cells`` refused: eta lists its support as it builds its
-entries, and the decoder hands over the cells it read.
+entries, and the decoder hands over the cells it read.  Every ``sample
+--analyze`` run must print its own with the product automorphism and the
+orbit labelling refused, as its orbits are read off the return maps.
 
 Two ``polytope --certify`` reports too large to store, the pairwise
 independent order-4 certificates on the full Z_2^3 and Z_2^4 actions, are
@@ -51,7 +53,7 @@ from pathlib import Path
 
 import pytest
 
-from joinlab import Z2kContext, full_action, joinings
+from joinlab import Z2kContext, full_action, joinings, skew, spaces
 from joinlab.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -421,6 +423,26 @@ def test_tensor_commands_scan_no_numerators_for_the_support(monkeypatch, capsys)
             assert main(list(INVOCATIONS[name])) == (1 if name in FAILING else 0)
             golden = (GOLDEN / f"{name}.json").read_bytes()
             assert capsys.readouterr().out.encode() == golden, name
+
+
+def test_sample_analyze_builds_no_product_automorphism(monkeypatch, capsys):
+    """sample --analyze counts the skew product's orbits from the return
+    maps over each base orbit: with the product automorphism and the orbit
+    labelling refused, every sample run prints its golden report."""
+
+    def refuse(*args):
+        raise AssertionError("the orbits were read off a product automorphism")
+
+    monkeypatch.setattr(skew, "as_automorphism", refuse)
+    monkeypatch.setattr(spaces, "orbit_labels", refuse)
+    monkeypatch.chdir(REPO)
+    runs = [name for name in sorted(INVOCATIONS) if name.startswith("sample_")]
+    assert runs
+    for name in runs:
+        assert "--analyze" in INVOCATIONS[name]
+        assert main(list(INVOCATIONS[name])) == 0
+        golden = (GOLDEN / f"{name}.json").read_bytes()
+        assert capsys.readouterr().out.encode() == golden, name
 
 
 @pytest.fixture(scope="module")
