@@ -28,11 +28,12 @@ Every config object is checked at once rather than entry by entry:
 - the atoms of ``sets.*.atoms``, by ``MeasurableSet``: the set of their
   types, then their ``min``, then their ``max``.
 - the times of ``sequences.*``, by ``RigiditySequence``: the set of their
-  types, the first time positive, then each less than the next.
+  types, the first time positive, then each less than the next.  Its one
+  message names the whole sequence, so no entry is checked again.
 
-When any of these tests fails, the entries are checked one by one, maps
-through the validating ``Automorphism``, so the error names the first bad
-entry with the same message as a per-entry parse.
+When a test on maps or set atoms fails, the entries are checked one by
+one, maps through the validating ``Automorphism``, so the error names the
+first bad entry with the same message as a per-entry parse.
 """
 
 from __future__ import annotations
@@ -108,6 +109,11 @@ def _section(data: dict, key: str) -> dict:
 
 
 def _build_automorphism(space: FiniteSpace, raw, path: str) -> Automorphism:
+    """The automorphism of ``space`` given by ``raw``, the list at ``path``:
+    built unvalidated once ``_bulk_valid`` passes, otherwise through the
+    validating constructor, so a bad entry is named."""
+    if _bulk_valid(space, [raw]):
+        return Automorphism._trusted(space, tuple(raw))
     with naming(path):
         if (
             not isinstance(raw, list)
@@ -179,12 +185,7 @@ def parse_config(data, origin: str = "config") -> Config:
         path = f"automorphisms.{name}"
         _check_keys(raw, path, ("space", "perm"))
         space = space_ref(raw["space"], f"{path}.space")
-        perm = raw["perm"]
-        automorphisms[name] = (
-            Automorphism._trusted(space, tuple(perm))
-            if _bulk_valid(space, [perm])
-            else _build_automorphism(space, perm, f"{path}.perm")
-        )
+        automorphisms[name] = _build_automorphism(space, raw["perm"], f"{path}.perm")
 
     actions: dict[str, ActionGenerators] = {}
     for name, raw in _section(data, "actions").items():

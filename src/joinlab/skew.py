@@ -75,10 +75,9 @@ class SkewProduct(Value):
 class RigiditySequence(Value):
     """Strictly increasing positive return times p_1 < p_2 < ...
 
-    The times are checked at once: their set of types must be ``{int}``,
-    the first positive and each less than the next.  When that test fails,
-    each time is checked in turn, which refuses the sequence with the
-    same message unless its times are of an int subclass."""
+    The times are checked at once: each type in their set of types must
+    be an int subclass other than ``bool``, the first time positive and
+    each less than the next."""
 
     __slots__ = _fields = ("times",)
 
@@ -87,17 +86,13 @@ class RigiditySequence(Value):
         if not times:
             raise InvalidInputError("rigidity sequence must be nonempty")
         if not (
-            {*map(type, times)} == {int}
+            all(issubclass(t, int) and t is not bool for t in {*map(type, times)})
             and times[0] > 0
             and all(map(lt, times, times[1:]))
         ):
-            prev = 0
-            for p in times:
-                if not isinstance(p, int) or isinstance(p, bool) or p <= prev:
-                    raise InvalidInputError(
-                        f"times must be strictly increasing positive ints, got {times}"
-                    )
-                prev = p
+            raise InvalidInputError(
+                f"times must be strictly increasing positive ints, got {times}"
+            )
         object.__setattr__(self, "times", times)
 
 

@@ -197,13 +197,14 @@ class MeasurableSet(Value):
 class Automorphism(Value):
     """Measure-preserving permutation of a space's atoms.
 
-    ``perm[i]`` is the image of atom i.  Weight preservation
-    (weights[perm[i]] == weights[i]) is enforced at construction: on a
-    uniform space (denominator equal to the atom count) every permutation
-    preserves weights and nothing is looked up; otherwise the images'
-    numerators are compared with the numerators in one comparison, and
-    only when that fails are the atoms walked to name the first one that
-    changes weight.
+    ``perm[i]`` is the image of atom i.  ``perm`` must hold ints (bools
+    included), tested once over its set of types, and sort to 0..n-1.
+    Weight preservation (weights[perm[i]] == weights[i]) is enforced at
+    construction: on a uniform space (denominator equal to the atom count)
+    every permutation preserves weights and nothing is looked up;
+    otherwise the images' numerators are compared with the numerators in
+    one comparison, and only when that fails are the atoms walked to name
+    the first one that changes weight.
     """
 
     __slots__ = _fields = ("space", "perm")
@@ -211,7 +212,11 @@ class Automorphism(Value):
     def __init__(self, space: FiniteSpace, perm: tuple[int, ...]):
         perm = tuple(perm)
         n = space.atom_count
-        if len(perm) != n or sorted(perm) != list(range(n)):
+        if (
+            len(perm) != n
+            or not all(issubclass(t, int) for t in {*map(type, perm)})
+            or sorted(perm) != list(range(n))
+        ):
             raise InvalidInputError(f"not a permutation of 0..{n - 1}: {perm}")
         ws, nums = space.weights, space.numerators
         if space.denominator != n and tuple(map(nums.__getitem__, perm)) != nums:
@@ -233,8 +238,8 @@ class Automorphism(Value):
         classes, or checked in bulk by the config parser.  Every other
         caller goes through the validating constructor."""
         obj = object.__new__(cls)
-        _set_space(obj, space)
-        _set_perm(obj, perm)
+        object.__setattr__(obj, "space", space)
+        object.__setattr__(obj, "perm", perm)
         return obj
 
     def __call__(self, atom: int) -> int:
@@ -266,11 +271,6 @@ class Automorphism(Value):
     def order(self) -> int:
         """Least k >= 1 with self^k the identity: the lcm of the cycle lengths."""
         return lcm(*map(len, _orbits(self.perm)))
-
-
-# the slots' own setters, which skip ``Value.__setattr__``; ``_trusted``
-# builds every derived map and every map the config parser checked in bulk
-_set_space, _set_perm = Automorphism.space.__set__, Automorphism.perm.__set__
 
 
 def _orbits(perm: Sequence[int]) -> list[list[int]]:

@@ -243,11 +243,15 @@ def oracle_times(times):
 
 
 def oracle_perm(space, perm):
-    """The perm of ``Automorphism(space, perm)``, each atom's weight
-    checked in turn."""
+    """The perm of ``Automorphism(space, perm)``, each atom's type and
+    weight checked in turn."""
     perm = tuple(perm)
     n = space.atom_count
-    if len(perm) != n or sorted(perm) != list(range(n)):
+    if (
+        len(perm) != n
+        or any(not isinstance(j, int) for j in perm)
+        or sorted(perm) != list(range(n))
+    ):
         raise InvalidInputError(f"not a permutation of 0..{n - 1}: {perm}")
     ws = space.weights
     for i, j in enumerate(perm):
@@ -259,11 +263,12 @@ def oracle_perm(space, perm):
 
 
 class Atom(int):
-    """An int subclass: the bulk type test refuses it, the per-entry
-    check accepts it."""
+    """An int subclass: the bulk type test of set atoms refuses it and the
+    per-atom check then accepts it; the test of sequence times accepts it."""
 
 
 SPACE5 = FiniteSpace.uniform(5)
+PAIR = FiniteSpace.uniform(2)
 WEIGHTED = FiniteSpace((Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)))
 
 
@@ -319,8 +324,10 @@ def test_drawn_sequences_check_as_the_per_time_oracle(times):
     "space, perm",
     [(WEIGHTED, [1, 0, 2]), (WEIGHTED, [0, 2, 1]), (WEIGHTED, [2, 1, 0]),
      (WEIGHTED, [0, 1, 2]), (WEIGHTED, [0, 0, 2]), (SPACE5, [4, 3, 2, 1, 0]),
-     (SPACE5, [0, 1, 2, 3])],
-    ids=["moves-0", "moves-1", "preserving", "identity", "repeat", "uniform", "short"],
+     (SPACE5, [0, 1, 2, 3]), (PAIR, [0, 1.0]), (PAIR, [0.0, 1]), (PAIR, [False, True]),
+     (WEIGHTED, [0, 1.0, 2])],
+    ids=["moves-0", "moves-1", "preserving", "identity", "repeat", "uniform", "short",
+         "uniform-float", "uniform-float-first", "uniform-bools", "weighted-float"],
 )
 def test_single_perm_checks_as_the_per_atom_oracle(space, perm):
     assert outcome(lambda p: Automorphism(space, tuple(p)).perm, perm) == \
