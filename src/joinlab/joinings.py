@@ -27,32 +27,24 @@ The measure kernels (face sums, the marginal and face checks, the
 invariance defect) take one tensor, raw or checked, and read only its
 support: the nonzero cells, from ``spaces.support_cells``, with each
 cell's flat index on the first h axes and on the rest (the split).  A
-face inside one of those two parts is read from the part: the support
-values are summed by their index on it into a dense array on its axes,
-which is then projected onto the face, so the single-coordinate
-marginals of the marginal and joining checks come from two sums over
-the support (``_edge_sums``).  A face on both sides of the cut sums
-per-axis tables over the support's cells with ``spaces.support_map``.
-A tensor lists its support once and every kernel shares it; a builder
-that visits the cells anyway (the file decoder,
-``torus.triple_sum_joining``) hands the support over with the entries,
-and no scan of the numerators runs.  Loops that
-need every cell (a full fill, a push, a disintegration) walk the dense
-flat index maps of ``spaces`` instead.
+tensor lists its support once and every kernel shares it; a builder that
+visits the cells anyway (the file decoder, ``torus.triple_sum_joining``)
+hands the support over with the entries, and no scan of the numerators
+runs.  Loops that need every cell (a full fill, a push, a
+disintegration) walk the dense flat index maps of ``spaces`` instead.
 
-Every comparison of a face marginal with the product of its factors'
-measures runs through one integer kernel, ``_face_gap``, or, for the
-marginals ``_edge_sums`` reads at once, through the comparison it ends
-in, ``_sums_gap``, which compares each face cell with its product
-weight.  The face on every axis is the tensor itself, whose cells off
-the support sit at
-their product weight from it: ``_full_face_gap`` compares the support
-cells, and of the rest needs only the heaviest product weight that the
-support does not fill, found by counting the support cells of each
-weight (``spaces.weight_counts``).  A face whose factors are all uniform
-has one product weight, 1/W, so either kernel compares only the largest
-and the smallest sum with it, and on every axis adds the off-support
-gap when the support misses a cell; no product weights are built.
+Every face marginal is one sum and one comparison.  ``_face_sums`` sums
+the support onto each face asked for: a face inside one half of the split
+is projected from that half's dense sums, each half summed at most once
+per call, and a face across the cut goes through ``spaces.support_map``.
+``_gap`` compares the sums with the product weights: on uniform factors
+every weight is 1/W, so only the largest and the smallest sum are
+compared; otherwise each cell is compared with its own weight.  The
+face on every axis is the tensor itself, whose cells off the support sit
+at their product weight from it: ``_full_face_gap`` compares the support
+cells by ``_gap`` and adds the heaviest product weight the support does
+not fill, found by counting the cells of each weight
+(``spaces.weight_counts``).
 
 ``diagonal_invariance_defect`` lists the moved support values per
 generator and compares the list with the support's values first: a
@@ -120,15 +112,18 @@ class RawTensor(Value):
         object.__setattr__(self, "denominator", denominator)
 
     @classmethod
-    def _decoded(cls, factors, numerators, denominator: int, support):
-        """The tensor of an integer form and its support, entries unbuilt
-        and nothing checked: a decoded file, or on a measure class a
-        measure by construction (the order-4 sum joining)."""
+    def _decoded(cls, factors, numerators, denominator: int, support=None):
+        """The tensor of an integer form, entries unbuilt and nothing
+        checked, the one unchecked constructor: a decoded file, or on a
+        measure class a measure by construction (the product weights, the
+        order-4 sum joining).  ``support`` is kept when given and otherwise
+        listed on first read."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "factors", factors)
         object.__setattr__(obj, "numerators", numerators)
         object.__setattr__(obj, "denominator", denominator)
-        object.__setattr__(obj, "_support", support)
+        if support is not None:
+            object.__setattr__(obj, "_support", support)
         return obj
 
     @property
@@ -236,18 +231,6 @@ class ProductMeasure(RawTensor):
                 f"total mass is {show(Fraction(mass, den))}, expected 1"
             )
 
-    @classmethod
-    def _trusted(cls, factors, numerators, denominator):
-        """Measure built without validation from a canonical integer form,
-        for data that is a measure of this class by construction (the
-        product weights of ``factors``).  Every other caller goes through a
-        validating constructor."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "factors", factors)
-        object.__setattr__(obj, "numerators", tuple(numerators))
-        object.__setattr__(obj, "denominator", denominator)
-        return obj
-
     # The integer form is canonical, so comparing it compares the entries.
     def __eq__(self, other):
         if not isinstance(other, ProductMeasure):
@@ -271,18 +254,18 @@ class JoiningTensor(ProductMeasure):
     def _check(self) -> None:
         """Raise unless the measure checks pass and every single-coordinate
         marginal is its factor's weights.  The marginals are read off the
-        two parts of the support's split, each summed once
-        (``_edge_sums``); the first coordinate in axis order whose marginal
+        two halves of the support's split, each summed once
+        (``_face_gaps``); the first coordinate in axis order whose marginal
         differs is named."""
         super()._check()
-        den = self.denominator
-        for coord, (sp, sums) in enumerate(zip(self.factors, _edge_sums(self))):
-            if _sums_gap(sums, (sp,), den):
-                got = _fractions(sums, den)
-                raise InvalidInputError(
-                    f"marginal onto coordinate {coord} is {show(got)}, "
-                    f"expected the factor weights {show(sp.weights)}"
-                )
+        gaps = _face_gaps(self, [(c,) for c in range(self.order)])
+        coord = next((c for c, gap in enumerate(gaps) if gap), None)
+        if coord is not None:
+            got = _fractions(_axis_sums(self, (coord,)), self.denominator)
+            raise InvalidInputError(
+                f"marginal onto coordinate {coord} is {show(got)}, "
+                f"expected the factor weights {show(self.factors[coord].weights)}"
+            )
 
     @classmethod
     def from_nonzero(
@@ -310,45 +293,33 @@ def sparse_form(size: int, cells: Mapping[int, Fraction]) -> tuple[list[int], in
 def _axis_sums(v: RawTensor, coords) -> list[int]:
     """Integer sums of v's numerators over every coordinate outside
     ``coords``: the marginal's numerators over the same denominator, in the
-    sub-shape's index order.  The support's split (h, high, low) cuts the
-    axes after the first h.  A face inside one part is read from that
-    part: the support values summed by the cells' flat index on the part
-    (``high`` or ``low``) into a dense array on its shape, then projected
-    onto the face, work proportional to the support and the part's size.
-    A face on both sides of the cut adds each support value into its
-    projected cell (``spaces.support_map``)."""
-    coords = tuple(coords)
+    sub-shape's index order.  ``_face_sums`` of the one face."""
+    return next(_face_sums(v, [coords]))
+
+
+def _face_sums(v: RawTensor, faces):
+    """``_axis_sums`` of each face in turn.  The support's split (h, high,
+    low) cuts the axes after the first h.  A face inside one half is read
+    from that half: the support values summed by the cells' flat index on
+    it (``high`` or ``low``) into a dense array on its shape, at most once
+    per call, then projected onto the face.  A face across the cut adds
+    each support value into its projected cell (``spaces.support_map``)."""
     shape = v.shape
     _, values, split = v.support
     h, high, low = split
-    if coords[-1] < h:
-        part, index, local = shape[:h], high, coords
-    elif coords[0] >= h:
-        part, index, local = shape[h:], low, [c - h for c in coords]
-    else:
-        cells = support_map(split, _projection_tables(shape, coords))
-        return _sums_by(space_size(shape[c] for c in coords), cells, values)
-    return _project(part, _sums_by(space_size(part), index, values), local)
-
-
-def _edge_sums(v: RawTensor) -> list[list[int]]:
-    """``_axis_sums(v, (c,))`` for every axis c in order, with each part of
-    the support's split that holds an axis summed once."""
-    shape = v.shape
-    _, values, (h, high, low) = v.support
-    out = []
-    for part, index in ((shape[:h], high), (shape[h:], low)):
-        if part:  # h = 0 or h = order leaves a part with no axis to read
-            sums = _sums_by(space_size(part), index, values)
-            out.extend(_project(part, sums, (a,)) for a in range(len(part)))
-    return out
-
-
-def _project(shape, sums: list[int], coords) -> list[int]:
-    """The dense ``sums`` on ``shape`` summed over every axis outside
-    ``coords``, in the sub-shape's index order."""
-    cells = _sum_table(_projection_tables(shape, coords))
-    return _sums_by(space_size(shape[c] for c in coords), cells, sums)
+    halves = {}  # the dense sums of each half read so far, by its first axis
+    for coords in faces:
+        coords = tuple(coords)
+        size = space_size(shape[c] for c in coords)
+        if coords[0] < h <= coords[-1]:  # across the cut
+            cells = support_map(split, _projection_tables(shape, coords))
+            yield _sums_by(size, cells, values)
+            continue
+        first, part, index = (h, shape[h:], low) if coords[0] >= h else (0, shape[:h], high)
+        if first not in halves:
+            halves[first] = _sums_by(space_size(part), index, values)
+        cells = _sum_table(_projection_tables(part, [c - first for c in coords]))
+        yield _sums_by(size, cells, halves[first])
 
 
 def _sums_by(size: int, index, values) -> list[int]:
@@ -364,98 +335,74 @@ def _face_gap(v: RawTensor, coords) -> Fraction:
     """Sup-distance from v's marginal on ``coords`` to the product of those
     factors' measures; v need not be a measure.  The face on every axis,
     whose marginal is the tensor, is read by ``_full_face_gap``; any other
-    is summed by ``_axis_sums`` and compared by ``_sums_gap``."""
+    is ``_face_gaps`` of the one face."""
     coords = tuple(coords)
     if coords == tuple(range(v.order)):
         return _full_face_gap(v)
-    factors = [v.factors[c] for c in coords]
-    return _sums_gap(_axis_sums(v, coords), factors, v.denominator)
+    return next(_face_gaps(v, [coords]))
 
 
-def _sums_gap(sums: list[int], factors, denominator: int) -> Fraction:
-    """Sup-distance from the face marginal ``sums`` over ``denominator``
-    to the product of ``factors``' measures.  When every factor is
-    uniform, each product weight is 1/W for the product denominator W, so
-    only the largest and the smallest face sum are compared
-    (``_one_weight_gap``); otherwise every face cell is compared with its
-    own product weight."""
-    if _one_weight(factors):
-        _, weight_den = product_bounds(factors)
-        worst = _one_weight_gap(sums, denominator, weight_den)
+def _face_gaps(v: RawTensor, faces):
+    """``_face_gap`` of each face in turn, every face (the one on every
+    axis too) summed by ``_face_sums`` and compared by ``_gap``."""
+    faces = [tuple(c) for c in faces]
+    den = v.denominator
+    return (
+        _gap(sums, None, [v.factors[c] for c in coords], den)
+        for coords, sums in zip(faces, _face_sums(v, faces))
+    )
+
+
+def _gap(values, weights, factors, den: int) -> Fraction:
+    """Sup-distance from the nonempty ``values`` over ``den`` to product
+    weights of ``factors``: ``weights``, numerators over the product
+    denominator W, one per value, or, when None, ``product_form``'s in
+    index order.  When every factor is uniform (a canonical space's n
+    positive numerators sum to its denominator, so they are all 1 exactly
+    when the denominator is n), each product weight is 1/W and only the
+    largest and the smallest value are compared; no weight is read."""
+    if all(sp.denominator == sp.atom_count for sp in factors):
+        _, w = product_bounds(factors)
+        worst = max(w * max(values) - den, den - w * min(values))
     else:
-        weights, weight_den = product_form(factors)
-        worst = max(map(abs, map(
-            sub, map(weight_den.__mul__, sums), map(denominator.__mul__, weights)
-        )))
-    return Fraction(worst, denominator * weight_den)
+        if weights is None:
+            weights, w = product_form(factors)
+        else:
+            _, w = product_bounds(factors)
+        worst = max(map(abs, map(sub, map(w.__mul__, values), map(den.__mul__, weights))))
+    return Fraction(worst, den * w)
 
 
 def _full_face_gap(v: RawTensor) -> Fraction:
     """``_face_gap`` on every axis, read from the support alone.  A cell off
-    the support has numerator 0, so its gap is the denominator times its
-    product weight, whatever the tensor's values: the answer is the largest
-    gap on the support or the denominator times the heaviest product weight
-    among the cells off it.  On uniform factors every product weight is
-    1/W, so the support values are compared by their extremes
-    (``_one_weight_gap``) and a support of fewer than every cell adds the
-    denominator.  Otherwise a cell of weight w lies off the support exactly
-    when the support holds fewer cells of weight w than the product
-    (``spaces.weight_counts``).  The work is the support, the product
-    weights of the two parts of its split, and the distinct product
-    weights; a support of every cell lists the cells in index order, so
-    their weights are ``product_form``'s and none is off it."""
-    factors, denominator = v.factors, v.denominator
+    the support has numerator 0, so its gap is its product weight, whatever
+    the tensor's values: the answer is the larger of ``_gap`` on the support
+    and the heaviest product weight among the cells off it.  A cell of
+    weight w lies off the support exactly when the support holds fewer
+    cells of weight w than the product (``spaces.weight_counts``).  On
+    uniform factors there is one weight and the support's values alone are
+    compared; otherwise each support cell's weight is the product of its
+    two halves' weights.  The work is the support, the product weights of
+    the two halves and the distinct product weights."""
+    factors = v.factors
     _, values, (h, high, low) = v.support
-    size, weight_den = product_bounds(factors)
-    if _one_weight(factors):
-        worst = _one_weight_gap(values, denominator, weight_den) if values else 0
-        if len(values) < size:  # a cell off the support: numerator 0, gap D
-            worst = max(worst, denominator)
-        return Fraction(worst, denominator * weight_den)
-    if len(values) == size:
-        weights, off = product_form(factors)[0], 0
+    counts, weight_den = weight_counts(factors)
+    if len(counts) == 1:  # every factor uniform
+        weights, held = None, dict.fromkeys(counts, len(values))
     else:
-        top, bottom = _weights(factors[:h]), _weights(factors[h:])
+        top, bottom = (product_form(f)[0] if f else [1] for f in (factors[:h], factors[h:]))
         weights = list(map(mul, map(top.__getitem__, high), map(bottom.__getitem__, low)))
         held = Counter(weights)
-        counts, _ = weight_counts(factors)
-        off = max((w for w, n in counts.items() if held[w] < n), default=0)
-    worst = max(map(abs, map(
-        sub, map(weight_den.__mul__, values), map(denominator.__mul__, weights)
-    )), default=0)
-    return Fraction(max(worst, denominator * off), denominator * weight_den)
-
-
-def _one_weight(factors) -> bool:
-    """Whether every factor is uniform.  A canonical space's n positive
-    numerators sum to its denominator, so they are all 1 exactly when the
-    denominator is n."""
-    return all(sp.denominator == sp.atom_count for sp in factors)
-
-
-def _one_weight_gap(values, denominator: int, weight_den: int) -> int:
-    """max |weight_den * x - denominator| over the nonempty ``values``: the
-    gap, over ``denominator * weight_den``, of each value from the one
-    product weight 1/weight_den, found at the largest or the smallest."""
-    return max(
-        weight_den * max(values) - denominator, denominator - weight_den * min(values)
-    )
-
-
-def _weights(factors) -> list[int]:
-    """Product weight numerators of ``factors`` in index order; [1] for none."""
-    return product_form(factors)[0] if factors else [1]
+    off = max((w for w, n in counts.items() if held[w] < n), default=0)
+    gap = _gap(values, weights, factors, v.denominator) if values else Fraction(0)
+    return max(gap, Fraction(off, weight_den))
 
 
 def marginal_defect(v: RawTensor) -> Fraction:
     """Largest |marginal - weight| over every coordinate and atom of v; v
-    need not be a measure.  Every marginal is read off the two parts of
-    the support's split, each summed once (``_edge_sums``)."""
-    den = v.denominator
-    return max(
-        (_sums_gap(sums, (sp,), den) for sp, sums in zip(v.factors, _edge_sums(v))),
-        default=Fraction(0),
-    )
+    need not be a measure.  Every marginal is read off the two halves of
+    the support's split, each summed once (``_face_gaps``)."""
+    return max(_face_gaps(v, [(c,) for c in range(v.order)]), default=Fraction(0))
 
 
 def sup_distance(v: ProductMeasure, w: ProductMeasure) -> Fraction:
@@ -474,7 +421,7 @@ def product_joining(factors: Sequence[FiniteSpace]) -> JoiningTensor:
     if not factors:
         raise InvalidInputError("a joining needs at least one factor")
     nums, den = product_form(factors)
-    return JoiningTensor._trusted(factors, nums, den)
+    return JoiningTensor._decoded(factors, tuple(nums), den)
 
 
 def marginal(v: ProductMeasure, coords: Sequence[int]) -> ProductMeasure:
@@ -529,7 +476,7 @@ def face_independence_defect(v: RawTensor, m: int) -> Fraction:
     product measure, over all m-subsets of coordinates."""
     if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m < v.order:
         raise InvalidInputError(f"face order must satisfy 1 <= m < {v.order}, got {m!r}")
-    return max(_face_gap(v, c) for c in combinations(range(v.order), m))
+    return max(_face_gaps(v, combinations(range(v.order), m)))
 
 
 def has_standard_projections(v: ProductMeasure, distinguished: int) -> bool:
@@ -542,7 +489,7 @@ def has_standard_projections(v: ProductMeasure, distinguished: int) -> bool:
     if not 0 <= distinguished < v.order:
         raise InvalidInputError(f"distinguished coordinate {distinguished} out of range")
     faces = ((distinguished,), tuple(c for c in range(v.order) if c != distinguished))
-    return not any(_face_gap(v, c) for c in faces)
+    return not any(_face_gaps(v, faces))
 
 
 def operator_from_joining(v: ProductMeasure, distinguished: int) -> MarkovOperator:

@@ -279,11 +279,10 @@ def certify_triviality(spec: PolytopeSpec) -> TrivialityCertificate:
     the vertex is read from the basic rows as x_o = p / q, with x_o = 0 off
     the basis.  D times the deviation |x_o - T_o / D| is the quotient
     |p D - T_o q| / q, or T_o / 1 off the basis, kept as a (numerator,
-    denominator) pair; pairs are compared by cross-multiplying.  An optimum
-    equal to its orbit's target is skipped, and a vertex wins only by a
-    strictly larger deviation, so the first farthest vertex in scan order
-    is the witness.  It is built in integer form by ``_as_tensor``, and a
-    ``Fraction`` for ``max_deviation`` alone."""
+    denominator) pair; pairs are compared by cross-multiplying.  A vertex
+    wins only by a strictly larger deviation, so the first farthest vertex
+    in scan order is the witness.  It is built in integer form by
+    ``_as_tensor``, and a ``Fraction`` for ``max_deviation`` alone."""
     red = _reduce(spec)
     solver = RationalSimplex(red.rows, red.rhs, red.count)
     if solver.rank == red.count:
@@ -302,9 +301,7 @@ def certify_triviality(spec: PolytopeSpec) -> TrivialityCertificate:
     for o, sign in product(range(last + 1), (1, -1)):  # max, then min
         unit = [0] * red.count
         unit[o] = sign
-        num, vden = solver._maximise(unit, 1)
-        if sign * num * den == target[o] * vden:
-            continue
+        solver._maximise(unit, 1)
         vertex = solver._vertex()
         basic = {v for v, _, _ in vertex}
         # an orbit off the basis is 0 there: its deviation is its target

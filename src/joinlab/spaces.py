@@ -309,13 +309,15 @@ def compose(a: Automorphism, b: Automorphism) -> Automorphism:
 
 
 def is_measure_preserving(perm: Sequence[int], space: FiniteSpace) -> bool:
-    """Whether a permutation preserves the weights.  Non-bijections are an
-    error rather than False: they are malformed input, not a negative case."""
+    """Whether a permutation preserves the weights, by its images'
+    numerators.  Non-bijections are an error rather than False: they are
+    malformed input, not a negative case."""
     n = space.atom_count
     perm = tuple(perm)
     if len(perm) != n or sorted(perm) != list(range(n)):
         raise InvalidInputError(f"not a permutation of 0..{n - 1}: {perm}")
-    return all(space.weights[i] == space.weights[j] for i, j in enumerate(perm))
+    nums = space.numerators
+    return tuple(map(nums.__getitem__, perm)) == nums
 
 
 class ActionGenerators(Value):
@@ -374,7 +376,7 @@ def halmos_numerator(
 
 def orbit_count(a: Automorphism) -> int:
     """Number of orbits of the cyclic group generated by ``a``."""
-    return max(orbit_labels(a.space.atom_count, [a.perm])) + 1
+    return len(_orbits(a.perm))
 
 
 def orbit_labels(size: int, maps: Iterable[Sequence[int]]) -> list[int]:

@@ -116,11 +116,10 @@ def fraction_certify(spec):
             if sol.status != "optimal":
                 # the product measure is always feasible
                 raise JoinlabInternalError("joining polytope reported infeasible")
-            if sol.value != target[o]:
-                dev = max(abs(a - b) for a, b in zip(sol.solution, target))
-                if dev > best_dev:
-                    best_dev = dev
-                    best_solution = sol.solution
+            dev = max(abs(a - b) for a, b in zip(sol.solution, target))
+            if dev > best_dev:
+                best_dev = dev
+                best_solution = sol.solution
         objective[o] = zero
     if best_solution is None:
         raise JoinlabInternalError(

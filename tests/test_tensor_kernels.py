@@ -793,6 +793,36 @@ def test_marginal_defect_sums_each_part_once_and_maps_no_cell(shape, data):
     assert passes == ["high"] * (h > 0) + ["low"] * (h < len(shape))
 
 
+@pytest.mark.parametrize("shape", sorted(SPLIT_SHAPES), ids=str)
+@settings(PROPERTY, max_examples=10)
+@given(data=st.data())
+def test_face_defect_sums_each_part_once_and_maps_only_crossing_faces(shape, data):
+    v = _signed_case(data, shape)
+    _, _, (h, high, low) = v.support
+    real_sums, real_map = joinings_module._sums_by, joinings_module.support_map
+    for m in range(1, min(len(shape), 3)):
+        faces = list(combinations(range(len(shape)), m))
+        passes, maps = [], []  # which part each support sum read; mapped faces
+
+        def counted(size, index, values):
+            if index is high or index is low:
+                passes.append("high" if index is high else "low")
+            return real_sums(size, index, values)
+
+        def mapped(split, per_axis):
+            maps.append(per_axis)
+            return real_map(split, per_axis)
+
+        with mock.patch.object(joinings_module, "support_map", mapped), \
+                mock.patch.object(joinings_module, "_sums_by", counted):
+            got = face_independence_defect(v, m)
+        assert got == max(oracle_face_gap(v, coords) for coords in faces)
+        # each part holding a face is summed once, whatever its number of faces
+        assert sorted(passes) == ["high"] * any(c[-1] < h for c in faces) + \
+            ["low"] * any(c[0] >= h for c in faces)
+        assert len(maps) == sum(c[0] < h <= c[-1] for c in faces)
+
+
 @PROPERTY
 @given(st.data())
 def test_joining_check_maps_no_cell(data):
