@@ -84,12 +84,6 @@ def _name_list(text: str) -> list[str]:
     return names
 
 
-def _require(flag_values: dict, context: str):
-    missing = [flag for flag, value in flag_values.items() if value is None]
-    if missing:
-        raise InvalidInputError(f"{context} requires {', '.join(missing)}")
-
-
 def _cmd_eta(args):
     with naming("--k"):
         ctx = Z2kContext(args.k)
@@ -176,15 +170,33 @@ def _cmd_polytope(args):
     return payload, True, blob
 
 
+# the flags each cocycle --stat reads, in the order its messages name them
+_STAT_FLAGS = {
+    "rigidity": ("--set", "--sequence", "--n-param"),
+    "fraction": ("--sequence", "--eps"),
+    "average": ("--fiber-set-a", "--fiber-set-b", "--horizon"),
+}
+
+
+def _check_stat_flags(args) -> None:
+    """Refuse a ``--stat`` missing a flag it reads or given one it does not."""
+    flags = dict.fromkeys(f for stat_flags in _STAT_FLAGS.values() for f in stat_flags)
+    given = [f for f in flags if getattr(args, f[2:].replace("-", "_")) is not None]
+    reads = _STAT_FLAGS[args.stat]
+    missing = [f for f in reads if f not in given]
+    if missing:
+        raise InvalidInputError(f"stat '{args.stat}' requires {', '.join(missing)}")
+    ignored = [f for f in given if f not in reads]
+    if ignored:
+        raise InvalidInputError(f"stat '{args.stat}' does not take {', '.join(ignored)}")
+
+
 def _cmd_cocycle(args):
     cfg, blob = _load_config(args.config)
     r = _lookup(cfg, "cocycles", "--cocycle", args.cocycle)
+    _check_stat_flags(args)
     payload = {"command": "cocycle", "cocycle": args.cocycle, "stat": args.stat}
     if args.stat == "rigidity":
-        _require(
-            {"--set": args.set, "--sequence": args.sequence, "--n-param": args.n_param},
-            "stat 'rigidity'",
-        )
         a = _lookup(cfg, "sets", "--set", args.set)
         seq = _lookup(cfg, "sequences", "--sequence", args.sequence)
         _check("--set", a.space == r.base, "set must live on the base")
@@ -197,7 +209,6 @@ def _cmd_cocycle(args):
              "values": values}
         )
     elif args.stat == "fraction":
-        _require({"--sequence": args.sequence, "--eps": args.eps}, "stat 'fraction'")
         with naming("--eps"):
             eps = parse_rational(args.eps)
             if eps <= 0:
@@ -206,14 +217,6 @@ def _cmd_cocycle(args):
         values = [[p, relative_mixing_fraction(r, p, eps)] for p in seq.times]
         payload.update({"sequence": args.sequence, "eps": eps, "values": values})
     else:
-        _require(
-            {
-                "--fiber-set-a": args.fiber_set_a,
-                "--fiber-set-b": args.fiber_set_b,
-                "--horizon": args.horizon,
-            },
-            "stat 'average'",
-        )
         a = _lookup(cfg, "sets", "--fiber-set-a", args.fiber_set_a)
         b = _lookup(cfg, "sets", "--fiber-set-b", args.fiber_set_b)
         _check("--fiber-set-a", a.space == r.fiber, "sets must live on the fiber")

@@ -59,16 +59,36 @@ class naming:
 
 
 class Value:
-    """Immutable value with ``__slots__``.  A subclass stores its fields in
-    its own ``__init__`` through ``object.__setattr__``, and lists in
-    ``_fields`` those that ``==``, ``hash`` and ``repr`` read, in order:
-    instances are equal when they are of the same class and those fields
-    are, and ``hash`` is the hash of the tuple of those fields.  ``_fields``
-    are also the ``__init__`` parameters, so a copy or an unpickled
-    instance is rebuilt, and validated, by the constructor."""
+    """Immutable value with ``__slots__``.  ``_fields`` lists, in order, the
+    fields that ``==``, ``hash`` and ``repr`` read: instances are equal when
+    they are of the same class and those fields are, and ``hash`` is the
+    hash of the tuple of those fields.  ``_fields`` are also the
+    constructor's parameters, so a copy or an unpickled instance is
+    rebuilt, and validated, by the constructor.  The result records
+    (``LpSolution``, ``LpOutcome``, ``TrivialityCertificate``,
+    ``_Reduction``, ``SweepResult``, ``ClosureProbe``) check nothing and
+    take the constructor defined here; a class that validates or converts
+    its fields defines its own ``__init__`` and stores them through
+    ``object.__setattr__``."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        """Store positional, then keyword, arguments as ``_fields`` in order;
+        ``TypeError`` if a field is missing, given twice or unknown."""
+        name, fields = type(self).__qualname__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)}")
+        rest = fields[len(args):]
+        unknown = sorted(kwargs.keys() - rest)
+        if unknown:
+            raise TypeError(f"{name} got unknown or repeated fields {', '.join(unknown)}")
+        missing = [f for f in rest if f not in kwargs]
+        if missing:
+            raise TypeError(f"{name} is missing the fields {', '.join(missing)}")
+        for field, value in zip(fields, (*args, *map(kwargs.__getitem__, rest))):
+            object.__setattr__(self, field, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

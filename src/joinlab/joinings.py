@@ -3,9 +3,14 @@
 A joining of factors (X_1, mu_1), ..., (X_n, mu_n) is a probability
 measure on the product whose single-coordinate marginals are the mu_i.
 Entries are stored flat in lexicographic tuple order.  The module also
-carries the two-way correspondence between joinings with an independent
-complement face and Markov operators, the predual push of a joining
-through a tuple of operators, and exact disintegration over a base.
+carries exact disintegration over a base and its inverse ``reassemble``,
+the predual push of a joining through a tuple of operators, and the
+pairing of Markov operators with joinings: an operator's kernel rows are
+the conditionals of the disintegration over the face complementary to
+the distinguished coordinate, and its joining is their ``reassemble``.
+A dependent complementary face raises ``disintegrate``'s
+``PreconditionError``; a distinguished marginal other than the factor's
+weights fails the operator's weighted column check (``InvalidInputError``).
 
 Every tensor is its integer form: Python-int numerators over one common
 denominator.  ``RawTensor`` holds that form with no axiom imposed, as a
@@ -185,15 +190,13 @@ class ProductMeasure(RawTensor):
         self._set_form(tuple(factors), *integer_form(entries), entries)
 
     @classmethod
-    def _from_form(cls, factors, numerators, denominator: int, entries=None):
+    def _from_form(cls, factors, numerators, denominator: int):
         """Measure with entries ``numerators[i] / denominator`` (a positive
         denominator), checked exactly as the constructor checks entries.
-        Without ``entries`` the form is divided by its gcd, so any common
-        denominator will do, and the entries are built from it when first
-        read; a caller that holds the entries already passes them with
-        their canonical form."""
+        The form is divided by its gcd, so any common denominator will do,
+        and the entries are built from it when first read."""
         obj = object.__new__(cls)
-        obj._set_form(tuple(factors), numerators, denominator, entries)
+        obj._set_form(tuple(factors), numerators, denominator)
         return obj
 
     def _set_form(self, factors, numerators, denominator, entries=None) -> None:
@@ -498,24 +501,19 @@ def operator_from_joining(v: ProductMeasure, distinguished: int) -> MarkovOperat
 
         <P f, g>_{L2(rest)} = integral of f (x) g  d v,
 
-    i.e. kernel[rest-tuple][y] = v(y at distinguished, rest-tuple) divided by
-    the product weight of the rest-tuple.  Row-stochasticity of the result is
-    exactly independence of the complementary face; tensors without it are
-    rejected by the MarkovOperator invariants."""
+    i.e. kernel[rest-tuple] is the conditional of the distinguished
+    coordinate given the rest-tuple: ``disintegrate(v, rest)``, the
+    disintegration over the complementary face.  A dependent complementary
+    face raises its ``PreconditionError``; a distinguished marginal other
+    than the factor's weights fails the operator's weighted column check
+    (``InvalidInputError``)."""
     if v.order < 2:
         raise InvalidInputError("need at least two factors")
     if not 0 <= distinguished < v.order:
         raise InvalidInputError(f"distinguished coordinate {distinguished} out of range")
-    rest = tuple(c for c in range(v.order) if c != distinguished)
-    target = product_space([v.factors[c] for c in rest])
-    source = v.factors[distinguished]
-    shape, entries = v.shape, v.entries
-    sources = embedding_map(shape, (distinguished,))
-    kernel = tuple(
-        tuple(entries[r + s] / w_t for s in sources)
-        for r, w_t in zip(embedding_map(shape, rest), target.weights)
-    )
-    return MarkovOperator(source, target, kernel)
+    field = disintegrate(v, [c for c in range(v.order) if c != distinguished])
+    kernel = tuple(cond.entries for cond in field.assignment)
+    return MarkovOperator(v.factors[distinguished], product_space(field.base_spaces), kernel)
 
 
 def joining_from_operator(
@@ -524,10 +522,12 @@ def joining_from_operator(
     distinguished: int = 0,
 ) -> JoiningTensor:
     """Inverse of operator_from_joining: v(..., y, ...) with y at the
-    distinguished position equals weight_target(rest-tuple) * kernel[rest][y].
-
-    ``rest_factors`` names the factorisation of p's target (default: one
-    factor); the source factor is inserted at ``distinguished``."""
+    distinguished position equals weight_target(rest-tuple) * kernel[rest][y],
+    the ``reassemble`` over the complementary face of the field whose
+    conditionals are p's kernel rows.  ``rest_factors`` names the
+    factorisation of p's target (default: one factor) and the source factor
+    is inserted at ``distinguished``; factors that do not multiply to the
+    target or a position out of range raise ``InvalidInputError``."""
     if rest_factors is None:
         rest_factors = [p.target]
     rest_factors = tuple(rest_factors)
@@ -536,19 +536,9 @@ def joining_from_operator(
     order = len(rest_factors) + 1
     if not 0 <= distinguished < order:
         raise InvalidInputError(f"distinguished position {distinguished} out of range")
-    rest = tuple(c for c in range(order) if c != distinguished)
-    factors = [None] * order
-    factors[distinguished] = p.source
-    for c, sp in zip(rest, rest_factors):
-        factors[c] = sp
-    factors = tuple(factors)
-    shape = tuple(sp.atom_count for sp in factors)
-    sources = embedding_map(shape, (distinguished,))
-    entries = [Fraction(0)] * space_size(shape)
-    for r, w_t, row in zip(embedding_map(shape, rest), p.target.weights, p.kernel):
-        for s, k in zip(sources, row):
-            entries[r + s] = w_t * k
-    return JoiningTensor(factors, tuple(entries))
+    rows = tuple(ProductMeasure((p.source,), row) for row in p.kernel)
+    field = EquivariantField(rest_factors, (p.source,), rows)
+    return reassemble(field, [c for c in range(order) if c != distinguished])
 
 
 def push_joining(v: ProductMeasure, ops: Sequence[MarkovOperator]) -> JoiningTensor:
@@ -706,21 +696,14 @@ def disintegrate(v: ProductMeasure, base_coords: Sequence[int]) -> EquivariantFi
         raise PreconditionError(
             "marginal onto the base is not the independent product measure"
         )
-    nums, den = v.numerators, v.denominator
+    nums = v.numerators
     base_factors = tuple(v.factors[c] for c in base_coords)
     fiber_factors = tuple(v.factors[c] for c in fiber_coords)
-    weights, weight_den = product_form(base_factors)
     fibers = embedding_map(v.shape, fiber_coords)
-    conditionals = []
-    for b, w in zip(embedding_map(v.shape, base_coords), weights):
-        # v(b, f) / (w / weight_den) == nums[b + f] * weight_den / (den * w)
-        conditionals.append(
-            ProductMeasure(
-                fiber_factors,
-                tuple(Fraction(nums[b + f] * weight_den, den * w) for f in fibers),
-            )
-        )
-    return EquivariantField(base_factors, fiber_factors, tuple(conditionals))
+    # the conditional at base cell b is v's row at b over its positive mass
+    rows = ([nums[b + f] for f in fibers] for b in embedding_map(v.shape, base_coords))
+    conditionals = [ProductMeasure._from_form(fiber_factors, row, sum(row)) for row in rows]
+    return EquivariantField(base_factors, fiber_factors, conditionals)
 
 
 def reassemble(field: EquivariantField, base_coords: Sequence[int]) -> JoiningTensor:

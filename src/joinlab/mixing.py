@@ -87,16 +87,6 @@ class SweepResult(Value):
 
     __slots__ = _fields = ("max_deviation", "argmax_offsets", "product_value")
 
-    def __init__(
-        self,
-        max_deviation: Fraction,
-        argmax_offsets: tuple[int, ...],
-        product_value: Fraction,
-    ):
-        object.__setattr__(self, "max_deviation", max_deviation)
-        object.__setattr__(self, "argmax_offsets", argmax_offsets)
-        object.__setattr__(self, "product_value", product_value)
-
 
 def mixing_deviation_sweep(t: Automorphism, sets: Sequence[MeasurableSet], k_range: int) -> Fraction:
     """max over offset vectors in {1..k_range}^n of

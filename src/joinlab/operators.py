@@ -151,11 +151,6 @@ class ClosureProbe(Value):
 
     __slots__ = _fields = ("best_k", "best_eps", "best_distance")
 
-    def __init__(self, best_k: int, best_eps: Fraction, best_distance: Fraction):
-        object.__setattr__(self, "best_k", best_k)
-        object.__setattr__(self, "best_eps", best_eps)
-        object.__setattr__(self, "best_distance", best_distance)
-
 
 def weak_closure_probe(
     s: Automorphism,

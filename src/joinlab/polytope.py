@@ -92,13 +92,6 @@ class PolytopeSpec(Value):
 class LpOutcome(Value):
     __slots__ = _fields = ("status", "optimum", "witness")
 
-    def __init__(
-        self, status: str, optimum: Fraction | None, witness: JoiningTensor | None
-    ):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "optimum", optimum)
-        object.__setattr__(self, "witness", witness)
-
 
 class TrivialityCertificate(Value):
     """trivial=True: the polytope is exactly {product measure}.  Otherwise
@@ -106,13 +99,6 @@ class TrivialityCertificate(Value):
     product measure."""
 
     __slots__ = _fields = ("trivial", "max_deviation", "witness")
-
-    def __init__(
-        self, trivial: bool, max_deviation: Fraction, witness: JoiningTensor | None
-    ):
-        object.__setattr__(self, "trivial", trivial)
-        object.__setattr__(self, "max_deviation", max_deviation)
-        object.__setattr__(self, "witness", witness)
 
 
 class _Reduction(Value):
@@ -123,18 +109,6 @@ class _Reduction(Value):
     orbit's tuples fall in the cell."""
 
     __slots__ = _fields = ("orbit", "count", "rows", "rhs")
-
-    def __init__(
-        self,
-        orbit: tuple[int, ...],
-        count: int,
-        rows: list[list[int]],
-        rhs: list[Fraction],
-    ):
-        object.__setattr__(self, "orbit", orbit)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "rhs", rhs)
 
 
 def _reduce(spec: PolytopeSpec) -> _Reduction:

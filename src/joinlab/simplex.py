@@ -41,13 +41,6 @@ class LpSolution(Value):
 
     __slots__ = _fields = ("status", "value", "solution")
 
-    def __init__(
-        self, status: str, value: Fraction | None, solution: tuple[Fraction, ...] | None
-    ):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "solution", solution)
-
 
 def _integer_row(values) -> tuple[list[int], int]:
     """The rational vector ``values`` as integers over the lcm of its

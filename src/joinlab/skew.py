@@ -115,7 +115,7 @@ def cocycle_product(r: SkewProduct, x: int, p: int) -> Automorphism:
     steps; for p >= L it returns C(x, r) o C(x, L)^q with p = qL + r, the
     power by repeated squaring, so the cost is O(L + log q) compositions
     whatever the size of p."""
-    if isinstance(x, bool) or not 0 <= x < r.base.atom_count:
+    if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < r.base.atom_count:
         raise InvalidInputError(f"base atom {x} out of range")
     if not isinstance(p, int) or isinstance(p, bool) or p < 0:
         raise InvalidInputError(f"p must be a nonnegative int, got {p!r}")

@@ -50,13 +50,15 @@ class Z2kContext(Value):
         return 2**self.k
 
     def bits(self, atom: int) -> tuple[int, ...]:
-        if not 0 <= atom < self.group_order:
+        if not isinstance(atom, int) or isinstance(atom, bool) or not 0 <= atom < 2**self.k:
             raise InvalidInputError(f"atom {atom} outside the group")
         return tuple((atom >> (self.k - 1 - i)) & 1 for i in range(self.k))
 
     def atom(self, bits: Sequence[int]) -> int:
         bits = tuple(bits)
-        if len(bits) != self.k or any(b not in (0, 1) for b in bits):
+        if len(bits) != self.k or any(
+            not isinstance(b, int) or isinstance(b, bool) or b not in (0, 1) for b in bits
+        ):
             raise InvalidInputError(f"need {self.k} bits, got {bits}")
         out = 0
         for b in bits:

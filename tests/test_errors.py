@@ -1,6 +1,7 @@
 """``errors.naming``: the one helper that prefixes an input error with the
-input that caused it; and the integer parameters of the library, each of
-which refuses a bool with its own message."""
+input that caused it; the integer parameters of the library, each of
+which refuses a bool with its own message; and the constructor that the
+result records take from ``errors.Value``."""
 
 from fractions import Fraction
 
@@ -33,6 +34,10 @@ from joinlab.errors import (
     ResourceLimitError,
     naming,
 )
+from joinlab.mixing import SweepResult
+from joinlab.operators import ClosureProbe
+from joinlab.polytope import LpOutcome, TrivialityCertificate, _Reduction
+from joinlab.simplex import LpSolution
 
 
 @pytest.mark.parametrize(
@@ -118,6 +123,9 @@ def _bool_cases():
         "fourier_joining order": (
             lambda b: fourier_joining(Z2kContext(1), b, {}),
             "order must be a positive int, got {!r}"),
+        "Z2kContext.bits atom": (Z2kContext(1).bits, "atom {} outside the group"),
+        "Z2kContext.atom bits": (
+            lambda b: Z2kContext(1).atom((b,)), "need 1 bits, got ({!r},)"),
     }
 
 
@@ -132,3 +140,43 @@ def test_integer_parameters_refuse_bools(name, flag):
     with pytest.raises(InvalidInputError) as err:
         call(flag)
     assert str(err.value) == message.format(flag)
+
+
+@pytest.mark.parametrize(
+    "name", ["cocycle_product x", "Z2kContext.bits atom", "Z2kContext.atom bits"]
+)
+def test_atoms_refuse_non_ints(name):
+    # a float equal to an atom is refused as any other bad atom is, before
+    # it reaches index arithmetic
+    call, message = BOOL_CASES[name]
+    with pytest.raises(InvalidInputError) as err:
+        call(1.0)
+    assert str(err.value) == message.format(1.0)
+
+
+RECORDS = [
+    (LpSolution, ("optimal", Fraction(1, 2), ())),
+    (LpOutcome, ("infeasible", None, None)),
+    (TrivialityCertificate, (True, Fraction(0), None)),
+    (_Reduction, ((0,), 1, [], [])),
+    (SweepResult, (Fraction(0), (1,), Fraction(1, 4))),
+    (ClosureProbe, (1, Fraction(1, 2), Fraction(0))),
+]
+
+
+@pytest.mark.parametrize("cls, args", RECORDS, ids=[c.__name__ for c, _ in RECORDS])
+def test_records_refuse_missing_and_unknown_fields(cls, args):
+    # the records take their constructor from errors.Value
+    name, fields = cls.__qualname__, cls._fields
+    assert "__init__" not in vars(cls)
+    with pytest.raises(TypeError, match=f"^{name} is missing the fields {fields[-1]}$"):
+        cls(*args[:-1])
+    with pytest.raises(TypeError, match=f"^{name} is missing the fields {fields[0]}$"):
+        cls(**dict(zip(fields[1:], args[1:])))
+    with pytest.raises(TypeError, match=f"^{name} got unknown or repeated fields extra$"):
+        cls(*args, extra=1)
+    with pytest.raises(TypeError, match=f"^{name} got unknown or repeated fields {fields[0]}$"):
+        cls(*args[:1], **dict(zip(fields, args)))
+    n = len(fields)
+    with pytest.raises(TypeError, match=f"^{name} takes {n} fields, got {n + 1}$"):
+        cls(*args, None)

@@ -313,6 +313,9 @@ ERROR_CASES = {
         (*AVERAGE, "--fiber-set-a", "low", "--fiber-set-b", "top", "--horizon", "2"), {}),
     "cocycle_fiber_set_b_on_base": (
         (*AVERAGE, "--fiber-set-a", "top", "--fiber-set-b", "low", "--horizon", "2"), {}),
+    "cocycle_stat_ignored_flags": (
+        (*FRACTION, "--eps", "2/1", "--set", "low", "--horizon", "4", "--n-param", "9",
+         "--fiber-set-a", "nope"), {}),
     "polytope_order_one": ((*K1_FLIP, "--order", "1", "--independence", "1"), {}),
     "polytope_order_past_cap": ((*K1_FLIP, "--order", "5", "--independence", "1"), {}),
     "polytope_independence_order": ((*K1_FLIP, "--order", "3", "--independence", "3"), {}),

@@ -32,6 +32,7 @@ from joinlab import (
     reassemble,
     sup_distance,
 )
+from joinlab import joinings
 
 from conftest import (
     northwest_coupling,
@@ -189,6 +190,35 @@ def test_round_trip_operator_joining():
         assert joining_from_operator(
             operator_from_joining(v, distinguished), rest, distinguished
         ) == v
+
+
+def test_operator_from_joining_checks_the_complement_then_the_marginal():
+    # the complementary face is dependent: disintegration over it refuses
+    diagonal = ProductMeasure((U2, U2, U2), (HALF, 0, 0, 0, 0, 0, 0, HALF))
+    for v in (diagonal, ProductMeasure((U2, U2), (HALF, 0, HALF, 0))):
+        with pytest.raises(PreconditionError, match="marginal onto the base"):
+            operator_from_joining(v, 0)
+    # the complement is independent but the distinguished marginal is not
+    # the factor's weights: the operator's weighted column check refuses
+    lopsided = ProductMeasure((U2, U2), (HALF, HALF, 0, 0))
+    with pytest.raises(InvalidInputError, match=r"^weighted column 0 is 1, expected 1/2;"):
+        operator_from_joining(lopsided, 0)
+
+
+def test_conversions_go_through_disintegrate_and_reassemble(monkeypatch):
+    calls = []
+    for name in ("disintegrate", "reassemble"):
+        real = getattr(joinings, name)
+        monkeypatch.setattr(
+            joinings, name,
+            lambda *args, real=real, name=name: calls.append(name) or real(*args),
+        )
+    sp = FiniteSpace((Fraction(1, 3), Fraction(2, 3)))
+    v = product_joining([U2, sp, U2])
+    op = operator_from_joining(v, 1)
+    assert calls == ["disintegrate"]
+    assert joining_from_operator(op, [U2, U2], 1) == v
+    assert calls == ["disintegrate", "reassemble"]
 
 
 def test_push_by_koopman_is_inverse_image():
