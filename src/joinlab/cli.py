@@ -7,6 +7,12 @@ byte-identical output; wall-clock time goes to stderr only.
 
 Exit codes: 0 success, 1 a verification failed, 2 invalid input,
 3 internal error (a failed internal cross-check).
+
+Each input is checked once, by the library function that reads it.  A
+handler wraps its library call in ``naming`` with a mapping from the
+``param`` of each check to the flag that supplied it, so the exit-2
+message names the flag; a handler checks only what no library function
+reads, such as the flags a ``--stat`` takes.
 """
 
 from __future__ import annotations
@@ -32,12 +38,8 @@ from .joinings import (
     face_independence_defect,
     marginal_defect,
 )
-from .mixing import (
-    OffsetVector,
-    correlation,
-    mixing_deviation_sweep_detail,
-)
-from .polytope import ORDER_CAP, PolytopeSpec, certify_triviality, optimize
+from .mixing import correlation, mixing_deviation_sweep_detail
+from .polytope import PolytopeSpec, certify_triviality, optimize
 from .rationals import parse_rational
 from .report import input_digest, render_report
 from .serialize import (
@@ -85,7 +87,7 @@ def _name_list(text: str) -> list[str]:
 
 
 def _cmd_eta(args):
-    with naming("--k"):
+    with naming({"k": "--k"}):
         ctx = Z2kContext(args.k)
     v = triple_sum_joining(ctx)
     action = full_action(ctx)
@@ -108,14 +110,6 @@ def _cmd_eta(args):
     return payload, (passed if args.verify else True), b""
 
 
-def _check(flag: str, ok: bool, message: str) -> None:
-    """Refuse the value of ``flag`` with ``message`` unless ``ok``; run before
-    the computation, whose own checks cannot tell which flag is at fault."""
-    if not ok:
-        with naming(flag):
-            raise InvalidInputError(message)
-
-
 def _lookup(cfg, section: str, flag: str, name: str):
     """``cfg.lookup(section, name)``, an unknown name refused under ``flag``."""
     with naming(flag):
@@ -125,12 +119,8 @@ def _lookup(cfg, section: str, flag: str, name: str):
 def _cmd_polytope(args):
     cfg, blob = _load_config(args.config)
     action = _lookup(cfg, "actions", "--action", args.action)
-    order, m = args.order, args.independence
-    _check("--order", 2 <= order <= ORDER_CAP,
-           f"order must be an int in 2..{ORDER_CAP}, got {order}")
-    _check("--independence", 1 <= m < order,
-           f"independence must satisfy 1 <= m < {order}, got {m}")
-    spec = PolytopeSpec(action, order, m)
+    with naming({"order": "--order", "independence": "--independence"}):
+        spec = PolytopeSpec(action, args.order, args.independence)
     payload = {
         "command": "polytope",
         "action": args.action,
@@ -199,10 +189,8 @@ def _cmd_cocycle(args):
     if args.stat == "rigidity":
         a = _lookup(cfg, "sets", "--set", args.set)
         seq = _lookup(cfg, "sequences", "--sequence", args.sequence)
-        _check("--set", a.space == r.base, "set must live on the base")
-        _check("--n-param", args.n_param >= 1,
-               f"n_param must be a positive int, got {args.n_param}")
-        stats = _rigidity_walk(r, a, args.n_param, seq.times)
+        with naming({"set": "--set", "n_param": "--n-param"}):
+            stats = _rigidity_walk(r, a, args.n_param, seq.times)
         values = [[p, x] for p, x in zip(seq.times, stats)]
         payload.update(
             {"set": args.set, "sequence": args.sequence, "n_param": args.n_param,
@@ -211,19 +199,15 @@ def _cmd_cocycle(args):
     elif args.stat == "fraction":
         with naming("--eps"):
             eps = parse_rational(args.eps)
-            if eps <= 0:
-                raise InvalidInputError(f"eps must be positive, got {eps}")
         seq = _lookup(cfg, "sequences", "--sequence", args.sequence)
-        values = [[p, relative_mixing_fraction(r, p, eps)] for p in seq.times]
+        with naming({"eps": "--eps"}):
+            values = [[p, relative_mixing_fraction(r, p, eps)] for p in seq.times]
         payload.update({"sequence": args.sequence, "eps": eps, "values": values})
     else:
         a = _lookup(cfg, "sets", "--fiber-set-a", args.fiber_set_a)
         b = _lookup(cfg, "sets", "--fiber-set-b", args.fiber_set_b)
-        _check("--fiber-set-a", a.space == r.fiber, "sets must live on the fiber")
-        _check("--fiber-set-b", b.space == r.fiber, "sets must live on the fiber")
-        _check("--horizon", args.horizon >= 1,
-               f"horizon must be a positive int, got {args.horizon}")
-        value = relative_weak_mixing_average(r, a, b, args.horizon)
+        with naming({"a": "--fiber-set-a", "b": "--fiber-set-b", "horizon": "--horizon"}):
+            value = relative_weak_mixing_average(r, a, b, args.horizon)
         payload.update(
             {
                 "set_a": args.fiber_set_a,
@@ -243,33 +227,27 @@ def _cmd_mixing(args):
         if len(set_names) < 2:
             raise InvalidInputError("need at least two set names")
     sets = [_lookup(cfg, "sets", "--sets", name) for name in set_names]
-    # checked before the sweep, whose errors are named after --sweep
-    _check("--sets", all(a.space == t.space for a in sets),
-           "all sets must live on the automorphism's space")
     payload = {
         "command": "mixing",
         "automorphism": args.automorphism,
         "sets": set_names,
     }
     if args.offsets is not None:
-        with naming("--offsets"):
-            k = OffsetVector(_int_list(args.offsets))
-        _check("--offsets", len(sets) == len(k.offsets) + 1,
-               f"need {len(k.offsets) + 1} sets for {len(k.offsets)} offsets, "
-               f"got {len(sets)}")
-        value = correlation(t, sets, k)
+        with naming({"sets": "--sets", None: "--offsets"}):
+            offsets = _int_list(args.offsets)
+            value = correlation(t, sets, offsets)
         product_value = math.prod((a.measure for a in sets), start=Fraction(1))
         payload.update(
             {
                 "mode": "correlation",
-                "offsets": list(k.offsets),
+                "offsets": list(offsets),
                 "value": value,
                 "product_value": product_value,
                 "deviation": abs(value - product_value),
             }
         )
     else:
-        with naming("--sweep"):
+        with naming({"sets": "--sets", None: "--sweep"}):
             try:
                 detail = mixing_deviation_sweep_detail(t, sets, args.sweep)
             except ResourceLimitError as exc:
@@ -290,7 +268,8 @@ def _cmd_sample(args):
     cfg, blob = _load_config(args.config)
     s = _lookup(cfg, "automorphisms", "--base", args.base)
     fiber = _lookup(cfg, "spaces", "--fiber", args.fiber)
-    r = sample_random_extension(s, fiber, args.seed, args.mode)
+    with naming({"seed": "--seed", "mode": "--mode"}):
+        r = sample_random_extension(s, fiber, args.seed, args.mode)
     payload = {
         "command": "sample",
         "base": args.base,

@@ -169,10 +169,7 @@ def parse_config(data, origin: str = "config") -> Config:
             raise InvalidInputError(f"{path}: give exactly one of uniform, weights")
         if "uniform" in raw:
             with naming(f"{path}.uniform"):
-                n = raw["uniform"]
-                if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-                    raise InvalidInputError(f"expected a positive int, got {n!r}")
-                spaces[name] = FiniteSpace.uniform(n)
+                spaces[name] = FiniteSpace.uniform(raw["uniform"])
         else:
             spaces[name] = _parse_weights(raw["weights"], f"{path}.weights")
 

@@ -8,7 +8,10 @@ input.
 
 Every input error names the input that caused it: a field path such as
 ``spaces.<name>.weights[0]`` or ``<file>.nonzero[3]``, or a command line
-flag.  ``naming`` is the one place that adds that name to a message.
+flag.  ``naming`` is the one place that adds that name to a message.  A
+library check made through ``check`` or ``require_int`` stores ``param``,
+the input at fault, on its error, so ``naming`` can map it to the flag
+that supplied it and the CLI repeats no library check.
 
 ``Value`` is the base of the immutable value classes (spaces, maps,
 measures, results); it lives here because every module imports this one.
@@ -16,7 +19,9 @@ measures, results); it lives here because every module imports this one.
 
 
 class JoinlabError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; ``check`` sets ``param``."""
+
+    param = None
 
 
 class InvalidInputError(JoinlabError):
@@ -38,24 +43,52 @@ class JoinlabInternalError(JoinlabError):
 _INPUT_ERRORS = (InvalidInputError, PreconditionError, ResourceLimitError)
 
 
+def check(ok, param: str, message: str) -> None:
+    """Raise ``InvalidInputError(message)`` with ``param``, the name of the
+    input at fault, stored on it, unless ``ok``."""
+    if not ok:
+        exc = InvalidInputError(message)
+        exc.param = param
+        raise exc
+
+
+_INT_RANGES = {None: "an int", 0: "a nonnegative int", 1: "a positive int"}
+
+
+def require_int(value, param: str, low: int | None = None, high: int | None = None) -> None:
+    """``check`` that ``value`` is an int, never a bool, in ``low..high``: "{param}
+    must be an int / a nonnegative int / a positive int / an int in low..high"."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or low is not None and value < low or high is not None and value > high):
+        what = _INT_RANGES[low] if high is None else f"an int in {low}..{high}"
+        check(False, param, f"{param} must be {what}, got {value!r}")
+
+
 class naming:
     """Context manager that re-raises an input error from inside it as the
-    same kind, with the message ``field: message``.  Internal errors pass
-    through unchanged.  A class rather than a generator, as it wraps every
-    entry of the decode loops."""
+    same kind, with the message ``field: message``.  ``field`` is a name,
+    or a mapping from the ``param`` an error carries to a name, whose key
+    ``None`` covers every other input error; an error that the mapping
+    does not name passes unchanged, as do internal errors.  A class rather
+    than a generator, as it wraps every entry of the decode loops."""
 
     __slots__ = ("field",)
 
-    def __init__(self, field: str):
+    def __init__(self, field: str | dict):
         self.field = field
 
     def __enter__(self):
         return self
 
     def __exit__(self, kind, exc, tb):
-        if kind is not None and issubclass(kind, _INPUT_ERRORS):
-            raise kind(f"{self.field}: {exc}") from exc
-        return False
+        if kind is None or not issubclass(kind, _INPUT_ERRORS):
+            return False
+        field = self.field
+        if not isinstance(field, str):
+            field = field.get(exc.param, field.get(None))
+            if field is None:
+                return False
+        raise kind(f"{field}: {exc}") from exc
 
 
 class Value:

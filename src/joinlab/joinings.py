@@ -66,7 +66,7 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import mul, sub
 
-from .errors import InvalidInputError, PreconditionError, Value
+from .errors import InvalidInputError, PreconditionError, Value, check, require_int
 from .operators import MarkovOperator
 from .rationals import as_fraction, show
 from .spaces import (
@@ -427,17 +427,34 @@ def product_joining(factors: Sequence[FiniteSpace]) -> JoiningTensor:
     return JoiningTensor._decoded(factors, tuple(nums), den)
 
 
+def _coords(coords, order: int, name: str, count: int | None = None) -> tuple[int, ...]:
+    """``coords`` as a tuple, refused under ``name`` unless they are ints, never
+    bools, strictly increasing, nonempty (``count`` of them) and in range."""
+    coords = tuple(coords)
+    ok = coords and all(isinstance(c, int) and not isinstance(c, bool) for c in coords)
+    ok = ok and list(coords) == sorted(set(coords))
+    if count is None:
+        check(ok, name, f"{name} must be nonempty strictly increasing, got {coords}")
+    else:
+        check(ok and len(coords) == count, name, f"need {count} strictly increasing {name}")
+    check(coords[0] >= 0 and coords[-1] < order, name, f"{name} {coords} outside 0..{order - 1}")
+    return coords
+
+
+def _position(position, order: int, what: str) -> None:
+    """Refuse a ``position`` other than an int, never a bool, in 0..order - 1."""
+    check(isinstance(position, int) and not isinstance(position, bool)
+          and 0 <= position < order, "distinguished",
+          f"distinguished {what} {position} out of range")
+
+
 def marginal(v: ProductMeasure, coords: Sequence[int]) -> ProductMeasure:
     """Marginal onto the listed coordinates (strictly increasing order).
 
     Returns a JoiningTensor when called on one, since marginals of a joining
     are joinings of the selected factors.
     """
-    coords = tuple(coords)
-    if not coords or list(coords) != sorted(set(coords)):
-        raise InvalidInputError(f"coords must be nonempty strictly increasing, got {coords}")
-    if coords[0] < 0 or coords[-1] >= v.order:
-        raise InvalidInputError(f"coords {coords} outside 0..{v.order - 1}")
+    coords = _coords(coords, v.order, "coords")
     sums = _axis_sums(v, coords)
     factors = tuple(v.factors[c] for c in coords)
     cls = JoiningTensor if isinstance(v, JoiningTensor) else ProductMeasure
@@ -489,8 +506,7 @@ def has_standard_projections(v: ProductMeasure, distinguished: int) -> bool:
     the product of the others."""
     if v.order < 2:
         raise InvalidInputError("need at least two factors")
-    if not 0 <= distinguished < v.order:
-        raise InvalidInputError(f"distinguished coordinate {distinguished} out of range")
+    _position(distinguished, v.order, "coordinate")
     faces = ((distinguished,), tuple(c for c in range(v.order) if c != distinguished))
     return not any(_face_gaps(v, faces))
 
@@ -509,8 +525,7 @@ def operator_from_joining(v: ProductMeasure, distinguished: int) -> MarkovOperat
     (``InvalidInputError``)."""
     if v.order < 2:
         raise InvalidInputError("need at least two factors")
-    if not 0 <= distinguished < v.order:
-        raise InvalidInputError(f"distinguished coordinate {distinguished} out of range")
+    _position(distinguished, v.order, "coordinate")
     field = disintegrate(v, [c for c in range(v.order) if c != distinguished])
     kernel = tuple(cond.entries for cond in field.assignment)
     return MarkovOperator(v.factors[distinguished], product_space(field.base_spaces), kernel)
@@ -534,8 +549,7 @@ def joining_from_operator(
     if product_space(rest_factors) != p.target:
         raise InvalidInputError("rest_factors do not multiply to the operator's target")
     order = len(rest_factors) + 1
-    if not 0 <= distinguished < order:
-        raise InvalidInputError(f"distinguished position {distinguished} out of range")
+    _position(distinguished, order, "position")
     rows = tuple(ProductMeasure((p.source,), row) for row in p.kernel)
     field = EquivariantField(rest_factors, (p.source,), rows)
     return reassemble(field, [c for c in range(order) if c != distinguished])
@@ -621,8 +635,7 @@ def product_convergence_trace(
     as a diagnostic on arbitrary tensors."""
     if v.order < 2:
         raise InvalidInputError("need at least two factors")
-    if not isinstance(j_max, int) or isinstance(j_max, bool) or j_max < 1:
-        raise InvalidInputError(f"j_max must be a positive int, got {j_max!r}")
+    require_int(j_max, "j_max", 1)
     if require_standard and not has_standard_projections(v, 0):
         raise PreconditionError(
             "tensor lacks an independent complement face at coordinate 0"
@@ -682,13 +695,7 @@ def disintegrate(v: ProductMeasure, base_coords: Sequence[int]) -> EquivariantFi
     Requires that marginal to be the independent product of the base factors,
     so every base tuple has positive mass and conditioning is plain division.
     """
-    base_coords = tuple(base_coords)
-    if not base_coords or list(base_coords) != sorted(set(base_coords)):
-        raise InvalidInputError(
-            f"base coords must be nonempty strictly increasing, got {base_coords}"
-        )
-    if base_coords[0] < 0 or base_coords[-1] >= v.order:
-        raise InvalidInputError(f"base coords {base_coords} outside 0..{v.order - 1}")
+    base_coords = _coords(base_coords, v.order, "base coords")
     fiber_coords = tuple(c for c in range(v.order) if c not in base_coords)
     if not fiber_coords:
         raise InvalidInputError("at least one fiber coordinate is required")
@@ -709,13 +716,9 @@ def disintegrate(v: ProductMeasure, base_coords: Sequence[int]) -> EquivariantFi
 def reassemble(field: EquivariantField, base_coords: Sequence[int]) -> JoiningTensor:
     """Rebuild the joining whose disintegration over ``base_coords`` is the
     field, with base factors at those positions: v = mu_base x conditional."""
-    base_coords = tuple(base_coords)
-    m, f = len(field.base_spaces), len(field.fiber_spaces)
-    order = m + f
-    if list(base_coords) != sorted(set(base_coords)) or len(base_coords) != m:
-        raise InvalidInputError(f"need {m} strictly increasing base coords")
-    if base_coords[0] < 0 or base_coords[-1] >= order:
-        raise InvalidInputError(f"base coords {base_coords} outside 0..{order - 1}")
+    m = len(field.base_spaces)
+    order = m + len(field.fiber_spaces)
+    base_coords = _coords(base_coords, order, "base coords", m)
     fiber_coords = tuple(c for c in range(order) if c not in base_coords)
     factors = [None] * order
     for c, sp in zip(base_coords, field.base_spaces):

@@ -12,7 +12,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .errors import InvalidInputError, ResourceLimitError, Value
+from .errors import InvalidInputError, ResourceLimitError, Value, check, require_int
 from .joinings import JoiningTensor
 from .rationals import as_fraction
 from .skew import SkewProduct, as_automorphism
@@ -55,6 +55,11 @@ def _as_offsets(k) -> OffsetVector:
     return k if isinstance(k, OffsetVector) else OffsetVector(tuple(k))
 
 
+def _check_sets(t: Automorphism, sets: Sequence[MeasurableSet]) -> None:
+    check(all(a.space == t.space for a in sets), "sets",
+          "all sets must live on the automorphism's space")
+
+
 def _meet(t: Automorphism, atom_sets: Sequence, k: OffsetVector) -> set[int]:
     """A_0 ^ t^{K_1} A_1 ^ ... ^ t^{K_n} A_n for atom sets A_i, with
     K_i = k_1 + ... + k_i; the walk stops once the meet is empty."""
@@ -70,14 +75,10 @@ def _meet(t: Automorphism, atom_sets: Sequence, k: OffsetVector) -> set[int]:
 def correlation(t: Automorphism, sets: Sequence[MeasurableSet], k) -> Fraction:
     """mu(A_0 ^ S^{K_1} A_1 ^ ... ^ S^{K_n} A_n), K_i = k_1 + ... + k_i,
     where S^K A is the image of A under the K-th power."""
+    _check_sets(t, sets)
     k = _as_offsets(k)
-    if len(sets) != len(k) + 1:
-        raise InvalidInputError(
-            f"need {len(k) + 1} sets for {len(k)} offsets, got {len(sets)}"
-        )
-    for a in sets:
-        if a.space != t.space:
-            raise InvalidInputError("all sets must live on the automorphism's space")
+    check(len(sets) == len(k) + 1, "k",
+          f"need {len(k) + 1} sets for {len(k)} offsets, got {len(sets)}")
     return t.space.mass(_meet(t, [a.atoms for a in sets], k))
 
 
@@ -111,10 +112,9 @@ def mixing_deviation_sweep_detail(
     computed once, at most ``order`` of them per set, so a grid point costs
     at most one set intersection per offset, and its deviation from the
     product value is compared in integers."""
-    if not isinstance(k_range, int) or isinstance(k_range, bool) or k_range < 1:
-        raise InvalidInputError(f"k_range must be a positive int, got {k_range!r}")
-    if len(sets) < 2:
-        raise InvalidInputError("need at least two sets")
+    check(len(sets) >= 2, "sets", "need at least two sets")
+    _check_sets(t, sets)
+    require_int(k_range, "k_range", 1)
     target = math.prod((a.measure for a in sets), start=Fraction(1))
     n = len(sets) - 1
     order = t.order()
@@ -129,9 +129,6 @@ def mixing_deviation_sweep_detail(
             f"work of {points} points on {atoms} atoms exceeds the cap of "
             f"{SIZE_CAP} point-atom steps"
         ) from None
-    for a in sets:
-        if a.space != t.space:
-            raise InvalidInputError("all sets must live on the automorphism's space")
     # K_i = i + m with m the sum of the first i zero-based grid coordinates,
     # 0 <= m <= i (side - 1); images[i - 1][m] = t^(i + m) A_i, m mod order
     perm = t.perm
@@ -219,13 +216,10 @@ def relative_mixing_deviation(
     The squared distance is returned because it is always rational; the
     distance itself generally is not."""
     k = _as_offsets(k)
-    if len(horizontal_sets) != len(k) + 1:
-        raise InvalidInputError(
-            f"need {len(k) + 1} sets for {len(k)} offsets, got {len(horizontal_sets)}"
-        )
-    for b in horizontal_sets:
-        if b.space != r.fiber:
-            raise InvalidInputError("horizontal sets must live on the fiber")
+    check(len(horizontal_sets) == len(k) + 1, "k",
+          f"need {len(k) + 1} sets for {len(k)} offsets, got {len(horizontal_sets)}")
+    check(all(b.space == r.fiber for b in horizontal_sets), "horizontal_sets",
+          "horizontal sets must live on the fiber")
     lifts = [_lift_horizontal(r, b) for b in horizontal_sets]
     running = _meet(as_automorphism(r), lifts, k)
     target = math.prod((b.measure for b in horizontal_sets), start=Fraction(1))
@@ -248,16 +242,12 @@ def mixed_set_correlation(
     horizontal (the base times a fiber set)."""
     k = _as_offsets(k)
     m = len(k)
-    if len(vertical_sets) != m + 1 or len(horizontal_sets) != m:
-        raise InvalidInputError(
-            f"need {m + 1} vertical and {m} horizontal sets for {m} offsets"
-        )
-    for a in vertical_sets:
-        if a.space != r.base:
-            raise InvalidInputError("vertical sets must live on the base")
-    for b in horizontal_sets:
-        if b.space != r.fiber:
-            raise InvalidInputError("horizontal sets must live on the fiber")
+    check(len(vertical_sets) == m + 1 and len(horizontal_sets) == m, "k",
+          f"need {m + 1} vertical and {m} horizontal sets for {m} offsets")
+    check(all(a.space == r.base for a in vertical_sets), "vertical_sets",
+          "vertical sets must live on the base")
+    check(all(b.space == r.fiber for b in horizontal_sets), "horizontal_sets",
+          "horizontal sets must live on the fiber")
     big = as_automorphism(r)
     cells = [_lift_vertical(r, vertical_sets[0])] + [
         _lift_vertical(r, a) & _lift_horizontal(r, b)

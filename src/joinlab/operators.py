@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .errors import InvalidInputError, Value
+from .errors import InvalidInputError, Value, require_int
 from .rationals import as_fraction, show
 from .spaces import Automorphism, FiniteSpace, compose, space_size
 
@@ -106,8 +106,7 @@ def operator_power(p: MarkovOperator, k: int) -> MarkovOperator:
     """k-th power of a square operator, k >= 0."""
     if p.source != p.target:
         raise InvalidInputError("only square operators have powers")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise InvalidInputError(f"power must be a nonnegative int, got {k!r}")
+    require_int(k, "power", 0)
     result = identity_operator(p.source)
     base = p
     while k:
@@ -164,8 +163,7 @@ def weak_closure_probe(
     the segment joining the identity to the averaging operator, the segment
     along which weak limits of rigid-yet-mixing behaviour live.
     """
-    if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 1:
-        raise InvalidInputError(f"k_max must be a positive int, got {k_max!r}")
+    require_int(k_max, "k_max", 1)
     grid = sorted({as_fraction(e) for e in eps_grid})
     if not grid:
         raise InvalidInputError("eps grid must be nonempty")

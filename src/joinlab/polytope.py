@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
-from .errors import InvalidInputError, JoinlabInternalError, Value
+from .errors import InvalidInputError, JoinlabInternalError, Value, check, require_int
 from .joinings import (
     JoiningTensor,
     diagonal_invariance_defect,
@@ -63,18 +63,10 @@ class PolytopeSpec(Value):
     __slots__ = _fields = ("action", "order", "independence")
 
     def __init__(self, action: ActionGenerators, order: int, independence: int):
-        if not isinstance(order, int) or not 2 <= order <= ORDER_CAP:
-            raise InvalidInputError(
-                f"order must be an int in 2..{ORDER_CAP}, got {order!r}"
-            )
-        if (
-            not isinstance(independence, int)
-            or isinstance(independence, bool)
-            or not 1 <= independence < order
-        ):
-            raise InvalidInputError(
-                f"independence must satisfy 1 <= m < {order}, got {independence!r}"
-            )
+        require_int(order, "order", 2, ORDER_CAP)
+        check(isinstance(independence, int) and not isinstance(independence, bool)
+              and 1 <= independence < order, "independence",
+              f"independence must satisfy 1 <= m < {order}, got {independence!r}")
         object.__setattr__(self, "action", action)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "independence", independence)

@@ -33,6 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InvalidInputError, JoinlabError, Value
+from .rationals import as_fraction
 
 
 class LpSolution(Value):
@@ -44,8 +45,9 @@ class LpSolution(Value):
 
 def _integer_row(values) -> tuple[list[int], int]:
     """The rational vector ``values`` as integers over the lcm of its
-    denominators, and that lcm."""
-    fracs = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in values]
+    denominators, and that lcm; an entry ``as_fraction`` refuses, a float
+    or a bool among them, raises ``InvalidInputError``."""
+    fracs = [x if type(x) is int or type(x) is Fraction else as_fraction(x) for x in values]
     den = lcm(*(f.denominator for f in fracs))
     return [f.numerator * (den // f.denominator) for f in fracs], den
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import compress, islice, repeat
 from operator import add, lt, mul, ne, sub
 
-from .errors import InvalidInputError, PreconditionError, Value
+from .errors import InvalidInputError, PreconditionError, Value, check, require_int
 from .rationals import as_fraction
 from .spaces import (
     Automorphism,
@@ -117,8 +117,7 @@ def cocycle_product(r: SkewProduct, x: int, p: int) -> Automorphism:
     whatever the size of p."""
     if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < r.base.atom_count:
         raise InvalidInputError(f"base atom {x} out of range")
-    if not isinstance(p, int) or isinstance(p, bool) or p < 0:
-        raise InvalidInputError(f"p must be a nonnegative int, got {p!r}")
+    require_int(p, "p", 0)
     return Automorphism._trusted(r.fiber, _cocycle_perm(r, x, p))
 
 
@@ -192,13 +191,9 @@ def _prefix_walk(r: SkewProduct, x: int) -> Iterator[tuple[int, ...]]:
 def rigidity_statistic(
     r: SkewProduct, a: MeasurableSet, n_param: int, p: int
 ) -> Fraction:
-    """mu-mass of {x in A : S^p x in A and rho(C(x, p), Id) < 1/n_param}."""
-    if a.space != r.base:
-        raise InvalidInputError("set must live on the base")
-    if not isinstance(n_param, int) or isinstance(n_param, bool) or n_param < 1:
-        raise InvalidInputError(f"n_param must be a positive int, got {n_param!r}")
-    if not isinstance(p, int) or isinstance(p, bool) or p < 0:
-        raise InvalidInputError(f"p must be a nonnegative int, got {p!r}")
+    """mu-mass of {x in A : S^p x in A and rho(C(x, p), Id) < 1/n_param}:
+    ``_rigidity_walk`` at the one time ``p``, once ``p`` is checked."""
+    require_int(p, "p", 0)
     return _rigidity_walk(r, a, n_param, (p,))[0]
 
 
@@ -206,8 +201,8 @@ def _rigidity_walk(
     r: SkewProduct, a: MeasurableSet, n_param: int, times: Sequence[int]
 ) -> list[Fraction]:
     """``rigidity_statistic(r, a, n_param, p)`` for every p of the
-    nondecreasing nonnegative ``times``; the caller has checked that ``a``
-    lives on the base and that ``n_param`` is a positive int.
+    nondecreasing nonnegative ``times``, which the caller has checked; ``a``
+    and ``n_param`` are checked here, under the params "set" and "n_param".
 
     Along a base orbit x_0, ..., x_{L-1} with G_j = C(x_0, j),
     C(x_i, p) = G_{i+p} G_i^-1 and G_{qL+r} = G_r o G_L^q, so C(x_i, p)
@@ -227,6 +222,8 @@ def _rigidity_walk(
     identity, the chain's counts repeat with period qL.  Per orbit that is
     at most min(L, |A on it| (max(times) + 1)) compositions and base steps
     besides the powers, and O(L n) memory."""
+    check(a.space == r.base, "set", "set must live on the base")
+    require_int(n_param, "n_param", 1)
     num = r.fiber.numerators
     n = len(num)
     weights = [w << (n - 1 - j) for j, w in enumerate(num)]
@@ -331,11 +328,9 @@ def relative_mixing_fraction(r: SkewProduct, p: int, eps: Fraction) -> Fraction:
     operators are the identity and every eps gives full mass.  That closed
     form is what is computed, in integers from the smallest numerator of
     the fiber's integer form; no kernel is built."""
-    if not isinstance(p, int) or isinstance(p, bool) or p < 0:
-        raise InvalidInputError(f"p must be a nonnegative int, got {p!r}")
+    require_int(p, "p", 0)
     eps = as_fraction(eps)
-    if eps <= 0:
-        raise InvalidInputError(f"eps must be positive, got {eps}")
+    check(eps > 0, "eps", f"eps must be positive, got {eps}")
     # eps > 1 - m / D for the lightest numerator m over D, in integers
     den = r.fiber.denominator
     light = min(r.fiber.numerators)
@@ -368,10 +363,9 @@ def relative_weak_mixing_average(
     Per orbit this costs and holds a sequence of at most L + min(N, max P)
     bitmask pairs, one composition each, with P at most L ord C(x_0, L);
     the row of x_i then takes min(N, P) popcounts per weight class."""
-    if a.space != r.fiber or b.space != r.fiber:
-        raise InvalidInputError("sets must live on the fiber")
-    if not isinstance(n_horizon, int) or isinstance(n_horizon, bool) or n_horizon < 1:
-        raise InvalidInputError(f"horizon must be a positive int, got {n_horizon!r}")
+    check(a.space == r.fiber, "a", "sets must live on the fiber")
+    check(b.space == r.fiber, "b", "sets must live on the fiber")
+    require_int(n_horizon, "horizon", 1)
     num, den = r.fiber.numerators, r.fiber.denominator
     n = len(num)
     bits = [1 << y for y in r.fiber.atoms()]
@@ -497,8 +491,9 @@ def sample_random_extension(
     per base atom.  mode 'random-coboundary': draw a transfer family J the
     same way and return its coboundary, a rigidity-friendly reference point.
     """
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise InvalidInputError(f"seed must be an int, got {seed!r}")
+    require_int(seed, "seed")
+    check(mode in ("iid-cocycle", "random-coboundary"), "mode",
+          f"mode must be 'iid-cocycle' or 'random-coboundary', got {mode!r}")
     import random  # only `sample` draws; every other command starts without it
 
     rng = random.Random(seed)
@@ -509,8 +504,4 @@ def sample_random_extension(
     ]
     if mode == "iid-cocycle":
         return SkewProduct(s.space, fiber, s, tuple(draws))
-    if mode == "random-coboundary":
-        return coboundary_extension(s, draws)
-    raise InvalidInputError(
-        f"mode must be 'iid-cocycle' or 'random-coboundary', got {mode!r}"
-    )
+    return coboundary_extension(s, draws)

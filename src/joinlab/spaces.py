@@ -33,7 +33,7 @@ from itertools import compress, product
 from math import lcm
 from operator import add
 
-from .errors import InvalidInputError, ResourceLimitError, Value
+from .errors import InvalidInputError, ResourceLimitError, Value, require_int
 from .rationals import as_fraction, show
 
 # Largest dense tensor (product of atom counts) any layer builds.
@@ -142,8 +142,7 @@ class FiniteSpace(Value):
 
     @classmethod
     def uniform(cls, n: int) -> "FiniteSpace":
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise InvalidInputError(f"atom count must be a positive int, got {n!r}")
+        require_int(n, "atom count", 1)
         # n ones over n: canonical, positive, and within FORM_BITS_CAP
         # for any n under SIZE_CAP
         n = space_size((n,))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
-from .errors import InvalidInputError, Value
+from .errors import InvalidInputError, Value, require_int
 from .joinings import JoiningTensor, ProductMeasure
 from .rationals import as_fraction
 from .spaces import (
@@ -40,8 +40,7 @@ class Z2kContext(Value):
     _fields = ("k",)
 
     def __init__(self, k: int):
-        if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= K_CAP:
-            raise InvalidInputError(f"k must be an int in 1..{K_CAP}, got {k!r}")
+        require_int(k, "k", 1, K_CAP)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "space", FiniteSpace.uniform(2**k))
 
@@ -176,8 +175,7 @@ def fourier_joining(
     Keys are tuples of bit-vectors, one per factor; the all-zero key must
     carry coefficient 1 (total mass).  Negative entries anywhere reject the
     coefficient family."""
-    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
-        raise InvalidInputError(f"order must be a positive int, got {order!r}")
+    require_int(order, "order", 1)
     g = ctx.group_order
     shape = (g,) * order
     acc = [Fraction(0)] * space_size(shape)

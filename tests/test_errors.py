@@ -1,9 +1,12 @@
 """``errors.naming``: the one helper that prefixes an input error with the
-input that caused it; the integer parameters of the library, each of
-which refuses a bool with its own message; and the constructor that the
-result records take from ``errors.Value``."""
+input that caused it, by name or through a mapping from the ``param`` of
+``errors.check``; ``errors.require_int``, the one wording of an int
+parameter's range; the integer parameters of the library, each of which
+refuses a bool with its own message; and the constructor that the result
+records take from ``errors.Value``."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,13 +17,20 @@ from joinlab import (
     SkewProduct,
     Z2kContext,
     cocycle_product,
+    disintegrate,
+    face_independence_defect,
     fourier_joining,
+    has_standard_projections,
     identity_operator,
+    joining_from_operator,
+    marginal,
     mixing_deviation_sweep_detail,
+    operator_from_joining,
     operator_power,
     power_skew,
     product_convergence_trace,
     product_joining,
+    reassemble,
     relative_mixing_fraction,
     relative_weak_mixing_average,
     rigidity_statistic,
@@ -32,11 +42,18 @@ from joinlab.errors import (
     JoinlabInternalError,
     PreconditionError,
     ResourceLimitError,
+    check,
     naming,
+    require_int,
 )
 from joinlab.mixing import SweepResult
 from joinlab.operators import ClosureProbe
-from joinlab.polytope import LpOutcome, TrivialityCertificate, _Reduction
+from joinlab.polytope import (
+    LpOutcome,
+    PolytopeSpec,
+    TrivialityCertificate,
+    _Reduction,
+)
 from joinlab.simplex import LpSolution
 
 
@@ -71,6 +88,91 @@ def test_no_error_no_effect():
     with naming("--k"):
         value = 3
     assert value == 3
+
+
+FLAGS = {"k_range": "--sweep", "sets": "--sets"}
+
+
+@pytest.mark.parametrize(
+    "kind", [InvalidInputError, PreconditionError, ResourceLimitError]
+)
+def test_a_mapping_names_an_error_by_its_param_or_the_none_key(kind):
+    with pytest.raises(InvalidInputError) as err:
+        with naming(FLAGS):
+            check(False, "sets", "all sets must live on the automorphism's space")
+    assert str(err.value) == "--sets: all sets must live on the automorphism's space"
+    assert err.value.__cause__.param == "sets"
+    # the None key covers an error with no param, of any input kind, and
+    # one whose param the mapping does not list
+    for param in (None, "k"):
+        exc = kind("too big")
+        exc.param = param
+        with pytest.raises(kind) as err:
+            with naming({**FLAGS, None: "--sweep"}):
+                raise exc
+        assert type(err.value) is kind
+        assert str(err.value) == "--sweep: too big"
+
+
+@pytest.mark.parametrize("param", [None, "k"])
+def test_a_mapping_passes_what_it_does_not_name_unchanged(param):
+    exc = InvalidInputError("bad")
+    exc.param = param
+    with pytest.raises(InvalidInputError) as err:
+        with naming(FLAGS):
+            raise exc
+    assert err.value is exc
+
+
+@pytest.mark.parametrize("exc", [JoinlabInternalError("pivot"), ValueError("pivot")])
+def test_a_mapping_passes_other_errors_through(exc):
+    with pytest.raises(type(exc)) as err:
+        with naming({**FLAGS, None: "--sweep"}):
+            raise exc
+    assert err.value is exc
+
+
+def test_check_stores_the_param_only_on_failure():
+    check(True, "n", "never raised")
+    with pytest.raises(InvalidInputError) as err:
+        check(0, "n", "n is off")
+    assert (str(err.value), err.value.param) == ("n is off", "n")
+
+
+@pytest.mark.parametrize(
+    "low, high, good, bad, message",
+    [
+        (None, None, -7, "3", "n must be an int, got '3'"),
+        (0, None, 0, -1, "n must be a nonnegative int, got -1"),
+        (1, None, 1, 0, "n must be a positive int, got 0"),
+        (2, 4, 4, 5, "n must be an int in 2..4, got 5"),
+        (2, 4, 2, 1, "n must be an int in 2..4, got 1"),
+    ],
+)
+def test_require_int_wordings(low, high, good, bad, message):
+    require_int(good, "n", low, high)
+    # a bool or a float is refused in the same words as a value out of range
+    wording = message.removesuffix(f", got {bad!r}")
+    for value in (bad, True, 2.0):
+        with pytest.raises(InvalidInputError) as err:
+            require_int(value, "n", low, high)
+        assert str(err.value) == f"{wording}, got {value!r}"
+        assert err.value.param == "n"
+    assert wording != message
+
+
+def test_the_int_wordings_and_the_flag_checks_live_in_one_place():
+    # require_int alone spells the wordings, and the CLI names flags
+    # through naming's mapping instead of repeating library checks
+    src = Path(check.__code__.co_filename).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name != "errors.py":
+            text = path.read_text()
+            for wording in ("must be a positive int", "must be a nonnegative int",
+                            "must be an int"):
+                assert wording not in text, (path.name, wording)
+    cli = (src / "cli.py").read_text()
+    assert "def _check(" not in cli and "ORDER_CAP" not in cli
 
 
 def _bool_cases():
@@ -126,6 +228,33 @@ def _bool_cases():
         "Z2kContext.bits atom": (Z2kContext(1).bits, "atom {} outside the group"),
         "Z2kContext.atom bits": (
             lambda b: Z2kContext(1).atom((b,)), "need 1 bits, got ({!r},)"),
+        "Z2kContext k": (Z2kContext, "k must be an int in 1..4, got {!r}"),
+        "PolytopeSpec order": (
+            lambda b: PolytopeSpec(None, b, 1), "order must be an int in 2..4, got {!r}"),
+        "PolytopeSpec independence": (
+            lambda b: PolytopeSpec(None, 2, b),
+            "independence must satisfy 1 <= m < 2, got {!r}"),
+        "face_independence_defect m": (
+            lambda b: face_independence_defect(v, b),
+            "face order must satisfy 1 <= m < 2, got {!r}"),
+        "marginal coords": (
+            lambda b: marginal(v, (b,)),
+            "coords must be nonempty strictly increasing, got ({!r},)"),
+        "disintegrate base coords": (
+            lambda b: disintegrate(v, (b,)),
+            "base coords must be nonempty strictly increasing, got ({!r},)"),
+        "reassemble base coords": (
+            lambda b: reassemble(disintegrate(v, (0,)), (b,)),
+            "need 1 strictly increasing base coords"),
+        "has_standard_projections distinguished": (
+            lambda b: has_standard_projections(v, b),
+            "distinguished coordinate {} out of range"),
+        "operator_from_joining distinguished": (
+            lambda b: operator_from_joining(v, b),
+            "distinguished coordinate {} out of range"),
+        "joining_from_operator distinguished": (
+            lambda b: joining_from_operator(identity_operator(two), [two], b),
+            "distinguished position {} out of range"),
     }
 
 
@@ -143,11 +272,15 @@ def test_integer_parameters_refuse_bools(name, flag):
 
 
 @pytest.mark.parametrize(
-    "name", ["cocycle_product x", "Z2kContext.bits atom", "Z2kContext.atom bits"]
+    "name",
+    ["cocycle_product x", "Z2kContext.bits atom", "Z2kContext.atom bits",
+     "marginal coords", "disintegrate base coords", "reassemble base coords",
+     "has_standard_projections distinguished", "operator_from_joining distinguished",
+     "joining_from_operator distinguished"],
 )
 def test_atoms_refuse_non_ints(name):
-    # a float equal to an atom is refused as any other bad atom is, before
-    # it reaches index arithmetic
+    # a float equal to an atom, a coordinate or a position is refused as
+    # any other bad one is, before it reaches index arithmetic
     call, message = BOOL_CASES[name]
     with pytest.raises(InvalidInputError) as err:
         call(1.0)

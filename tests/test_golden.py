@@ -30,7 +30,9 @@ wall-time line) of each invalid-input case in ``ERROR_CASES``: one or more
 per place that names the failing input, a config field, a tensor file
 field or a command line flag.  Each case runs in a fresh directory holding
 a copy of ``configs/`` and the case's own files, so a file path in a
-message is the bare name.
+message is the bare name.  Where a flag comes from a library check's
+``param``, ``MOVED_CHECKS`` also calls that library function directly
+with the case's bad input: the text after the flag is the library's own.
 
 To re-record after an intended report or message change, run from the
 repository root
@@ -53,8 +55,22 @@ from pathlib import Path
 
 import pytest
 
-from joinlab import Z2kContext, full_action, joinings, skew, spaces
+from joinlab import (
+    InvalidInputError,
+    PolytopeSpec,
+    Z2kContext,
+    cli,
+    correlation,
+    full_action,
+    joinings,
+    mixing_deviation_sweep_detail,
+    relative_mixing_fraction,
+    relative_weak_mixing_average,
+    skew,
+    spaces,
+)
 from joinlab.cli import main
+from joinlab.config import parse_config
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -232,6 +248,7 @@ ERROR_CASES = {
         spaces=PAIR, automorphisms=SWAP,
         cocycles={"r": {"base_map": "swap", "fiber": "pair", "maps": [[1, 0], [1]]}})}),
     "config_uniform_cap": (CERTIFY, _spaces(big={"uniform": 70000})),
+    "config_uniform_zero": (CERTIFY, _spaces(x={"uniform": 0})),
     "config_weight_item": (CERTIFY, _spaces(s={"weights": ["1/2", "0.5"]})),
     "config_weight_literal_cap": (CERTIFY, _spaces(s={"weights": ["1" * 5000 + "/3"]})),
     "config_weights_sum": (CERTIFY, _spaces(s={"weights": ["1/2", "1/3"]})),
@@ -460,6 +477,68 @@ def test_error_table_covers_every_case(errors):
 @pytest.mark.parametrize("name", sorted(ERROR_CASES))
 def test_error_matches_golden(errors, name):
     assert error_entry(name) == errors[name]
+
+
+def _moved_checks() -> dict:
+    """Error case -> (the library call it makes, with the case's bad input,
+    and the ``param`` its check carries), for every case whose flag a
+    handler's ``naming`` mapping supplies: each check runs once, in the
+    library, and the CLI only maps its param to the flag."""
+    skew_cfg, mix_cfg, k1_cfg = (
+        parse_config(json.loads((REPO / "configs" / name).read_text()))
+        for name in ("skew_demo.json", "mixing_demo.json", "polytope_k1.json")
+    )
+    r = skew_cfg.lookup("cocycles", "alternating")
+    low, top = skew_cfg.lookup("sets", "low"), skew_cfg.lookup("sets", "top")
+    times = skew_cfg.lookup("sequences", "times").times
+    flip = k1_cfg.lookup("actions", "flip")
+    mix_sets = [mix_cfg.lookup("sets", name) for name in ("low", "high")]
+    rot4, demo_rot4 = (cfg.lookup("automorphisms", "rot4") for cfg in (skew_cfg, mix_cfg))
+    return {
+        "eta_k_zero": (lambda: Z2kContext(0), "k"),
+        "polytope_order_one": (lambda: PolytopeSpec(flip, 1, 1), "order"),
+        "polytope_order_past_cap": (lambda: PolytopeSpec(flip, 5, 1), "order"),
+        "polytope_independence_order": (lambda: PolytopeSpec(flip, 3, 3), "independence"),
+        "polytope_independence_zero": (lambda: PolytopeSpec(flip, 3, 0), "independence"),
+        "cocycle_n_param_zero": (lambda: skew._rigidity_walk(r, low, 0, times), "n_param"),
+        "cocycle_set_on_fiber": (lambda: skew._rigidity_walk(r, top, 2, times), "set"),
+        "cocycle_eps_zero": (lambda: relative_mixing_fraction(r, times[0], 0), "eps"),
+        "cocycle_horizon_zero": (
+            lambda: relative_weak_mixing_average(r, top, top, 0), "horizon"),
+        "cocycle_fiber_set_a_on_base": (
+            lambda: relative_weak_mixing_average(r, low, top, 2), "a"),
+        "cocycle_fiber_set_b_on_base": (
+            lambda: relative_weak_mixing_average(r, top, low, 2), "b"),
+        "mixing_sets_space": (
+            lambda: mixing_deviation_sweep_detail(rot4, [low, top], 2), "sets"),
+        "mixing_sweep_zero": (
+            lambda: mixing_deviation_sweep_detail(demo_rot4, mix_sets, 0), "k_range"),
+        "mixing_offsets_count": (lambda: correlation(demo_rot4, mix_sets, (1, 1)), "k"),
+    }
+
+
+MOVED_CHECKS = _moved_checks()
+
+
+@pytest.mark.parametrize("name", sorted(MOVED_CHECKS))
+def test_library_checks_supply_the_flagged_errors(errors, name, monkeypatch):
+    call, param = MOVED_CHECKS[name]
+    flag, text = errors[name]["stderr"].removeprefix("error: ").split(": ", 1)
+    with pytest.raises(InvalidInputError) as err:
+        call()
+    assert (f"{err.value}\n", err.value.param) == (text, param)
+    # the handler's mapping sends that param to the flag
+    mappings = []
+
+    class spy(cli.naming):
+        def __exit__(self, kind, exc, tb):
+            if exc is not None and not isinstance(self.field, str):
+                mappings.append(self.field.get(exc.param, self.field.get(None)))
+            return super().__exit__(kind, exc, tb)
+
+    monkeypatch.setattr(cli, "naming", spy)
+    assert error_entry(name) == errors[name]
+    assert mappings == [flag]
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from joinlab import JoinlabError, RationalSimplex, solve_lp
+from joinlab import InvalidInputError, JoinlabError, RationalSimplex, solve_lp
 
 from conftest import northwest_coupling
 
@@ -178,6 +178,26 @@ def test_unbounded_raises():
     one = Fraction(1)
     with pytest.raises(JoinlabError):
         solve_lp([[one, -one]], [Fraction(0)], [one, Fraction(0)], "max")
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [(0.5, "float 0.5 rejected; pass an int, Fraction or 'p/q' string"),
+     (True, "not a rational: True"),
+     ("0.5", "malformed rational literal: '0.5'")],
+)
+def test_entries_go_through_as_fraction(entry, message):
+    # a row, a right-hand side and an objective read their entries alike:
+    # ints and Fractions as they are, anything else through as_fraction
+    for call in (
+        lambda: solve_lp([[entry, 1]], [1], [1, 1]),
+        lambda: solve_lp([[1, 1]], [entry], [1, 1]),
+        lambda: RationalSimplex([[1, 1]], [1], 2).solve_for([entry, 0]),
+    ):
+        with pytest.raises(InvalidInputError) as err:
+            call()
+        assert str(err.value) == message
+    assert solve_lp([["1/2", 1]], ["1/2"], ["1", 0]).value == 1
 
 
 def test_degenerate_lp_terminates():
