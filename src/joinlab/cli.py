@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -66,17 +67,22 @@ def _load_config(path: str):
     return parse_config(parse_json(blob, path), origin=path), blob
 
 
+def _ascii_int(text: str) -> int:
+    """The int that ``text`` spells as ``[+-]?[0-9]+``; ``int`` alone would
+    also take spaces, underscores and the digits of other scripts."""
+    if re.fullmatch("[+-]?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an int")
+    return int(text)
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     parts = [p for p in text.split(",") if p != ""]
     if not parts:
         raise InvalidInputError("expected a comma-separated list")
-    out = []
-    for p in parts:
-        try:
-            out.append(int(p))
-        except ValueError:
-            raise InvalidInputError(f"{p!r} is not an int") from None
-    return tuple(out)
+    try:
+        return tuple(map(_ascii_int, parts))
+    except argparse.ArgumentTypeError as exc:
+        raise InvalidInputError(str(exc)) from None
 
 
 def _name_list(text: str) -> list[str]:
@@ -119,7 +125,8 @@ def _lookup(cfg, section: str, flag: str, name: str):
 def _cmd_polytope(args):
     cfg, blob = _load_config(args.config)
     action = _lookup(cfg, "actions", "--action", args.action)
-    with naming({"order": "--order", "independence": "--independence"}):
+    # the shape cap carries no param; it grows with the order
+    with naming({"order": "--order", "independence": "--independence", None: "--order"}):
         spec = PolytopeSpec(action, args.order, args.independence)
     payload = {
         "command": "polytope",
@@ -279,12 +286,13 @@ def _cmd_sample(args):
         "skew": skew_to_data(r),
     }
     if args.analyze:
-        count = skew_orbit_count(r)
-        payload["analysis"] = {
-            "orbit_count": count,
-            "ergodic": count == 1,
-            "fiber_square_ergodic": fiber_square_ergodic(r),
-        }
+        with naming("--analyze"):
+            count = skew_orbit_count(r)
+            payload["analysis"] = {
+                "orbit_count": count,
+                "ergodic": count == 1,
+                "fiber_square_ergodic": fiber_square_ergodic(r),
+            }
     return payload, True, blob
 
 
@@ -341,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "eta", parents=[common], help="order-4 interdependence measure checks"
     )
-    p.add_argument("--k", type=int, required=True, help="number of bits")
+    p.add_argument("--k", type=_ascii_int, required=True, help="number of bits")
     p.add_argument(
         "--verify", action="store_true", help="exit 1 unless all defects vanish"
     )
@@ -352,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", required=True)
     p.add_argument("--action", required=True, metavar="NAME")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--independence", type=int, required=True)
+    p.add_argument("--order", type=_ascii_int, required=True)
+    p.add_argument("--independence", type=_ascii_int, required=True)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--certify", action="store_true")
     mode.add_argument("--objective", metavar="NAME")
@@ -370,11 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--set", metavar="NAME")
     p.add_argument("--sequence", metavar="NAME")
-    p.add_argument("--n-param", type=int, metavar="N")
+    p.add_argument("--n-param", type=_ascii_int, metavar="N")
     p.add_argument("--eps", metavar="P/Q")
     p.add_argument("--fiber-set-a", metavar="NAME")
     p.add_argument("--fiber-set-b", metavar="NAME")
-    p.add_argument("--horizon", type=int, metavar="N")
+    p.add_argument("--horizon", type=_ascii_int, metavar="N")
     p.set_defaults(handler=_cmd_cocycle)
 
     p = sub.add_parser(
@@ -387,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--offsets", metavar="K1,K2,...")
-    mode.add_argument("--sweep", type=int, metavar="K")
+    mode.add_argument("--sweep", type=_ascii_int, metavar="K")
     p.set_defaults(handler=_cmd_mixing)
 
     p = sub.add_parser(
@@ -396,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--base", required=True, metavar="NAME")
     p.add_argument("--fiber", required=True, metavar="NAME")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_ascii_int, required=True)
     p.add_argument(
         "--mode", required=True, choices=("iid-cocycle", "random-coboundary")
     )
@@ -429,7 +437,7 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
-        return int(code) if isinstance(code, int) else 2
+        return code if isinstance(code, int) else 2
     start = time.perf_counter()
     try:
         payload, passed, digest_bytes = args.handler(args)

@@ -11,10 +11,10 @@ nu_j 2^-j, since C maps its moved set onto itself.  With G_j = C(x_0, j)
 along a base orbit x_0, ..., x_{L-1}, C(x_i, p) = G_{i+p} G_i^-1 and
 G_{qL+r} = G_r o G_L^q, so C(x_i, p) moves y = G_i z exactly when
 G_{i+p} z != G_i z, and mu(C(x_i, p) A intersect B) =
-mu(G_i^-1 A intersect G_{i+p}^-1 B).  Both statistics read the G_j from
-one prefix walk (``_prefix_walk``).  Rigidity walks only the stretches of
-an orbit between the atoms of its set, at most
-min(L, |A on the orbit| (max p + 1)) compositions besides powers of G_L.
+mu(G_i^-1 A intersect G_{i+p}^-1 B).  Both statistics, the orbit count
+and ``cocycle_product`` all read the G_j from one prefix walk
+(``_prefix_walk``) along whole base orbits.  Rigidity walks each base
+orbit that meets its set once, L compositions besides powers of G_L.
 """
 
 from __future__ import annotations
@@ -122,20 +122,17 @@ def cocycle_product(r: SkewProduct, x: int, p: int) -> Automorphism:
 
 
 def _cocycle_perm(r: SkewProduct, x: int, p: int) -> tuple[int, ...]:
-    """The permutation tuple of ``cocycle_product(r, x, p)``, unchecked.
-    At the top of each step, acc is C(x, step) and cur is S^step x."""
-    if p == 0:
-        return tuple(r.fiber.atoms())
-    base = r.base_map.perm
-    acc, cur = r.cocycle[x].perm, base[x]
-    for step in range(1, p):
-        if cur == x:
-            q, rest = divmod(p, step)
-            head = _cocycle_perm(r, x, rest)
-            return tuple(map(head.__getitem__, perm_power(acc, q)))
-        acc = tuple(map(r.cocycle[cur].perm.__getitem__, acc))
-        cur = base[cur]
-    return acc
+    """The permutation tuple of ``cocycle_product(r, x, p)``, unchecked:
+    G_p from ``_prefix_walk``, or G_rest o G_L^q with p = qL + rest once the
+    base orbit of x closes after L <= p steps."""
+    base, y, length = r.base_map.perm, r.base_map.perm[x], 1
+    while y != x and length < p:
+        y, length = base[y], length + 1
+    walk = list(islice(_prefix_walk(r, x), length + 1))
+    if length == p:
+        return walk[-1]
+    q, rest = divmod(p, length)
+    return tuple(map(walk[rest].__getitem__, perm_power(walk[-1], q)))
 
 
 def coboundary_extension(
@@ -213,15 +210,12 @@ def _rigidity_walk(
     rho(C, Id) < 1/n_param is 4 n_param T < D 2^n for the integer sum T of
     num_y 2^(n-1-y) over the moved y, one C-level sum over w o G_i.
 
-    A pair counts only when S^p x_i is in A, so only the G_j at starts are
-    read.  The starts are chained along their orbits (``_start_chains``),
-    and each chain is walked once from its first start, taken as x_0 (the
-    identity holds from any atom of the orbit).  A chain that closes
-    around its orbit walks it up to G_L, and G_L^q and G_L^(q+1) are the
-    only live powers, as the times only increase; once some G_L^q is the
-    identity, the chain's counts repeat with period qL.  Per orbit that is
-    at most min(L, |A on it| (max(times) + 1)) compositions and base steps
-    besides the powers, and O(L n) memory."""
+    Each base orbit that meets A is walked once from its least atom, taken
+    as x_0, up to G_L; a pair counts only when S^p x_i is in A.  G_L^q and
+    G_L^(q+1) are the only live powers, as the times only increase; once
+    some G_L^q is the identity, the orbit's counts repeat with period qL.
+    Per orbit that meets A that is L compositions besides the powers, and
+    O(L n) memory."""
     check(a.space == r.base, "set", "set must live on the base")
     require_int(n_param, "n_param", 1)
     num = r.fiber.numerators
@@ -229,38 +223,36 @@ def _rigidity_walk(
     weights = [w << (n - 1 - j) for j, w in enumerate(num)]
     # 4 n_param T < D 2^n for the integer sum T, tested as T <= limit
     limit = ((r.fiber.denominator << n) - 1) // (4 * n_param)
-    base_num, reach = r.base.numerators, max(times, default=0)
+    base_num, starts = r.base.numerators, a.atoms
     counted = [0] * len(times)  # base numerators of the counted starts
-    for chain, period in _start_chains(r.base_map.perm, a.atoms, reach):
-        end = chain[-1][1]  # steps from the first start to the last
-        table = list(islice(_prefix_walk(r, chain[0][0]), (period or end) + 1))
-        found = {i: table[i] for _, i in chain}  # G_i at the starts; G_0 = Id
-        rows = [  # (base numerator, i, G_i, w o G_i)
-            (base_num[x], i, found[i], tuple(map(weights.__getitem__, found[i])))
-            for x, i in chain
+    for orbit in _orbits(r.base_map.perm):
+        inside = [x in starts for x in orbit]
+        if not any(inside):
+            continue
+        length = len(orbit)
+        table = list(islice(_prefix_walk(r, orbit[0]), length + 1))
+        rows = [  # (base numerator, i, G_i, w o G_i) at the starts
+            (base_num[x], i, table[i], tuple(map(weights.__getitem__, table[i])))
+            for i, x in enumerate(orbit) if inside[i]
         ]
         g_l = table[-1]
-        # a chain that does not close needs no index past its last start
-        span = period or end + reach + 1
         powers = {}  # q -> G_L^q, for q = p // L and p // L + 1 at most
         cycle = 0  # qL once G_L^q = Id: then G_{j+qL} = G_j
-        known = {}  # time -> this chain's count, times taken mod cycle
+        known = {}  # time -> this orbit's count, times taken mod cycle
         for k, p in enumerate(times):
-            if not period and p > end:
-                break  # no start lies that far along an open chain
             if cycle:
                 p %= cycle
             total = known.get(p)
             if total is None:
                 total = 0
-                low, shift = divmod(p, span)
+                low, shift = divmod(p, length)
                 for w, i, g, wg in rows:
                     j, q = i + shift, low
-                    if j >= span:
-                        j, q = j - span, q + 1
-                    later = found.get(j)
-                    if later is None:  # S^p x_i is not in A
+                    if j >= length:
+                        j, q = j - length, q + 1
+                    if not inside[j]:  # S^p x_i is not in A
                         continue
+                    later = table[j]
                     if q:  # G_{qL+j} = G_j o G_L^q, and G_0 = Id
                         power = powers.get(q)
                         if power is None:
@@ -268,8 +260,8 @@ def _rigidity_walk(
                             power = (perm_power(g_l, q) if last is None
                                      else tuple(map(g_l.__getitem__, last)))
                             powers = {q - 1: last, q: power}
-                            if power == found[0]:
-                                cycle = q * span
+                            if power == table[0]:
+                                cycle = q * length
                         later = map(later.__getitem__, power) if j else power
                     if sum(compress(wg, map(ne, later, g))) <= limit:
                         total += w
@@ -277,44 +269,6 @@ def _rigidity_walk(
             counted[k] += total
     den = r.base.denominator
     return [Fraction(c, den) for c in counted]
-
-
-def _start_chains(
-    perm: Sequence[int], starts: frozenset[int], reach: int
-) -> Iterator[tuple[list[tuple[int, int]], int]]:
-    """The atoms of ``starts`` chained along the orbits of ``perm``: each is
-    linked to the next start on its orbit when that is at most ``reach``
-    steps on.  Yields each chain as (start, steps from its first start)
-    pairs in walk order, with the orbit's length when the links close
-    around it and 0 otherwise.  Each start steps the base only up to the
-    next start, so an orbit costs at most
-    min(L, |starts on it| (reach + 1)) steps."""
-    link = {}  # start -> (next start, steps to it)
-    for x in starts:
-        y, d = perm[x], 1
-        while d <= reach and y not in starts:
-            y, d = perm[y], d + 1
-        if d <= reach:
-            link[x] = (y, d)
-    entered = {y for y, _ in link.values()}
-    ordered = sorted(starts)
-    seen = set()
-    # open chains from their first starts, then closed ones from their least
-    for x0 in [x for x in ordered if x not in entered] + ordered:
-        if x0 in seen:
-            continue
-        chain, x, at = [], x0, 0
-        while True:
-            seen.add(x)
-            chain.append((x, at))
-            if x not in link:
-                yield chain, 0
-                break
-            x, d = link[x]
-            at += d
-            if x == x0:
-                yield chain, at
-                break
 
 
 def relative_mixing_fraction(r: SkewProduct, p: int, eps: Fraction) -> Fraction:
@@ -442,7 +396,7 @@ def skew_orbit_count(r: SkewProduct) -> int:
     building it would refuse it."""
     product_bounds([r.base, r.fiber])
     return sum(
-        len(_orbits(_cocycle_perm(r, orbit[0], len(orbit))))
+        len(_orbits(next(islice(_prefix_walk(r, orbit[0]), len(orbit), None))))
         for orbit in _orbits(r.base_map.perm)
     )
 

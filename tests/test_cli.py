@@ -57,6 +57,21 @@ def test_eta_bad_k_exits_2():
     assert "error:" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, flag, text",
+    [
+        (("eta", "--k", " \u0663"), "--k", "' \u0663'"),
+        (("sample", "--config", "configs/skew_demo.json", "--base", "rot4", "--fiber",
+          "pair", "--seed", "1_0", "--mode", "iid-cocycle"), "--seed", "'1_0'"),
+    ],
+)
+def test_int_flags_take_ascii_digits_only(argv, flag, text):
+    # int() alone reads " \u0663" (an Arabic-Indic three) as 3 and "1_0" as 10
+    proc = run_cli(*argv, expect=2)
+    assert proc.stdout == ""
+    assert f"error: argument {flag}: {text} is not an int" in proc.stderr
+
+
 def test_start_up_imports_no_dataclasses_typing_or_inspect():
     # -S: no site hook, which may load typing on its own
     code = (

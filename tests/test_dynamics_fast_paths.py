@@ -216,8 +216,8 @@ def assert_walk_matches_the_oracle(r, a, n_param, times):
 
 
 def test_rigidity_walk_on_a_benchmark_shaped_cycle():
-    # one 64-cycle over an 8-atom fiber with half the base in A: the starts
-    # link all around the orbit, so entries past it are read as G_j o G_L^q
+    # one 64-cycle over an 8-atom fiber with half the base in A: the walk
+    # builds G_0..G_64 once, and entries past it are read as G_j o G_L^q
     r, _, rng = seeded_skew(2022, [64], FiniteSpace.uniform(8))
     a = MeasurableSet(r.base, frozenset(rng.sample(range(64), 32)))
     times = [*range(1, 65), 10**12 + 1]
@@ -229,18 +229,20 @@ def test_rigidity_walk_on_a_benchmark_shaped_cycle():
 @pytest.mark.parametrize("n_param", [2, 8])
 def test_rigidity_walk_on_a_mixed_base(n_param):
     # a 40-cycle, three 2-cycles and four fixed points over a two-class
-    # fiber.  Short times leave the spread starts of the 40-cycle in open
-    # chains (gaps 2, 1, 7, 15 and 15 against a largest time of 5); longer
-    # ones close them around it, and on the short orbits some G_L^q comes
-    # back to the identity.  [0, 0, 2, 2, 40, 40] repeats times and starts
-    # at 0, as the walk's contract allows
+    # fiber.  Short times (up to 5) span only some of the gaps 2, 1, 7, 15
+    # and 15 between the spread starts of the 40-cycle; longer ones wrap
+    # around it, and on the short orbits some G_L^q comes back to the
+    # identity.  The empty set meets no orbit, and the fixed points alone
+    # meet only orbits of length 1.  [0, 0, 2, 2, 40, 40] repeats times and
+    # starts at 0, as the walk's contract allows
     fiber = FiniteSpace((Fraction(1, 8),) * 4 + (Fraction(1, 4),) * 2)
     r, cycles, _ = seeded_skew(7, [40, 2, 2, 2, 1, 1, 1, 1], fiber)
     forty = cycles[0]
     one = {forty[11]}
     spread = {forty[i] for i in (0, 2, 3, 10, 25)} | {cycles[1][0], cycles[4][0]}
     full = set(r.base.atoms())
-    for atoms in (one, spread, full):
+    fixed = {cycle[0] for cycle in cycles[4:]}
+    for atoms in (set(), fixed, one, spread, full):
         a = MeasurableSet(r.base, frozenset(atoms))
         for times in ([0, 1, 2, 3, 5], [0, 0, 2, 2, 40, 40],
                       [1, 2, 7, 15, 39, 41, 80, 81, 10**12 + 1]):
@@ -580,9 +582,9 @@ def test_return_map_orbit_count_on_the_demo_config():
 @pytest.mark.parametrize(
     "base, fiber, message",
     [
-        (257, 256, "error: shape 257 x 256 exceeds the cap of 65536 atoms\n"),
-        (2, 40000, "error: shape 2 x 40000 exceeds the cap of 65536 atoms\n"),
-        (64, 40, "error: shape 64 x 40 x 40 exceeds the cap of 65536 atoms\n"),
+        (257, 256, "error: --analyze: shape 257 x 256 exceeds the cap of 65536 atoms\n"),
+        (2, 40000, "error: --analyze: shape 2 x 40000 exceeds the cap of 65536 atoms\n"),
+        (64, 40, "error: --analyze: shape 64 x 40 x 40 exceeds the cap of 65536 atoms\n"),
     ],
 )
 def test_sample_analyze_past_the_size_cap_still_exits_2(tmp_path, capsys, base, fiber, message):

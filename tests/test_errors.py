@@ -5,6 +5,8 @@ parameter's range; the integer parameters of the library, each of which
 refuses a bool with its own message; and the constructor that the result
 records take from ``errors.Value``."""
 
+import inspect
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,6 +39,7 @@ from joinlab import (
     sample_random_extension,
     weak_closure_probe,
 )
+from joinlab.cli import _ascii_int
 from joinlab.errors import (
     InvalidInputError,
     JoinlabInternalError,
@@ -163,7 +166,8 @@ def test_require_int_wordings(low, high, good, bad, message):
 
 def test_the_int_wordings_and_the_flag_checks_live_in_one_place():
     # require_int alone spells the wordings, and the CLI names flags
-    # through naming's mapping instead of repeating library checks
+    # through naming's mapping instead of repeating library checks, and
+    # parses every int flag with one parser
     src = Path(check.__code__.co_filename).parent
     for path in sorted(src.glob("*.py")):
         if path.name != "errors.py":
@@ -173,6 +177,10 @@ def test_the_int_wordings_and_the_flag_checks_live_in_one_place():
                 assert wording not in text, (path.name, wording)
     cli = (src / "cli.py").read_text()
     assert "def _check(" not in cli and "ORDER_CAP" not in cli
+    # argument text becomes an int only in the one ASCII-digit parser
+    assert "type=int" not in cli
+    calls = re.compile(r"\bint\(").findall
+    assert calls(cli) == calls(inspect.getsource(_ascii_int)) == ["int("]
 
 
 def _bool_cases():

@@ -310,6 +310,8 @@ ERROR_CASES = {
     "mixing_sets_space": ((*SKEW_MIX, "--sets", "low,top", "--sweep", "2"), {}),
     "mixing_offsets_empty": ((*DEMO_MIX, "--sets", "low,high", "--offsets", ","), {}),
     "mixing_offsets_not_int": ((*DEMO_MIX, "--sets", "low,high", "--offsets", "x"), {}),
+    "mixing_offsets_underscore": (
+        (*DEMO_MIX, "--sets", "low,high", "--offsets", "1_0"), {}),
     "mixing_offsets_zero": ((*DEMO_MIX, "--sets", "low,high", "--offsets", "0"), {}),
     "mixing_offsets_count": ((*DEMO_MIX, "--sets", "low,high", "--offsets", "1,1"), {}),
     "mixing_sweep_zero": ((*DEMO_MIX, "--sets", "low,high", "--sweep", "0"), {}),
@@ -335,8 +337,20 @@ ERROR_CASES = {
          "--fiber-set-a", "nope"), {}),
     "polytope_order_one": ((*K1_FLIP, "--order", "1", "--independence", "1"), {}),
     "polytope_order_past_cap": ((*K1_FLIP, "--order", "5", "--independence", "1"), {}),
+    "polytope_shape_past_cap": (
+        ("polytope", "--config", "c.json", "--action", "a", "--order", "4",
+         "--independence", "2", "--certify"),
+        {"c.json": _config(
+            spaces={"s": {"uniform": 20}},
+            actions={"a": {"space": "s", "perms": [[(i + 1) % 20 for i in range(20)]]}})}),
     "polytope_independence_order": ((*K1_FLIP, "--order", "3", "--independence", "3"), {}),
     "polytope_independence_zero": ((*K1_FLIP, "--order", "3", "--independence", "0"), {}),
+    "sample_analyze_past_cap": (
+        ("sample", "--config", "c.json", "--base", "s", "--fiber", "f", "--seed", "3",
+         "--mode", "iid-cocycle", "--analyze"),
+        {"c.json": _config(
+            spaces={"b": {"uniform": 257}, "f": {"uniform": 256}},
+            automorphisms={"s": {"space": "b", "perm": [(i + 1) % 257 for i in range(257)]}})}),
 }
 
 
