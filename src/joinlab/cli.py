@@ -70,9 +70,12 @@ def _load_config(path: str):
 def _ascii_int(text: str) -> int:
     """The int that ``text`` spells as ``[+-]?[0-9]+``; ``int`` alone would
     also take spaces, underscores and the digits of other scripts."""
-    if re.fullmatch("[+-]?[0-9]+", text) is None:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an int")
-    return int(text)
+    if re.fullmatch("[+-]?[0-9]+", text) is not None:
+        try:
+            return int(text)
+        except ValueError:  # more than 4,300 digits
+            pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not an int")
 
 
 def _int_list(text: str) -> tuple[int, ...]:

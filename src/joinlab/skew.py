@@ -128,11 +128,13 @@ def _cocycle_perm(r: SkewProduct, x: int, p: int) -> tuple[int, ...]:
     base, y, length = r.base_map.perm, r.base_map.perm[x], 1
     while y != x and length < p:
         y, length = base[y], length + 1
-    walk = list(islice(_prefix_walk(r, x), length + 1))
+    walk = _prefix_walk(r, x)
     if length == p:
-        return walk[-1]
+        return next(islice(walk, p, None))
     q, rest = divmod(p, length)
-    return tuple(map(walk[rest].__getitem__, perm_power(walk[-1], q)))
+    head = next(islice(walk, rest, None))
+    g_l = next(islice(walk, length - rest - 1, None))
+    return tuple(map(head.__getitem__, perm_power(g_l, q)))
 
 
 def coboundary_extension(

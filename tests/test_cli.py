@@ -63,10 +63,15 @@ def test_eta_bad_k_exits_2():
         (("eta", "--k", " \u0663"), "--k", "' \u0663'"),
         (("sample", "--config", "configs/skew_demo.json", "--base", "rot4", "--fiber",
           "pair", "--seed", "1_0", "--mode", "iid-cocycle"), "--seed", "'1_0'"),
+        (("sample", "--config", "configs/skew_demo.json", "--base", "rot4", "--fiber",
+          "pair", "--seed", "1" * 5000, "--mode", "iid-cocycle"), "--seed",
+         repr("1" * 5000)),
     ],
+    ids=["k-arabic-three", "seed-underscore", "seed-5000-digits"],
 )
 def test_int_flags_take_ascii_digits_only(argv, flag, text):
-    # int() alone reads " \u0663" (an Arabic-Indic three) as 3 and "1_0" as 10
+    # int() alone reads " \u0663" (an Arabic-Indic three) as 3 and "1_0" as 10,
+    # and raises ValueError past 4,300 digits
     proc = run_cli(*argv, expect=2)
     assert proc.stdout == ""
     assert f"error: argument {flag}: {text} is not an int" in proc.stderr

@@ -312,6 +312,8 @@ ERROR_CASES = {
     "mixing_offsets_not_int": ((*DEMO_MIX, "--sets", "low,high", "--offsets", "x"), {}),
     "mixing_offsets_underscore": (
         (*DEMO_MIX, "--sets", "low,high", "--offsets", "1_0"), {}),
+    "mixing_offsets_past_digit_limit": (
+        (*DEMO_MIX, "--sets", "low,high", "--offsets", "1" * 4301), {}),
     "mixing_offsets_zero": ((*DEMO_MIX, "--sets", "low,high", "--offsets", "0"), {}),
     "mixing_offsets_count": ((*DEMO_MIX, "--sets", "low,high", "--offsets", "1,1"), {}),
     "mixing_sweep_zero": ((*DEMO_MIX, "--sets", "low,high", "--sweep", "0"), {}),
