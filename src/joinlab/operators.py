@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvalidInputError, Value, require_int
 from .rationals import as_fraction, show
@@ -39,18 +40,27 @@ class MarkovOperator(Value):
             raise InvalidInputError(
                 f"kernel must be {nt}x{ns}, got {len(rows)} rows"
             )
+        # in integers: a row over the lcm of its denominators, a weighted
+        # column over the target's denominator times the lcm of its own
         for t, row in enumerate(rows):
             for s, x in enumerate(row):
-                if x < 0:
+                if x.numerator < 0:
                     raise InvalidInputError(f"negative kernel entry at [{t}][{s}]")
-            if sum(row) != 1:
-                raise InvalidInputError(f"row {t} sums to {show(sum(row))}, expected 1")
-        wt, ws = target.weights, source.weights
-        for s in range(ns):
-            col = sum((wt[t] * rows[t][s] for t in range(nt)), Fraction(0))
-            if col != ws[s]:
+            den = lcm(*(x.denominator for x in row))
+            total = sum(x.numerator * (den // x.denominator) for x in row)
+            if total != den:
                 raise InvalidInputError(
-                    f"weighted column {s} is {show(col)}, expected {show(ws[s])}; "
+                    f"row {t} sums to {show(Fraction(total, den))}, expected 1"
+                )
+        wt, wt_den = target.numerators, target.denominator
+        ws, ws_den = source.numerators, source.denominator
+        for s, col in enumerate(zip(*rows)):
+            den = lcm(*(x.denominator for x in col))
+            total = sum(w * x.numerator * (den // x.denominator) for w, x in zip(wt, col))
+            if total * ws_den != ws[s] * wt_den * den:
+                raise InvalidInputError(
+                    f"weighted column {s} is {show(Fraction(total, wt_den * den))}, "
+                    f"expected {show(source.weights[s])}; "
                     "operator does not intertwine the measures"
                 )
 

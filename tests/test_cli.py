@@ -2,6 +2,7 @@
 determinism and exit-code behaviour.  Tests that bound the time of the
 work itself call ``main`` in-process instead."""
 
+import gc
 import importlib.util
 import json
 import math
@@ -129,6 +130,80 @@ def test_cold_run_loads_neither_openssl_nor_random_unless_sampling(command):
     assert ("random" in loaded) == (command == "sample")
     if BUILTIN_SHA256:
         assert not loaded & {"hashlib", "_hashlib"}
+
+
+@pytest.mark.parametrize("command", sorted(COLD_COMMANDS))
+def test_cold_run_matches_in_process_main(command, tmp_path, capsys, monkeypatch):
+    # the same argv, --out path included, so the digests agree too
+    monkeypatch.chdir(REPO)
+    out = tmp_path / "report.json"
+    argv = [*COLD_COMMANDS[command], "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "joinlab", *argv],
+                          capture_output=True, text=True, cwd=REPO)
+    cold = (proc.returncode, proc.stdout, out.read_text())
+    out.unlink()
+    from joinlab.cli import main
+
+    code = main(argv)
+    assert (code, capsys.readouterr().out, out.read_text()) == cold
+    assert code == 0
+
+
+# argv and exit code: a pass, a failed verification, an argparse error and
+# a library check's error
+ENTRY_CASES = {
+    "pass": (COLD_COMMANDS["eta"], 0),
+    "fail": (("joining", "verify", "--file", "tests/golden/tensors/damaged.json"), 1),
+    "usage": (("frobnicate",), 2),
+    "invalid": (("eta", "--k", "0"), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENTRY_CASES))
+def test_run_freezes_the_import_heap_and_returns_mains_code(case, capsys, monkeypatch):
+    argv, want = ENTRY_CASES[case]
+    # run is called in a child only: in this process it would freeze
+    # pytest's heap
+    code = (
+        "import gc, sys; from joinlab.cli import run; code = run(sys.argv[1:]); "
+        "print('frozen:', gc.get_freeze_count(), file=sys.stderr); sys.exit(code)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, cwd=REPO)
+    monkeypatch.chdir(REPO)
+    from joinlab.cli import main
+
+    assert proc.returncode == main(list(argv)) == want
+    assert proc.stdout == capsys.readouterr().out
+    assert int(proc.stderr.splitlines()[-1].removeprefix("frozen: ")) > 0
+
+
+def test_import_and_main_leave_the_collector_alone(capsys, monkeypatch):
+    code = (
+        "import gc; import joinlab, joinlab.cli; "
+        "joinlab.cli.main(['eta', '--k', '1']); "
+        "print(gc.get_freeze_count(), gc.isenabled())"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 True"
+    from joinlab.cli import main
+
+    frozen = gc.get_freeze_count()
+    monkeypatch.chdir(REPO)
+    for argv, _ in ENTRY_CASES.values():
+        main(list(argv))
+    capsys.readouterr()
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, True)
+
+
+def test_both_process_entries_call_run():
+    # read as text: tomllib is 3.11+
+    main_py = (REPO / "src" / "joinlab" / "__main__.py").read_text()
+    assert "from .cli import run\n" in main_py
+    assert "sys.exit(run())" in main_py
+    scripts = (REPO / "pyproject.toml").read_text().split("[project.scripts]\n")[1]
+    assert scripts.split("\n[")[0].strip() == 'joinlab = "joinlab.cli:run"'
 
 
 SKEW_FRACTION = ("cocycle", "--config", "configs/skew_demo.json", "--cocycle",

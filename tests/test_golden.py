@@ -306,9 +306,11 @@ ERROR_CASES = {
             spaces=PAIR, actions={"a": {"space": "pair", "perms": [[1, 0]]}},
             objectives={"o": {"entries": [[[0, 0], "1/1"]]}})}),
     "mixing_sets_empty": ((*DEMO_MIX, "--sets", ",", "--sweep", "2"), {}),
+    "mixing_sets_empty_entry": ((*DEMO_MIX, "--sets", "low,,mixed,", "--sweep", "2"), {}),
     "mixing_sets_one": ((*DEMO_MIX, "--sets", "low", "--sweep", "2"), {}),
     "mixing_sets_space": ((*SKEW_MIX, "--sets", "low,top", "--sweep", "2"), {}),
     "mixing_offsets_empty": ((*DEMO_MIX, "--sets", "low,high", "--offsets", ","), {}),
+    "mixing_offsets_empty_entry": ((*DEMO_MIX, "--sets", "low,high", "--offsets", "1,,"), {}),
     "mixing_offsets_not_int": ((*DEMO_MIX, "--sets", "low,high", "--offsets", "x"), {}),
     "mixing_offsets_underscore": (
         (*DEMO_MIX, "--sets", "low,high", "--offsets", "1_0"), {}),

@@ -22,6 +22,7 @@ from joinlab import (
 )
 
 from conftest import random_automorphism, random_operator, random_space
+from joinlab.rationals import show
 
 U2 = FiniteSpace.uniform(2)
 
@@ -35,6 +36,77 @@ def test_markov_operator_validation():
         MarkovOperator(U2, U2, ((1, 0), (1, 0)))
     with pytest.raises(InvalidInputError):
         MarkovOperator(U2, U2, ((Fraction(3, 2), Fraction(-1, 2)), (half, half)))
+
+
+THIRD = FiniteSpace((Fraction(1, 3), Fraction(2, 3)))
+
+
+@pytest.mark.parametrize(
+    "source, target, kernel, message",
+    [
+        # the first negative entry in row order, before any row sum
+        (U2, U2, ((1, 0), (Fraction(3, 2), Fraction(-1, 4))),
+         "negative kernel entry at [1][1]"),
+        # the first row off one, before any column
+        (U2, U2, ((1, 0), (Fraction(1, 3), Fraction(1, 6))),
+         "row 1 sums to 1/2, expected 1"),
+        # the first weighted column off its source weight
+        (U2, THIRD, ((1, 0), (1, 0)),
+         "weighted column 0 is 1, expected 1/2; "
+         "operator does not intertwine the measures"),
+        (THIRD, U2, ((Fraction(1, 4), Fraction(3, 4)), (Fraction(1, 2), Fraction(1, 2))),
+         "weighted column 0 is 3/8, expected 1/3; "
+         "operator does not intertwine the measures"),
+    ],
+    ids=["negative", "row", "column-target-weights", "column-source-weights"],
+)
+def test_markov_operator_messages(source, target, kernel, message):
+    with pytest.raises(InvalidInputError) as err:
+        MarkovOperator(source, target, kernel)
+    assert str(err.value) == message
+
+
+def fraction_check(source, target, kernel):
+    """The operator's row and weighted column checks in ``Fraction``
+    arithmetic: the message of the first that fails, or None."""
+    for t, row in enumerate(kernel):
+        for s, x in enumerate(row):
+            if x < 0:
+                return f"negative kernel entry at [{t}][{s}]"
+        if sum(row) != 1:
+            return f"row {t} sums to {show(sum(row))}, expected 1"
+    for s in source.atoms():
+        col = sum((target.weights[t] * kernel[t][s] for t in target.atoms()), Fraction(0))
+        if col != source.weights[s]:
+            return (f"weighted column {s} is {show(col)}, expected "
+                    f"{show(source.weights[s])}; operator does not intertwine the measures")
+    return None
+
+
+def test_markov_operator_checks_match_fraction_arithmetic():
+    rng = random.Random(23)
+    messages = set()
+    for _ in range(400):
+        source, target = random_space(rng, 4), random_space(rng, 4)
+        kernel = [list(row) for row in random_operator(rng, source, target).kernel]
+        # move mass within a row (column off), across rows (row off), or
+        # below zero; sometimes twice, so a later failure hides behind an
+        # earlier one
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            t, s = rng.randrange(target.atom_count), rng.randrange(source.atom_count)
+            delta = Fraction(rng.randint(-3, 3), rng.randint(1, 6))
+            kernel[t][s] += delta
+            if rng.random() < 0.5:
+                kernel[t][rng.randrange(source.atom_count)] -= delta
+        want = fraction_check(source, target, kernel)
+        messages.add(want.split(" ")[0] if want else None)
+        if want is None:
+            assert MarkovOperator(source, target, kernel).kernel == tuple(map(tuple, kernel))
+        else:
+            with pytest.raises(InvalidInputError) as err:
+                MarkovOperator(source, target, kernel)
+            assert str(err.value) == want
+    assert messages == {None, "negative", "row", "weighted"}
 
 
 def test_averaging_operator_frozen_examples():
