@@ -26,7 +26,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .config import parse_config
+from .config import load_config
 from .errors import (
     InvalidInputError,
     JoinlabError,
@@ -61,11 +61,6 @@ from .skew import (
 )
 from .spaces import tuple_to_index
 from .torus import Z2kContext, full_action, triple_sum_joining
-
-
-def _load_config(path: str):
-    blob = read_bytes(path)
-    return parse_config(parse_json(blob, path), origin=path), blob
 
 
 def _ascii_int(text: str) -> int:
@@ -127,7 +122,7 @@ def _lookup(cfg, section: str, flag: str, name: str):
 
 
 def _cmd_polytope(args):
-    cfg, blob = _load_config(args.config)
+    cfg, blob = load_config(args.config)
     action = _lookup(cfg, "actions", "--action", args.action)
     # the shape cap carries no param; it grows with the order
     with naming({"order": "--order", "independence": "--independence", None: "--order"}):
@@ -193,7 +188,7 @@ def _check_stat_flags(args) -> None:
 
 
 def _cmd_cocycle(args):
-    cfg, blob = _load_config(args.config)
+    cfg, blob = load_config(args.config)
     r = _lookup(cfg, "cocycles", "--cocycle", args.cocycle)
     _check_stat_flags(args)
     payload = {"command": "cocycle", "cocycle": args.cocycle, "stat": args.stat}
@@ -231,7 +226,7 @@ def _cmd_cocycle(args):
 
 
 def _cmd_mixing(args):
-    cfg, blob = _load_config(args.config)
+    cfg, blob = load_config(args.config)
     t = _lookup(cfg, "automorphisms", "--automorphism", args.automorphism)
     with naming("--sets"):
         set_names = _name_list(args.sets)
@@ -276,7 +271,7 @@ def _cmd_mixing(args):
 
 
 def _cmd_sample(args):
-    cfg, blob = _load_config(args.config)
+    cfg, blob = load_config(args.config)
     s = _lookup(cfg, "automorphisms", "--base", args.base)
     fiber = _lookup(cfg, "spaces", "--fiber", args.fiber)
     with naming({"seed": "--seed", "mode": "--mode"}):
@@ -309,7 +304,7 @@ def _cmd_joining_verify(args):
     raw = data_to_raw(parse_json(file_blob, args.file), path=args.file)
     invariance_defect, cfg_blob = None, b""
     if args.action is not None:
-        cfg, cfg_blob = _load_config(args.config)
+        cfg, cfg_blob = load_config(args.config)
         action = _lookup(cfg, "actions", "--action", args.action)
         with naming("--action"):  # a factor off the action's space is refused
             invariance_defect = diagonal_invariance_defect(raw, action)

@@ -42,7 +42,7 @@ import re
 from itertools import chain, repeat
 
 from .errors import InvalidInputError, Value, naming
-from .serialize import _check_keys, _parse_weights, load_json_file
+from .serialize import _check_keys, _parse_weights, parse_json, read_bytes
 from .skew import RigiditySequence, SkewProduct
 from .spaces import (
     ActionGenerators,
@@ -66,24 +66,10 @@ _SECTIONS = (
 
 
 class Config(Value):
-    """All named objects defined by one config file, one dict per section;
-    a section not given is a fresh empty dict."""
+    """All named objects defined by one config file, one dict per section,
+    as ``parse_config`` builds them."""
 
     __slots__ = _fields = _SECTIONS
-
-    def __init__(
-        self,
-        spaces: dict | None = None,
-        automorphisms: dict | None = None,
-        actions: dict | None = None,
-        cocycles: dict | None = None,
-        sets: dict | None = None,
-        sequences: dict | None = None,
-        objectives: dict | None = None,
-    ):
-        tables = (spaces, automorphisms, actions, cocycles, sets, sequences, objectives)
-        for section, table in zip(_SECTIONS, tables):
-            object.__setattr__(self, section, {} if table is None else table)
 
     def lookup(self, section: str, name: str):
         return _find(getattr(self, section), section[:-1], name)
@@ -260,6 +246,8 @@ def parse_config(data, origin: str = "config") -> Config:
     )
 
 
-def load_config(path: str) -> Config:
-    """Read and validate a config file."""
-    return parse_config(load_json_file(path), origin=path)
+def load_config(path: str) -> tuple[Config, bytes]:
+    """The validated config in the file at ``path``, and the bytes read,
+    which a report's digest covers."""
+    blob = read_bytes(path)
+    return parse_config(parse_json(blob, path), origin=path), blob

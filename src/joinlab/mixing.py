@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import InvalidInputError, ResourceLimitError, Value, check, require_int
 from .joinings import JoiningTensor
@@ -26,33 +27,14 @@ from .spaces import (
 )
 
 
-class OffsetVector(Value):
-    """Positive gaps k_1, ..., k_n between successive powers."""
-
-    __slots__ = _fields = ("offsets",)
-
-    def __init__(self, offsets: tuple[int, ...]):
-        offsets = tuple(offsets)
-        if not offsets:
-            raise InvalidInputError("offset vector must be nonempty")
-        for k in offsets:
-            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-                raise InvalidInputError(f"offsets must be positive ints, got {offsets}")
-        object.__setattr__(self, "offsets", offsets)
-
-    def __len__(self) -> int:
-        return len(self.offsets)
-
-    def partial_sums(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for k in self.offsets:
-            acc += k
-            out.append(acc)
-        return tuple(out)
-
-
-def _as_offsets(k) -> OffsetVector:
-    return k if isinstance(k, OffsetVector) else OffsetVector(tuple(k))
+def _offset_sums(k) -> list[int]:
+    """The running sums K_i = k_1 + ... + k_i of the offsets ``k``, a
+    nonempty tuple or list of positive ints, never bools."""
+    if not isinstance(k, (tuple, list)) or not {*map(type, k)} <= {int} or min(k, default=1) < 1:
+        raise InvalidInputError(f"offsets must be positive ints, got {k!r}")
+    if not k:
+        raise InvalidInputError("offset vector must be nonempty")
+    return list(accumulate(k))
 
 
 def _check_sets(t: Automorphism, sets: Sequence[MeasurableSet]) -> None:
@@ -60,11 +42,12 @@ def _check_sets(t: Automorphism, sets: Sequence[MeasurableSet]) -> None:
           "all sets must live on the automorphism's space")
 
 
-def _meet(t: Automorphism, atom_sets: Sequence, k: OffsetVector) -> set[int]:
-    """A_0 ^ t^{K_1} A_1 ^ ... ^ t^{K_n} A_n for atom sets A_i, with
-    K_i = k_1 + ... + k_i; the walk stops once the meet is empty."""
+def _meet(t: Automorphism, atom_sets: Sequence, sums: list[int]) -> set[int]:
+    """A_0 ^ t^{K_1} A_1 ^ ... ^ t^{K_n} A_n for atom sets A_i and the
+    running sums K_i of ``_offset_sums``; the walk stops once the meet is
+    empty."""
     running = set(atom_sets[0])
-    for big_k, atoms in zip(k.partial_sums(), atom_sets[1:]):
+    for big_k, atoms in zip(sums, atom_sets[1:]):
         if not running:
             break
         perm = t.power(big_k).perm
@@ -76,10 +59,10 @@ def correlation(t: Automorphism, sets: Sequence[MeasurableSet], k) -> Fraction:
     """mu(A_0 ^ S^{K_1} A_1 ^ ... ^ S^{K_n} A_n), K_i = k_1 + ... + k_i,
     where S^K A is the image of A under the K-th power."""
     _check_sets(t, sets)
-    k = _as_offsets(k)
-    check(len(sets) == len(k) + 1, "k",
-          f"need {len(k) + 1} sets for {len(k)} offsets, got {len(sets)}")
-    return t.space.mass(_meet(t, [a.atoms for a in sets], k))
+    sums = _offset_sums(k)
+    n = len(sums)
+    check(len(sets) == n + 1, "k", f"need {n + 1} sets for {n} offsets, got {len(sets)}")
+    return t.space.mass(_meet(t, [a.atoms for a in sets], sums))
 
 
 class SweepResult(Value):
@@ -89,16 +72,11 @@ class SweepResult(Value):
     __slots__ = _fields = ("max_deviation", "argmax_offsets", "product_value")
 
 
-def mixing_deviation_sweep(t: Automorphism, sets: Sequence[MeasurableSet], k_range: int) -> Fraction:
-    """max over offset vectors in {1..k_range}^n of
-    |correlation - prod_i mu(A_i)|."""
-    return mixing_deviation_sweep_detail(t, sets, k_range).max_deviation
-
-
 def mixing_deviation_sweep_detail(
     t: Automorphism, sets: Sequence[MeasurableSet], k_range: int
 ) -> SweepResult:
-    """The sweep of ``mixing_deviation_sweep`` with its first argmax.
+    """max over offset vectors in {1..k_range}^n of
+    |correlation - prod_i mu(A_i)|, with its first argmax.
 
     A correlation depends on each offset only modulo the order of t, and
     reducing an offset that way never makes a grid point lexicographically
@@ -168,15 +146,14 @@ def offset_joining(r: Automorphism, k) -> JoiningTensor:
     equivalently nu(C_0 x ... x C_n) = lambda(C_0 ^ R^{K_1} C_1 ^ ...),
     so pairing nu against indicator products reproduces ``correlation``
     exactly."""
-    k = _as_offsets(k)
-    n = len(k)
+    sums = _offset_sums(k)
     r_inv = r.inverse()
-    inv_perms = [r_inv.power(big_k).perm for big_k in k.partial_sums()]
+    inv_perms = [r_inv.power(big_k).perm for big_k in sums]
     values = {}
     for z0 in r.space.atoms():
         tup = (z0,) + tuple(p[z0] for p in inv_perms)
         values[tup] = r.space.weights[z0]
-    return JoiningTensor.from_nonzero((r.space,) * (n + 1), values)
+    return JoiningTensor.from_nonzero((r.space,) * (len(sums) + 1), values)
 
 
 def fiber_projection(r: SkewProduct, f: Sequence) -> tuple[Fraction, ...]:
@@ -215,13 +192,14 @@ def relative_mixing_deviation(
 
     The squared distance is returned because it is always rational; the
     distance itself generally is not."""
-    k = _as_offsets(k)
-    check(len(horizontal_sets) == len(k) + 1, "k",
-          f"need {len(k) + 1} sets for {len(k)} offsets, got {len(horizontal_sets)}")
+    sums = _offset_sums(k)
+    n = len(sums)
+    check(len(horizontal_sets) == n + 1, "k",
+          f"need {n + 1} sets for {n} offsets, got {len(horizontal_sets)}")
     check(all(b.space == r.fiber for b in horizontal_sets), "horizontal_sets",
           "horizontal sets must live on the fiber")
     lifts = [_lift_horizontal(r, b) for b in horizontal_sets]
-    running = _meet(as_automorphism(r), lifts, k)
+    running = _meet(as_automorphism(r), lifts, sums)
     target = math.prod((b.measure for b in horizontal_sets), start=Fraction(1))
     nf = r.fiber.atom_count
     total = Fraction(0)
@@ -240,8 +218,8 @@ def mixed_set_correlation(
     """lambda(V_0 ^ R^{K_1}(V_1 ^ H_1) ^ ... ^ R^{K_m}(V_m ^ H_m)) on the
     product space, with V_i vertical (a base set times the fiber) and H_i
     horizontal (the base times a fiber set)."""
-    k = _as_offsets(k)
-    m = len(k)
+    sums = _offset_sums(k)
+    m = len(sums)
     check(len(vertical_sets) == m + 1 and len(horizontal_sets) == m, "k",
           f"need {m + 1} vertical and {m} horizontal sets for {m} offsets")
     check(all(a.space == r.base for a in vertical_sets), "vertical_sets",
@@ -253,4 +231,4 @@ def mixed_set_correlation(
         _lift_vertical(r, a) & _lift_horizontal(r, b)
         for a, b in zip(vertical_sets[1:], horizontal_sets)
     ]
-    return big.space.mass(_meet(big, cells, k))
+    return big.space.mass(_meet(big, cells, sums))

@@ -61,10 +61,6 @@ def parse_json(blob: bytes, path: str):
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def load_json_file(path: str):
-    return parse_json(read_bytes(path), path)
-
-
 def _check_keys(obj, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
     if not isinstance(obj, dict):
         raise InvalidInputError(f"{path}: expected an object, got {type(obj).__name__}")

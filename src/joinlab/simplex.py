@@ -297,14 +297,3 @@ class RationalSimplex:
             "optimal", -value if flip else value, self._point(self._vertex())
         )
 
-
-def solve_lp(
-    rows: Sequence[Sequence],
-    rhs: Sequence,
-    objective: Sequence,
-    sense: str = "max",
-) -> LpSolution:
-    """One-shot convenience wrapper."""
-    n = len(objective)
-    solver = RationalSimplex(rows, rhs, n)
-    return solver.solve_for(objective, sense)

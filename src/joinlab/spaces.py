@@ -196,8 +196,8 @@ class MeasurableSet(Value):
 class Automorphism(Value):
     """Measure-preserving permutation of a space's atoms.
 
-    ``perm[i]`` is the image of atom i.  ``perm`` must hold ints (bools
-    included), tested once over its set of types, and sort to 0..n-1.
+    ``perm[i]`` is the image of atom i.  ``perm`` must hold ints, never
+    bools, tested once over its set of types, and sort to 0..n-1.
     Weight preservation (weights[perm[i]] == weights[i]) is enforced at
     construction: on a uniform space (denominator equal to the atom count)
     every permutation preserves weights and nothing is looked up;
@@ -213,7 +213,7 @@ class Automorphism(Value):
         n = space.atom_count
         if (
             len(perm) != n
-            or not all(issubclass(t, int) for t in {*map(type, perm)})
+            or not all(issubclass(t, int) and t is not bool for t in {*map(type, perm)})
             or sorted(perm) != list(range(n))
         ):
             raise InvalidInputError(f"not a permutation of 0..{n - 1}: {perm}")
@@ -234,8 +234,9 @@ class Automorphism(Value):
         known to be a weight-preserving permutation of ``space``'s atoms:
         derived from valid ones (a composition, an inverse, a power, or a
         product map built from them), drawn by a shuffle within weight
-        classes, or checked in bulk by the config parser.  Every other
-        caller goes through the validating constructor."""
+        classes, a coordinate shuffle of a uniform Z_2^k, or checked in bulk
+        by the config parser.  Every other caller goes through the
+        validating constructor."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "space", space)
         object.__setattr__(obj, "perm", perm)
@@ -305,18 +306,6 @@ def compose(a: Automorphism, b: Automorphism) -> Automorphism:
     if a.space != b.space:
         raise InvalidInputError("automorphisms live on different spaces")
     return Automorphism._trusted(a.space, tuple(map(a.perm.__getitem__, b.perm)))
-
-
-def is_measure_preserving(perm: Sequence[int], space: FiniteSpace) -> bool:
-    """Whether a permutation preserves the weights, by its images'
-    numerators.  Non-bijections are an error rather than False: they are
-    malformed input, not a negative case."""
-    n = space.atom_count
-    perm = tuple(perm)
-    if len(perm) != n or sorted(perm) != list(range(n)):
-        raise InvalidInputError(f"not a permutation of 0..{n - 1}: {perm}")
-    nums = space.numerators
-    return tuple(map(nums.__getitem__, perm)) == nums
 
 
 class ActionGenerators(Value):
@@ -462,12 +451,14 @@ def shape_of(spaces: Sequence[FiniteSpace]) -> tuple[int, ...]:
 
 
 def tuple_to_index(shape: Sequence[int], tup: Sequence[int]) -> int:
-    """Rank of an atom tuple in lexicographic order (last coordinate fastest)."""
+    """Rank of an atom tuple in lexicographic order (last coordinate
+    fastest); a coordinate that is not an int in range, a bool among
+    them, is refused."""
     if len(tup) != len(shape):
         raise InvalidInputError(f"tuple {tup} does not match shape {shape}")
     idx = 0
     for n, t in zip(shape, tup):
-        if not 0 <= t < n:
+        if type(t) is not int or not 0 <= t < n:
             raise InvalidInputError(f"coordinate {t} outside 0..{n - 1}")
         idx = idx * n + t
     return idx

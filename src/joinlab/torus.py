@@ -66,15 +66,17 @@ class Z2kContext(Value):
 
 
 def permutation_automorphism(ctx: Z2kContext, sigma: Sequence[int]) -> Automorphism:
-    """Coordinate shuffle: component i of the image is x_{sigma(i)}."""
+    """Coordinate shuffle: component i of the image is x_{sigma(i)}.
+    ``sigma`` must hold ints, never bools; any such shuffle permutes the
+    uniform group, so the map is built unvalidated."""
     sigma = tuple(sigma)
-    if sorted(sigma) != list(range(ctx.k)):
+    if not {*map(type, sigma)} <= {int} or sorted(sigma) != list(range(ctx.k)):
         raise InvalidInputError(f"sigma must permute 0..{ctx.k - 1}, got {sigma}")
     perm = []
     for a in range(ctx.group_order):
         x = ctx.bits(a)
         perm.append(ctx.atom(tuple(x[sigma[i]] for i in range(ctx.k))))
-    return Automorphism(ctx.space, tuple(perm))
+    return Automorphism._trusted(ctx.space, tuple(perm))
 
 
 def shift_automorphism(ctx: Z2kContext, alpha: Sequence[int]) -> Automorphism:

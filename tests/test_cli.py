@@ -841,7 +841,7 @@ def test_cocycle_huge_times_and_horizons_finish_with_the_reduced_values(tmp_path
     from joinlab.config import load_config
 
     cfg = _far_config(tmp_path)
-    config = load_config(cfg)
+    config, _ = load_config(cfg)
     low = config.lookup("sets", "low")
     for name in ("product", "alternating", "cyclic"):
         r = config.lookup("cocycles", name)

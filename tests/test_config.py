@@ -164,9 +164,14 @@ def test_load_config_from_file(tmp_path):
 
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(full_config_data()))
-    cfg = load_config(str(p))
+    cfg, blob = load_config(str(p))
     assert cfg.spaces["pair"].atom_count == 2
-    with pytest.raises(InvalidInputError):
+    assert blob == p.read_bytes()
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    with pytest.raises(InvalidInputError, match=r"bad\.json is not valid JSON"):
+        load_config(str(bad))
+    with pytest.raises(InvalidInputError, match="^cannot read .*absent.json"):
         load_config(str(tmp_path / "absent.json"))
 
 

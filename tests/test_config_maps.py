@@ -249,7 +249,7 @@ def oracle_perm(space, perm):
     n = space.atom_count
     if (
         len(perm) != n
-        or any(not isinstance(j, int) for j in perm)
+        or any(not isinstance(j, int) or isinstance(j, bool) for j in perm)
         or sorted(perm) != list(range(n))
     ):
         raise InvalidInputError(f"not a permutation of 0..{n - 1}: {perm}")

@@ -178,7 +178,7 @@ def test_halmos_numerator_to_the_identity_is_four_times_the_moved_weight(data):
 
 
 def test_rigidity_walk_on_the_demo_config():
-    cfg = load_config(str(CONFIGS / "skew_demo.json"))
+    cfg, _ = load_config(str(CONFIGS / "skew_demo.json"))
     a = cfg.lookup("sets", "low")
     for name in ("product", "alternating"):
         r = cfg.lookup("cocycles", name)
@@ -310,7 +310,7 @@ def test_relative_mixing_fraction_on_a_300_atom_fiber(tmp_path, capsys):
     }
     path = tmp_path / "big_fiber.json"
     path.write_text(json.dumps(cfg))
-    r = load_config(str(path)).lookup("cocycles", "r")
+    r = load_config(str(path))[0].lookup("cocycles", "r")
     for eps, expected in (("399/400", 0), ("2/5", 0), ("2/1", 1), ("3991/4000", 1)):
         for p in (0, 1, 10**12):
             assert relative_mixing_fraction(r, p, Fraction(eps)) == expected
@@ -572,7 +572,7 @@ def test_return_map_orbit_count_on_sampled_extensions(data, seed, mode):
 
 
 def test_return_map_orbit_count_on_the_demo_config():
-    cfg = load_config(str(CONFIGS / "skew_demo.json"))
+    cfg, _ = load_config(str(CONFIGS / "skew_demo.json"))
     # over the 4-cycle both return maps C(0, 4) are the identity of the pair
     for name in ("product", "alternating"):
         r = cfg.lookup("cocycles", name)

@@ -29,6 +29,7 @@ from joinlab import (
     mixing_deviation_sweep_detail,
     operator_from_joining,
     operator_power,
+    permutation_automorphism,
     power_skew,
     product_convergence_trace,
     product_joining,
@@ -40,6 +41,7 @@ from joinlab import (
     weak_closure_probe,
 )
 from joinlab.cli import _ascii_int
+from joinlab.config import Config
 from joinlab.errors import (
     InvalidInputError,
     JoinlabInternalError,
@@ -58,6 +60,7 @@ from joinlab.polytope import (
     _Reduction,
 )
 from joinlab.simplex import LpSolution
+from joinlab.spaces import tuple_to_index
 
 
 @pytest.mark.parametrize(
@@ -197,6 +200,15 @@ def _bool_cases():
             FiniteSpace.uniform, "atom count must be a positive int, got {!r}"),
         "MeasurableSet atoms": (
             lambda b: MeasurableSet(two, frozenset({b})), "atom {!r} outside the space"),
+        "Automorphism perm": (
+            lambda b: Automorphism(two, (b, 0)), "not a permutation of 0..1: ({!r}, 0)"),
+        "permutation_automorphism sigma": (
+            lambda b: permutation_automorphism(Z2kContext(2), (b, 0)),
+            "sigma must permute 0..1, got ({!r}, 0)"),
+        "tuple_to_index coordinate": (
+            lambda b: tuple_to_index((2,), (b,)), "coordinate {} outside 0..1"),
+        "RawTensor.value coordinate": (
+            lambda b: v.value((b, 0)), "coordinate {} outside 0..1"),
         "product_convergence_trace j_max": (
             lambda b: product_convergence_trace(v, None, None, b),
             "j_max must be a positive int, got {!r}"),
@@ -284,7 +296,8 @@ def test_integer_parameters_refuse_bools(name, flag):
     ["cocycle_product x", "Z2kContext.bits atom", "Z2kContext.atom bits",
      "marginal coords", "disintegrate base coords", "reassemble base coords",
      "has_standard_projections distinguished", "operator_from_joining distinguished",
-     "joining_from_operator distinguished"],
+     "joining_from_operator distinguished", "permutation_automorphism sigma",
+     "tuple_to_index coordinate", "RawTensor.value coordinate"],
 )
 def test_atoms_refuse_non_ints(name):
     # a float equal to an atom, a coordinate or a position is refused as
@@ -302,6 +315,7 @@ RECORDS = [
     (_Reduction, ((0,), 1, [], [])),
     (SweepResult, (Fraction(0), (1,), Fraction(1, 4))),
     (ClosureProbe, (1, Fraction(1, 2), Fraction(0))),
+    (Config, ({}, {}, {}, {}, {}, {}, {})),
 ]
 
 

@@ -14,7 +14,6 @@ from joinlab.serialize import (
     data_to_joining,
     data_to_raw,
     joining_to_data,
-    load_json_file,
     skew_to_data,
 )
 
@@ -113,18 +112,6 @@ def test_skew_to_data_structure():
         "cocycle": [[0, 1], [0, 1]],
     }
     json.dumps(data)  # must be directly serialisable
-
-
-def test_load_json_file(tmp_path):
-    p = tmp_path / "v.json"
-    p.write_text('{"a": 1}')
-    assert load_json_file(str(p)) == {"a": 1}
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(InvalidInputError):
-        load_json_file(str(bad))
-    with pytest.raises(InvalidInputError):
-        load_json_file(str(tmp_path / "missing.json"))
 
 
 def test_raw_decode_caps_declared_shape_before_allocating():

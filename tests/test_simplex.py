@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from joinlab import InvalidInputError, JoinlabError, RationalSimplex, solve_lp
+from joinlab import InvalidInputError, JoinlabError, RationalSimplex
 
 from conftest import northwest_coupling
 
@@ -123,10 +123,10 @@ def test_transportation_corner_values():
     cw = [Fraction(1, 3), Fraction(2, 3)]
     rows, rhs, n = transportation_lp(rw, cw)
     obj = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
-    res = solve_lp(rows, rhs, obj, "max")
+    res = RationalSimplex(rows, rhs, n).solve_for(obj, "max")
     assert res.status == "optimal"
     assert res.value == Fraction(1, 3)
-    res_min = solve_lp(rows, rhs, obj, "min")
+    res_min = RationalSimplex(rows, rhs, n).solve_for(obj, "min")
     assert res_min.value == 0
 
 
@@ -141,7 +141,7 @@ def test_against_vertex_oracle_random():
         rows, rhs, n = transportation_lp(rw, cw)
         objective = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
         for sense in ("max", "min"):
-            got = solve_lp(rows, rhs, objective, sense)
+            got = RationalSimplex(rows, rhs, n).solve_for(objective, sense)
             want = oracle_optimum(rows, rhs, n, objective, sense)
             assert got.status == "optimal"
             assert got.value == want
@@ -165,11 +165,11 @@ def test_rank_counts_independent_rows():
 
 def test_infeasible_detected():
     one = Fraction(1)
-    res = solve_lp([[one, one]], [Fraction(-1)], [one, one], "max")
+    res = RationalSimplex([[one, one]], [Fraction(-1)], 2).solve_for([one, one], "max")
     assert res.status == "infeasible"
     # 0 = 1 after elimination
-    res2 = solve_lp(
-        [[one, one], [one, one]], [one, Fraction(2)], [one, one], "max"
+    res2 = RationalSimplex([[one, one], [one, one]], [one, Fraction(2)], 2).solve_for(
+        [one, one], "max"
     )
     assert res2.status == "infeasible"
 
@@ -177,7 +177,7 @@ def test_infeasible_detected():
 def test_unbounded_raises():
     one = Fraction(1)
     with pytest.raises(JoinlabError):
-        solve_lp([[one, -one]], [Fraction(0)], [one, Fraction(0)], "max")
+        RationalSimplex([[one, -one]], [Fraction(0)], 2).solve_for([one, Fraction(0)], "max")
 
 
 @pytest.mark.parametrize(
@@ -190,14 +190,14 @@ def test_entries_go_through_as_fraction(entry, message):
     # a row, a right-hand side and an objective read their entries alike:
     # ints and Fractions as they are, anything else through as_fraction
     for call in (
-        lambda: solve_lp([[entry, 1]], [1], [1, 1]),
-        lambda: solve_lp([[1, 1]], [entry], [1, 1]),
+        lambda: RationalSimplex([[entry, 1]], [1], 2),
+        lambda: RationalSimplex([[1, 1]], [entry], 2),
         lambda: RationalSimplex([[1, 1]], [1], 2).solve_for([entry, 0]),
     ):
         with pytest.raises(InvalidInputError) as err:
             call()
         assert str(err.value) == message
-    assert solve_lp([["1/2", 1]], ["1/2"], ["1", 0]).value == 1
+    assert RationalSimplex([["1/2", 1]], ["1/2"], 2).solve_for(["1", 0]).value == 1
 
 
 def test_degenerate_lp_terminates():
@@ -213,7 +213,7 @@ def test_degenerate_lp_terminates():
     rhs = [one, one, one]
     objective = [one, Fraction(2), zero, Fraction(-1), zero, Fraction(3)]
     for sense in ("max", "min"):
-        got = solve_lp(rows, rhs, objective, sense)
+        got = RationalSimplex(rows, rhs, 6).solve_for(objective, sense)
         want = oracle_optimum(rows, rhs, 6, objective, sense)
         assert got.status == "optimal"
         assert got.value == want
@@ -225,7 +225,7 @@ def test_zero_mass_rhs_degeneracy():
     # x0 + x1 = 0 forces both to zero despite a favorable objective
     rows = [[one, one, zero], [zero, zero, one]]
     rhs = [zero, one]
-    got = solve_lp(rows, rhs, [one, one, zero], "max")
+    got = RationalSimplex(rows, rhs, 3).solve_for([one, one, zero], "max")
     assert got.status == "optimal"
     assert got.value == 0
     assert got.solution == (0, 0, 1)
@@ -244,9 +244,11 @@ def test_determinism_and_warm_start_values():
     ]
     warm = RationalSimplex(rows, rhs, n)
     warm_values = [warm.solve_for(obj, "max").value for obj in objectives]
-    cold_values = [solve_lp(rows, rhs, obj, "max").value for obj in objectives]
+    cold_values = [
+        RationalSimplex(rows, rhs, n).solve_for(obj, "max").value for obj in objectives
+    ]
     assert warm_values == cold_values
 
-    again = [solve_lp(rows, rhs, obj, "max") for obj in objectives]
-    first = [solve_lp(rows, rhs, obj, "max") for obj in objectives]
+    again = [RationalSimplex(rows, rhs, n).solve_for(obj, "max") for obj in objectives]
+    first = [RationalSimplex(rows, rhs, n).solve_for(obj, "max") for obj in objectives]
     assert [r.solution for r in again] == [r.solution for r in first]

@@ -13,7 +13,6 @@ from joinlab import (
     MeasurableSet,
     compose,
     halmos_distance,
-    is_measure_preserving,
     orbit_count,
     product_space,
 )
@@ -81,11 +80,24 @@ def test_automorphism_rejects_non_bijection():
 
 
 def test_is_measure_preserving():
+    # the constructor is the one permutation check: it keeps a weight
+    # preserving permutation and refuses one that moves weight
     sp = FiniteSpace((Fraction(1, 3), Fraction(2, 3)))
-    assert is_measure_preserving((0, 1), sp)
-    assert not is_measure_preserving((1, 0), sp)
-    with pytest.raises(InvalidInputError):
-        is_measure_preserving((0, 0), sp)
+    assert Automorphism(sp, (0, 1)).perm == (0, 1)
+    with pytest.raises(InvalidInputError, match="^atom 0 .* different weight 2/3$"):
+        Automorphism(sp, (1, 0))
+    with pytest.raises(InvalidInputError, match=r"^not a permutation of 0\.\.1: \(0, 0\)$"):
+        Automorphism(sp, (0, 0))
+
+
+def test_automorphism_refuses_bools():
+    # (True, False) == (1, 0), but a bool is not an atom: accepted, it
+    # would be written to reports as [true, false]
+    two = FiniteSpace.uniform(2)
+    for perm in ((True, False), (0, True), (1.0, 0)):
+        with pytest.raises(InvalidInputError) as err:
+            Automorphism(two, perm)
+        assert str(err.value) == f"not a permutation of 0..1: {perm}"
 
 
 @given(st.permutations(list(range(6))), st.permutations(list(range(6))))

@@ -25,7 +25,6 @@ from joinlab import (
     LpSolution,
     MarkovOperator,
     MeasurableSet,
-    OffsetVector,
     PolytopeSpec,
     ProductMeasure,
     RigiditySequence,
@@ -80,9 +79,6 @@ CASES = {
         ((PAIR,), (PAIR,), (HALVES, ProductMeasure((PAIR,), (1, 0)))),
         f"EquivariantField(base_spaces=({S},), fiber_spaces=({S},), "
         f"assignment=({P}, {P}))"),
-    "OffsetVector": (
-        OffsetVector, ("offsets",), ("offsets",),
-        ((1, 2),), ((2, 1),), "OffsetVector(offsets=(1, 2))"),
     "SweepResult": (
         SweepResult, ("max_deviation", "argmax_offsets", "product_value"),
         ("max_deviation", "argmax_offsets", "product_value"),
@@ -176,15 +172,6 @@ def test_value_class_semantics(name):
         with pytest.raises(AttributeError):
             delattr(x, field)
     assert repr(x) == shown
-
-
-def test_config_sections_default_to_fresh_dicts():
-    a, b = Config(), Config()
-    assert a == b and a.spaces == {} and a.spaces is not b.spaces
-    assert repr(a) == (
-        "Config(spaces={}, automorphisms={}, actions={}, cocycles={}, sets={}, "
-        "sequences={}, objectives={})"
-    )
 
 
 def test_measures_compare_by_integer_form():
