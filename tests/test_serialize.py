@@ -14,6 +14,8 @@ from joinlab.serialize import (
     data_to_joining,
     data_to_raw,
     joining_to_data,
+    parse_json,
+    read_bytes,
     skew_to_data,
 )
 
@@ -112,6 +114,18 @@ def test_skew_to_data_structure():
         "cocycle": [[0, 1], [0, 1]],
     }
     json.dumps(data)  # must be directly serialisable
+
+
+def test_load_json_file(tmp_path):
+    p = tmp_path / "v.json"
+    p.write_text('{"a": 1}')
+    assert parse_json(read_bytes(str(p)), str(p)) == {"a": 1}
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    with pytest.raises(InvalidInputError, match=r"bad\.json is not valid JSON"):
+        parse_json(read_bytes(str(bad)), str(bad))
+    with pytest.raises(InvalidInputError, match="^cannot read .*missing.json"):
+        read_bytes(str(tmp_path / "missing.json"))
 
 
 def test_raw_decode_caps_declared_shape_before_allocating():
