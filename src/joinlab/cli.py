@@ -13,6 +13,10 @@ handler wraps its library call in ``naming`` with a mapping from the
 ``param`` of each check to the flag that supplied it, so the exit-2
 message names the flag; a handler checks only what no library function
 reads, such as the flags a ``--stat`` takes.
+
+A cold run pays only for the subcommand its argv names: each handler
+imports the library functions it calls, and ``main`` builds the parser of
+that one subcommand (``build_parser(command)``).
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import sys
 import time
 from fractions import Fraction
 
-from .config import load_config
 from .errors import (
     InvalidInputError,
     JoinlabError,
@@ -34,33 +37,8 @@ from .errors import (
     ResourceLimitError,
     naming,
 )
-from .joinings import (
-    _face_gap,
-    diagonal_invariance_defect,
-    face_independence_defect,
-    marginal_defect,
-)
-from .mixing import correlation, mixing_deviation_sweep_detail
-from .polytope import PolytopeSpec, certify_triviality, optimize
 from .rationals import parse_rational
 from .report import input_digest, render_report
-from .serialize import (
-    data_to_raw,
-    joining_to_data,
-    parse_json,
-    read_bytes,
-    skew_to_data,
-)
-from .skew import (
-    _rigidity_walk,
-    fiber_square_ergodic,
-    relative_mixing_fraction,
-    relative_weak_mixing_average,
-    sample_random_extension,
-    skew_orbit_count,
-)
-from .spaces import tuple_to_index
-from .torus import Z2kContext, full_action, triple_sum_joining
 
 
 def _ascii_int(text: str) -> int:
@@ -92,6 +70,14 @@ def _name_list(text: str) -> list[str]:
 
 
 def _cmd_eta(args):
+    from .joinings import (
+        _face_gap,
+        diagonal_invariance_defect,
+        face_independence_defect,
+        marginal_defect,
+    )
+    from .torus import Z2kContext, full_action, triple_sum_joining
+
     with naming({"k": "--k"}):
         ctx = Z2kContext(args.k)
     v = triple_sum_joining(ctx)
@@ -122,6 +108,11 @@ def _lookup(cfg, section: str, flag: str, name: str):
 
 
 def _cmd_polytope(args):
+    from .config import load_config
+    from .polytope import PolytopeSpec, certify_triviality, optimize
+    from .serialize import joining_to_data
+    from .spaces import tuple_to_index
+
     cfg, blob = load_config(args.config)
     action = _lookup(cfg, "actions", "--action", args.action)
     # the shape cap carries no param; it grows with the order
@@ -188,6 +179,9 @@ def _check_stat_flags(args) -> None:
 
 
 def _cmd_cocycle(args):
+    from .config import load_config
+    from .skew import _rigidity_walk, relative_mixing_fraction, relative_weak_mixing_average
+
     cfg, blob = load_config(args.config)
     r = _lookup(cfg, "cocycles", "--cocycle", args.cocycle)
     _check_stat_flags(args)
@@ -226,6 +220,9 @@ def _cmd_cocycle(args):
 
 
 def _cmd_mixing(args):
+    from .config import load_config
+    from .mixing import correlation, mixing_deviation_sweep_detail
+
     cfg, blob = load_config(args.config)
     t = _lookup(cfg, "automorphisms", "--automorphism", args.automorphism)
     with naming("--sets"):
@@ -271,6 +268,10 @@ def _cmd_mixing(args):
 
 
 def _cmd_sample(args):
+    from .config import load_config
+    from .serialize import skew_to_data
+    from .skew import fiber_square_ergodic, sample_random_extension, skew_orbit_count
+
     cfg, blob = load_config(args.config)
     s = _lookup(cfg, "automorphisms", "--base", args.base)
     fiber = _lookup(cfg, "spaces", "--fiber", args.fiber)
@@ -296,6 +297,10 @@ def _cmd_sample(args):
 
 
 def _cmd_joining_verify(args):
+    from .config import load_config
+    from .joinings import diagonal_invariance_defect, marginal_defect
+    from .serialize import data_to_raw, parse_json, read_bytes
+
     if args.action is not None and args.config is None:
         raise InvalidInputError("--action requires --config")
     if args.config is not None and args.action is None:
@@ -335,28 +340,20 @@ def _cmd_joining_verify(args):
     return payload, passed, file_blob + cfg_blob
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", metavar="PATH", help="also write the report here")
+def _add_out(p) -> None:
+    p.add_argument("--out", metavar="PATH", help="also write the report here")
 
-    parser = argparse.ArgumentParser(
-        prog="joinlab",
-        description="exact joining computations on finite systems",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "eta", parents=[common], help="order-4 interdependence measure checks"
-    )
+def _add_eta(p) -> None:
+    _add_out(p)
     p.add_argument("--k", type=_ascii_int, required=True, help="number of bits")
     p.add_argument(
         "--verify", action="store_true", help="exit 1 unless all defects vanish"
     )
-    p.set_defaults(handler=_cmd_eta)
 
-    p = sub.add_parser(
-        "polytope", parents=[common], help="joining polytope linear programs"
-    )
+
+def _add_polytope(p) -> None:
+    _add_out(p)
     p.add_argument("--config", required=True)
     p.add_argument("--action", required=True, metavar="NAME")
     p.add_argument("--order", type=_ascii_int, required=True)
@@ -365,11 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--certify", action="store_true")
     mode.add_argument("--objective", metavar="NAME")
     p.add_argument("--minimize", action="store_true")
-    p.set_defaults(handler=_cmd_polytope)
 
-    p = sub.add_parser(
-        "cocycle", parents=[common], help="skew product statistics"
-    )
+
+def _add_cocycle(p) -> None:
+    _add_out(p)
     p.add_argument("--config", required=True)
     p.add_argument("--cocycle", required=True, metavar="NAME")
     p.add_argument(
@@ -382,11 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fiber-set-a", metavar="NAME")
     p.add_argument("--fiber-set-b", metavar="NAME")
     p.add_argument("--horizon", type=_ascii_int, metavar="N")
-    p.set_defaults(handler=_cmd_cocycle)
 
-    p = sub.add_parser(
-        "mixing", parents=[common], help="higher-order correlation sweeps"
-    )
+
+def _add_mixing(p) -> None:
+    _add_out(p)
     p.add_argument("--config", required=True)
     p.add_argument("--automorphism", required=True, metavar="NAME")
     p.add_argument(
@@ -395,11 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--offsets", metavar="K1,K2,...")
     mode.add_argument("--sweep", type=_ascii_int, metavar="K")
-    p.set_defaults(handler=_cmd_mixing)
 
-    p = sub.add_parser(
-        "sample", parents=[common], help="seed-deterministic random extensions"
-    )
+
+def _add_sample(p) -> None:
+    _add_out(p)
     p.add_argument("--config", required=True)
     p.add_argument("--base", required=True, metavar="NAME")
     p.add_argument("--fiber", required=True, metavar="NAME")
@@ -408,32 +402,62 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", required=True, choices=("iid-cocycle", "random-coboundary")
     )
     p.add_argument("--analyze", action="store_true")
-    p.set_defaults(handler=_cmd_sample)
 
-    p = sub.add_parser("joining", help="joining file operations")
+
+def _add_joining(p) -> None:
     jsub = p.add_subparsers(dest="joining_command", required=True)
-    pv = jsub.add_parser(
-        "verify", parents=[common], help="check the joining axioms of a tensor file"
-    )
+    pv = jsub.add_parser("verify", help="check the joining axioms of a tensor file")
+    _add_out(pv)
     pv.add_argument("--file", required=True)
     pv.add_argument("--config", help="config defining the action for --action")
     pv.add_argument("--action", metavar="NAME")
-    pv.set_defaults(handler=_cmd_joining_verify)
 
+
+# name: (help, argument adder, handler), in the order help lists them
+_COMMANDS = {
+    "eta": ("order-4 interdependence measure checks", _add_eta, _cmd_eta),
+    "polytope": ("joining polytope linear programs", _add_polytope, _cmd_polytope),
+    "cocycle": ("skew product statistics", _add_cocycle, _cmd_cocycle),
+    "mixing": ("higher-order correlation sweeps", _add_mixing, _cmd_mixing),
+    "sample": ("seed-deterministic random extensions", _add_sample, _cmd_sample),
+    "joining": ("joining file operations", _add_joining, _cmd_joining_verify),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone: an argv
+    that starts with a subcommand's name parses and fails alike in both."""
+    parser = argparse.ArgumentParser(
+        prog="joinlab",
+        description="exact joining computations on finite systems",
+    )
+    # with one subcommand built, the metavar keeps every name in the root
+    # usage that each error message repeats; the full parser needs none,
+    # and its own errors name the argument "command", not the metavar
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, add_arguments, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(handler=handler)
     return parser
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built once per process: ``parse_args``
-    keeps nothing between calls, so each call still sees a fresh parser."""
-    return build_parser()
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser ``main`` uses for ``command``, built once per process:
+    ``parse_args`` keeps nothing between calls, so each call still sees a
+    fresh parser."""
+    return build_parser(command)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    # help, an unknown name or an option before the name needs every subcommand
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(command).parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
@@ -467,7 +491,10 @@ def run(argv=None) -> int:
 
     ``gc.freeze()`` moves every object the imports made into the permanent
     generation, which the run's collections and the interpreter's teardown
-    collections skip; a cold run ends that much sooner.  In-process callers
-    call ``main``, which leaves the collector alone."""
+    collections skip; a cold run ends that much sooner.  ``__main__``
+    disables the collector before its import, so no collection walks the
+    heap the imports are still building; ``gc.enable()`` turns it back on.
+    In-process callers call ``main``, which leaves the collector alone."""
     gc.freeze()
+    gc.enable()
     return main(argv)

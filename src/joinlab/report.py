@@ -8,25 +8,31 @@ never belongs in a report; the command line prints it to stderr.
 ``render_report`` writes the text in one recursive pass.  The bytes are
 those of ``json.dumps(payload, sort_keys=True, indent=2)`` over the
 payload with Fractions as "p/q" strings and tuples as lists: keys and
-strings go through ``json.encoder.encode_basestring_ascii``, the escaper
-``ensure_ascii`` uses, ints through ``int.__repr__``, and items are
-joined by ``,`` and a newline indented two spaces per level.  With an
-indent, CPython's ``json.dumps`` leaves its C encoder for the pure-Python
-``_iterencode``, a generator step per item, after a pass that converts
-the payload to plain JSON types; here a list of plain ints, the bulk of a
-``sample`` report, is one ``str.join``.  Floats are refused so no inexact
-number can leak into a report.  A dict's items are written in insertion
-order and then sorted, so the error names the first bad value or key in
-payload order.
+strings go through ``encode_basestring_ascii``, the C escaper that
+``json.encoder`` re-exports for ``ensure_ascii``, ints through
+``int.__repr__``, and items are joined by ``,`` and a newline indented
+two spaces per level.  With an indent, CPython's ``json.dumps`` leaves
+its C encoder for the pure-Python ``_iterencode``, a generator step per
+item, after a pass that converts the payload to plain JSON types; here a
+list of plain ints, the bulk of a ``sample`` report, is one ``str.join``.
+Floats are refused so no inexact number can leak into a report.  A dict's
+items are written in insertion order and then sorted, so the error names
+the first bad value or key in payload order.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 
 from .rationals import format_rational
+
+# taken from `_json` itself: importing `json` would load its decoder,
+# scanner and encoder for one C function
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _quote
 
 # CPython's builtin SHA-256, as `random` takes `_sha512`: importing
 # `hashlib` loads OpenSSL, the largest leaf of a cold start, to hash a

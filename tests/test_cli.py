@@ -112,24 +112,52 @@ COLD_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(COLD_COMMANDS))
-def test_cold_run_loads_neither_openssl_nor_random_unless_sampling(command):
-    # -S: no site hook, which may load random through tempfile
+def _cold_modules(argv) -> set[str]:
+    """The modules a fresh process holds after ``main(argv)`` returns 0."""
+    # -S: no site hook, which may load random through tempfile, or json
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); from joinlab.cli import main; "
-        "code = main(sys.argv[2:]); "
-        "print('loaded:', *[m for m in ('hashlib', '_hashlib', 'random') "
-        "if m in sys.modules]); sys.exit(code)"
+        "code = main(sys.argv[2:]); print('loaded:', *sys.modules); sys.exit(code)"
     )
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", code, str(REPO / "src"), *COLD_COMMANDS[command]],
+        [sys.executable, "-S", "-c", code, str(REPO / "src"), *argv],
         capture_output=True, text=True, cwd=REPO,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.splitlines()[-1].split()[1:])
+    return set(proc.stdout.splitlines()[-1].split()[1:])
+
+
+@pytest.mark.parametrize("command", sorted(COLD_COMMANDS))
+def test_cold_run_loads_neither_openssl_nor_random_unless_sampling(command):
+    loaded = _cold_modules(COLD_COMMANDS[command])
     assert ("random" in loaded) == (command == "sample")
     if BUILTIN_SHA256:
         assert not loaded & {"hashlib", "_hashlib"}
+
+
+# what eta and --help never call: the config and tensor-file layers
+NOT_FOR_ETA = {"json", "joinlab.config", "joinlab.serialize", "joinlab.skew",
+               "joinlab.mixing", "joinlab.polytope", "joinlab.simplex"}
+
+
+@pytest.mark.parametrize("command", [*sorted(COLD_COMMANDS), "--help"])
+def test_cold_run_loads_only_what_its_subcommand_calls(command):
+    loaded = _cold_modules(COLD_COMMANDS.get(command, (command,)))
+    if command in ("eta", "--help"):
+        assert not loaded & NOT_FOR_ETA
+    lp_layer = loaded & {"joinlab.polytope", "joinlab.simplex"}
+    assert len(lp_layer) == (2 if command == "polytope" else 0)
+    assert ("joinlab.torus" in loaded) == (command == "eta")
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import joinlab; "
+        "print(*[m for m in sys.modules if m.startswith('joinlab.')])"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(REPO / "src")],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []
 
 
 @pytest.mark.parametrize("command", sorted(COLD_COMMANDS))
@@ -176,6 +204,19 @@ def test_run_freezes_the_import_heap_and_returns_mains_code(case, capsys, monkey
     assert proc.returncode == main(list(argv)) == want
     assert proc.stdout == capsys.readouterr().out
     assert int(proc.stderr.splitlines()[-1].removeprefix("frozen: ")) > 0
+
+
+def test_package_entry_ends_with_the_collector_enabled_and_frozen():
+    # __main__ holds the collector off while it imports; run enables it
+    code = (
+        "import gc, runpy, sys; sys.argv[1:] = ['eta', '--k', '1']\n"
+        "try: runpy.run_module('joinlab', run_name='__main__')\n"
+        "except SystemExit as exc: code = exc.code\n"
+        "print(code, gc.isenabled(), gc.get_freeze_count() > 0)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True, cwd=REPO)
+    assert proc.stdout.splitlines()[-1] == "0 True True"
 
 
 def test_import_and_main_leave_the_collector_alone(capsys, monkeypatch):

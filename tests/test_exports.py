@@ -1,23 +1,27 @@
-"""The package's public list: ``joinlab.__all__`` names exactly what
-``__init__.py`` imports, once each, so a deleted function cannot leave a
-stale export behind."""
+"""The package's public list: ``joinlab.__all__`` is the lazy export table
+of ``__init__.py``, each name written once, so a deleted function cannot
+leave a stale export behind."""
 
-import ast
-from pathlib import Path
+import importlib
+
+import pytest
 
 import joinlab
 
 
 def test_all_lists_each_imported_name_once():
-    tree = ast.parse(Path(joinlab.__file__).read_text())
-    imported = [
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
-    exported = joinlab.__all__
-    assert len(set(exported)) == len(exported)
-    assert sorted(exported) == sorted([*imported, "__version__"])
-    for name in exported:
-        assert hasattr(joinlab, name), name
+    names = [name for names in joinlab._EXPORTS.values() for name in names]
+    assert len(set(names)) == len(names)
+    assert joinlab.__all__ == [*names, "__version__"]
+    for module, module_names in joinlab._EXPORTS.items():
+        defining = importlib.import_module(f"joinlab.{module}")
+        for name in module_names:
+            assert getattr(joinlab, name) is vars(defining)[name], (module, name)
+    assert set(joinlab.__all__) <= set(dir(joinlab))
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_face_gap", "_EXPORTS_"])
+def test_unknown_names_raise_attribute_error(name):
+    with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+        getattr(joinlab, name)
+    assert not hasattr(joinlab, name)

@@ -3,12 +3,14 @@
 ``perfbench/tracer.py`` wraps joinlab functions by name and reads some of
 their arguments by parameter name.  A renamed function or parameter would
 leave a layer untimed or break its counter, so the tracer is installed
-here on the package as it is: every target must be found, every argument
+here on the package as it is, each target's module imported first as a
+run's own imports would: every target must be found, every argument
 a counter reads must be a parameter of its target, a traced command must
 count, and uninstalling must put every original back.  The tracer is read
 from its file; nothing under ``perfbench/`` is changed.
 """
 
+import importlib
 import importlib.util
 import inspect
 import sys
@@ -16,6 +18,7 @@ from pathlib import Path
 from unittest.mock import MagicMock
 
 import joinlab.cli
+import joinlab.joinings
 from joinlab.simplex import RationalSimplex
 from joinlab.torus import Z2kContext, full_action
 
@@ -45,7 +48,7 @@ def _keys_read(counter) -> list[str]:
 
 def _target(module, attr):
     owner_name, _, name = attr.rpartition(".")
-    owner = sys.modules[module]
+    owner = importlib.import_module(module)
     if owner_name:
         owner = getattr(owner, owner_name)
     return vars(owner)[name]
@@ -81,13 +84,15 @@ def test_every_counted_argument_is_a_parameter_of_its_target():
 
 def test_tracer_installs_on_the_live_package_and_restores_it(capsys):
     module = _load_tracer()
+    for _, name, _, _ in module.TARGETS:
+        importlib.import_module(name)
     generators = full_action(Z2kContext(2)).generators
     before = _bindings()
     tracer = module.Tracer()
     try:
         tracer.install()
         assert tracer.missing == []
-        wrapped = joinlab.cli.diagonal_invariance_defect
+        wrapped = joinlab.joinings.diagonal_invariance_defect
         assert wrapped is not before[("joinlab.joinings", "diagonal_invariance_defect")]
         assert joinlab.cli.main(["eta", "--k", "2"]) == 0
         # eta's one traced kernel read: invariance, 256 entries per generator
