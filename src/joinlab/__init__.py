@@ -19,9 +19,9 @@ _EXPORTS = {
         "EquivariantField", "JoiningTensor", "ProductMeasure",
         "diagonal_invariance_defect", "disintegrate", "equivariance_defect",
         "face_independence_defect", "has_standard_projections",
-        "joining_from_operator", "marginal", "marginal_defect",
-        "operator_from_joining", "product_convergence_trace", "product_joining",
-        "push_by_automorphisms", "push_joining", "reassemble", "sup_distance",
+        "joining_from_operator", "marginal", "operator_from_joining",
+        "product_convergence_trace", "product_joining", "push_by_automorphisms",
+        "push_joining", "reassemble", "sup_distance",
     ),
     "mixing": (
         "correlation", "fiber_projection", "mixed_set_correlation",

@@ -70,12 +70,7 @@ def _name_list(text: str) -> list[str]:
 
 
 def _cmd_eta(args):
-    from .joinings import (
-        _face_gap,
-        diagonal_invariance_defect,
-        face_independence_defect,
-        marginal_defect,
-    )
+    from .joinings import diagonal_invariance_defect, face_independence_defect
     from .torus import Z2kContext, full_action, triple_sum_joining
 
     with naming({"k": "--k"}):
@@ -83,10 +78,10 @@ def _cmd_eta(args):
     v = triple_sum_joining(ctx)
     action = full_action(ctx)
     mass = Fraction(sum(v.numerators), v.denominator)
-    edge = marginal_defect(v)
+    edge = face_independence_defect(v, 1)
     three = face_independence_defect(v, 3)
     invariance = diagonal_invariance_defect(v, action)
-    sup_product = _face_gap(v, range(v.order))
+    sup_product = face_independence_defect(v, v.order)
     passed = mass == 1 and edge == 0 and three == 0 and invariance == 0
     payload = {
         "command": "eta",
@@ -180,7 +175,7 @@ def _check_stat_flags(args) -> None:
 
 def _cmd_cocycle(args):
     from .config import load_config
-    from .skew import _rigidity_walk, relative_mixing_fraction, relative_weak_mixing_average
+    from .skew import relative_mixing_fraction, relative_weak_mixing_average, rigidity_statistic
 
     cfg, blob = load_config(args.config)
     r = _lookup(cfg, "cocycles", "--cocycle", args.cocycle)
@@ -190,7 +185,7 @@ def _cmd_cocycle(args):
         a = _lookup(cfg, "sets", "--set", args.set)
         seq = _lookup(cfg, "sequences", "--sequence", args.sequence)
         with naming({"set": "--set", "n_param": "--n-param"}):
-            stats = _rigidity_walk(r, a, args.n_param, seq.times)
+            stats = rigidity_statistic(r, a, args.n_param, seq.times)
         values = [[p, x] for p, x in zip(seq.times, stats)]
         payload.update(
             {"set": args.set, "sequence": args.sequence, "n_param": args.n_param,
@@ -269,8 +264,12 @@ def _cmd_mixing(args):
 
 def _cmd_sample(args):
     from .config import load_config
-    from .serialize import skew_to_data
-    from .skew import fiber_square_ergodic, sample_random_extension, skew_orbit_count
+    from .skew import (
+        fiber_square_ergodic,
+        sample_random_extension,
+        skew_orbit_count,
+        skew_to_data,
+    )
 
     cfg, blob = load_config(args.config)
     s = _lookup(cfg, "automorphisms", "--base", args.base)
@@ -297,9 +296,9 @@ def _cmd_sample(args):
 
 
 def _cmd_joining_verify(args):
-    from .config import load_config
-    from .joinings import diagonal_invariance_defect, marginal_defect
-    from .serialize import data_to_raw, parse_json, read_bytes
+    from .config import load_config, parse_json, read_bytes
+    from .joinings import diagonal_invariance_defect, face_independence_defect
+    from .serialize import data_to_raw
 
     if args.action is not None and args.config is None:
         raise InvalidInputError("--action requires --config")
@@ -320,7 +319,7 @@ def _cmd_joining_verify(args):
     if len(cells) < raw.size:  # a cell off the support holds 0
         low = min(low, 0)
     min_entry = Fraction(low, raw.denominator)
-    marginals = marginal_defect(raw)
+    marginals = face_independence_defect(raw, 1)
     passed = (
         mass == 1
         and min_entry >= 0

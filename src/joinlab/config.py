@@ -38,11 +38,11 @@ first bad entry with the same message as a per-entry parse.
 
 from __future__ import annotations
 
+import json
 import re
 from itertools import chain, repeat
 
 from .errors import InvalidInputError, Value, naming
-from .serialize import _check_keys, _parse_weights, parse_json, read_bytes
 from .skew import RigiditySequence, SkewProduct
 from .spaces import (
     ActionGenerators,
@@ -63,6 +63,43 @@ _SECTIONS = (
     "sequences",
     "objectives",
 )
+
+
+def read_bytes(path: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
+
+
+def parse_json(blob: bytes, path: str):
+    try:
+        return json.loads(blob)
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _check_keys(obj, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"{path}: expected an object, got {type(obj).__name__}")
+    for key in required:
+        if key not in obj:
+            raise InvalidInputError(f"{path}: missing key '{key}'")
+    extra = set(obj) - set(required) - set(optional)
+    if extra:
+        raise InvalidInputError(f"{path}: unknown keys {sorted(extra)}")
+
+
+def _parse_weights(raw, path: str) -> FiniteSpace:
+    if not isinstance(raw, list) or not raw:
+        raise InvalidInputError(f"{path}: expected a nonempty list of rationals")
+    weights = []
+    for i, item in enumerate(raw):
+        with naming(f"{path}[{i}]"):
+            weights.append(parse_rational(item))
+    with naming(path):
+        return FiniteSpace(tuple(weights))
 
 
 class Config(Value):

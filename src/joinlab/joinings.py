@@ -334,26 +334,20 @@ def _sums_by(size: int, index, values) -> list[int]:
     return out
 
 
-def _face_gap(v: RawTensor, coords) -> Fraction:
-    """Sup-distance from v's marginal on ``coords`` to the product of those
-    factors' measures; v need not be a measure.  The face on every axis,
-    whose marginal is the tensor, is read by ``_full_face_gap``; any other
-    is ``_face_gaps`` of the one face."""
-    coords = tuple(coords)
-    if coords == tuple(range(v.order)):
-        return _full_face_gap(v)
-    return next(_face_gaps(v, [coords]))
-
-
 def _face_gaps(v: RawTensor, faces):
-    """``_face_gap`` of each face in turn, every face (the one on every
-    axis too) summed by ``_face_sums`` and compared by ``_gap``."""
+    """The sup-distance from v's marginal on each face to the product of
+    that face's factors' measures, in turn; v need not be a measure.  The
+    face on every axis, whose marginal is the tensor, is read by
+    ``_full_face_gap``; every other is summed by ``_face_sums`` and
+    compared by ``_gap``."""
     faces = [tuple(c) for c in faces]
-    den = v.denominator
-    return (
-        _gap(sums, None, [v.factors[c] for c in coords], den)
-        for coords, sums in zip(faces, _face_sums(v, faces))
-    )
+    whole = tuple(range(v.order))
+    sums = _face_sums(v, [coords for coords in faces if coords != whole])
+    for coords in faces:
+        if coords == whole:
+            yield _full_face_gap(v)
+        else:
+            yield _gap(next(sums), None, [v.factors[c] for c in coords], v.denominator)
 
 
 def _gap(values, weights, factors, den: int) -> Fraction:
@@ -377,16 +371,17 @@ def _gap(values, weights, factors, den: int) -> Fraction:
 
 
 def _full_face_gap(v: RawTensor) -> Fraction:
-    """``_face_gap`` on every axis, read from the support alone.  A cell off
-    the support has numerator 0, so its gap is its product weight, whatever
-    the tensor's values: the answer is the larger of ``_gap`` on the support
-    and the heaviest product weight among the cells off it.  A cell of
-    weight w lies off the support exactly when the support holds fewer
-    cells of weight w than the product (``spaces.weight_counts``).  On
-    uniform factors there is one weight and the support's values alone are
-    compared; otherwise each support cell's weight is the product of its
-    two halves' weights.  The work is the support, the product weights of
-    the two halves and the distinct product weights."""
+    """``_face_gaps`` of the face on every axis, read from the support
+    alone.  A cell off the support has numerator 0, so its gap is its
+    product weight, whatever the tensor's values: the answer is the larger
+    of ``_gap`` on the support and the heaviest product weight among the
+    cells off it.  A cell of weight w lies off the support exactly when the
+    support holds fewer cells of weight w than the product
+    (``spaces.weight_counts``).  On uniform factors there is one weight and
+    the support's values alone are compared; otherwise each support cell's
+    weight is the product of its two halves' weights.  The work is the
+    support, the product weights of the two halves and the distinct
+    product weights."""
     factors = v.factors
     _, values, (h, high, low) = v.support
     counts, weight_den = weight_counts(factors)
@@ -399,13 +394,6 @@ def _full_face_gap(v: RawTensor) -> Fraction:
     off = max((w for w, n in counts.items() if held[w] < n), default=0)
     gap = _gap(values, weights, factors, v.denominator) if values else Fraction(0)
     return max(gap, Fraction(off, weight_den))
-
-
-def marginal_defect(v: RawTensor) -> Fraction:
-    """Largest |marginal - weight| over every coordinate and atom of v; v
-    need not be a measure.  Every marginal is read off the two halves of
-    the support's split, each summed once (``_face_gaps``)."""
-    return max(_face_gaps(v, [(c,) for c in range(v.order)]), default=Fraction(0))
 
 
 def sup_distance(v: ProductMeasure, w: ProductMeasure) -> Fraction:
@@ -493,9 +481,12 @@ def diagonal_invariance_defect(v: RawTensor, action: ActionGenerators) -> Fracti
 
 def face_independence_defect(v: RawTensor, m: int) -> Fraction:
     """Largest sup-distance between an m-face marginal and the corresponding
-    product measure, over all m-subsets of coordinates."""
-    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m < v.order:
-        raise InvalidInputError(f"face order must satisfy 1 <= m < {v.order}, got {m!r}")
+    product measure, over all m-subsets of coordinates; v need not be a
+    measure.  At m = 1 it is the largest |marginal - weight| over every
+    coordinate and atom; at m = v.order the one face is v itself, and the
+    value is v's sup-distance to the product of its factors."""
+    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= v.order:
+        raise InvalidInputError(f"face order must satisfy 1 <= m <= {v.order}, got {m!r}")
     return max(_face_gaps(v, combinations(range(v.order), m)))
 
 
@@ -645,7 +636,7 @@ def product_convergence_trace(
         ops = [distinguished_rule(j)]
         ops.extend(fiber_rule(i, j) for i in range(1, v.order))
         p = push_joining(v, ops)
-        trace.append(_face_gap(p, range(p.order)))
+        trace.append(face_independence_defect(p, p.order))
     return tuple(trace)
 
 
@@ -699,7 +690,7 @@ def disintegrate(v: ProductMeasure, base_coords: Sequence[int]) -> EquivariantFi
     fiber_coords = tuple(c for c in range(v.order) if c not in base_coords)
     if not fiber_coords:
         raise InvalidInputError("at least one fiber coordinate is required")
-    if _face_gap(v, base_coords):
+    if next(_face_gaps(v, [base_coords])):
         raise PreconditionError(
             "marginal onto the base is not the independent product measure"
         )

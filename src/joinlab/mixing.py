@@ -14,7 +14,6 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import InvalidInputError, ResourceLimitError, Value, check, require_int
-from .joinings import JoiningTensor
 from .rationals import as_fraction
 from .skew import SkewProduct, as_automorphism
 from .spaces import (
@@ -146,6 +145,8 @@ def offset_joining(r: Automorphism, k) -> JoiningTensor:
     equivalently nu(C_0 x ... x C_n) = lambda(C_0 ^ R^{K_1} C_1 ^ ...),
     so pairing nu against indicator products reproduces ``correlation``
     exactly."""
+    from .joinings import JoiningTensor  # only this builds a tensor; `mixing` loads none
+
     sums = _offset_sums(k)
     r_inv = r.inverse()
     inv_perms = [r_inv.power(big_k).perm for big_k in sums]

@@ -1,4 +1,4 @@
-"""Sparse JSON interchange for product measures and skew products.
+"""Sparse JSON interchange for product measures.
 
 A tensor file looks like
 
@@ -28,14 +28,13 @@ that no check lists them again.
 
 from __future__ import annotations
 
-import json
 from itertools import compress
 from operator import add
 
+from .config import _check_keys, _parse_weights
 from .errors import InvalidInputError, JoinlabError, naming
 from .joinings import JoiningTensor, ProductMeasure, RawTensor
 from .rationals import format_rational, parse_rational
-from .skew import SkewProduct
 from .spaces import (
     FiniteSpace,
     _offsets,
@@ -44,43 +43,6 @@ from .spaces import (
     space_size,
     split_cells,
 )
-
-
-def read_bytes(path: str) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-
-
-def parse_json(blob: bytes, path: str):
-    try:
-        return json.loads(blob)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _check_keys(obj, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
-    if not isinstance(obj, dict):
-        raise InvalidInputError(f"{path}: expected an object, got {type(obj).__name__}")
-    for key in required:
-        if key not in obj:
-            raise InvalidInputError(f"{path}: missing key '{key}'")
-    extra = set(obj) - set(required) - set(optional)
-    if extra:
-        raise InvalidInputError(f"{path}: unknown keys {sorted(extra)}")
-
-
-def _parse_weights(raw, path: str) -> FiniteSpace:
-    if not isinstance(raw, list) or not raw:
-        raise InvalidInputError(f"{path}: expected a nonempty list of rationals")
-    weights = []
-    for i, item in enumerate(raw):
-        with naming(f"{path}[{i}]"):
-            weights.append(parse_rational(item))
-    with naming(path):
-        return FiniteSpace(tuple(weights))
 
 
 def joining_to_data(v: ProductMeasure) -> dict:
@@ -224,12 +186,3 @@ def data_to_joining(data, path: str = "tensor") -> JoiningTensor:
     with naming(path):
         return JoiningTensor._from_form(raw.factors, raw.numerators, raw.denominator)
 
-
-def skew_to_data(r: SkewProduct) -> dict:
-    """Serializable description of a skew product."""
-    return {
-        "base_weights": [format_rational(w) for w in r.base.weights],
-        "fiber_weights": [format_rational(w) for w in r.fiber.weights],
-        "base_perm": list(r.base_map.perm),
-        "cocycle": [list(a.perm) for a in r.cocycle],
-    }

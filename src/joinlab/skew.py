@@ -25,7 +25,7 @@ from itertools import compress, islice, repeat
 from operator import add, lt, mul, ne, sub
 
 from .errors import InvalidInputError, PreconditionError, Value, check, require_int
-from .rationals import as_fraction
+from .rationals import as_fraction, format_rational
 from .spaces import (
     Automorphism,
     FiniteSpace,
@@ -96,6 +96,16 @@ class RigiditySequence(Value):
         object.__setattr__(self, "times", times)
 
 
+def skew_to_data(r: SkewProduct) -> dict:
+    """Serializable description of a skew product."""
+    return {
+        "base_weights": [format_rational(w) for w in r.base.weights],
+        "fiber_weights": [format_rational(w) for w in r.fiber.weights],
+        "base_perm": list(r.base_map.perm),
+        "cocycle": [list(a.perm) for a in r.cocycle],
+    }
+
+
 def as_automorphism(r: SkewProduct) -> Automorphism:
     """The skew product as an automorphism of base x fiber."""
     total = product_space([r.base, r.fiber])
@@ -111,30 +121,23 @@ def cocycle_product(r: SkewProduct, x: int, p: int) -> Automorphism:
     """C(x, p) = R_{S^{p-1} x} o ... o R_{S x} o R_x, with C(x, 0) = Id.
 
     Satisfies C(x, p + q) = C(S^p x, q) o C(x, p).  The walk composes raw
-    permutation tuples and stops when the base orbit of x closes after L
-    steps; for p >= L it returns C(x, r) o C(x, L)^q with p = qL + r, the
-    power by repeated squaring, so the cost is O(L + log q) compositions
-    whatever the size of p."""
+    permutation tuples (``_prefix_walk``) and stops when the base orbit of
+    x closes after L steps; for p >= L it returns C(x, r) o C(x, L)^q with
+    p = qL + r, the power by repeated squaring, so the cost is
+    O(L + log q) compositions whatever the size of p."""
     if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < r.base.atom_count:
         raise InvalidInputError(f"base atom {x} out of range")
     require_int(p, "p", 0)
-    return Automorphism._trusted(r.fiber, _cocycle_perm(r, x, p))
-
-
-def _cocycle_perm(r: SkewProduct, x: int, p: int) -> tuple[int, ...]:
-    """The permutation tuple of ``cocycle_product(r, x, p)``, unchecked:
-    G_p from ``_prefix_walk``, or G_rest o G_L^q with p = qL + rest once the
-    base orbit of x closes after L <= p steps."""
     base, y, length = r.base_map.perm, r.base_map.perm[x], 1
     while y != x and length < p:
         y, length = base[y], length + 1
     walk = _prefix_walk(r, x)
     if length == p:
-        return next(islice(walk, p, None))
+        return Automorphism._trusted(r.fiber, next(islice(walk, p, None)))
     q, rest = divmod(p, length)
     head = next(islice(walk, rest, None))
     g_l = next(islice(walk, length - rest - 1, None))
-    return tuple(map(head.__getitem__, perm_power(g_l, q)))
+    return Automorphism._trusted(r.fiber, tuple(map(head.__getitem__, perm_power(g_l, q))))
 
 
 def coboundary_extension(
@@ -188,20 +191,12 @@ def _prefix_walk(r: SkewProduct, x: int) -> Iterator[tuple[int, ...]]:
 
 
 def rigidity_statistic(
-    r: SkewProduct, a: MeasurableSet, n_param: int, p: int
-) -> Fraction:
-    """mu-mass of {x in A : S^p x in A and rho(C(x, p), Id) < 1/n_param}:
-    ``_rigidity_walk`` at the one time ``p``, once ``p`` is checked."""
-    require_int(p, "p", 0)
-    return _rigidity_walk(r, a, n_param, (p,))[0]
-
-
-def _rigidity_walk(
     r: SkewProduct, a: MeasurableSet, n_param: int, times: Sequence[int]
 ) -> list[Fraction]:
-    """``rigidity_statistic(r, a, n_param, p)`` for every p of the
-    nondecreasing nonnegative ``times``, which the caller has checked; ``a``
-    and ``n_param`` are checked here, under the params "set" and "n_param".
+    """mu-mass of {x in A : S^p x in A and rho(C(x, p), Id) < 1/n_param}
+    for each p of ``times``, in their order.  ``a``, ``n_param`` and each
+    time are checked under the params "set", "n_param" and "p": every time
+    a nonnegative int, never a bool.
 
     Along a base orbit x_0, ..., x_{L-1} with G_j = C(x_0, j),
     C(x_i, p) = G_{i+p} G_i^-1 and G_{qL+r} = G_r o G_L^q, so C(x_i, p)
@@ -213,13 +208,18 @@ def _rigidity_walk(
     num_y 2^(n-1-y) over the moved y, one C-level sum over w o G_i.
 
     Each base orbit that meets A is walked once from its least atom, taken
-    as x_0, up to G_L; a pair counts only when S^p x_i is in A.  G_L^q and
-    G_L^(q+1) are the only live powers, as the times only increase; once
-    some G_L^q is the identity, the orbit's counts repeat with period qL.
-    Per orbit that meets A that is L compositions besides the powers, and
-    O(L n) memory."""
+    as x_0, up to G_L; a pair counts only when S^p x_i is in A.  The times
+    may come in any order: G_L^q is one composition from G_L^(q-1) when
+    that is one of the two powers kept, and is rebuilt by ``perm_power``
+    otherwise, so on nondecreasing times G_L^q and G_L^(q+1) are the only
+    live powers.  Once some G_L^q is the identity, the orbit's counts
+    repeat with period qL.  Per orbit that meets A that is L compositions
+    besides the powers, and O(L n) memory."""
     check(a.space == r.base, "set", "set must live on the base")
     require_int(n_param, "n_param", 1)
+    times = tuple(times)
+    for p in times:
+        require_int(p, "p", 0)
     num = r.fiber.numerators
     n = len(num)
     weights = [w << (n - 1 - j) for j, w in enumerate(num)]
@@ -238,7 +238,7 @@ def _rigidity_walk(
             for i, x in enumerate(orbit) if inside[i]
         ]
         g_l = table[-1]
-        powers = {}  # q -> G_L^q, for q = p // L and p // L + 1 at most
+        powers = {}  # q -> G_L^q, the last two built
         cycle = 0  # qL once G_L^q = Id: then G_{j+qL} = G_j
         known = {}  # time -> this orbit's count, times taken mod cycle
         for k, p in enumerate(times):

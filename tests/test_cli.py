@@ -138,6 +138,8 @@ def test_cold_run_loads_neither_openssl_nor_random_unless_sampling(command):
 # what eta and --help never call: the config and tensor-file layers
 NOT_FOR_ETA = {"json", "joinlab.config", "joinlab.serialize", "joinlab.skew",
                "joinlab.mixing", "joinlab.polytope", "joinlab.simplex"}
+# what the commands that read a config and no tensor never call
+TENSOR_LAYER = {"joinlab.joinings", "joinlab.operators", "joinlab.serialize"}
 
 
 @pytest.mark.parametrize("command", [*sorted(COLD_COMMANDS), "--help"])
@@ -145,6 +147,8 @@ def test_cold_run_loads_only_what_its_subcommand_calls(command):
     loaded = _cold_modules(COLD_COMMANDS.get(command, (command,)))
     if command in ("eta", "--help"):
         assert not loaded & NOT_FOR_ETA
+    if command in ("cocycle", "mixing", "sample"):
+        assert not loaded & TENSOR_LAYER
     lp_layer = loaded & {"joinlab.polytope", "joinlab.simplex"}
     assert len(lp_layer) == (2 if command == "polytope" else 0)
     assert ("joinlab.torus" in loaded) == (command == "eta")

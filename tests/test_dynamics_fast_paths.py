@@ -39,7 +39,6 @@ from joinlab.config import load_config
 from joinlab.spaces import halmos_numerator
 from joinlab.skew import (
     _random_preserving_permutation,
-    _rigidity_walk,
     _weight_classes,
     coboundary_extension,
     fiber_square_ergodic,
@@ -125,12 +124,12 @@ def test_rigidity_statistic_matches_the_oracle(r, data):
     a = subset(data.draw, r.base)
     n_param = data.draw(st.integers(1, 9))
     p = data.draw(st.integers(0, 3 * r.base.atom_count + 2))
-    assert rigidity_statistic(r, a, n_param, p) == oracle.rigidity_statistic(r, a, n_param, p)
+    assert rigidity_statistic(r, a, n_param, [p]) == [oracle.rigidity_statistic(r, a, n_param, p)]
 
 
 def assert_walk_matches(r, a, n_param, times):
-    walk = _rigidity_walk(r, a, n_param, times)
-    assert walk == [rigidity_statistic(r, a, n_param, p) for p in times]
+    walk = rigidity_statistic(r, a, n_param, times)
+    assert walk == [rigidity_statistic(r, a, n_param, [p])[0] for p in times]
 
 
 @PROPERTY
@@ -144,8 +143,10 @@ def test_rigidity_walk_matches_each_time_on_its_own(r, data):
     times = [sum(gaps[: i + 1]) for i in range(len(gaps))]
     times.append((times[-1] if times else 0) + data.draw(st.integers(10**6, 10**12)))
     assert_walk_matches(r, a, n_param, times)
+    # the walk needs no order: a power of G_L it does not hold is rebuilt
+    assert_walk_matches(r, a, n_param, data.draw(st.permutations(times)))
     short = [p for p in times if p < 10**6]
-    assert _rigidity_walk(r, a, n_param, short) == [
+    assert rigidity_statistic(r, a, n_param, short) == [
         oracle.rigidity_statistic(r, a, n_param, p) for p in short
     ]
 
@@ -158,7 +159,7 @@ def test_rigidity_walk_with_a_repeated_gap_matches_the_oracle(r, data):
     n_param = data.draw(st.integers(1, 9))
     gap = data.draw(st.integers(1, 3 * r.base.atom_count + 2))
     times = [gap * m for m in range(1, 6)]
-    assert _rigidity_walk(r, a, n_param, times) == [
+    assert rigidity_statistic(r, a, n_param, times) == [
         oracle.rigidity_statistic(r, a, n_param, p) for p in times
     ]
 
@@ -212,7 +213,7 @@ def assert_walk_matches_the_oracle(r, a, n_param, times):
     period = math.lcm(*(oracle.cocycle_period(r, x) for x in a.atoms))
     want = [oracle.rigidity_statistic(r, a, n_param, p % period if p > 10**6 else p)
             for p in times]
-    assert _rigidity_walk(r, a, n_param, times) == want
+    assert rigidity_statistic(r, a, n_param, times) == want
 
 
 def test_rigidity_walk_on_a_benchmark_shaped_cycle():
@@ -221,7 +222,7 @@ def test_rigidity_walk_on_a_benchmark_shaped_cycle():
     r, _, rng = seeded_skew(2022, [64], FiniteSpace.uniform(8))
     a = MeasurableSet(r.base, frozenset(rng.sample(range(64), 32)))
     times = [*range(1, 65), 10**12 + 1]
-    walk = _rigidity_walk(r, a, 4, times)
+    walk = rigidity_statistic(r, a, 4, times)
     assert any(walk[:-1]) and not all(walk[:-1])
     assert_walk_matches_the_oracle(r, a, 4, times)
 
@@ -234,7 +235,7 @@ def test_rigidity_walk_on_a_mixed_base(n_param):
     # around it, and on the short orbits some G_L^q comes back to the
     # identity.  The empty set meets no orbit, and the fixed points alone
     # meet only orbits of length 1.  [0, 0, 2, 2, 40, 40] repeats times and
-    # starts at 0, as the walk's contract allows
+    # starts at 0, as rigidity_statistic allows
     fiber = FiniteSpace((Fraction(1, 8),) * 4 + (Fraction(1, 4),) * 2)
     r, cycles, _ = seeded_skew(7, [40, 2, 2, 2, 1, 1, 1, 1], fiber)
     forty = cycles[0]
@@ -269,9 +270,8 @@ def test_rigidity_threshold_is_strict(light, rho, n_param, counted):
     a = MeasurableSet(base, frozenset({0}))
     want = Fraction(1) if counted else Fraction(0)
     assert oracle.rigidity_statistic(r, a, n_param, 1) == want
-    assert rigidity_statistic(r, a, n_param, 1) == want
     # C(0, p) is the swap at odd p and the identity at even p
-    assert _rigidity_walk(r, a, n_param, [1, 2, 3, 10**12 + 1]) == [want, 1, want, want]
+    assert rigidity_statistic(r, a, n_param, [1, 2, 3, 10**12 + 1]) == [want, 1, want, want]
 
 
 @PROPERTY

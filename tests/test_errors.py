@@ -5,6 +5,7 @@ parameter's range; the integer parameters of the library, each of which
 refuses a bool with its own message; and the constructor that the result
 records take from ``errors.Value``."""
 
+import ast
 import inspect
 import re
 from fractions import Fraction
@@ -186,6 +187,19 @@ def test_the_int_wordings_and_the_flag_checks_live_in_one_place():
     assert calls(cli) == calls(inspect.getsource(_ascii_int)) == ["int("]
 
 
+def test_the_cli_imports_no_private_name():
+    # each kernel a command runs has one public entry, which the CLI calls
+    tree = ast.parse((Path(check.__code__.co_filename).parent / "cli.py").read_text())
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 def _bool_cases():
     """(call of a bool, message template) for each integer parameter whose
     check must refuse a bool as it refuses any other bad value."""
@@ -228,10 +242,10 @@ def _bool_cases():
         "power_skew exponents": (
             lambda b: power_skew(flip, flip, [b, 0]), "exponents must be ints, got {!r}"),
         "rigidity_statistic n_param": (
-            lambda b: rigidity_statistic(r, a, b, 1),
+            lambda b: rigidity_statistic(r, a, b, [1]),
             "n_param must be a positive int, got {!r}"),
         "rigidity_statistic p": (
-            lambda b: rigidity_statistic(r, a, 1, b),
+            lambda b: rigidity_statistic(r, a, 1, [0, b]),
             "p must be a nonnegative int, got {!r}"),
         "relative_mixing_fraction p": (
             lambda b: relative_mixing_fraction(r, b, half),
@@ -256,7 +270,7 @@ def _bool_cases():
             "independence must satisfy 1 <= m < 2, got {!r}"),
         "face_independence_defect m": (
             lambda b: face_independence_defect(v, b),
-            "face order must satisfy 1 <= m < 2, got {!r}"),
+            "face order must satisfy 1 <= m <= 2, got {!r}"),
         "marginal coords": (
             lambda b: marginal(v, (b,)),
             "coords must be nonempty strictly increasing, got ({!r},)"),

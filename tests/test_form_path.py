@@ -33,10 +33,9 @@ from joinlab.errors import InvalidInputError, JoinlabError, ResourceLimitError
 from joinlab.joinings import (
     RawTensor,
     _axis_sums,
-    _face_gap,
+    _face_gaps,
     diagonal_invariance_defect,
     face_independence_defect,
-    marginal_defect,
 )
 from joinlab.serialize import data_to_joining, data_to_raw, joining_to_data
 from joinlab.spaces import index_to_tuple, space_size, support_cells, tuple_to_index
@@ -448,9 +447,9 @@ def test_kernels_agree_on_raw_and_checked_tensors_and_the_oracle(name):
     marginals = max(gaps[(c,)] for c in axes)
     invariance = oracle.invariance_defect(entries, shape, [g.perm for g in action.generators])
     for v in tensors:
-        assert marginal_defect(v) == marginals
-        assert {coords: _face_gap(v, coords) for coords in gaps} == gaps
-        for m in range(1, len(shape)):
+        assert face_independence_defect(v, 1) == marginals
+        assert dict(zip(gaps, _face_gaps(v, gaps))) == gaps
+        for m in range(1, len(shape) + 1):
             assert face_independence_defect(v, m) == max(
                 gaps[coords] for coords in combinations(axes, m)
             )

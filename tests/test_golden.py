@@ -66,6 +66,7 @@ from joinlab import (
     mixing_deviation_sweep_detail,
     relative_mixing_fraction,
     relative_weak_mixing_average,
+    rigidity_statistic,
     skew,
     spaces,
 )
@@ -518,8 +519,8 @@ def _moved_checks() -> dict:
         "polytope_order_past_cap": (lambda: PolytopeSpec(flip, 5, 1), "order"),
         "polytope_independence_order": (lambda: PolytopeSpec(flip, 3, 3), "independence"),
         "polytope_independence_zero": (lambda: PolytopeSpec(flip, 3, 0), "independence"),
-        "cocycle_n_param_zero": (lambda: skew._rigidity_walk(r, low, 0, times), "n_param"),
-        "cocycle_set_on_fiber": (lambda: skew._rigidity_walk(r, top, 2, times), "set"),
+        "cocycle_n_param_zero": (lambda: rigidity_statistic(r, low, 0, times), "n_param"),
+        "cocycle_set_on_fiber": (lambda: rigidity_statistic(r, top, 2, times), "set"),
         "cocycle_eps_zero": (lambda: relative_mixing_fraction(r, times[0], 0), "eps"),
         "cocycle_horizon_zero": (
             lambda: relative_weak_mixing_average(r, top, top, 0), "horizon"),

@@ -127,11 +127,14 @@ def test_face_independence_monotone():
     prod4 = product_joining((U2,) * 4)
     for m in (1, 2, 3):
         assert face_independence_defect(prod4, m) == 0
+    assert face_independence_defect(prod4, 4) == 0
     v = parity_joining()
     assert face_independence_defect(v, 2) == 0
     assert face_independence_defect(v, 1) == 0
+    # the one face on every axis is v itself
+    assert face_independence_defect(v, 3) == sup_distance(v, product_joining(v.factors))
     with pytest.raises(InvalidInputError):
-        face_independence_defect(v, 3)
+        face_independence_defect(v, 4)
     with pytest.raises(InvalidInputError):
         face_independence_defect(v, 0)
 

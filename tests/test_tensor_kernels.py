@@ -37,7 +37,6 @@ from joinlab import (
     has_standard_projections,
     joining_from_operator,
     marginal,
-    marginal_defect,
     operator_from_joining,
     product_joining,
     push_by_automorphisms,
@@ -47,7 +46,7 @@ from joinlab import (
 )
 from joinlab.torus import Z2kContext, character_coefficient, fourier_joining
 from joinlab import joinings as joinings_module
-from joinlab.joinings import RawTensor, _axis_sums, _face_gap, integer_form
+from joinlab.joinings import RawTensor, _axis_sums, _face_gaps, integer_form
 from joinlab.spaces import (
     flat_index_map,
     moved_index_map,
@@ -69,6 +68,12 @@ PROPERTY = settings(
 )
 
 DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9, 12)
+
+
+def face_gap(v, coords):
+    """The kernel's sup-distance from v's marginal on ``coords`` to the
+    product of those factors' weights."""
+    return next(_face_gaps(v, [coords]))
 
 
 @st.composite
@@ -236,7 +241,7 @@ def test_marginal_defect_on_raw_entries(data):
         for c, sp in enumerate(factors)
         for s, w in zip(oracle.axis_sums(entries, shape, [c]), sp.weights)
     )
-    assert marginal_defect(raw_tensor(factors, entries)) == want
+    assert face_independence_defect(raw_tensor(factors, entries), 1) == want
 
 
 @PROPERTY
@@ -321,12 +326,12 @@ def test_face_kernels_on_sparse_supports(data):
     want = oracle.axis_sums(entries, shape, coords)
     assert _scaled(_axis_sums(v, coords), v.denominator) == want
     product = oracle.product([factors[c].weights for c in coords])
-    assert _face_gap(v, coords) == oracle.sup_distance(want, product)
+    assert face_gap(v, coords) == oracle.sup_distance(want, product)
     marginals = max(
         oracle.sup_distance(oracle.axis_sums(entries, shape, [c]), sp.weights)
         for c, sp in enumerate(factors)
     )
-    assert marginal_defect(v) == marginals
+    assert face_independence_defect(v, 1) == marginals
 
 
 @PROPERTY
@@ -367,7 +372,8 @@ def oracle_full_gap(shape, factors, entries):
 def test_full_face_gap_matches_oracle(data):
     shape, factors, entries = full_face_cases(data.draw)
     want = oracle_full_gap(shape, factors, entries)
-    assert _face_gap(raw_tensor(factors, entries), range(len(shape))) == want
+    v = raw_tensor(factors, entries)
+    assert face_independence_defect(v, len(shape)) == face_gap(v, range(len(shape))) == want
 
 
 @pytest.mark.parametrize("kind", ["full", "all but one", "one cell", "empty"])
@@ -388,7 +394,7 @@ def test_full_face_gap_on_fixed_supports(kind):
     elif kind == "empty":
         entries = [Fraction(0)] * 12
     want = oracle_full_gap(shape, factors, entries)
-    assert _face_gap(raw_tensor(factors, entries), (0, 1)) == want
+    assert face_independence_defect(raw_tensor(factors, entries), 2) == want
 
 
 def test_full_face_gap_finds_a_heavy_cell_off_the_support_past_the_heaviest():
@@ -403,7 +409,7 @@ def test_full_face_gap_finds_a_heavy_cell_off_the_support_past_the_heaviest():
     entries = [Fraction(0)] * 12
     entries[5], entries[9], entries[1] = Fraction(15, 48), Fraction(10, 48), Fraction(5, 48)
     entries[0] = Fraction(1, 48) + Fraction(1, 96)  # (0, 0) weighs 1/48
-    assert _face_gap(raw_tensor(factors, entries), (0, 1)) == Fraction(3, 48)
+    assert face_independence_defect(raw_tensor(factors, entries), 2) == Fraction(3, 48)
     assert oracle_full_gap((3, 4), factors, entries) == Fraction(3, 48)
 
 
@@ -501,7 +507,7 @@ def oracle_face_gap(v, coords):
 @given(faced_measures())
 def test_face_kernel_matches_oracle(v):
     axes = range(v.order)
-    for m in range(1, v.order):
+    for m in range(1, v.order + 1):
         assert face_independence_defect(v, m) == max(
             oracle_face_gap(v, coords) for coords in combinations(axes, m)
         )
@@ -637,12 +643,11 @@ def test_face_gap_on_uniform_and_mixed_factors(data):
     axes = range(len(shape))
     for m in range(1, len(shape) + 1):
         for coords in combinations(axes, m):
-            assert _face_gap(v, coords) == oracle_face_gap(v, coords)
-    for m in range(1, len(shape)):
+            assert face_gap(v, coords) == oracle_face_gap(v, coords)
+    for m in range(1, len(shape) + 1):
         assert face_independence_defect(v, m) == max(
             oracle_face_gap(v, coords) for coords in combinations(axes, m)
         )
-    assert marginal_defect(v) == max(oracle_face_gap(v, (c,)) for c in axes)
 
 
 SIXTH = Fraction(1, 6)
@@ -670,7 +675,7 @@ def test_one_weight_gap_fixed_cases(name):
     entries, coords, want = ONE_WEIGHT_CASES[name]
     v = raw_tensor((FiniteSpace.uniform(2), FiniteSpace.uniform(3)), entries)
     assert oracle_face_gap(v, coords) == want
-    assert _face_gap(v, coords) == want
+    assert face_gap(v, coords) == want
 
 
 def test_face_gap_on_a_mixed_product_is_zero():
@@ -679,10 +684,10 @@ def test_face_gap_on_a_mixed_product_is_zero():
     factors = (FiniteSpace.uniform(2), FiniteSpace((SIXTH, Fraction(1, 3), Fraction(1, 2))))
     v = product_joining(factors)
     for coords in ((0,), (1,), (0, 1)):
-        assert _face_gap(v, coords) == 0
+        assert face_gap(v, coords) == 0
     # every entry at 1/12, the product denominator's one weight
     flat = raw_tensor(factors, [Fraction(1, 12)] * 6)
-    assert _face_gap(flat, (0, 1)) == oracle_face_gap(flat, (0, 1)) == Fraction(1, 6)
+    assert face_gap(flat, (0, 1)) == oracle_face_gap(flat, (0, 1)) == Fraction(1, 6)
 
 
 # -- faces read from the parts of the support's split ----------------------
@@ -713,8 +718,7 @@ def test_faces_from_split_parts_match_oracle(shape, data):
         for coords in combinations(axes, m):
             want = oracle.axis_sums(v.entries, shape, coords)
             assert _scaled(_axis_sums(v, coords), v.denominator) == want
-    assert marginal_defect(v) == max(oracle_face_gap(v, (c,)) for c in axes)
-    for m in range(1, len(shape)):
+    for m in range(1, len(shape) + 1):
         assert face_independence_defect(v, m) == max(
             oracle_face_gap(v, coords) for coords in combinations(axes, m)
         )
@@ -787,10 +791,14 @@ def test_marginal_defect_sums_each_part_once_and_maps_no_cell(shape, data):
 
     with mock.patch.object(joinings_module, "support_map", _refuse_support_map), \
             mock.patch.object(joinings_module, "_sums_by", counted):
-        got = marginal_defect(v)
+        got = face_independence_defect(v, 1)
     assert got == max(oracle_face_gap(v, (c,)) for c in range(len(shape)))
-    # a part with no axis (h = 0 or h = order) is not summed
-    assert passes == ["high"] * (h > 0) + ["low"] * (h < len(shape))
+    # a part with no axis (h = 0 or h = order) is not summed, and at order
+    # 1 the one face is the full face, read from the support alone
+    if len(shape) == 1:
+        assert passes == []
+    else:
+        assert passes == ["high"] * (h > 0) + ["low"] * (h < len(shape))
 
 
 @pytest.mark.parametrize("shape", sorted(SPLIT_SHAPES), ids=str)

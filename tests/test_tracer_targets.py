@@ -14,6 +14,7 @@ import importlib
 import importlib.util
 import inspect
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest.mock import MagicMock
 
@@ -22,7 +23,8 @@ import joinlab.joinings
 from joinlab.simplex import RationalSimplex
 from joinlab.torus import Z2kContext, full_action
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+REPO = Path(__file__).resolve().parent.parent
+TRACER_PATH = REPO / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -102,3 +104,31 @@ def test_tracer_installs_on_the_live_package_and_restores_it(capsys):
         tracer.uninstall()
     capsys.readouterr()
     assert _bindings() == before
+
+
+def _traced_spans(argv) -> Counter:
+    """The number of spans of each name that a traced ``main(argv)``
+    records."""
+    module = _load_tracer()
+    for _, name, _, _ in module.TARGETS:
+        importlib.import_module(name)
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        assert tracer.missing == []
+        assert joinlab.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    return Counter(span[0] for span in tracer.spans)
+
+
+def test_a_traced_eta_times_each_face_defect(capsys):
+    # the edge, three-face and full-face defects each call the one kernel
+    assert _traced_spans(["eta", "--k", "2"])["joinings.face"] == 3
+
+
+def test_a_traced_rigidity_step_times_the_statistic(capsys):
+    argv = ["cocycle", "--config", str(REPO / "configs" / "skew_demo.json"),
+            "--cocycle", "alternating", "--stat", "rigidity", "--set", "low",
+            "--sequence", "times", "--n-param", "2"]
+    assert _traced_spans(argv)["skew.stat"] == 1
