@@ -17,21 +17,16 @@ _EXPORTS = {
     ),
     "joinings": (
         "EquivariantField", "JoiningTensor", "ProductMeasure",
-        "diagonal_invariance_defect", "disintegrate", "equivariance_defect",
-        "face_independence_defect", "has_standard_projections",
+        "diagonal_invariance_defect", "disintegrate", "face_independence_defect",
         "joining_from_operator", "marginal", "operator_from_joining",
-        "product_convergence_trace", "product_joining", "push_by_automorphisms",
-        "push_joining", "reassemble", "sup_distance",
+        "product_convergence_trace", "product_joining", "push_joining",
+        "reassemble", "sup_distance",
     ),
-    "mixing": (
-        "correlation", "fiber_projection", "mixed_set_correlation",
-        "mixing_deviation_sweep_detail", "offset_joining",
-        "relative_mixing_deviation",
-    ),
+    "mixing": ("correlation", "mixing_deviation_sweep_detail", "offset_joining"),
     "operators": (
-        "ClosureProbe", "MarkovOperator", "affine_combination",
-        "averaging_operator", "compose_operators", "dist_w", "identity_operator",
-        "koopman", "operator_power", "weak_closure_probe",
+        "MarkovOperator", "affine_combination", "averaging_operator",
+        "compose_operators", "dist_w", "identity_operator", "koopman",
+        "operator_power",
     ),
     "polytope": (
         "LpOutcome", "PolytopeSpec", "TrivialityCertificate",
@@ -41,7 +36,7 @@ _EXPORTS = {
     "simplex": ("LpSolution", "RationalSimplex"),
     "skew": (
         "RigiditySequence", "SkewProduct", "as_automorphism",
-        "coboundary_extension", "cocycle_product", "is_ergodic", "power_skew",
+        "coboundary_extension", "cocycle_product", "is_ergodic",
         "relative_mixing_fraction", "relative_product",
         "relative_weak_mixing_average", "rigidity_statistic",
         "sample_random_extension",
@@ -51,8 +46,8 @@ _EXPORTS = {
         "compose", "halmos_distance", "orbit_count", "product_space",
     ),
     "torus": (
-        "Z2kContext", "character_coefficient", "fourier_joining", "full_action",
-        "permutation_automorphism", "shift_automorphism", "triple_sum_joining",
+        "Z2kContext", "fourier_joining", "full_action", "permutation_automorphism",
+        "shift_automorphism", "triple_sum_joining",
     ),
 }
 

@@ -99,10 +99,10 @@ class Value:
     constructor's parameters, so a copy or an unpickled instance is
     rebuilt, and validated, by the constructor.  The result records
     (``LpSolution``, ``LpOutcome``, ``TrivialityCertificate``,
-    ``_Reduction``, ``SweepResult``, ``ClosureProbe``, ``Config``) check
-    nothing and take the constructor defined here; a class that validates
-    or converts its fields defines its own ``__init__`` and stores them
-    through ``object.__setattr__``."""
+    ``_Reduction``, ``SweepResult``, ``Config``) check nothing and take
+    the constructor defined here; a class that validates or converts its
+    fields defines its own ``__init__`` and stores them through
+    ``object.__setattr__``."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()

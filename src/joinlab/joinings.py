@@ -21,8 +21,8 @@ equality and the measure operations.  A measure's form is canonical, the
 lcm of the entries' reduced denominators, computed once at construction;
 the sign, mass and marginal checks run on it, and a command that reads
 no entry builds no ``Fraction``.  A builder that already holds an
-integer form (a marginal, a pushed or a sparse tensor, a decoded file)
-constructs through ``_from_form``, which the ``Fraction`` constructor
+integer form (a marginal, a conditional or a sparse tensor, a decoded
+file) constructs through ``_from_form``, which the ``Fraction`` constructor
 also ends in, so both run one validation.  The form costs entries times
 the bit length of the denominator; past ``FORM_BITS_CAP`` bits
 construction raises ``ResourceLimitError`` before any numerator is
@@ -71,7 +71,6 @@ from .operators import MarkovOperator
 from .rationals import as_fraction, show
 from .spaces import (
     ActionGenerators,
-    Automorphism,
     FiniteSpace,
     _fractions,
     _offsets,
@@ -80,8 +79,6 @@ from .spaces import (
     embedding_map,
     index_to_tuple,
     integer_form,
-    iter_tuples,
-    moved_index_map,
     product_bounds,
     product_form,
     product_space,
@@ -490,18 +487,6 @@ def face_independence_defect(v: RawTensor, m: int) -> Fraction:
     return max(_face_gaps(v, combinations(range(v.order), m)))
 
 
-def has_standard_projections(v: ProductMeasure, distinguished: int) -> bool:
-    """Whether the distinguished edge carries the factor measure and the
-    complementary face is fully independent.  Joinings with this property
-    correspond exactly to Markov operators from the distinguished factor to
-    the product of the others."""
-    if v.order < 2:
-        raise InvalidInputError("need at least two factors")
-    _position(distinguished, v.order, "coordinate")
-    faces = ((distinguished,), tuple(c for c in range(v.order) if c != distinguished))
-    return not any(_face_gaps(v, faces))
-
-
 def operator_from_joining(v: ProductMeasure, distinguished: int) -> MarkovOperator:
     """Markov operator P from the distinguished factor to the product of the
     rest, defined by the pairing
@@ -591,46 +576,24 @@ def _transition_matrix(op: MarkovOperator) -> list[list[Fraction]]:
     ]
 
 
-def push_by_automorphisms(
-    v: ProductMeasure, autos: Sequence[Automorphism]
-) -> ProductMeasure:
-    """Image measure under a coordinatewise automorphism:
-    (T v)(z) = v(T^{-1} z)."""
-    autos = tuple(autos)
-    if len(autos) != v.order:
-        raise InvalidInputError(f"need {v.order} automorphisms, got {len(autos)}")
-    for i, a in enumerate(autos):
-        if a.space != v.factors[i]:
-            raise InvalidInputError(f"automorphism {i} lives on the wrong space")
-    moved = moved_index_map(v.shape, [a.inverse().perm for a in autos])
-    return type(v)._from_form(
-        v.factors, list(map(v.numerators.__getitem__, moved)), v.denominator
-    )
-
-
 def product_convergence_trace(
     v: ProductMeasure,
     distinguished_rule: Callable[[int], MarkovOperator],
     fiber_rule: Callable[[int, int], MarkovOperator],
     j_max: int,
-    require_standard: bool = False,
 ) -> tuple[Fraction, ...]:
     """Sup-distances to the fully independent joining after pushing v by
     (distinguished_rule(j), fiber_rule(1, j), ..., fiber_rule(n, j)) for
     j = 1..j_max.
 
-    When the distinguished rule tends to the identity and every fiber rule
-    tends to the averaging operator, the trace tends to zero for tensors
-    whose complementary face is independent; ``require_standard`` enforces
-    that hypothesis up front, while the default leaves the trace available
-    as a diagnostic on arbitrary tensors."""
+    The trace tends to zero when the distinguished rule tends to the
+    identity, every fiber rule tends to the averaging operator, and v's
+    face on coordinates 1..n is independent.  That last hypothesis is the
+    caller's precondition and is not checked: on any other tensor the
+    trace is only a diagnostic."""
     if v.order < 2:
         raise InvalidInputError("need at least two factors")
     require_int(j_max, "j_max", 1)
-    if require_standard and not has_standard_projections(v, 0):
-        raise PreconditionError(
-            "tensor lacks an independent complement face at coordinate 0"
-        )
     trace = []
     for j in range(1, j_max + 1):
         ops = [distinguished_rule(j)]
@@ -671,13 +634,6 @@ class EquivariantField(Value):
                 raise InvalidInputError(
                     "conditional measure factors do not match the fiber spaces"
                 )
-
-    @property
-    def base_shape(self) -> tuple[int, ...]:
-        return tuple(sp.atom_count for sp in self.base_spaces)
-
-    def at(self, base_tuple: Sequence[int]) -> ProductMeasure:
-        return self.assignment[tuple_to_index(self.base_shape, base_tuple)]
 
 
 def disintegrate(v: ProductMeasure, base_coords: Sequence[int]) -> EquivariantField:
@@ -728,25 +684,3 @@ def reassemble(field: EquivariantField, base_coords: Sequence[int]) -> JoiningTe
         for f, x in zip(fibers, cond.entries):
             entries[b + f] = w * x
     return JoiningTensor(factors, tuple(entries))
-
-
-def equivariance_defect(field: EquivariantField, skew) -> Fraction:
-    """Largest sup-distance between field(S x_1, ..., S x_m) and the image of
-    field(x_1, ..., x_m) under R_{x_1} x ... x R_{x_m}, over all base tuples.
-    Zero exactly when the field satisfies the cocycle equivariance identity of
-    the skew product."""
-    for sp in field.base_spaces:
-        if sp != skew.base:
-            raise InvalidInputError("field base spaces must equal the skew base")
-    for sp in field.fiber_spaces:
-        if sp != skew.fiber:
-            raise InvalidInputError("field fiber spaces must equal the skew fiber")
-    shape = field.base_shape
-    moved = moved_index_map(shape, (skew.base_map.perm,) * len(shape))
-    best = Fraction(0)
-    for base_tup, cond, image in zip(iter_tuples(shape), field.assignment, moved):
-        pushed = push_by_automorphisms(cond, [skew.cocycle[x] for x in base_tup])
-        d = sup_distance(field.assignment[image], pushed)
-        if d > best:
-            best = d
-    return best

@@ -3,7 +3,7 @@
 correlation measures mu(A_0 ^ S^{k_1} A_1 ^ S^{k_1+k_2} A_2 ^ ...) with
 images of sets under powers; offset_joining packages the same data as a
 graph-type self-joining so the two computations cross-check each other
-exactly.  The relative variants run along a skew product's fibers.
+exactly.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import InvalidInputError, ResourceLimitError, Value, check, require_int
-from .rationals import as_fraction
-from .skew import SkewProduct, as_automorphism
 from .spaces import (
     SIZE_CAP,  # also read as mixing.SIZE_CAP
     Automorphism,
@@ -41,19 +39,6 @@ def _check_sets(t: Automorphism, sets: Sequence[MeasurableSet]) -> None:
           "all sets must live on the automorphism's space")
 
 
-def _meet(t: Automorphism, atom_sets: Sequence, sums: list[int]) -> set[int]:
-    """A_0 ^ t^{K_1} A_1 ^ ... ^ t^{K_n} A_n for atom sets A_i and the
-    running sums K_i of ``_offset_sums``; the walk stops once the meet is
-    empty."""
-    running = set(atom_sets[0])
-    for big_k, atoms in zip(sums, atom_sets[1:]):
-        if not running:
-            break
-        perm = t.power(big_k).perm
-        running &= {perm[x] for x in atoms}
-    return running
-
-
 def correlation(t: Automorphism, sets: Sequence[MeasurableSet], k) -> Fraction:
     """mu(A_0 ^ S^{K_1} A_1 ^ ... ^ S^{K_n} A_n), K_i = k_1 + ... + k_i,
     where S^K A is the image of A under the K-th power."""
@@ -61,7 +46,13 @@ def correlation(t: Automorphism, sets: Sequence[MeasurableSet], k) -> Fraction:
     sums = _offset_sums(k)
     n = len(sums)
     check(len(sets) == n + 1, "k", f"need {n + 1} sets for {n} offsets, got {len(sets)}")
-    return t.space.mass(_meet(t, [a.atoms for a in sets], sums))
+    running = set(sets[0].atoms)
+    for big_k, a in zip(sums, sets[1:]):
+        if not running:
+            break
+        perm = t.power(big_k).perm
+        running &= {perm[x] for x in a.atoms}
+    return t.space.mass(running)
 
 
 class SweepResult(Value):
@@ -155,81 +146,3 @@ def offset_joining(r: Automorphism, k) -> JoiningTensor:
         tup = (z0,) + tuple(p[z0] for p in inv_perms)
         values[tup] = r.space.weights[z0]
     return JoiningTensor.from_nonzero((r.space,) * (len(sums) + 1), values)
-
-
-def fiber_projection(r: SkewProduct, f: Sequence) -> tuple[Fraction, ...]:
-    """Conditional expectation onto the base:
-    (pi f)(x) = sum_y f(x, y) mu_fiber(y), with f given on product atoms
-    in (base, fiber) lexicographic order."""
-    nb, nf = r.base.atom_count, r.fiber.atom_count
-    if len(f) != nb * nf:
-        raise InvalidInputError(f"need {nb * nf} values, got {len(f)}")
-    vals = [as_fraction(x) for x in f]
-    out = []
-    for x in range(nb):
-        acc = Fraction(0)
-        for y in range(nf):
-            acc += vals[x * nf + y] * r.fiber.weights[y]
-        out.append(acc)
-    return tuple(out)
-
-
-def _lift_horizontal(r: SkewProduct, b: MeasurableSet) -> set[int]:
-    nf = r.fiber.atom_count
-    return {x * nf + y for x in r.base.atoms() for y in b.atoms}
-
-
-def _lift_vertical(r: SkewProduct, a: MeasurableSet) -> set[int]:
-    nf = r.fiber.atom_count
-    return {x * nf + y for x in a.atoms for y in range(nf)}
-
-
-def relative_mixing_deviation(
-    r: SkewProduct, horizontal_sets: Sequence[MeasurableSet], k
-) -> Fraction:
-    """Squared L2(mu_base) deviation of the fiber projection of the
-    indicator of H_0 ^ R^{K_1} H_1 ^ ... from the constant prod mu(B_i),
-    where H_i = X x B_i.
-
-    The squared distance is returned because it is always rational; the
-    distance itself generally is not."""
-    sums = _offset_sums(k)
-    n = len(sums)
-    check(len(horizontal_sets) == n + 1, "k",
-          f"need {n + 1} sets for {n} offsets, got {len(horizontal_sets)}")
-    check(all(b.space == r.fiber for b in horizontal_sets), "horizontal_sets",
-          "horizontal sets must live on the fiber")
-    lifts = [_lift_horizontal(r, b) for b in horizontal_sets]
-    running = _meet(as_automorphism(r), lifts, sums)
-    target = math.prod((b.measure for b in horizontal_sets), start=Fraction(1))
-    nf = r.fiber.atom_count
-    total = Fraction(0)
-    for x in r.base.atoms():
-        proj = r.fiber.mass(y for y in range(nf) if x * nf + y in running)
-        total += r.base.weights[x] * (proj - target) ** 2
-    return total
-
-
-def mixed_set_correlation(
-    r: SkewProduct,
-    vertical_sets: Sequence[MeasurableSet],
-    horizontal_sets: Sequence[MeasurableSet],
-    k,
-) -> Fraction:
-    """lambda(V_0 ^ R^{K_1}(V_1 ^ H_1) ^ ... ^ R^{K_m}(V_m ^ H_m)) on the
-    product space, with V_i vertical (a base set times the fiber) and H_i
-    horizontal (the base times a fiber set)."""
-    sums = _offset_sums(k)
-    m = len(sums)
-    check(len(vertical_sets) == m + 1 and len(horizontal_sets) == m, "k",
-          f"need {m + 1} vertical and {m} horizontal sets for {m} offsets")
-    check(all(a.space == r.base for a in vertical_sets), "vertical_sets",
-          "vertical sets must live on the base")
-    check(all(b.space == r.fiber for b in horizontal_sets), "horizontal_sets",
-          "horizontal sets must live on the fiber")
-    big = as_automorphism(r)
-    cells = [_lift_vertical(r, vertical_sets[0])] + [
-        _lift_vertical(r, a) & _lift_horizontal(r, b)
-        for a, b in zip(vertical_sets[1:], horizontal_sets)
-    ]
-    return big.space.mass(_meet(big, cells, sums))

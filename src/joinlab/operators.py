@@ -11,13 +11,12 @@ extreme examples; convex mixtures of them model partial mixing.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
 
 from .errors import InvalidInputError, Value, require_int
 from .rationals import as_fraction, show
-from .spaces import Automorphism, FiniteSpace, compose, space_size
+from .spaces import Automorphism, FiniteSpace, space_size
 
 
 class MarkovOperator(Value):
@@ -63,16 +62,6 @@ class MarkovOperator(Value):
                     f"expected {show(source.weights[s])}; "
                     "operator does not intertwine the measures"
                 )
-
-    def apply(self, values: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Apply to a function given by its values on source atoms."""
-        if len(values) != self.source.atom_count:
-            raise InvalidInputError("function length does not match the source")
-        vals = [as_fraction(v) for v in values]
-        return tuple(
-            sum((k * v for k, v in zip(row, vals)), Fraction(0))
-            for row in self.kernel
-        )
 
 
 def koopman(t: Automorphism) -> MarkovOperator:
@@ -154,43 +143,3 @@ def affine_combination(c: Fraction, p: MarkovOperator, q: MarkovOperator) -> Mar
     )
     return MarkovOperator(p.source, p.target, kernel)
 
-
-class ClosureProbe(Value):
-    """Best match found when probing powers against identity/averaging mixtures."""
-
-    __slots__ = _fields = ("best_k", "best_eps", "best_distance")
-
-
-def weak_closure_probe(
-    s: Automorphism,
-    eps_grid: Sequence[Fraction],
-    k_max: int,
-) -> ClosureProbe:
-    """Minimise dist_w(koopman(s)^k, eps*I + (1-eps)*Theta) over k = 1..k_max
-    and eps in the grid; ties break to the smallest k, then the smallest eps.
-
-    The probe measures how close the orbit of the Koopman operator comes to
-    the segment joining the identity to the averaging operator, the segment
-    along which weak limits of rigid-yet-mixing behaviour live.
-    """
-    require_int(k_max, "k_max", 1)
-    grid = sorted({as_fraction(e) for e in eps_grid})
-    if not grid:
-        raise InvalidInputError("eps grid must be nonempty")
-    for e in grid:
-        if not 0 < e < 1:
-            raise InvalidInputError(f"eps must lie strictly between 0 and 1, got {e}")
-    ident = identity_operator(s.space)
-    avg = averaging_operator(s.space)
-    targets = [(eps, affine_combination(eps, ident, avg)) for eps in grid]
-    best: ClosureProbe | None = None
-    power = Automorphism.identity(s.space)
-    for k in range(1, k_max + 1):
-        power = compose(s, power)
-        op_k = koopman(power)
-        for eps, target in targets:
-            d = dist_w(op_k, target)
-            if best is None or d < best.best_distance:
-                best = ClosureProbe(k, eps, d)
-    assert best is not None
-    return best

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import compress, islice, repeat
 from operator import add, lt, mul, ne, sub
 
-from .errors import InvalidInputError, PreconditionError, Value, check, require_int
+from .errors import InvalidInputError, Value, check, require_int
 from .rationals import as_fraction, format_rational
 from .spaces import (
     Automorphism,
@@ -161,23 +161,6 @@ def coboundary_extension(
         for sx, j in zip(s.perm, j_family)
     ]
     return SkewProduct(s.space, fiber, s, cocycle)
-
-
-def power_skew(s: Automorphism, t: Automorphism, n_fun: Sequence[int]) -> SkewProduct:
-    """Cocycle R_x = t^{n(x)}; requires the exponent to integrate to zero,
-    the finite obstruction to t-power cocycles being balanced along orbits."""
-    n_fun = tuple(n_fun)
-    if len(n_fun) != s.space.atom_count:
-        raise InvalidInputError("need one exponent per base atom")
-    for n in n_fun:
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise InvalidInputError(f"exponents must be ints, got {n!r}")
-    total = sum(w * n for w, n in zip(s.space.numerators, n_fun))
-    mean = Fraction(total, s.space.denominator)
-    if mean != 0:
-        raise PreconditionError(f"exponent has nonzero mean {mean}")
-    cocycle = tuple(t.power(n) for n in n_fun)
-    return SkewProduct(s.space, t.space, s, cocycle)
 
 
 def _prefix_walk(r: SkewProduct, x: int) -> Iterator[tuple[int, ...]]:

@@ -13,7 +13,7 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 from .errors import InvalidInputError, Value, require_int
-from .joinings import JoiningTensor, ProductMeasure
+from .joinings import JoiningTensor
 from .rationals import as_fraction
 from .spaces import (
     SIZE_CAP,  # also read as torus.SIZE_CAP
@@ -24,7 +24,6 @@ from .spaces import (
     index_to_tuple,
     space_size,
     split_cells,
-    support_map,
 )
 
 K_CAP = 4
@@ -126,43 +125,13 @@ def triple_sum_joining(ctx: Z2kContext) -> JoiningTensor:
     return JoiningTensor._decoded((ctx.space,) * 4, tuple(numerators), g**3, support)
 
 
-def _dot_parity(a_idx: int, x_idx: int) -> int:
-    return bin(a_idx & x_idx).count("1") & 1
-
-
-def character_coefficient(
-    v: ProductMeasure, chars: Sequence[Sequence[int]]
-) -> Fraction:
-    """Fourier coefficient sum_t v(t) * prod_i chi_{a_i}(t_i) for one
-    bit-vector per factor, summed over the support of v only."""
-    chars = [tuple(c) for c in chars]
-    if len(chars) != v.order:
-        raise InvalidInputError(f"need {v.order} characters, got {len(chars)}")
-    idxs = []
-    for c, sp in zip(chars, v.factors):
-        ctx = Z2kContext(len(c))
-        if sp.atom_count != ctx.group_order or sp != ctx.space:
-            raise InvalidInputError(
-                "factor is not the uniform group matching the character length"
-            )
-        idxs.append(ctx.atom(c))
-    _, values, split = v.support
-    parities = support_map(split, _parity_columns(v.shape, idxs))
-    total = sum(-x if p & 1 else x for p, x in zip(parities, values))
-    return Fraction(total, v.denominator)
-
-
-def _parity_columns(shape: Sequence[int], idx_key: Sequence[int]) -> list[list[int]]:
-    """a_i . t_i for every coordinate t_i of every axis i, one character
-    index a_i per axis: summed over the axes, its parity is the sign of
-    prod_i chi_{a_i}(t_i)."""
-    return [[_dot_parity(a, t) for t in range(n)] for a, n in zip(idx_key, shape)]
-
-
 def _parity_table(shape: Sequence[int], idx_key: Sequence[int]) -> list[int]:
-    """sum_i a_i . t_i at every flat index t: ``_parity_columns`` summed
-    over every cell, for a tensor filled cell by cell."""
-    return flat_index_map(shape, _parity_columns(shape, idx_key))
+    """sum_i a_i . t_i at every flat index t, one character index a_i per
+    axis: its parity is the sign of prod_i chi_{a_i}(t_i)."""
+    columns = [
+        [bin(a & t).count("1") & 1 for t in range(n)] for a, n in zip(idx_key, shape)
+    ]
+    return flat_index_map(shape, columns)
 
 
 def fourier_joining(

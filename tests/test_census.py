@@ -13,6 +13,17 @@ atoms, whose pairwise independent joinings are all the product.  At order
 three at m = 2: the transposition and the identity on two atoms, and the
 3-cycle on three.  The identity on 7 atoms at order 3 and on 4 atoms at
 order 4 take seconds each and are left out; they reach B too.
+
+Where the value is B, a proof needs no simplex.  Every entry of a point
+of the polytope is at most the weight of its m-cell, so no point lies
+farther than B from the product, and ``polytope._deviation_bound`` never
+exceeds B.  An invariant joining with independent m-faces at distance B
+from the product is a matching lower bound.  Three families give one:
+the N-cycle at order 3 for odd N, uniform on z = (x + y)/2 mod N; the
+identity on N atoms at order 3, uniform on the Cayley table z = x + y
+mod N; and Z_2^k at order 4 with m = 3, where the witness is
+``triple_sum_joining``.  At k = 4 this proves (4,4,3) = 15/65536, a value
+the simplex takes seconds to reach.
 """
 
 from fractions import Fraction
@@ -23,9 +34,17 @@ from joinlab import (
     ActionGenerators,
     Automorphism,
     FiniteSpace,
+    JoiningTensor,
     PolytopeSpec,
+    Z2kContext,
     certify_triviality,
+    diagonal_invariance_defect,
+    face_independence_defect,
+    full_action,
+    triple_sum_joining,
 )
+from joinlab.polytope import _deviation_bound, _reduce
+from joinlab.spaces import product_form
 
 
 def _partitions(n: int, largest: int | None = None):
@@ -102,3 +121,56 @@ def test_order4_certificate_is_the_face_bound(n, cycle_type, m):
     bound = Fraction(1, n**m) - Fraction(1, n**4)
     want = ORDER4_EXCEPTIONS.get((n, cycle_type, m), bound)
     assert _certificate(n, cycle_type, 4, m) == (False, want)
+
+
+def _face_bound(spec) -> Fraction:
+    """``_deviation_bound`` on ``spec``, read from its face rows alone."""
+    red = _reduce(spec)
+    nums, den = product_form((spec.action.space,) * spec.order)
+    target = [0] * red.count
+    for t, o in zip(nums, red.orbit):
+        target[o] = t
+    num, q = _deviation_bound(spec, red, target, den)
+    return Fraction(num, q * den)
+
+
+def _assert_proof(v, action, m, bound):
+    """``v`` is an invariant joining with independent m-faces at distance
+    ``bound`` from the product, and ``bound`` is the polytope's upper
+    bound: together they prove that ``bound`` is its max_deviation."""
+    assert diagonal_invariance_defect(v, action) == 0
+    assert face_independence_defect(v, m) == 0
+    assert face_independence_defect(v, v.order) == bound
+    assert _face_bound(PolytopeSpec(action, v.order, m)) == bound
+
+
+def _uniform_on(space, cells):
+    """The joining uniform on ``cells``, triples of atoms of ``space``."""
+    weight = Fraction(1, len(cells))
+    return JoiningTensor.from_nonzero((space,) * 3, {cell: weight for cell in cells})
+
+
+@pytest.mark.parametrize("n", range(3, 32, 2))
+def test_odd_cycle_order3_proof_without_lp(n):
+    space = FiniteSpace.uniform(n)
+    action = ActionGenerators(space, (Automorphism(space, _cycles((n,))),))
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    v = _uniform_on(space, [(x, y, (x + y) * half % n) for x in range(n) for y in range(n)])
+    _assert_proof(v, action, 2, Fraction(n - 1, n**3))
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_identity_order3_proof_without_lp(n):
+    space = FiniteSpace.uniform(n)
+    action = ActionGenerators(space, (Automorphism.identity(space),))
+    v = _uniform_on(space, [(x, y, (x + y) % n) for x in range(n) for y in range(n)])
+    _assert_proof(v, action, 2, Fraction(n - 1, n**3))
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_z2k_order4_proof_without_lp(k):
+    ctx = Z2kContext(k)
+    bound = Fraction(1, 2 ** (3 * k)) - Fraction(1, 2 ** (4 * k))
+    _assert_proof(triple_sum_joining(ctx), full_action(ctx), 3, bound)
+    if k == 4:
+        assert bound == Fraction(15, 65536)

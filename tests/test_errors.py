@@ -23,7 +23,6 @@ from joinlab import (
     disintegrate,
     face_independence_defect,
     fourier_joining,
-    has_standard_projections,
     identity_operator,
     joining_from_operator,
     marginal,
@@ -31,7 +30,6 @@ from joinlab import (
     operator_from_joining,
     operator_power,
     permutation_automorphism,
-    power_skew,
     product_convergence_trace,
     product_joining,
     reassemble,
@@ -39,7 +37,6 @@ from joinlab import (
     relative_weak_mixing_average,
     rigidity_statistic,
     sample_random_extension,
-    weak_closure_probe,
 )
 from joinlab.cli import _ascii_int
 from joinlab.config import Config
@@ -53,7 +50,6 @@ from joinlab.errors import (
     require_int,
 )
 from joinlab.mixing import SweepResult
-from joinlab.operators import ClosureProbe
 from joinlab.polytope import (
     LpOutcome,
     PolytopeSpec,
@@ -232,15 +228,10 @@ def _bool_cases():
         "operator_power k": (
             lambda b: operator_power(identity_operator(two), b),
             "power must be a nonnegative int, got {!r}"),
-        "weak_closure_probe k_max": (
-            lambda b: weak_closure_probe(flip, [half], b),
-            "k_max must be a positive int, got {!r}"),
         "cocycle_product x": (
             lambda b: cocycle_product(r, b, 1), "base atom {} out of range"),
         "cocycle_product p": (
             lambda b: cocycle_product(r, 0, b), "p must be a nonnegative int, got {!r}"),
-        "power_skew exponents": (
-            lambda b: power_skew(flip, flip, [b, 0]), "exponents must be ints, got {!r}"),
         "rigidity_statistic n_param": (
             lambda b: rigidity_statistic(r, a, b, [1]),
             "n_param must be a positive int, got {!r}"),
@@ -280,9 +271,6 @@ def _bool_cases():
         "reassemble base coords": (
             lambda b: reassemble(disintegrate(v, (0,)), (b,)),
             "need 1 strictly increasing base coords"),
-        "has_standard_projections distinguished": (
-            lambda b: has_standard_projections(v, b),
-            "distinguished coordinate {} out of range"),
         "operator_from_joining distinguished": (
             lambda b: operator_from_joining(v, b),
             "distinguished coordinate {} out of range"),
@@ -309,8 +297,8 @@ def test_integer_parameters_refuse_bools(name, flag):
     "name",
     ["cocycle_product x", "Z2kContext.bits atom", "Z2kContext.atom bits",
      "marginal coords", "disintegrate base coords", "reassemble base coords",
-     "has_standard_projections distinguished", "operator_from_joining distinguished",
-     "joining_from_operator distinguished", "permutation_automorphism sigma",
+     "operator_from_joining distinguished", "joining_from_operator distinguished",
+     "permutation_automorphism sigma",
      "tuple_to_index coordinate", "RawTensor.value coordinate"],
 )
 def test_atoms_refuse_non_ints(name):
@@ -328,7 +316,6 @@ RECORDS = [
     (TrivialityCertificate, (True, Fraction(0), None)),
     (_Reduction, ((0,), 1, [], [])),
     (SweepResult, (Fraction(0), (1,), Fraction(1, 4))),
-    (ClosureProbe, (1, Fraction(1, 2), Fraction(0))),
     (Config, ({}, {}, {}, {}, {}, {}, {})),
 ]
 

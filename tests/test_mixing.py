@@ -1,5 +1,5 @@
-"""Higher-order mixing tests: correlations, offset sweeps, the offset
-joining, and fiberwise quantities on skew products."""
+"""Higher-order mixing tests: correlations, offset sweeps and the offset
+joining."""
 
 import random
 from fractions import Fraction
@@ -12,16 +12,12 @@ from joinlab import (
     InvalidInputError,
     MeasurableSet,
     ResourceLimitError,
-    SkewProduct,
     correlation,
     diagonal_invariance_defect,
     ActionGenerators,
-    fiber_projection,
     marginal,
-    mixed_set_correlation,
     mixing_deviation_sweep_detail,
     offset_joining,
-    relative_mixing_deviation,
 )
 
 from conftest import random_automorphism, random_space, random_subset
@@ -38,15 +34,13 @@ def full_set(space):
 
 def _offset_takers():
     """Each public function that reads an offset vector, as a call of the
-    offsets alone on a 2-cycle and a skew product over it."""
+    offsets alone on a 2-cycle."""
     space = FiniteSpace.uniform(2)
     t = cycle(space)
-    r = SkewProduct(space, space, t, (t, t))
     sets = [full_set(space)] * 2
     return (
         lambda k: correlation(t, sets, k),
         lambda k: offset_joining(t, k),
-        lambda k: relative_mixing_deviation(r, sets, k),
     )
 
 
@@ -192,102 +186,3 @@ def test_offset_joining_size_cap():
     t = cycle(space)
     with pytest.raises(ResourceLimitError):
         offset_joining(t, (1, 1, 1, 1))
-
-
-def test_fiber_projection_examples():
-    base = FiniteSpace.uniform(2)
-    fiber = FiniteSpace.uniform(2)
-    r = SkewProduct(base, fiber, cycle(base), (Automorphism.identity(fiber),) * 2)
-    # constant function projects to itself
-    assert fiber_projection(r, [1, 1, 1, 1]) == (1, 1)
-    # indicator of the fiber set {0} projects to the constant 1/2
-    assert fiber_projection(r, [1, 0, 1, 0]) == (Fraction(1, 2), Fraction(1, 2))
-    # indicator of a vertical set passes through untouched
-    assert fiber_projection(r, [1, 1, 0, 0]) == (1, 0)
-    with pytest.raises(InvalidInputError):
-        fiber_projection(r, [1, 0, 1])
-
-
-def test_fiber_projection_weighted_fiber():
-    base = FiniteSpace.uniform(2)
-    fiber = FiniteSpace((Fraction(1, 4), Fraction(3, 4)))
-    r = SkewProduct(base, fiber, cycle(base), (Automorphism.identity(fiber),) * 2)
-    assert fiber_projection(r, [1, 0, 0, 1]) == (Fraction(1, 4), Fraction(3, 4))
-
-
-def test_relative_mixing_deviation_frozen():
-    base = FiniteSpace.uniform(2)
-    fiber = FiniteSpace.uniform(2)
-    r = SkewProduct(base, fiber, Automorphism.identity(base), (Automorphism.identity(fiber),) * 2)
-    b = MeasurableSet(fiber, frozenset({0}))
-    # projection is identically 1/2, target 1/4: squared deviation 1/16
-    assert relative_mixing_deviation(r, [b, b], (1,)) == Fraction(1, 16)
-    # full fiber set: projection 1 equals target 1
-    assert relative_mixing_deviation(r, [full_set(fiber), full_set(fiber)], (1,)) == 0
-
-
-def test_relative_mixing_deviation_one_atom_fiber():
-    base = FiniteSpace.uniform(3)
-    fiber = FiniteSpace.uniform(1)
-    r = SkewProduct(base, fiber, cycle(base), (Automorphism.identity(fiber),) * 3)
-    b = full_set(fiber)
-    assert relative_mixing_deviation(r, [b, b, b], (1, 2)) == 0
-
-
-def test_mixed_set_correlation_full_sets():
-    base = FiniteSpace.uniform(3)
-    fiber = FiniteSpace.uniform(2)
-    r = SkewProduct(base, fiber, cycle(base), (Automorphism.identity(fiber),) * 3)
-    v = [MeasurableSet(base, frozenset(base.atoms()))] * 3
-    h = [full_set(fiber)] * 2
-    assert mixed_set_correlation(r, v, h, (1, 1)) == 1
-
-
-def test_mixed_set_correlation_product_skew_splits():
-    # for S x Id the correlation factorises into base correlation times
-    # the fiber intersection mass
-    rng = random.Random(37)
-    for _ in range(15):
-        base = random_space(rng, 6, uniform=True)
-        fiber = random_space(rng, 4)
-        s = random_automorphism(rng, base)
-        r = SkewProduct(base, fiber, s, (Automorphism.identity(fiber),) * base.atom_count)
-        a0 = random_subset(rng, base)
-        a1 = random_subset(rng, base)
-        b1 = random_subset(rng, fiber)
-        k = rng.randint(1, 4)
-        got = mixed_set_correlation(r, [a0, a1], [b1], (k,))
-        want = correlation(s, [a0, a1], (k,)) * b1.measure
-        assert got == want
-
-
-def test_mixed_set_correlation_reduces_to_base_correlation():
-    rng = random.Random(41)
-    for _ in range(10):
-        base = random_space(rng, 5, uniform=True)
-        fiber = random_space(rng, 3)
-        s = random_automorphism(rng, base)
-        maps = tuple(random_automorphism(rng, fiber) for _ in base.atoms())
-        r = SkewProduct(base, fiber, s, maps)
-        verts = [random_subset(rng, base) for _ in range(3)]
-        h = [full_set(fiber)] * 2
-        offs = (rng.randint(1, 3), rng.randint(1, 3))
-        got = mixed_set_correlation(r, verts, h, offs)
-        want = correlation(s, verts, offs)
-        assert got == want
-
-
-def test_mixed_set_correlation_empty_start():
-    base = FiniteSpace.uniform(2)
-    fiber = FiniteSpace.uniform(2)
-    r = SkewProduct(base, fiber, cycle(base), (Automorphism.identity(fiber),) * 2)
-    empty = MeasurableSet(base, frozenset())
-    assert mixed_set_correlation(r, [empty, full_set(base)], [full_set(fiber)], (1,)) == 0
-
-
-def test_mixed_set_correlation_count_validation():
-    base = FiniteSpace.uniform(2)
-    fiber = FiniteSpace.uniform(2)
-    r = SkewProduct(base, fiber, cycle(base), (Automorphism.identity(fiber),) * 2)
-    with pytest.raises(InvalidInputError):
-        mixed_set_correlation(r, [full_set(base)], [full_set(fiber)], (1,))

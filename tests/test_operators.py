@@ -18,7 +18,6 @@ from joinlab import (
     identity_operator,
     koopman,
     operator_power,
-    weak_closure_probe,
 )
 
 from conftest import random_automorphism, random_operator, random_space
@@ -115,7 +114,9 @@ def test_averaging_operator_frozen_examples():
     assert compose_operators(theta, theta).kernel == theta.kernel
 
     skewed = FiniteSpace((Fraction(1, 3), Fraction(2, 3)))
-    out = averaging_operator(skewed).apply((Fraction(1), Fraction(0)))
+    f = (Fraction(1), Fraction(0))
+    kernel = averaging_operator(skewed).kernel
+    out = tuple(sum(k * v for k, v in zip(row, f)) for row in kernel)
     assert out == (Fraction(1, 3), Fraction(1, 3))
 
 
@@ -123,7 +124,8 @@ def test_koopman_evaluates_by_composition():
     sp = FiniteSpace.uniform(4)
     rot = Automorphism(sp, (1, 2, 3, 0))
     f = tuple(Fraction(i) for i in range(4))
-    assert koopman(rot).apply(f) == tuple(f[rot(x)] for x in sp.atoms())
+    out = tuple(sum(k * v for k, v in zip(row, f)) for row in koopman(rot).kernel)
+    assert out == tuple(f[rot(x)] for x in sp.atoms())
 
 
 def test_koopman_antihomomorphism():
@@ -178,32 +180,6 @@ def test_compose_requires_matching_spaces():
     sp3 = FiniteSpace.uniform(3)
     with pytest.raises(InvalidInputError):
         compose_operators(identity_operator(U2), identity_operator(sp3))
-
-
-def test_weak_closure_probe_identity():
-    probe = weak_closure_probe(
-        Automorphism.identity(U2), [Fraction(1, 2)], 3
-    )
-    assert probe.best_distance == Fraction(1, 4)
-    assert probe.best_k == 1
-    assert probe.best_eps == Fraction(1, 2)
-
-
-def test_weak_closure_probe_swap_prefers_even_power():
-    swap = Automorphism(U2, (1, 0))
-    probe = weak_closure_probe(swap, [Fraction(1, 2)], 2)
-    assert probe.best_k == 2
-    assert probe.best_distance == Fraction(1, 4)
-
-
-def test_weak_closure_probe_validates_grid():
-    swap = Automorphism(U2, (1, 0))
-    with pytest.raises(InvalidInputError):
-        weak_closure_probe(swap, [], 2)
-    with pytest.raises(InvalidInputError):
-        weak_closure_probe(swap, [Fraction(1)], 2)
-    with pytest.raises(InvalidInputError):
-        weak_closure_probe(swap, [Fraction(1, 2)], 0)
 
 
 def test_operator_kernels_are_capped_before_building():

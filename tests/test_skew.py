@@ -11,7 +11,6 @@ from joinlab import (
     FiniteSpace,
     InvalidInputError,
     MeasurableSet,
-    PreconditionError,
     SkewProduct,
     as_automorphism,
     averaging_operator,
@@ -21,7 +20,6 @@ from joinlab import (
     dist_w,
     is_ergodic,
     koopman,
-    power_skew,
     relative_mixing_fraction,
     relative_product,
     relative_weak_mixing_average,
@@ -91,19 +89,6 @@ def test_coboundary_telescopes():
         for p in (0, 1, 3, 9):
             expected = compose(j_family[s.power(p).perm[x]].inverse(), j_family[x])
             assert cocycle_product(r, x, p).perm == expected.perm
-
-
-def test_power_skew_mean_zero_required():
-    base = FiniteSpace.uniform(4)
-    fiber = FiniteSpace.uniform(3)
-    s = cycle(base)
-    t = cycle(fiber)
-    r = power_skew(s, t, (1, -1, 2, -2))
-    assert r.cocycle[2].perm == t.power(2).perm
-    with pytest.raises(PreconditionError):
-        power_skew(s, t, (1, 1, -1, 0))
-    with pytest.raises(InvalidInputError):
-        power_skew(s, t, (1, -1, 0))
 
 
 def test_flattened_automorphism_matches_skew():

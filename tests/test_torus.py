@@ -1,5 +1,5 @@
 """Tests for the uniform two-group systems: bit conventions, the symmetry
-action, the order-4 sum joining, and the character transform."""
+action, the order-4 sum joining, and the Fourier synthesis."""
 
 import random
 from fractions import Fraction
@@ -10,7 +10,6 @@ from joinlab import (
     InvalidInputError,
     ResourceLimitError,
     Z2kContext,
-    character_coefficient,
     compose,
     diagonal_invariance_defect,
     face_independence_defect,
@@ -23,6 +22,8 @@ from joinlab import (
     sup_distance,
     triple_sum_joining,
 )
+
+import tensor_oracle as oracle
 
 
 def test_context_validation():
@@ -116,37 +117,6 @@ def test_triple_sum_sup_distance_formula():
         assert sup_distance(v, prod) == expected
 
 
-def test_character_coefficients_of_product():
-    ctx = Z2kContext(2)
-    prod = product_joining([ctx.space] * 3)
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                chars = (ctx.bits(a), ctx.bits(b), ctx.bits(c))
-                want = 1 if (a, b, c) == (0, 0, 0) else 0
-                assert character_coefficient(prod, chars) == want
-
-
-def test_character_coefficients_of_triple_sum():
-    # the sum joining has coefficient one exactly on aligned quadruples
-    for k in (1, 2):
-        ctx = Z2kContext(k)
-        v = triple_sum_joining(ctx)
-        for a in range(ctx.group_order):
-            chars = (ctx.bits(a),) * 4
-            assert character_coefficient(v, chars) == 1
-        if ctx.group_order > 1:
-            mixed = (ctx.bits(1), ctx.bits(0), ctx.bits(0), ctx.bits(1))
-            assert character_coefficient(v, mixed) == 0
-
-
-def test_character_count_must_match_order():
-    ctx = Z2kContext(1)
-    v = triple_sum_joining(ctx)
-    with pytest.raises(InvalidInputError):
-        character_coefficient(v, [(0,)] * 3)
-
-
 def test_fourier_joining_roundtrip():
     ctx = Z2kContext(1)
     coeffs = {
@@ -160,8 +130,8 @@ def test_fourier_joining_roundtrip():
         for t in [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
     }
     for key, c in coeffs.items():
-        assert character_coefficient(v, key) == c
-    assert character_coefficient(v, ((1,), (0,), (0,))) == 0
+        assert oracle.character_coefficient(v.entries, 1, 3, [ctx.atom(a) for a in key]) == c
+    assert oracle.character_coefficient(v.entries, 1, 3, (1, 0, 0)) == 0
 
 
 def test_fourier_joining_requires_unit_mass_coefficient():

@@ -33,7 +33,6 @@ from joinlab import (
 )
 from joinlab.config import Config
 from joinlab.mixing import SweepResult
-from joinlab.operators import ClosureProbe
 from joinlab.serialize import RawTensor
 from joinlab.torus import Z2kContext
 
@@ -90,11 +89,6 @@ CASES = {
         (PAIR, PAIR, ((1, 0), (0, 1))), (PAIR, PAIR, ((0, 1), (1, 0))),
         f"MarkovOperator(source={S}, target={S}, kernel=((Fraction(1, 1), "
         "Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 1))))"),
-    "ClosureProbe": (
-        ClosureProbe, ("best_k", "best_eps", "best_distance"),
-        ("best_k", "best_eps", "best_distance"),
-        (1, H, Q), (2, H, Q),
-        "ClosureProbe(best_k=1, best_eps=Fraction(1, 2), best_distance=Fraction(1, 4))"),
     "PolytopeSpec": (
         PolytopeSpec, ("action", "order", "independence"),
         ("action", "order", "independence"),
