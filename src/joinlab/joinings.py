@@ -273,21 +273,18 @@ class JoiningTensor(ProductMeasure):
         factors: Sequence[FiniteSpace],
         values: Mapping[tuple[int, ...], Fraction],
     ) -> "JoiningTensor":
+        """The joining holding ``values[t]`` at each tuple t listed and zero
+        elsewhere.  Only the listed values are scaled to integer form, but
+        the ``FORM_BITS_CAP`` check counts every entry."""
         factors = tuple(factors)
         shape = shape_of(factors)
+        size = space_size(shape)
         cells = {tuple_to_index(shape, t): as_fraction(x) for t, x in values.items()}
-        return cls._from_form(factors, *sparse_form(space_size(shape), cells))
-
-
-def sparse_form(size: int, cells: Mapping[int, Fraction]) -> tuple[list[int], int]:
-    """Integer form of the ``size`` entries that hold ``cells[i]`` at each
-    flat index i listed and zero elsewhere.  Only the listed values are
-    scaled, but the ``FORM_BITS_CAP`` check counts all ``size`` entries."""
-    nums, den = integer_form(tuple(cells.values()), size)
-    out = [0] * size
-    for i, n in zip(cells, nums):
-        out[i] = n
-    return out, den
+        nums, den = integer_form(tuple(cells.values()), size)
+        out = [0] * size
+        for i, n in zip(cells, nums):
+            out[i] = n
+        return cls._from_form(factors, out, den)
 
 
 def _axis_sums(v: RawTensor, coords) -> list[int]:

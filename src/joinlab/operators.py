@@ -12,11 +12,11 @@ extreme examples; convex mixtures of them model partial mixing.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from operator import mul
 
 from .errors import InvalidInputError, Value, require_int
 from .rationals import as_fraction, show
-from .spaces import Automorphism, FiniteSpace, space_size
+from .spaces import Automorphism, FiniteSpace, integer_form, space_size
 
 
 class MarkovOperator(Value):
@@ -39,14 +39,14 @@ class MarkovOperator(Value):
             raise InvalidInputError(
                 f"kernel must be {nt}x{ns}, got {len(rows)} rows"
             )
-        # in integers: a row over the lcm of its denominators, a weighted
-        # column over the target's denominator times the lcm of its own
+        # in integers: each row and each column in integer form, a weighted
+        # column over the target's denominator times its own
         for t, row in enumerate(rows):
             for s, x in enumerate(row):
                 if x.numerator < 0:
                     raise InvalidInputError(f"negative kernel entry at [{t}][{s}]")
-            den = lcm(*(x.denominator for x in row))
-            total = sum(x.numerator * (den // x.denominator) for x in row)
+            nums, den = integer_form(row)
+            total = sum(nums)
             if total != den:
                 raise InvalidInputError(
                     f"row {t} sums to {show(Fraction(total, den))}, expected 1"
@@ -54,8 +54,8 @@ class MarkovOperator(Value):
         wt, wt_den = target.numerators, target.denominator
         ws, ws_den = source.numerators, source.denominator
         for s, col in enumerate(zip(*rows)):
-            den = lcm(*(x.denominator for x in col))
-            total = sum(w * x.numerator * (den // x.denominator) for w, x in zip(wt, col))
+            nums, den = integer_form(col)
+            total = sum(map(mul, wt, nums))
             if total * ws_den != ws[s] * wt_den * den:
                 raise InvalidInputError(
                     f"weighted column {s} is {show(Fraction(total, wt_den * den))}, "

@@ -16,13 +16,13 @@ axis class has run both LPs (permuting the tensor axes maps the polytope
 onto itself, so the orbits of a class share one range).  Either rule
 stops a prefix of the full scan at its largest deviation, so the
 certificate is the full scan's.  The scan runs in integers on the
-solver's integer core: unit objectives, the product weights as integer
-numerators over one denominator, vertices read from the basic rows as
-(numerator, denominator) pairs, and sup-distances compared by
-cross-multiplication.  Only the deviation becomes a ``Fraction``; the
-winning vertex becomes a tensor in integer form.  Vertices come back as
-full tensors and are re-verified through the joining defect checks, an
-independent code path from the LP itself.
+solver's integer core: unit objectives, and the product weights and
+each vertex in integer form, numerators over one denominator, so a
+vertex's sup-distance is one integer over its denominator and two are
+compared by cross-multiplication.  Only the deviation becomes a
+``Fraction``; the winning vertex becomes a tensor in integer form.
+Vertices come back as full tensors and are re-verified through the
+joining defect checks, an independent code path from the LP itself.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
 
 from .errors import InvalidInputError, JoinlabInternalError, Value, check, require_int
 from .joinings import (
@@ -41,7 +40,6 @@ from .joinings import (
 from .rationals import as_fraction
 from .simplex import RationalSimplex
 from .spaces import (
-    SIZE_CAP,  # also read as polytope.SIZE_CAP
     ActionGenerators,
     _offsets,
     _sum_table,
@@ -176,16 +174,13 @@ def _axis_classes(spec: PolytopeSpec, red: _Reduction) -> list[int]:
 
 
 def _as_tensor(
-    spec: PolytopeSpec, red: _Reduction, vertex: list[tuple[int, int, int]]
+    spec: PolytopeSpec, red: _Reduction, vertex: tuple[list[int], int]
 ) -> JoiningTensor:
-    """The tensor of a ``RationalSimplex._vertex`` result, (orbit, numerator,
-    positive denominator) per basic orbit and 0 off the basis, built in
-    integer form over the lcm of the denominators and re-checked."""
-    den = lcm(*(q for _, _, q in vertex))
+    """The tensor of a ``RationalSimplex._vertex`` result, one numerator
+    per orbit over one positive denominator, spread over the orbits'
+    coordinates in integer form and re-checked."""
+    values, den = vertex
     check_form_bits(spec.size, den)
-    values = [0] * red.count
-    for o, p, q in vertex:
-        values[o] = p * (den // q)
     factors = (spec.action.space,) * spec.order
     tensor = JoiningTensor._from_form(factors, list(map(values.__getitem__, red.orbit)), den)
     # independent re-check through the joining module, not the LP
@@ -242,13 +237,13 @@ def certify_triviality(spec: PolytopeSpec) -> TrivialityCertificate:
     The scan stays in integers.  Each LP runs on the solver's integer core
     with a unit objective (its negation for the min).  The per-orbit targets
     are the product weights' numerators T_o over their denominator D, and
-    the vertex is read from the basic rows as x_o = p / q, with x_o = 0 off
-    the basis.  D times the deviation |x_o - T_o / D| is the quotient
-    |p D - T_o q| / q, or T_o / 1 off the basis, kept as a (numerator,
-    denominator) pair; pairs are compared by cross-multiplying.  A vertex
-    wins only by a strictly larger deviation, so the first farthest vertex
-    in scan order is the witness.  It is built in integer form by
-    ``_as_tensor``, and a ``Fraction`` for ``max_deviation`` alone."""
+    the vertex is read in integer form, x_o = p_o / q for every orbit.  D
+    times its sup-distance to the product measure is max_o |p_o D - T_o q|
+    over q, kept as a (numerator, denominator) pair; pairs are compared by
+    cross-multiplying.  A vertex wins only by a strictly larger deviation,
+    so the first farthest vertex in scan order is the witness.  It is
+    built in integer form by ``_as_tensor``, and a ``Fraction`` for
+    ``max_deviation`` alone."""
     red = _reduce(spec)
     solver = RationalSimplex(red.rows, red.rhs, red.count)
     if solver.rank == red.count:
@@ -268,18 +263,11 @@ def certify_triviality(spec: PolytopeSpec) -> TrivialityCertificate:
         unit = [0] * red.count
         unit[o] = sign
         solver._maximise(unit, 1)
-        vertex = solver._vertex()
-        basic = {v for v, _, _ in vertex}
-        # an orbit off the basis is 0 there: its deviation is its target
-        dev_num = max((t for u, t in enumerate(target) if u not in basic), default=0)
-        dev_den = 1
-        for v, p, q in vertex:
-            d = abs(p * den - target[v] * q)
-            if d * dev_den > dev_num * q:
-                dev_num, dev_den = d, q
-        if dev_num * best[1] > best[0] * dev_den:
-            best, best_vertex = (dev_num, dev_den), vertex
-            if dev_num * bound_den >= bound_num * dev_den:
+        vertex = nums, q = solver._vertex()
+        dev = max(abs(p * den - t * q) for p, t in zip(nums, target))
+        if dev * best[1] > best[0] * q:
+            best, best_vertex = (dev, q), vertex
+            if dev * bound_den >= bound_num * q:
                 break
     if best_vertex is None:
         raise JoinlabInternalError(

@@ -1,7 +1,7 @@
 """Exact rational helpers.
 
-Everything user-facing is a ``fractions.Fraction``; any other exact rational
-with int ``numerator``/``denominator`` is accepted on input.
+Everything user-facing is a ``fractions.Fraction``; an int, a ``Fraction``
+or a canonical ``p/q`` string is accepted on input.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ def fast_rational_type():
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce int / str / Fraction, or any object with int ``numerator`` and
-    ``denominator``, to Fraction.  Floats are rejected:
+    """Coerce int / str / Fraction to Fraction.  Floats are rejected:
     a binary float silently misrepresents most decimal inputs."""
     if isinstance(value, Fraction):
         return value
@@ -39,10 +38,6 @@ def as_fraction(value) -> Fraction:
         )
     if isinstance(value, str):
         return parse_rational(value)
-    num = getattr(value, "numerator", None)
-    den = getattr(value, "denominator", None)
-    if isinstance(num, int) and isinstance(den, int):
-        return Fraction(num, den)
     raise InvalidInputError(f"not a rational: {value!r}")
 
 

@@ -16,14 +16,14 @@ gcd of its entries, so the rational tableau is exactly the one a
 ratios, and every pivot, vertex and value is the same.  Every LP runs on
 one integer core: ``_maximise`` takes an integer objective over a
 denominator and returns the optimum as a (numerator, denominator) pair,
-and ``_vertex`` reads the optimal point from the basic rows as integer
-(variable, numerator, denominator) triples.  ``Fraction`` appears only
-where inputs are read and results are returned: ``solve_for`` reads a
-rational objective and returns its ``LpSolution`` through ``_point``,
-while a caller that stays in integers, the certificate scan of
-``joinlab.polytope``, calls the core directly and builds one ``Fraction``
-point, its witness.  Repeated input rows are dropped before presolve; a
-repeat would reduce to zero there anyway.
+and ``_vertex`` reads the optimal point from the basic rows in the
+package's integer form: one numerator per variable over one denominator.
+``Fraction`` appears only where inputs are read and results are returned:
+``solve_for`` reads a rational objective through ``spaces.integer_form``
+and returns the point as ``spaces._fractions`` of the vertex, while a
+caller that stays in integers, the certificate scan of
+``joinlab.polytope``, calls the core directly.  Repeated input rows are
+dropped before presolve; a repeat would reduce to zero there anyway.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from math import gcd, lcm
 
 from .errors import InvalidInputError, JoinlabError, Value
 from .rationals import as_fraction
+from .spaces import _fractions, integer_form
 
 
 class LpSolution(Value):
@@ -44,12 +45,13 @@ class LpSolution(Value):
 
 
 def _integer_row(values) -> tuple[list[int], int]:
-    """The rational vector ``values`` as integers over the lcm of its
-    denominators, and that lcm; an entry ``as_fraction`` refuses, a float
-    or a bool among them, raises ``InvalidInputError``."""
-    fracs = [x if type(x) is int or type(x) is Fraction else as_fraction(x) for x in values]
-    den = lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (den // f.denominator) for f in fracs], den
+    """``spaces.integer_form`` of the rational vector ``values``, numerators
+    as a list; an entry ``as_fraction`` refuses, a float or a bool among
+    them, raises ``InvalidInputError``."""
+    nums, den = integer_form(
+        [x if type(x) is int or type(x) is Fraction else as_fraction(x) for x in values]
+    )
+    return list(nums), den
 
 
 def _lowest_terms(row: list[int], den: int) -> tuple[list[int], int]:
@@ -260,18 +262,16 @@ class RationalSimplex:
         self._obj = None
         return value
 
-    def _vertex(self) -> list[tuple[int, int, int]]:
-        """The current basic point as (variable, numerator, positive
-        denominator), one per basic row: x_bv = row[-1] / row[bv].  Every
-        other variable is 0."""
-        return [(bv, row[-1], row[bv]) for row, bv in zip(self._rows, self._basis)]
-
-    def _point(self, vertex: list[tuple[int, int, int]]) -> tuple[Fraction, ...]:
-        """A ``_vertex`` result as one ``Fraction`` per variable."""
-        x = [Fraction(0)] * self.num_vars
-        for bv, num, den in vertex:
-            x[bv] = Fraction(num, den)
-        return tuple(x)
+    def _vertex(self) -> tuple[list[int], int]:
+        """The current basic point in integer form, (numerators, positive
+        denominator): x_bv = row[-1] / row[bv] on each basic row, over the
+        lcm of the basic entries row[bv], and 0 off the basis."""
+        pairs = list(zip(self._rows, self._basis))
+        den = lcm(*(row[bv] for row, bv in pairs))
+        x = [0] * self.num_vars
+        for row, bv in pairs:
+            x[bv] = row[-1] * (den // row[bv])
+        return x, den
 
     # -- public API --------------------------------------------------------
 
@@ -294,6 +294,6 @@ class RationalSimplex:
         obj, den = _integer_row(objective)
         value = Fraction(*self._maximise([-x for x in obj] if flip else obj, den))
         return LpSolution(
-            "optimal", -value if flip else value, self._point(self._vertex())
+            "optimal", -value if flip else value, _fractions(*self._vertex())
         )
 

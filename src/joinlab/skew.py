@@ -194,10 +194,10 @@ def rigidity_statistic(
     as x_0, up to G_L; a pair counts only when S^p x_i is in A.  The times
     may come in any order: G_L^q is one composition from G_L^(q-1) when
     that is one of the two powers kept, and is rebuilt by ``perm_power``
-    otherwise, so on nondecreasing times G_L^q and G_L^(q+1) are the only
-    live powers.  Once some G_L^q is the identity, the orbit's counts
-    repeat with period qL.  Per orbit that meets A that is L compositions
-    besides the powers, and O(L n) memory."""
+    in O(log q) compositions otherwise, so on nondecreasing times G_L^q
+    and G_L^(q+1) are the only live powers.  Per orbit that meets A that
+    is L compositions besides the powers, one pass over the starts per
+    time, and O(L n) memory."""
     check(a.space == r.base, "set", "set must live on the base")
     require_int(n_param, "n_param", 1)
     times = tuple(times)
@@ -222,36 +222,25 @@ def rigidity_statistic(
         ]
         g_l = table[-1]
         powers = {}  # q -> G_L^q, the last two built
-        cycle = 0  # qL once G_L^q = Id: then G_{j+qL} = G_j
-        known = {}  # time -> this orbit's count, times taken mod cycle
         for k, p in enumerate(times):
-            if cycle:
-                p %= cycle
-            total = known.get(p)
-            if total is None:
-                total = 0
-                low, shift = divmod(p, length)
-                for w, i, g, wg in rows:
-                    j, q = i + shift, low
-                    if j >= length:
-                        j, q = j - length, q + 1
-                    if not inside[j]:  # S^p x_i is not in A
-                        continue
-                    later = table[j]
-                    if q:  # G_{qL+j} = G_j o G_L^q, and G_0 = Id
-                        power = powers.get(q)
-                        if power is None:
-                            last = powers.get(q - 1)
-                            power = (perm_power(g_l, q) if last is None
-                                     else tuple(map(g_l.__getitem__, last)))
-                            powers = {q - 1: last, q: power}
-                            if power == table[0]:
-                                cycle = q * length
-                        later = map(later.__getitem__, power) if j else power
-                    if sum(compress(wg, map(ne, later, g))) <= limit:
-                        total += w
-                known[p] = total
-            counted[k] += total
+            low, shift = divmod(p, length)
+            for w, i, g, wg in rows:
+                j, q = i + shift, low
+                if j >= length:
+                    j, q = j - length, q + 1
+                if not inside[j]:  # S^p x_i is not in A
+                    continue
+                later = table[j]
+                if q:  # G_{qL+j} = G_j o G_L^q, and G_0 = Id
+                    power = powers.get(q)
+                    if power is None:
+                        last = powers.get(q - 1)
+                        power = (perm_power(g_l, q) if last is None
+                                 else tuple(map(g_l.__getitem__, last)))
+                        powers = {q - 1: last, q: power}
+                    later = map(later.__getitem__, power) if j else power
+                if sum(compress(wg, map(ne, later, g))) <= limit:
+                    counted[k] += w
     den = r.base.denominator
     return [Fraction(c, den) for c in counted]
 

@@ -16,7 +16,6 @@ from .errors import InvalidInputError, Value, require_int
 from .joinings import JoiningTensor
 from .rationals import as_fraction
 from .spaces import (
-    SIZE_CAP,  # also read as torus.SIZE_CAP
     ActionGenerators,
     Automorphism,
     FiniteSpace,

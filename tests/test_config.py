@@ -7,7 +7,7 @@ import pytest
 
 from joinlab.config import Config, load_config, parse_config
 from joinlab.errors import InvalidInputError, ResourceLimitError
-from joinlab.polytope import SIZE_CAP
+from joinlab.spaces import SIZE_CAP
 
 
 def full_config_data():

@@ -40,7 +40,6 @@ from joinlab.spaces import halmos_numerator
 from joinlab.skew import (
     _random_preserving_permutation,
     _weight_classes,
-    coboundary_extension,
     fiber_square_ergodic,
     is_ergodic,
     sample_random_extension,

@@ -31,7 +31,6 @@ from joinlab import joinings
 
 import tensor_oracle as oracle
 from conftest import (
-    northwest_coupling,
     random_automorphism,
     random_operator,
     random_space,

@@ -22,6 +22,7 @@ from joinlab import (
 
 from conftest import random_automorphism, random_operator, random_space
 from joinlab.rationals import show
+from joinlab.spaces import FORM_BITS_CAP
 
 U2 = FiniteSpace.uniform(2)
 
@@ -106,6 +107,19 @@ def test_markov_operator_checks_match_fraction_arithmetic():
                 MarkovOperator(source, target, kernel)
             assert str(err.value) == want
     assert messages == {None, "negative", "row", "weighted"}
+
+
+def test_kernel_forms_meet_the_bits_cap():
+    # a doubly stochastic kernel whose rows and columns each need a
+    # denominator of 2^25 + 1 bits exceeds FORM_BITS_CAP and is refused
+    tiny = Fraction(1, 2 ** 2**25)
+    kernel = ((tiny, 1 - tiny), (1 - tiny, tiny))
+    with pytest.raises(
+        ResourceLimitError,
+        match=f"2 entries over a common denominator of {2**25 + 1} bits "
+        f"exceed the cap of {FORM_BITS_CAP} bits",
+    ):
+        MarkovOperator(U2, U2, kernel)
 
 
 def test_averaging_operator_frozen_examples():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -57,7 +58,11 @@ def test_as_fraction_accepts_exact_types():
     assert as_fraction("7/2") == Fraction(7, 2)
 
 
-@pytest.mark.parametrize("bad", [0.5, float("nan"), True, False, [1], (1, 2)])
+@pytest.mark.parametrize(
+    "bad",
+    [0.5, float("nan"), True, False, [1], (1, 2),
+     SimpleNamespace(numerator=1, denominator=2)],
+)
 def test_as_fraction_rejects_inexact_and_bool(bad):
     with pytest.raises(InvalidInputError):
         as_fraction(bad)

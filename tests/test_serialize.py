@@ -8,7 +8,7 @@ import pytest
 from joinlab import Automorphism, FiniteSpace, SkewProduct
 from joinlab.errors import InvalidInputError, ResourceLimitError
 from joinlab.joinings import JoiningTensor, product_joining
-from joinlab.polytope import SIZE_CAP
+from joinlab.spaces import SIZE_CAP
 from joinlab.config import parse_json, read_bytes
 from joinlab.serialize import RawTensor, data_to_joining, data_to_raw, joining_to_data
 from joinlab.skew import skew_to_data

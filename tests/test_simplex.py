@@ -11,9 +11,8 @@ from itertools import combinations
 
 import pytest
 
-from joinlab import InvalidInputError, JoinlabError, RationalSimplex
-
-from conftest import northwest_coupling
+from joinlab import InvalidInputError, JoinlabError, RationalSimplex, ResourceLimitError
+from joinlab.spaces import FORM_BITS_CAP
 
 
 def _solve_square(a, b):
@@ -198,6 +197,18 @@ def test_entries_go_through_as_fraction(entry, message):
             call()
         assert str(err.value) == message
     assert RationalSimplex([["1/2", 1]], ["1/2"], 2).solve_for(["1", 0]).value == 1
+
+
+def test_objective_form_meets_the_bits_cap():
+    # two objective entries over a denominator of 2^25 + 1 bits exceed
+    # FORM_BITS_CAP and are refused like any other integer form
+    tiny = Fraction(1, 2 ** 2**25)
+    with pytest.raises(
+        ResourceLimitError,
+        match=f"2 entries over a common denominator of {2**25 + 1} bits "
+        f"exceed the cap of {FORM_BITS_CAP} bits",
+    ):
+        RationalSimplex([[1, 1]], [1], 2).solve_for([tiny, 0])
 
 
 def test_degenerate_lp_terminates():
