@@ -146,7 +146,7 @@ def _cmd_polytope(args):
                 "sense": sense,
                 "status": outcome.status,
                 "optimum": outcome.optimum,
-                "witness": joining_to_data(outcome.witness) if outcome.witness else None,
+                "witness": joining_to_data(outcome.witness),
             }
         )
     return payload, True, blob

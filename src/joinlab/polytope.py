@@ -120,9 +120,7 @@ def _reduce(spec: PolytopeSpec) -> _Reduction:
     return _Reduction(orbit, count, rows, rhs)
 
 
-def _deviation_bound(
-    spec: PolytopeSpec, red: _Reduction, target: list[int], den: int
-) -> tuple[int, int]:
+def _deviation_bound(red: _Reduction, target: list[int], den: int) -> tuple[int, int]:
     """B, a bound on D times the sup-distance of every point of the polytope
     to the product measure, as (numerator, positive denominator); D is
     ``den`` and T_o = ``target[o]``.
@@ -130,14 +128,12 @@ def _deviation_bound(
     A face row where orbit o counts c > 0 tuples and the cell weighs w
     forces c * x_o <= w, entries being nonnegative, and x_o >= 0.  So the
     deviation of x_o from T_o / D is at most the larger of D * min(w / c)
-    - T_o and T_o, in the units of 1 / D.  The rows of ``red`` run over
-    the m-cells once per face, and a cell weighs its numerator over
-    D / d^(n - m), for d the factor's denominator."""
-    cell_nums, cell_den = product_form((spec.action.space,) * spec.independence)
-    scale = den // cell_den
+    - T_o and T_o, in the units of 1 / D.  Each row's weight w is its own
+    right-hand side in ``red.rhs``, whose denominator divides D, so rows
+    are grouped by the integer D * w whatever their order or layout."""
     by_weight: dict[int, list[list[int]]] = {}
-    for r, row in enumerate(red.rows):
-        by_weight.setdefault(cell_nums[r % len(cell_nums)], []).append(row)
+    for row, w in zip(red.rows, red.rhs):
+        by_weight.setdefault(den * w.numerator // w.denominator, []).append(row)
     # the least w / c of each orbit as a pair; (1, 0) stands for no row yet,
     # and every orbit meets some cell of each face
     least = [(1, 0)] * red.count
@@ -147,7 +143,7 @@ def _deviation_bound(
                 least[o] = (w, c)
     bound = (0, 1)
     for (w, c), t in zip(least, target):
-        for num, q in ((scale * w - t * c, c), (t, 1)):
+        for num, q in ((w - t * c, c), (t, 1)):
             if num * bound[1] > bound[0] * q:
                 bound = (num, q)
     return bound
@@ -208,7 +204,8 @@ def optimize(spec: PolytopeSpec, objective: Sequence, sense: str = "max") -> LpO
     solver = RationalSimplex(red.rows, red.rhs, red.count)
     sol = solver.solve_for(folded, sense)
     if sol.status != "optimal":
-        return LpOutcome(sol.status, None, None)
+        # the product measure is always feasible
+        raise JoinlabInternalError("joining polytope reported infeasible")
     return LpOutcome("optimal", sol.value, _as_tensor(spec, red, solver._vertex()))
 
 
@@ -255,7 +252,7 @@ def certify_triviality(spec: PolytopeSpec) -> TrivialityCertificate:
     target = [0] * red.count
     for t, o in zip(nums, red.orbit):
         target[o] = t
-    bound_num, bound_den = _deviation_bound(spec, red, target, den)
+    bound_num, bound_den = _deviation_bound(red, target, den)
     classes = _axis_classes(spec, red)
     last = classes.index(max(classes))  # the least orbit of the last class
     best, best_vertex = (0, 1), None
@@ -263,8 +260,8 @@ def certify_triviality(spec: PolytopeSpec) -> TrivialityCertificate:
         unit = [0] * red.count
         unit[o] = sign
         solver._maximise(unit, 1)
-        vertex = nums, q = solver._vertex()
-        dev = max(abs(p * den - t * q) for p, t in zip(nums, target))
+        vertex = values, q = solver._vertex()
+        dev = max(abs(p * den - t * q) for p, t in zip(values, target))
         if dev * best[1] > best[0] * q:
             best, best_vertex = (dev, q), vertex
             if dev * bound_den >= bound_num * q:

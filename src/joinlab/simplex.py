@@ -5,6 +5,7 @@ anti-cycling rule, so every run terminates and identical inputs pivot
 identically.  The tableau persists, which makes re-solving the same
 feasible region for many objectives (coordinate scans over a joining
 polytope) cheap: phase 1 runs once, each new objective only reprices.
+Each LP's final objective row, its reduced costs, stays until the next.
 
 The arithmetic is integer and fraction-free (Edmonds; Bareiss).  Each
 tableau row is a list of Python ints M_i standing for the rational row
@@ -96,8 +97,9 @@ class RationalSimplex:
 
     Row i of the tableau is a primitive integer vector whose entry in
     column ``basis[i]`` is positive; the rational row is the vector divided
-    by that entry.  The objective row is an integer vector over the positive
-    denominator ``_den``.
+    by that entry.  The objective row ``_obj``, a reduced cost per column
+    and then minus the value, is an integer vector over the positive
+    denominator ``_den``; after an LP it is that LP's optimal row.
     """
 
     def __init__(self, rows: Sequence[Sequence], rhs: Sequence, num_vars: int):
@@ -105,8 +107,6 @@ class RationalSimplex:
             raise InvalidInputError("LP needs at least one variable")
         self.num_vars = num_vars
         self._infeasible = False
-        self._obj = None
-        self._den = 1
         reduced = self._presolve(rows, rhs)
         if not self._infeasible:
             self._phase1(reduced)
@@ -115,11 +115,12 @@ class RationalSimplex:
 
     def _presolve(self, rows, rhs):
         """Row-reduce [A | b] to an independent set; inconsistent rows mark
-        the whole program infeasible.  Returns the reduced rows as primitive
-        integer vectors, each with a positive entry at its pivot column and
-        a nonnegative rhs, paired with that pivot entry."""
+        the whole program infeasible: each kept row has a pivot column where
+        every later kept row is eliminated.  Returns the kept rows as found,
+        primitive integer vectors with a nonnegative rhs, each paired with
+        the absolute value of its pivot entry."""
         n = self.num_vars
-        reduced: list[list[int]] = []
+        reduced: list[tuple[list[int], int]] = []
         pivots: list[tuple[int, int, list]] = []  # (column, entry, nonzeros)
         seen: set[tuple[int, ...]] = set()
         for row, b in zip(rows, rhs):
@@ -146,16 +147,16 @@ class RationalSimplex:
                 continue  # redundant row
             if r[col] < 0:
                 r = [-x for x in r]
-            reduced.append(r)
             pivots.append((col, r[col], _nonzeros(r)))
-        return [
-            (r if r[n] >= 0 else [-x for x in r], a)
-            for r, (_, a, _) in zip(reduced, pivots)
-        ]
+            reduced.append((r if r[n] >= 0 else [-x for x in r], r[col]))
+        return reduced
 
     def _phase1(self, reduced):
         """Feasible basis via artificial variables; drives them out after
-        the auxiliary objective reaches zero."""
+        the auxiliary objective reaches zero.  An artificial still basic has
+        a nonzero x entry to pivot on: its row is a nonzero combination y of
+        the presolved rows, and a zero x part would give y^T A = 0 against
+        presolve's independent rows."""
         n, m = self.num_vars, len(reduced)
         rows = []
         for i, (r, den) in enumerate(reduced):
@@ -164,7 +165,6 @@ class RationalSimplex:
             rows.append(row)
         self._rows = rows
         self._basis = [n + i for i in range(m)]
-        self._ncols = n + m
         # auxiliary objective: the sum of the rational rows, with reduced
         # cost 0 on the artificial columns
         den = lcm(*(d for _, d in reduced))
@@ -177,19 +177,12 @@ class RationalSimplex:
         if self._obj[-1]:
             self._infeasible = True
             return
-        self._obj = None
         for i in range(m - 1, -1, -1):
-            if self._basis[i] < n:
-                continue
-            col = next((j for j in range(n) if self._rows[i][j]), None)
-            if col is None:
-                del self._rows[i]
-                del self._basis[i]
-                continue
-            self._pivot(i, col)
-        # drop artificial columns
+            if self._basis[i] >= n:
+                self._pivot(i, next(j for j in range(n) if self._rows[i][j]))
+        # drop the artificial columns
         self._rows = [_primitive(row[:n] + [row[-1]]) for row in self._rows]
-        self._ncols = n
+        self._obj = self._obj[:n] + self._obj[-1:]
 
     # -- pivoting ----------------------------------------------------------
 
@@ -205,8 +198,7 @@ class RationalSimplex:
             f = row[col]
             if f and i != piv_row:
                 rows[i] = _combine(a, row, f, nz)
-        if self._obj is not None:
-            self._reprice(prow, col)
+        self._reprice(prow, col)
         self._basis[piv_row] = col
 
     def _reprice(self, row: list[int], col: int):
@@ -228,7 +220,7 @@ class RationalSimplex:
         basis = self._basis
         while True:
             obj = self._obj
-            q = next((j for j in range(self._ncols) if obj[j] > 0), None)
+            q = next((j for j in range(len(obj) - 1) if obj[j] > 0), None)
             if q is None:
                 return
             best = None
@@ -253,14 +245,12 @@ class RationalSimplex:
         (``den`` > 0, one int per variable) from the current basis and
         return the optimum as (numerator, positive denominator).  The region
         must be feasible; the optimal vertex is left in the tableau for
-        ``_vertex``."""
+        ``_vertex``, and its objective row in ``_obj``."""
         self._obj, self._den = [*obj, 0], den
         for row, bv in zip(self._rows, self._basis):
             self._reprice(row, bv)
         self._bland()
-        value = (-self._obj[-1], self._den)
-        self._obj = None
-        return value
+        return -self._obj[-1], self._den
 
     def _vertex(self) -> tuple[list[int], int]:
         """The current basic point in integer form, (numerators, positive

@@ -130,7 +130,7 @@ def _face_bound(spec) -> Fraction:
     target = [0] * red.count
     for t, o in zip(nums, red.orbit):
         target[o] = t
-    num, q = _deviation_bound(spec, red, target, den)
+    num, q = _deviation_bound(red, target, den)
     return Fraction(num, q * den)
 
 

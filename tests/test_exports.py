@@ -1,7 +1,8 @@
 """The package's public list: ``joinlab.__all__`` is the lazy export table
 of ``__init__.py``, each name written once, so a deleted function cannot
 leave a stale export behind.  Nor a stale import: every module of the
-package and of the tests reads each name it imports."""
+package and of the tests reads each name it imports.  Nor a stale
+parameter: every function of the package reads each parameter it takes."""
 
 import ast
 import importlib
@@ -72,5 +73,40 @@ def test_every_import_is_read():
         stale += [
             f"{path.relative_to(root)}:{line}: {name}"
             for line, name in _imported_names(tree) if name not in read
+        ]
+    assert stale == []
+
+
+def _unread_parameters(tree):
+    """(line, function, parameter) of every parameter that its function's
+    body never reads, dunder methods aside: their protocol fixes the
+    signature."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        read = {
+            n.id for stmt in node.body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for a in params:
+            if a.arg not in read:
+                yield node.lineno, node.name, a.arg
+
+
+def test_every_parameter_is_read():
+    """No function under ``src/joinlab`` takes a parameter it never reads:
+    a stale parameter makes every caller build what nothing uses."""
+    root = Path(__file__).resolve().parent.parent
+    stale = []
+    for path in sorted((root / "src" / "joinlab").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        stale += [
+            f"{path.relative_to(root)}:{line}: {name}({param})"
+            for line, name, param in _unread_parameters(tree)
         ]
     assert stale == []

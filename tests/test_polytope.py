@@ -1,6 +1,7 @@
 """Joining-polytope LP tests: frozen optima, certificates, and witnesses."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +9,9 @@ from joinlab import (
     ActionGenerators,
     Automorphism,
     FiniteSpace,
+    JoinlabInternalError,
     PolytopeSpec,
+    RationalSimplex,
     ResourceLimitError,
     InvalidInputError,
     Z2kContext,
@@ -120,6 +123,31 @@ def test_objective_length_validated():
     spec = PolytopeSpec(trivial_action(2), 2, 1)
     with pytest.raises(InvalidInputError):
         optimize(spec, [Fraction(1)] * 3)
+
+
+def test_an_infeasible_solver_is_an_internal_fault(monkeypatch, capsys):
+    # the product measure is always feasible, so a solver that reports the
+    # region empty has a bug: optimize raises as certify_triviality does,
+    # and the CLI exits 3 instead of reporting "infeasible"
+    from joinlab import cli
+
+    def infeasible(self, rows, rhs):
+        self._infeasible = True
+        return []
+
+    monkeypatch.setattr(RationalSimplex, "_presolve", infeasible)
+    spec = PolytopeSpec(trivial_action(2), 3, 2)
+    with pytest.raises(JoinlabInternalError, match="reported infeasible"):
+        optimize(spec, [Fraction(1)] * spec.size)
+    config = Path(__file__).resolve().parent.parent / "configs" / "polytope_k1.json"
+    code = cli.main(
+        ["polytope", "--config", str(config), "--action", "trivial",
+         "--order", "3", "--independence", "2", "--objective", "corner"]
+    )
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ")
 
 
 def test_optimize_minimum_of_diagonal_mass():

@@ -33,7 +33,7 @@ from joinlab import (
     product_joining,
     sup_distance,
 )
-from joinlab.polytope import _axis_classes, _deviation_bound, _reduce
+from joinlab.polytope import _Reduction, _axis_classes, _deviation_bound, _reduce
 from joinlab.simplex import RationalSimplex
 from joinlab.spaces import index_to_tuple, product_form, tuple_to_index
 
@@ -249,7 +249,7 @@ def _bound(spec):
     target = [0] * red.count
     for t, o in zip(nums, red.orbit):
         target[o] = t
-    num, q = _deviation_bound(spec, red, target, den)
+    num, q = _deviation_bound(red, target, den)
     return Fraction(num, q * den)
 
 
@@ -291,6 +291,22 @@ def classes_by_brute_force(spec):
 @given(specs())
 def test_deviation_bound_matches_fraction_oracle(spec):
     assert _bound(spec) == bound_by_fractions(spec)
+
+
+def test_deviation_bound_reads_each_rows_own_weight():
+    # two cell weights, 4/9 and 1/9 among them: the bound must come from
+    # each row's right-hand side, not from the row's position
+    space = FiniteSpace((Fraction(2, 3), Fraction(1, 3)))
+    spec = PolytopeSpec(ActionGenerators(space, (Automorphism.identity(space),)), 3, 2)
+    red = _reduce(spec)
+    nums, den = product_form((space,) * 3)
+    target = [0] * red.count
+    for t, o in zip(nums, red.orbit):
+        target[o] = t
+    flipped = _Reduction(red.orbit, red.count, red.rows[::-1], red.rhs[::-1])
+    bound = _deviation_bound(red, target, den)
+    assert _deviation_bound(flipped, target, den) == bound
+    assert Fraction(bound[0], bound[1] * den) == bound_by_fractions(spec)
 
 
 def test_deviation_bound_on_z2k():

@@ -2,7 +2,9 @@
 
 The oracle solves max/min over {x >= 0 : Ax = b} by enumerating all basis
 subsets with Gaussian elimination over Fractions, entirely separate from
-the simplex implementation.
+the simplex implementation.  The programs of ``test_simplex_tableau``,
+with repeated and scaled rows, pin two invariants of the tableau itself:
+the objective row each LP keeps, and presolve's independent rows.
 """
 
 import random
@@ -10,9 +12,21 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+import sympy
+from hypothesis import HealthCheck, given, settings
 
 from joinlab import InvalidInputError, JoinlabError, RationalSimplex, ResourceLimitError
+from joinlab.simplex import _integer_row
 from joinlab.spaces import FORM_BITS_CAP
+
+from test_simplex_tableau import programs
+
+PROPERTY = settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 def _solve_square(a, b):
@@ -263,3 +277,43 @@ def test_determinism_and_warm_start_values():
     again = [RationalSimplex(rows, rhs, n).solve_for(obj, "max") for obj in objectives]
     first = [RationalSimplex(rows, rhs, n).solve_for(obj, "max") for obj in objectives]
     assert [r.solution for r in again] == [r.solution for r in first]
+
+
+@PROPERTY
+@given(programs())
+def test_each_lp_keeps_its_final_objective_row(program):
+    # after an optimum, the row holds the reduced costs at the optimal basis
+    # over ``_den``: none positive, 0 on every basic column, and minus the
+    # value, which the vertex attains, in its last entry
+    rows, rhs, n, objectives = program
+    solver = RationalSimplex(rows, rhs, n)
+    if solver._infeasible:
+        return
+    for objective, sense in objectives:
+        obj, den = _integer_row(objective)
+        if sense == "min":
+            obj = [-x for x in obj]
+        try:
+            value = solver._maximise(obj, den)
+        except JoinlabError:
+            continue  # unbounded
+        row = solver._obj
+        assert len(row) == n + 1
+        assert all(x <= 0 for x in row[:-1])
+        assert all(row[bv] == 0 for bv in solver._basis)
+        assert (-row[-1], solver._den) == value
+        x, q = solver._vertex()
+        assert Fraction(sum(map(int.__mul__, obj, x)), q * den) == Fraction(*value)
+
+
+@PROPERTY
+@given(programs())
+def test_presolve_keeps_independent_rows(program):
+    # phase 1 relies on it: every artificial it drives out has an x entry to
+    # pivot on, so every basic variable is a column of x
+    rows, rhs, n, _ = program
+    solver = RationalSimplex(rows, rhs, n)
+    if solver._infeasible:
+        return
+    assert solver.rank == sympy.Matrix(rows).rank()
+    assert all(bv < n for bv in solver._basis)
